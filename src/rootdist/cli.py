@@ -1,6 +1,6 @@
 """Command-line surface: one subcommand per module group.
 
-Outputs are deterministic byte-for-byte at fixed seed, written through a
+Outputs are deterministic byte-for-byte, written through a
 temp-file rename so failures never leave partial files.  Exit codes: 2 for
 argument and parse problems, 3 for unsupported inputs, 1 for internal
 limits or unexpected failures.
@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, fields
@@ -32,6 +33,10 @@ from .roots import ModulusFilter, root_stream, roots_mod_n
 from .systems import default_hset, joint_weyl_series, root_tuples, validate_system
 
 _THREADS_ENV = "ROOTDIST_THREADS"
+
+# Flags whose value is a coefficient list, which may start with a minus sign.
+_COEFF_FLAGS = ("--poly", "--polys")
+_NEGATIVE_LEAD = re.compile(r"-\s*\d")
 
 
 @dataclass
@@ -152,7 +157,9 @@ def _parse_hset(text: str, r: int) -> list[tuple[int, ...]]:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+    parser.add_argument(
+        "--seed", type=int, default=0, help="unused: root finding is deterministic (default 0)"
+    )
     parser.add_argument(
         "--threads",
         type=int,
@@ -250,11 +257,11 @@ def _cmd_roots(args: argparse.Namespace) -> str:
     if (args.n is None) == (args.nmax is None):
         raise InvalidArgumentError("exactly one of --n and --nmax is required")
     if args.n is not None:
-        rs = roots_mod_n(f, args.n, seed=args.seed)
+        rs = roots_mod_n(f, args.n)
         lines.append(f"{rs.modulus}: {' '.join(str(v) for v in rs.roots)}".rstrip())
     else:
         flt = ModulusFilter.parse(args.filter)
-        for n, rs in root_stream(f, args.nmax, flt, seed=args.seed):
+        for n, rs in root_stream(f, args.nmax, flt):
             lines.append(f"{n}: {' '.join(str(v) for v in rs.roots)}".rstrip())
     return "\n".join(lines) + "\n"
 
@@ -264,7 +271,7 @@ def _cmd_weyl(args: argparse.Namespace) -> str:
     h = HSpec.parse(args.h)
     flt = ModulusFilter.parse(args.filter)
     cps = _parse_checkpoints(args.checkpoints, args.xmax)
-    series = weyl_series(f, h, args.xmax, flt, cps, seed=args.seed)
+    series = weyl_series(f, h, args.xmax, flt, cps)
     return _rows_to_text(series.csv_rows(), args.format)
 
 
@@ -305,9 +312,9 @@ def _cmd_stats(args: argparse.Namespace) -> str:
             raise InvalidArgumentError(
                 f"cannot parse progression {args.progression!r}: {exc}"
             ) from None
-        sums = progression_root_sums(f, a, m, args.xmax, cps, seed=args.seed)
+        sums = progression_root_sums(f, a, m, args.xmax, cps)
         return _rows_to_text(sums.csv_rows(), args.format)
-    stats = prime_stats(f, args.xmax, cps, args.closure_index, seed=args.seed)
+    stats = prime_stats(f, args.xmax, cps, args.closure_index)
     return _rows_to_text(stats.csv_rows(), args.format)
 
 
@@ -356,7 +363,6 @@ def _cmd_system(args: argparse.Namespace) -> str:
         cps,
         args.grid,
         flt,
-        seed=args.seed,
         cloud_sink=sink if cloud_rows is not None else None,
     )
     if cloud_rows is not None:
@@ -412,6 +418,25 @@ def _apply_config(argv: list[str], parser: argparse.ArgumentParser, path: str) -
     return argv[: cmd_pos + 1] + inject + argv[cmd_pos + 1 :]
 
 
+def _glue_coefficient_values(argv: list[str]) -> list[str]:
+    """Spell ``--poly -2,0,0,1`` as ``--poly=-2,0,0,1``.
+
+    argparse reads a token that starts with '-' and is not a plain negative
+    number as a flag, which would leave --poly without its value.
+    """
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if tok in _COEFF_FLAGS and i + 1 < len(argv) and _NEGATIVE_LEAD.match(argv[i + 1]):
+            out.append(f"{tok}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -421,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if pre_args.config:
             argv = _apply_config(argv, parser, pre_args.config)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_coefficient_values(argv))
         cfg = build_run_config(args)
         args.threads = cfg.threads
         text = _HANDLERS[args.command](args)

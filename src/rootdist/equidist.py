@@ -16,11 +16,12 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .intpoly import IntPolynomial
-from .modarith import SpfSieve, cached_sieve, euler_phi, factorize, inverse
+from .modarith import SpfSieve, euler_phi, factorize, inverse
 from .roots import (
     ModulusFilter,
-    _prime_roots_cached,
+    _prime_power_roots_cached,
     _sieve_for,
+    prime_table,
     root_stream,
     roots_mod_n,
 )
@@ -191,7 +192,6 @@ def weyl_series(
     flt: ModulusFilter | None = None,
     checkpoints: list[int] | None = None,
     sieve: SpfSieve | None = None,
-    seed: int = 0,
 ) -> WeylSeries:
     """Accumulate the Weyl partial sums over the filtered stream up to xmax.
 
@@ -228,7 +228,7 @@ def weyl_series(
             cp = next(cp_iter, None)
         return cp
 
-    for n, rs in root_stream(f, xmax, flt, sieve, seed, extra_accept=extra):
+    for n, rs in root_stream(f, xmax, flt, sieve, extra_accept=extra):
         next_cp = flush(n)
         if next_cp is None:
             break
@@ -257,11 +257,10 @@ def ratio_points(
     xmax: int,
     flt: ModulusFilter | None = None,
     sieve: SpfSieve | None = None,
-    seed: int = 0,
 ) -> np.ndarray:
     """The fractions v/n for every root along the stream, in stream order."""
     pts: list[float] = []
-    for n, rs in root_stream(f, xmax, flt, sieve, seed):
+    for n, rs in root_stream(f, xmax, flt, sieve):
         for v in rs.roots:
             pts.append(v / n)
     return np.asarray(pts, dtype=np.float64)
@@ -347,7 +346,7 @@ class BoundCheck:
     holds: bool
 
 
-def split_prime_count(f: IntPolynomial, n: int, sieve: SpfSieve | None = None, seed: int = 0) -> int:
+def split_prime_count(f: IntPolynomial, n: int, sieve: SpfSieve | None = None) -> int:
     """Number of primes dividing n that avoid eta*disc and split completely,
     i.e. have a full set of deg(f) roots."""
     if n < 1:
@@ -358,7 +357,7 @@ def split_prime_count(f: IntPolynomial, n: int, sieve: SpfSieve | None = None, s
     fact = factorize(n, _sieve_for(n, sieve))
     count = 0
     for p, _ in fact.parts:
-        if bad % p != 0 and len(_prime_roots_cached(f, p, seed)) == f.degree:
+        if bad % p != 0 and len(_prime_power_roots_cached(f, p, 1)) == f.degree:
             count += 1
     return count
 
@@ -427,14 +426,14 @@ def prime_stats(
     checkpoints: list[int] | None = None,
     closure_index: int = 1,
     sieve: SpfSieve | None = None,
-    seed: int = 0,
 ) -> PrimeStats:
     """Accumulate root counts over primes up to xmax.
 
     closure_index is the degree of the normal closure of the root field over
     the root field itself; it is 1 whenever that extension is trivial (as for
     quadratic fields) and must be supplied by the caller otherwise, since
-    Galois closures are not computed here.
+    Galois closures are not computed here.  The primes and their root counts
+    come from the prime table of f, so ``sieve`` is not consulted.
     """
     if xmax < 2:
         raise InvalidArgumentError("xmax must be at least 2")
@@ -445,8 +444,8 @@ def prime_stats(
     checkpoints = sorted(set(int(c) for c in checkpoints))
     if checkpoints[0] < 2 or checkpoints[-1] > xmax:
         raise InvalidArgumentError("checkpoints must lie in [2, xmax]")
-    if sieve is None or sieve.limit < xmax:
-        sieve = cached_sieve(max(xmax, 10**5))
+    table = prime_table(f)
+    table.fill(xmax)
     bad = f.eta * f.discriminant
     d = f.degree
     sum_rho = 0
@@ -472,7 +471,7 @@ def prime_stats(
             )
         )
 
-    for p in sieve.primes():
+    for p, rho in zip(table.primes.tolist(), table.rho().tolist()):
         if p > xmax:
             break
         while next_cp is not None and p > next_cp:
@@ -480,7 +479,6 @@ def prime_stats(
             next_cp = next(cp_iter, None)
         if next_cp is None:
             break
-        rho = len(_prime_roots_cached(f, p, seed))
         pi += 1
         if rho:
             sum_rho += rho
@@ -527,7 +525,6 @@ def progression_root_sums(
     xmax: int,
     checkpoints: list[int] | None = None,
     sieve: SpfSieve | None = None,
-    seed: int = 0,
 ) -> ProgressionSums:
     """Sum of root counts over n = a mod m up to xmax, with a slope estimate.
 
@@ -547,7 +544,7 @@ def progression_root_sums(
     acc = 0
     cp_iter = iter(checkpoints)
     next_cp = next(cp_iter)
-    for n, rs in root_stream(f, xmax, flt, sieve, seed):
+    for n, rs in root_stream(f, xmax, flt, sieve):
         while next_cp is not None and n > next_cp:
             sums.append(acc)
             next_cp = next(cp_iter, None)

@@ -224,7 +224,7 @@ def inertia_degree(
 
 
 def enumerate_degree_one(
-    f: IntPolynomial, n: int, sieve: SpfSieve | None = None, seed: int = 0
+    f: IntPolynomial, n: int, sieve: SpfSieve | None = None
 ) -> list[FactoredIdeal]:
     """All degree-one ideals of norm n, via the product over prime powers."""
     report = admissibility(f, n, sieve)
@@ -235,7 +235,7 @@ def enumerate_degree_one(
     fact = factorize(n, _sieve_for(n, sieve))
     ideals = [()]
     for p, e in fact.parts:
-        part = _prime_power_roots_cached(f, p, e, seed)
+        part = _prime_power_roots_cached(f, p, e)
         if not part:
             return []
         ideals = [comps + ((p, e, v),) for comps in ideals for v in part]

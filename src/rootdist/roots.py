@@ -1,15 +1,17 @@
 """Roots of f(x) = 0 mod p, mod p^e, and mod n, plus filtered streams over n.
 
-Per-prime work is the expensive part, so root sets for primes and prime
-powers are memoized in LRU stores shared by every stream in the process.
-Correctness never depends on a cache hit: entries are pure functions of
-(polynomial, prime, exponent, seed).
+Roots mod p come from one prime table per polynomial: every prime up to a
+limit, with its sorted roots in CSR form, filled for many primes at once in
+numpy lanes (see ``PrimeRootTable``).  Primes the lanes cannot take, and
+single primes far beyond the table, go through a scalar route.  Root sets
+for prime powers are memoized in LRU stores shared by every stream in the
+process.  Correctness never depends on a cache hit: entries are pure
+functions of (polynomial, prime, exponent).
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
@@ -21,13 +23,19 @@ from .errors import InvalidArgumentError, ResourceLimitError
 from .intpoly import IntPolynomial, poly_eval_mod
 from .modarith import Factorization, SpfSieve, cached_sieve, factorize, inverse, is_prime
 
-# Below this bound roots mod p are found by scanning every residue; above it
-# the gcd(x^p - x, f) route is used.  The scan also covers p = 2 and other
-# tiny fields where randomized splitting has edge cases.
-SCAN_LIMIT = 1 << 16
+# The scalar route scans every residue below this bound (p = 2 included)
+# and uses gcd(x^p - x, f) plus splitting above it.
+_SCAN_LIMIT = 512
 
-# Plain-python scan is faster than numpy dispatch for very small p.
-_NUMPY_SCAN_MIN = 512
+# Primes per numpy pass while filling a table; bounds the scratch arrays.
+_TABLE_CHUNK = 1 << 12
+
+# Split shifts are s_t = (_SHIFT_BASE + t) mod p for t = 0, 1, ...  Any p
+# consecutive shifts visit every residue, and some residue separates any two
+# roots: the quadratic residues are not invariant under a nonzero
+# translation mod p.  The offset makes the shifts depend on p, so that no
+# fixed shift fails for every prime (s = 0 never splits x^2 + 1).
+_SHIFT_BASE = 2654435761
 
 # Abort exhaustive lifting above a ramified prime once this many candidates
 # would have to be enumerated at one level.
@@ -82,21 +90,16 @@ def _sieve_for(n: int, sieve: SpfSieve | None) -> SpfSieve:
 
 
 def _scan_roots(f: IntPolynomial, p: int) -> tuple[int, ...]:
-    if p < _NUMPY_SCAN_MIN:
-        return tuple(v for v in range(p) if poly_eval_mod(f, v, p) == 0)
-    v = np.arange(p, dtype=np.int64)
-    acc = np.full(p, f.coeffs[-1] % p, dtype=np.int64)
-    for c in reversed(f.coeffs[:-1]):
-        acc = (acc * v + c) % p
-    return tuple(int(r) for r in np.flatnonzero(acc == 0))
+    return tuple(v for v in range(p) if poly_eval_mod(f, v, p) == 0)
 
 
-def _split_into_roots(g: fppoly.Poly, p: int, rng: random.Random) -> list[int]:
+def _split_into_roots(g: fppoly.Poly, p: int, tries: int = 0) -> list[int]:
     """Extract the roots of a monic product of distinct linear factors.
 
-    Randomized equal-degree splitting: gcd with (x+s)^((p-1)/2) - 1 separates
-    the roots a by whether a+s is a quadratic residue; random shifts s make
-    a proper split likely at every try.
+    Equal-degree splitting: gcd with (x+s)^((p-1)/2) - 1 separates the roots
+    a by whether a+s is a quadratic residue.  The shifts s follow the
+    sequence described at ``_SHIFT_BASE``, so a proper split comes within p
+    tries; ``tries`` is the position in that sequence.
     """
     deg = fppoly.degree(g)
     if deg <= 0:
@@ -104,7 +107,8 @@ def _split_into_roots(g: fppoly.Poly, p: int, rng: random.Random) -> list[int]:
     if deg == 1:
         return [(-g[0]) % p]
     while True:
-        s = rng.randrange(p)
+        s = (_SHIFT_BASE + tries) % p
+        tries += 1
         h = fppoly.powmod_unchecked([s, 1], (p - 1) // 2, g, p)
         if not h:
             h = [p - 1]
@@ -118,10 +122,10 @@ def _split_into_roots(g: fppoly.Poly, p: int, rng: random.Random) -> list[int]:
         dt = fppoly.degree(t)
         if 0 < dt < deg:
             rest = fppoly.divmod_(g, t, p)[0]
-            return _split_into_roots(t, p, rng) + _split_into_roots(rest, p, rng)
+            return _split_into_roots(t, p, tries) + _split_into_roots(rest, p, tries)
 
 
-def _roots_mod_prime_large(f: IntPolynomial, p: int, seed: int) -> tuple[int, ...]:
+def _roots_mod_prime_large(f: IntPolynomial, p: int) -> tuple[int, ...]:
     fb = fppoly.reduce_coeffs(f.coeffs, p)
     deg = fppoly.degree(fb)
     if deg <= 0:
@@ -140,22 +144,283 @@ def _roots_mod_prime_large(f: IntPolynomial, p: int, seed: int) -> tuple[int, ..
     g = fppoly.gcd_unchecked(xp_minus_x, fb, p)
     if fppoly.degree(g) <= 0:
         return ()
-    rng = random.Random(f"{seed}:{p}")
-    return tuple(sorted(_split_into_roots(g, p, rng)))
+    return tuple(sorted(_split_into_roots(g, p)))
 
 
 @lru_cache(maxsize=1 << 20)
-def _prime_roots_cached(f: IntPolynomial, p: int, seed: int) -> tuple[int, ...]:
-    if p < SCAN_LIMIT:
+def _prime_roots_cached(f: IntPolynomial, p: int) -> tuple[int, ...]:
+    """The scalar route: one prime at a time, in Python integers."""
+    if p < _SCAN_LIMIT:
         return _scan_roots(f, p)
-    return _roots_mod_prime_large(f, p, seed)
+    return _roots_mod_prime_large(f, p)
 
 
-def roots_mod_prime(f: IntPolynomial, p: int, seed: int = 0) -> list[int]:
+# -- Batched route ---------------------------------------------------------
+#
+# One lane per prime.  A polynomial in lanes is an (L, w) int64 array whose
+# column j holds the coefficient of x^j mod the lane's prime, in [0, p).
+# Products of a polynomial of degree below d are summed before they are
+# reduced, so an intermediate stays below d * p^2; lanes take the primes
+# for which that is below 2^62 (see _lane_prime_bound).
+
+
+def _lane_prime_bound(d: int) -> int:
+    """Lanes hold primes below this bound for a polynomial of degree d."""
+    return math.isqrt((1 << 62) // d)
+
+
+def _lane_pow(a: np.ndarray, e: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """a^e mod p per lane, by masked square-and-multiply."""
+    r = np.ones_like(a)
+    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+        r = r * r % P
+        r = np.where((e >> bit) & 1 == 1, r * a % P, r)
+    return r
+
+
+def _lane_reduce(C: np.ndarray, G: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """C mod G for monic G of one degree k in every lane, in place; C may
+    hold unreduced sums of at most k products of residues."""
+    k = G.shape[1] - 1
+    Pc = P[:, None]
+    for top in range(C.shape[1] - 1, k - 1, -1):
+        C[:, top - k : top] -= C[:, top, None] % Pc * G[:, :k]
+    return C[:, :k] % Pc
+
+
+def _lane_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A * B for A, B of one width, unreduced mod p (for _lane_reduce)."""
+    k = A.shape[1]
+    C = np.zeros((A.shape[0], 2 * k - 1), dtype=np.int64)
+    for i in range(k):
+        C[:, i : i + k] += A[:, i, None] * B
+    return C
+
+
+def _lane_powmod_linear(s: np.ndarray, e: np.ndarray, G: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """(x + s)^e mod G per lane; only lanes whose exponent has a bit set
+    take the multiply at that bit."""
+    L, k = G.shape[0], G.shape[1] - 1
+    R = np.zeros((L, k), dtype=np.int64)
+    R[:, 0] = 1
+    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+        R = _lane_reduce(_lane_mul(R, R), G, P)
+        take = (e >> bit) & 1 == 1
+        if take.any():
+            C = np.zeros((L, k + 1), dtype=np.int64)
+            C[:, 1:] = R
+            C[:, :k] += s[:, None] * R
+            R = np.where(take[:, None], _lane_reduce(C, G, P), R)
+    return R
+
+
+def _lane_degree(A: np.ndarray) -> np.ndarray:
+    """Degree per lane, -1 for the zero polynomial."""
+    nz = A != 0
+    return np.where(nz.any(axis=1), A.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
+
+
+def _lane_gcd(A: np.ndarray, B: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Monic gcd per lane and its degree, for A nonzero in every lane.
+
+    Euclid with pseudo-remainders: A <- lc(B) A - lc(A) x^(deg A - deg B) B
+    cancels the top term of A without a modular inverse; one inverse makes
+    the result monic.
+    """
+    w = max(A.shape[1], B.shape[1])
+    A = np.pad(A, ((0, 0), (0, w - A.shape[1])))
+    B = np.pad(B, ((0, 0), (0, w - B.shape[1])))
+    Pc = P[:, None]
+    rows = np.arange(A.shape[0])
+    cols = np.arange(w)
+    while True:
+        dB = _lane_degree(B)
+        live = dB >= 0
+        if not live.any():
+            break
+        lb = B[rows, np.maximum(dB, 0), None]
+        while True:
+            dA = _lane_degree(A)
+            act = live & (dA >= dB)
+            if not act.any():
+                break
+            shift = cols - np.where(act, dA - dB, 0)[:, None]
+            Bs = np.where(shift >= 0, np.take_along_axis(B, np.maximum(shift, 0), axis=1), 0)
+            la = A[rows, np.maximum(dA, 0), None]
+            A = np.where(act[:, None], (lb * A - la * Bs) % Pc, A)
+        A, B = np.where(live[:, None], B, A), np.where(live[:, None], A, B)
+    d = _lane_degree(A)
+    inv = _lane_pow(A[rows, d], P - 2, P)
+    return A * inv[:, None] % Pc, d
+
+
+def _lane_divexact(A: np.ndarray, D: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """A / D per lane for monic D of one degree that divides A."""
+    k, j = A.shape[1] - 1, D.shape[1] - 1
+    Pc = P[:, None]
+    R = A.copy()
+    Q = np.zeros((A.shape[0], k - j + 1), dtype=np.int64)
+    for i in range(k - j, -1, -1):
+        q = R[:, i + j, None]
+        Q[:, i] = q[:, 0]
+        R[:, i : i + j + 1] = (R[:, i : i + j + 1] - q * D) % Pc
+    return Q
+
+
+def _lane_residues(c: int, P: np.ndarray) -> np.ndarray:
+    """c mod p per lane, for an integer c of any size."""
+    if -(1 << 62) < c < 1 << 62:
+        return np.int64(c) % P
+    return np.array([c % p for p in P.tolist()], dtype=np.int64)
+
+
+def _lane_roots(coeffs: tuple[int, ...], P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of f mod every lane prime, as (lane, root) pairs.
+
+    Every p must be odd, below _lane_prime_bound(d) and prime to the leading
+    coefficient, so that f mod p keeps its degree d >= 2.  The distinct
+    roots are those of g = gcd(x^p - x, f); pieces of g are split by
+    equal-degree splitting, one batch per piece degree, down to linear
+    factors.
+    """
+    if P.size == 0:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    d = len(coeffs) - 1
+    Pc = P[:, None]
+    F = np.stack([_lane_residues(c, P) for c in coeffs], axis=1)
+    F = F * _lane_pow(F[:, d], P - 2, P)[:, None] % Pc
+    XP = _lane_powmod_linear(np.zeros_like(P), P, F, P)
+    XP[:, 1] = (XP[:, 1] - 1) % P
+    G, rho = _lane_gcd(F, XP, P)
+
+    lanes = np.arange(len(P))
+    # degree -> list of (lane, prime, monic piece, shifts tried)
+    pieces: dict[int, list] = {}
+    for k in range(1, d + 1):
+        sel = rho == k
+        if sel.any():
+            pieces[k] = [(lanes[sel], P[sel], G[sel, : k + 1], np.zeros(int(sel.sum()), np.int64))]
+    for k in range(d, 1, -1):
+        if k not in pieces:
+            continue
+        own, Pk, Gk, tries = (np.concatenate(a) for a in zip(*pieces.pop(k)))
+        while own.size:
+            if (tries >= Pk).any():
+                raise RuntimeError("equal-degree splitting did not terminate")
+            s = (_SHIFT_BASE + tries) % Pk
+            H = _lane_powmod_linear(s, (Pk - 1) // 2, Gk, Pk)
+            H[:, 0] = (H[:, 0] - 1) % Pk
+            T, j = _lane_gcd(Gk, H, Pk)
+            tries = tries + 1
+            for jj in range(1, k):
+                sel = j == jj
+                if sel.any():
+                    Tj = T[sel, : jj + 1]
+                    rest = _lane_divexact(Gk[sel], Tj, Pk[sel])
+                    for piece, deg in ((Tj, jj), (rest, k - jj)):
+                        pieces.setdefault(deg, []).append((own[sel], Pk[sel], piece, tries[sel]))
+            keep = (j == 0) | (j == k)
+            own, Pk, Gk, tries = own[keep], Pk[keep], Gk[keep], tries[keep]
+    linear = pieces.get(1, [])
+    if not linear:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    return (
+        np.concatenate([own for own, _, _, _ in linear]),
+        np.concatenate([(-Gk[:, 0]) % Pk for _, Pk, Gk, _ in linear]),
+    )
+
+
+def _primes_in(lo: int, hi: int) -> np.ndarray:
+    """The primes p with lo < p <= hi, ascending, for lo >= 1: a sieve of
+    the segment by the primes up to sqrt(hi)."""
+    root = math.isqrt(hi)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for q in range(2, math.isqrt(root) + 1):
+        if small[q]:
+            small[q * q :: q] = False
+    flags = np.ones(hi - lo, dtype=bool)  # flags[i] stands for lo + 1 + i
+    for q in np.flatnonzero(small).tolist():
+        flags[max(q * q, (lo // q + 1) * q) - lo - 1 :: q] = False
+    return np.flatnonzero(flags).astype(np.int64) + (lo + 1)
+
+
+class PrimeRootTable:
+    """Roots of one polynomial mod every prime p <= limit.
+
+    CSR layout: the roots mod primes[i] are roots[offsets[i]:offsets[i+1]],
+    sorted ascending, so rho(primes[i]) = offsets[i+1] - offsets[i].  The
+    table grows by ``fill``, which runs the batched route in chunks of
+    lanes; p = 2, primes dividing the leading coefficient and primes from
+    _lane_prime_bound(d) on take the scalar route.
+    """
+
+    def __init__(self, f: IntPolynomial):
+        self.f = f
+        self.limit = 1
+        self.primes = np.zeros(0, dtype=np.int64)
+        self.offsets = np.zeros(1, dtype=np.int64)
+        self.roots = np.zeros(0, dtype=np.int64)
+
+    def fill(self, limit: int) -> None:
+        """Extend the table to every prime up to limit."""
+        if limit <= self.limit:
+            return
+        new = _primes_in(self.limit, limit)
+        bound = _lane_prime_bound(self.f.degree)
+        counts, roots = [np.zeros(0, np.int64)], [self.roots]
+        for start in range(0, new.size, _TABLE_CHUNK):
+            P = new[start : start + _TABLE_CHUNK]
+            lanes = (P != 2) & (_lane_residues(self.f.leading, P) != 0) & (P < bound)
+            own, vals = _lane_roots(self.f.coeffs, P[lanes])
+            own = np.flatnonzero(lanes)[own]
+            scalar = np.flatnonzero(~lanes)
+            found = [_prime_roots_cached(self.f, int(P[i])) for i in scalar]
+            own = np.concatenate([own, np.repeat(scalar, [len(r) for r in found])])
+            vals = np.concatenate([vals, np.array([v for r in found for v in r], dtype=np.int64)])
+            order = np.lexsort((vals, own))
+            counts.append(np.bincount(own, minlength=P.size))
+            roots.append(vals[order])
+        self.primes = np.concatenate([self.primes, new])
+        self.offsets = np.concatenate([self.offsets, self.offsets[-1] + np.cumsum(np.concatenate(counts))])
+        self.roots = np.concatenate(roots)
+        self.limit = limit
+
+    def rho(self) -> np.ndarray:
+        """Root counts, one per prime in ``primes``."""
+        return np.diff(self.offsets)
+
+    def lookup(self, p: int) -> tuple[int, ...] | None:
+        """The roots mod p, or None when p is not a prime of the table."""
+        i = int(np.searchsorted(self.primes, p))
+        if i == self.primes.size or self.primes[i] != p:
+            return None
+        return tuple(self.roots[self.offsets[i] : self.offsets[i + 1]].tolist())
+
+
+@lru_cache(maxsize=8)
+def prime_table(f: IntPolynomial) -> PrimeRootTable:
+    """The shared, growing prime table of f."""
+    return PrimeRootTable(f)
+
+
+def _table_roots(f: IntPolynomial, p: int) -> tuple[int, ...] | None:
+    """Roots mod p from f's table.  A prime past the limit but within twice
+    it doubles the table, so ascending per-prime callers pay for a few
+    passes in all; a prime further out returns None (the scalar route)."""
+    table = prime_table(f)
+    if p > table.limit:
+        if p > 2 * table.limit:
+            return None
+        table.fill(2 * table.limit)
+    return table.lookup(p)
+
+
+def roots_mod_prime(f: IntPolynomial, p: int) -> list[int]:
     """Sorted roots of f mod a prime p."""
     if p < 2 or not is_prime(p):
         raise InvalidArgumentError(f"{p} is not prime")
-    return list(_prime_roots_cached(f, p, seed))
+    return list(_prime_power_roots_cached(f, p, 1))
 
 
 def hensel_lift_level(f: IntPolynomial, p: int, e: int, parent_root: int) -> list[int]:
@@ -213,25 +478,26 @@ def _lift_all(f: IntPolynomial, p: int, e: int, parents: tuple[int, ...]) -> tup
 
 
 @lru_cache(maxsize=1 << 20)
-def _prime_power_roots_cached(f: IntPolynomial, p: int, e: int, seed: int) -> tuple[int, ...]:
+def _prime_power_roots_cached(f: IntPolynomial, p: int, e: int) -> tuple[int, ...]:
     if e == 1:
-        return _prime_roots_cached(f, p, seed)
-    parents = _prime_power_roots_cached(f, p, e - 1, seed)
+        roots = _table_roots(f, p)
+        return _prime_roots_cached(f, p) if roots is None else roots
+    parents = _prime_power_roots_cached(f, p, e - 1)
     if not parents:
         return ()
     return _lift_all(f, p, e, parents)
 
 
-def roots_mod_prime_power(f: IntPolynomial, p: int, e: int, seed: int = 0) -> list[int]:
+def roots_mod_prime_power(f: IntPolynomial, p: int, e: int) -> list[int]:
     """Sorted roots of f mod p^e, built level by level from the roots mod p."""
     if not is_prime(p):
         raise InvalidArgumentError(f"{p} is not prime")
     if e < 1:
         raise InvalidArgumentError("exponent must be at least 1")
-    return list(_prime_power_roots_cached(f, p, e, seed))
+    return list(_prime_power_roots_cached(f, p, e))
 
 
-def lift_tree(f: IntPolynomial, p: int, depth: int, seed: int = 0) -> LiftTree:
+def lift_tree(f: IntPolynomial, p: int, depth: int) -> LiftTree:
     """The full tower of roots mod p, ..., p^depth with parent links."""
     if not is_prime(p):
         raise InvalidArgumentError(f"{p} is not prime")
@@ -240,7 +506,7 @@ def lift_tree(f: IntPolynomial, p: int, depth: int, seed: int = 0) -> LiftTree:
     levels = []
     parents = []
     for e in range(1, depth + 1):
-        roots = _prime_power_roots_cached(f, p, e, seed)
+        roots = _prime_power_roots_cached(f, p, e)
         levels.append(roots)
         if e == 1:
             parents.append((-1,) * len(roots))
@@ -252,9 +518,7 @@ def lift_tree(f: IntPolynomial, p: int, depth: int, seed: int = 0) -> LiftTree:
     return LiftTree(p, tuple(levels), tuple(parents))
 
 
-def roots_from_factorization(
-    f: IntPolynomial, fact: Factorization, seed: int = 0
-) -> tuple[int, ...]:
+def roots_from_factorization(f: IntPolynomial, fact: Factorization) -> tuple[int, ...]:
     """Combine cached prime-power root sets through the CRT."""
     if fact.modulus == 1:
         return (0,)
@@ -262,7 +526,7 @@ def roots_from_factorization(
     acc_m = 1
     for p, e in fact.parts:
         pe = p**e
-        part = _prime_power_roots_cached(f, p, e, seed)
+        part = _prime_power_roots_cached(f, p, e)
         if not part:
             return ()
         if acc_m == 1:
@@ -275,7 +539,7 @@ def roots_from_factorization(
     return tuple(sorted(acc))
 
 
-def roots_mod_n(f: IntPolynomial, n: int, sieve: SpfSieve | None = None, seed: int = 0) -> RootSet:
+def roots_mod_n(f: IntPolynomial, n: int, sieve: SpfSieve | None = None) -> RootSet:
     """All roots of f mod n, assembled from its prime-power factors.
 
     The convention rho(1) = 1 with root {0} keeps counts multiplicative and
@@ -286,11 +550,11 @@ def roots_mod_n(f: IntPolynomial, n: int, sieve: SpfSieve | None = None, seed: i
     if n == 1:
         return RootSet(1, (0,))
     fact = factorize(n, _sieve_for(n, sieve))
-    return RootSet(n, roots_from_factorization(f, fact, seed))
+    return RootSet(n, roots_from_factorization(f, fact))
 
 
-def root_count(f: IntPolynomial, n: int, sieve: SpfSieve | None = None, seed: int = 0) -> int:
-    return len(roots_mod_n(f, n, sieve, seed).roots)
+def root_count(f: IntPolynomial, n: int, sieve: SpfSieve | None = None) -> int:
+    return len(roots_mod_n(f, n, sieve).roots)
 
 
 class ModulusFilter:
@@ -394,7 +658,6 @@ def root_stream(
     xmax: int,
     flt: ModulusFilter | None = None,
     sieve: SpfSieve | None = None,
-    seed: int = 0,
     extra_accept: Callable[[int], bool] | None = None,
 ) -> Iterator[tuple[int, RootSet]]:
     """Yield (n, RootSet) for n = 1..xmax in ascending order, filtered.
@@ -407,10 +670,9 @@ def root_stream(
     if flt is None:
         flt = ModulusFilter.all()
     if sieve is None or sieve.limit < xmax:
-        limit = _DEFAULT_SIEVE_LIMIT
-        while limit < xmax:
-            limit *= 10
-        sieve = cached_sieve(limit)
+        sieve = cached_sieve(max(xmax, _DEFAULT_SIEVE_LIMIT))
+    if flt.kind != "list":  # an explicit list needs only its own primes
+        prime_table(f).fill(xmax)
     spf = sieve.as_list()
     needs_fact = flt.needs_factorization
     for n in range(1, xmax + 1):
@@ -439,7 +701,7 @@ def root_stream(
         empty = False
         for p, e in parts:
             pe = p**e
-            part = _prime_power_roots_cached(f, p, e, seed)
+            part = _prime_power_roots_cached(f, p, e)
             if not part:
                 empty = True
                 break
@@ -460,3 +722,4 @@ def clear_caches() -> None:
     """Drop the memoized per-prime root stores (mainly for tests)."""
     _prime_roots_cached.cache_clear()
     _prime_power_roots_cached.cache_clear()
+    prime_table.cache_clear()

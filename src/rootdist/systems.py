@@ -26,7 +26,7 @@ from .equidist import (
 from .errors import InvalidArgumentError
 from .intpoly import IntPolynomial
 from .modarith import Factorization, SpfSieve, cached_sieve, factorize, inverse
-from .roots import ModulusFilter, RootSet, roots_from_factorization, roots_mod_n
+from .roots import ModulusFilter, RootSet, prime_table, roots_from_factorization, roots_mod_n
 
 _DEFAULT_GRIDS = {1: 64, 2: 64, 3: 16}
 _MAX_DIMENSION = 3
@@ -204,7 +204,6 @@ def joint_weyl_series(
     grid: int | None = None,
     flt: ModulusFilter | None = None,
     sieve: SpfSieve | None = None,
-    seed: int = 0,
     cloud_sink=None,
 ) -> JointWeylSeries:
     """Stream n ascending, accumulating joint Weyl sums and the box
@@ -238,10 +237,10 @@ def joint_weyl_series(
     if flt is None:
         flt = ModulusFilter.all()
     if sieve is None or sieve.limit < xmax:
-        limit = 10**5
-        while limit < xmax:
-            limit *= 10
-        sieve = cached_sieve(limit)
+        sieve = cached_sieve(max(xmax, 10**5))
+    if flt.kind != "list":  # an explicit list needs only its own primes
+        for f in system.polys:
+            prime_table(f).fill(xmax)
 
     series = JointWeylSeries(
         hset=hset,
@@ -294,7 +293,7 @@ def joint_weyl_series(
             fact = Factorization(n, tuple(parts))
         if not flt.accepts(n, fact):
             continue
-        per_poly = [roots_from_factorization(f, fact, seed) for f in system.polys]
+        per_poly = [roots_from_factorization(f, fact) for f in system.polys]
         count = 1
         for roots in per_poly:
             count *= len(roots)

@@ -17,6 +17,14 @@ def test_roots_single_n(capsys):
     assert code == 0 and out == "65: 8 18 47 57\n"
 
 
+def test_negative_leading_coefficient_after_poly_flag(capsys):
+    spaced = run_cli(capsys, "stats", "--poly", "-2,0,0,1", "--xmax", "1000")
+    glued = run_cli(capsys, "stats", "--poly=-2,0,0,1", "--xmax", "1000")
+    assert spaced[0] == 0 and spaced == glued
+    code, out, _ = run_cli(capsys, "system", "--polys", "-1,-1,1;1,1,1", "--n", "31")
+    assert code == 0 and out == "31: 13,5 13,25 19,5 19,25\n"
+
+
 def test_roots_mod_one(capsys):
     code, out, _ = run_cli(capsys, "roots", "--poly", "1,0,1", "--n", "1")
     assert code == 0 and out == "1: 0\n"

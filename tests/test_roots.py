@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import pytest
 
@@ -13,6 +14,16 @@ from rootdist import (
     roots_mod_n,
     roots_mod_prime,
     roots_mod_prime_power,
+)
+from rootdist.intpoly import IntPolynomial, IrreducibilityAssumedWarning
+from rootdist.roots import (
+    PrimeRootTable,
+    _lane_prime_bound,
+    _lane_roots,
+    _prime_roots_cached,
+    _primes_in,
+    clear_caches,
+    prime_table,
 )
 
 from oracles import brute_roots, eratosthenes
@@ -31,7 +42,7 @@ def test_roots_mod_prime_rejects_composite(x2p1):
 
 
 def test_roots_mod_prime_large_matches_scan(reference_polys):
-    # exercise the gcd/splitting route on primes just above the scan cutoff
+    # single primes above 2^16, through the table or the scalar gcd route
     flags = eratosthenes(70000)
     primes = [p for p in range(65536, 70000) if flags[p]][:12]
     for f in reference_polys:
@@ -47,6 +58,68 @@ def test_roots_mod_prime_large_with_leading_divisor():
     f = IntPolynomial((65539, 1, 2))
     p = 65537
     assert roots_mod_prime(f, p) == brute_roots(f.coeffs, p)
+
+
+def _oracle_polys(reference_polys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IrreducibilityAssumedWarning)
+        quartic = IntPolynomial((1, 0, -10, 0, 1))
+    # 2x^2 - 7: p = 2 divides the leading coefficient, p = 7 is ramified.
+    # x^4 - 10x^2 + 1 has four roots or none mod every p > 3, so every
+    # split starts from a piece of degree 4.
+    return reference_polys + [IntPolynomial((-7, 0, 2)), quartic]
+
+
+def _table_entries(table):
+    return {
+        p: list(table.roots[table.offsets[i] : table.offsets[i + 1]].tolist())
+        for i, p in enumerate(table.primes.tolist())
+    }
+
+
+def test_prime_table_matches_scalar_route(reference_polys):
+    limit = 20000
+    flags = eratosthenes(limit)
+    for f in _oracle_polys(reference_polys):
+        table = PrimeRootTable(f)
+        table.fill(limit)
+        entries = _table_entries(table)
+        assert list(entries) == [p for p in range(limit + 1) if flags[p]]
+        assert table.rho().tolist() == [len(r) for r in entries.values()]
+        for p, got in entries.items():
+            assert got == list(_prime_roots_cached.__wrapped__(f, p)), (f.coeffs, p)
+            if p < 500:
+                assert got == brute_roots(f.coeffs, p), (f.coeffs, p)
+
+
+def test_lanes_near_their_prime_bound(reference_polys):
+    # the largest primes the int64 lanes take, where unreduced sums come
+    # closest to overflow
+    for f in _oracle_polys(reference_polys):
+        bound = _lane_prime_bound(f.degree)
+        P = _primes_in(bound - 3000, bound - 1)
+        lane, vals = _lane_roots(f.coeffs, P)
+        for i, p in enumerate(P.tolist()):
+            got = sorted(vals[lane == i].tolist())
+            assert got == list(_prime_roots_cached.__wrapped__(f, p)), (f.coeffs, p)
+
+
+def test_prime_table_doubling_matches_single_pass(x3m2):
+    clear_caches()
+    roots_mod_prime(x3m2, 1000003)  # far beyond any table: scalar route
+    assert prime_table(x3m2).limit == 1
+    flags = eratosthenes(20000)
+    for p in (p for p in range(20001) if flags[p]):
+        roots_mod_prime(x3m2, p)
+    grown = prime_table(x3m2)
+    assert grown.limit == 32768  # doubled from 1 by the queries for 2, 3, 5, 11, ...
+    whole = PrimeRootTable(x3m2)
+    whole.fill(grown.limit)
+    assert _table_entries(grown) == _table_entries(whole)
+    steps = PrimeRootTable(x3m2)
+    for limit in (100, 114, 126, 5000, 32768):  # (114, 126] holds no prime
+        steps.fill(limit)
+    assert _table_entries(steps) == _table_entries(whole)
 
 
 def test_hensel_examples(x2p1):
