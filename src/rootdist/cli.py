@@ -15,7 +15,6 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, fields
 
 from .equidist import (
     HSpec,
@@ -27,54 +26,13 @@ from .equidist import (
 from .errors import InvalidArgumentError, RootdistError
 from .ideals import enumerate_degree_one
 from .intpoly import IntPolynomial, parse_polynomial
-from .modarith import cached_sieve
 from .nadic import nadic_expansions, normality_evidence
 from .roots import ModulusFilter, root_stream, roots_mod_n
-from .systems import default_hset, joint_weyl_series, root_tuples, validate_system
-
-_THREADS_ENV = "ROOTDIST_THREADS"
+from .systems import PolySystem, default_hset, joint_weyl_series, root_tuples
 
 # Flags whose value is a coefficient list, which may start with a minus sign.
 _COEFF_FLAGS = ("--poly", "--polys")
 _NEGATIVE_LEAD = re.compile(r"-\s*\d")
-
-
-@dataclass
-class RunConfig:
-    """Resolved run options; round-trips through a plain dict."""
-
-    command: str
-    poly: str | None = None
-    polys: str | None = None
-    n: int | None = None
-    nmax: int | None = None
-    xmax: int | None = None
-    base: int | None = None
-    depth: int | None = None
-    max_m: int | None = None
-    h: str | None = None
-    hset: str | None = None
-    filter: str = "all"
-    checkpoints: str = "decades"
-    grid: int | None = None
-    progression: str | None = None
-    closure_index: int = 1
-    output: str | None = None
-    format: str = "csv"
-    seed: int = 0
-    threads: int = 1
-    cloud_out: str | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise InvalidArgumentError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
 
 
 def _read_config_file(path: str) -> dict:
@@ -157,15 +115,6 @@ def _parse_hset(text: str, r: int) -> list[tuple[int, ...]]:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--seed", type=int, default=0, help="unused: root finding is deterministic (default 0)"
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help=f"worker cap; defaults to ${_THREADS_ENV} or 1",
-    )
     parser.add_argument("--output", help="write to this path instead of stdout")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--config", help="key=value file supplying defaults")
@@ -235,20 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p_system)
 
     return parser
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is None:
-        raw = os.environ.get(_THREADS_ENV, "1")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise InvalidArgumentError(
-                f"${_THREADS_ENV} must be an integer, got {raw!r}"
-            ) from None
-    if value < 1:
-        raise InvalidArgumentError("thread count must be at least 1")
-    return value
 
 
 def _cmd_roots(args: argparse.Namespace) -> str:
@@ -337,7 +272,7 @@ def _cmd_ideals(args: argparse.Namespace) -> str:
 
 
 def _cmd_system(args: argparse.Namespace) -> str:
-    system = validate_system(_parse_polys(args.polys))
+    system = PolySystem(tuple(_parse_polys(args.polys)))
     if (args.n is None) == (args.xmax is None):
         raise InvalidArgumentError("exactly one of --n and --xmax is required")
     if args.n is not None:
@@ -380,14 +315,6 @@ _HANDLERS = {
     "ideals": _cmd_ideals,
     "system": _cmd_system,
 }
-
-
-def build_run_config(args: argparse.Namespace) -> RunConfig:
-    known = {f.name for f in fields(RunConfig)}
-    data = {k: v for k, v in vars(args).items() if k in known and v is not None}
-    cfg = RunConfig(**data)
-    cfg.threads = _resolve_threads(getattr(args, "threads", None))
-    return cfg
 
 
 def _apply_config(argv: list[str], parser: argparse.ArgumentParser, path: str) -> list[str]:
@@ -447,8 +374,6 @@ def main(argv: list[str] | None = None) -> int:
         if pre_args.config:
             argv = _apply_config(argv, parser, pre_args.config)
         args = parser.parse_args(_glue_coefficient_values(argv))
-        cfg = build_run_config(args)
-        args.threads = cfg.threads
         text = _HANDLERS[args.command](args)
         _emit(text, args.output)
     except RootdistError as exc:

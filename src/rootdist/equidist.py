@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -146,6 +147,39 @@ def decades(xmax: int) -> list[int]:
     return cps
 
 
+def _checkpoint_list(checkpoints: Iterable[int] | None, xmax: int, lo: int = 1) -> list[int]:
+    """The distinct checkpoints ascending, decades(xmax) by default; every
+    one must lie in [lo, xmax]."""
+    if checkpoints is None:
+        checkpoints = decades(xmax)
+    cps = sorted(set(int(c) for c in checkpoints))
+    if not cps or cps[0] < lo or cps[-1] > xmax:
+        raise InvalidArgumentError(f"checkpoints must lie in [{lo}, xmax]")
+    return cps
+
+
+def _checkpointed(
+    items: Iterable[tuple], checkpoints: list[int], snapshot: Callable[[int], None]
+) -> Iterator[tuple]:
+    """Pass through items keyed by an ascending item[0], calling snapshot(c)
+    for each checkpoint c once every item with key <= c has been passed on.
+
+    Stops at the first item past the last checkpoint.
+    """
+    cps = iter(checkpoints)
+    c = next(cps, None)
+    for item in items:
+        while c is not None and item[0] > c:
+            snapshot(c)
+            c = next(cps, None)
+        if c is None:
+            return
+        yield item
+    while c is not None:
+        snapshot(c)
+        c = next(cps, None)
+
+
 @dataclass
 class WeylSeries:
     """Checkpointed partial exponential sums along a filtered modulus stream.
@@ -202,36 +236,24 @@ def weyl_series(
         h = HSpec.const(h)
     if flt is None:
         flt = ModulusFilter.all()
-    if checkpoints is None:
-        checkpoints = decades(xmax)
-    checkpoints = sorted(set(int(c) for c in checkpoints))
-    if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > xmax:
-        raise InvalidArgumentError("checkpoints must lie in [1, xmax]")
+    checkpoints = _checkpoint_list(checkpoints, xmax)
     extra = None
     if h.kind == "inverse":
         m = h.value
         extra = lambda n: math.gcd(n, m) == 1  # noqa: E731
 
-    series = WeylSeries(h=h, filter_desc=flt.describe(), checkpoints=list(checkpoints))
+    series = WeylSeries(h=h, filter_desc=flt.describe(), checkpoints=checkpoints)
     re_acc, im_acc, abs_acc = KahanSum(), KahanSum(), KahanSum()
     norm_acc = 0
-    cp_iter = iter(checkpoints)
-    next_cp = next(cp_iter)
 
-    def flush(upto: int) -> int | None:
-        cp = next_cp
-        while cp is not None and cp < upto:
-            series.signed.append(complex(re_acc.value, im_acc.value))
-            series.abs_sum.append(abs_acc.value)
-            series.normalizer.append(norm_acc)
-            series.empty_flags.append(norm_acc == 0)
-            cp = next(cp_iter, None)
-        return cp
+    def snapshot(_: int) -> None:
+        series.signed.append(complex(re_acc.value, im_acc.value))
+        series.abs_sum.append(abs_acc.value)
+        series.normalizer.append(norm_acc)
+        series.empty_flags.append(norm_acc == 0)
 
-    for n, rs in root_stream(f, xmax, flt, sieve, extra_accept=extra):
-        next_cp = flush(n)
-        if next_cp is None:
-            break
+    stream = root_stream(f, xmax, flt, sieve, extra_accept=extra)
+    for n, rs in _checkpointed(stream, checkpoints, snapshot):
         if not rs.roots:
             continue
         norm_acc += len(rs.roots)
@@ -243,12 +265,6 @@ def weyl_series(
         re_acc.add(term.real)
         im_acc.add(term.imag)
         abs_acc.add(abs(term))
-    while next_cp is not None:
-        series.signed.append(complex(re_acc.value, im_acc.value))
-        series.abs_sum.append(abs_acc.value)
-        series.normalizer.append(norm_acc)
-        series.empty_flags.append(norm_acc == 0)
-        next_cp = next(cp_iter, None)
     return series
 
 
@@ -354,7 +370,7 @@ def split_prime_count(f: IntPolynomial, n: int, sieve: SpfSieve | None = None) -
     if n == 1:
         return 0
     bad = f.eta * f.discriminant
-    fact = factorize(n, _sieve_for(n, sieve))
+    fact = factorize(n, _sieve_for(sieve))
     count = 0
     for p, _ in fact.parts:
         if bad % p != 0 and len(_prime_power_roots_cached(f, p, 1)) == f.degree:
@@ -439,11 +455,7 @@ def prime_stats(
         raise InvalidArgumentError("xmax must be at least 2")
     if closure_index < 1:
         raise InvalidArgumentError("closure index must be at least 1")
-    if checkpoints is None:
-        checkpoints = decades(xmax)
-    checkpoints = sorted(set(int(c) for c in checkpoints))
-    if checkpoints[0] < 2 or checkpoints[-1] > xmax:
-        raise InvalidArgumentError("checkpoints must lie in [2, xmax]")
+    checkpoints = _checkpoint_list(checkpoints, xmax, lo=2)
     table = prime_table(f)
     table.fill(xmax)
     bad = f.eta * f.discriminant
@@ -454,8 +466,6 @@ def prime_stats(
     log_prod = KahanSum()
     log_prod_split = KahanSum()
     rows: list[tuple[int, int, float, int, float, float, float]] = []
-    cp_iter = iter(checkpoints)
-    next_cp = next(cp_iter)
 
     def snapshot(x: int) -> None:
         logx = math.log(x)
@@ -471,14 +481,8 @@ def prime_stats(
             )
         )
 
-    for p, rho in zip(table.primes.tolist(), table.rho().tolist()):
-        if p > xmax:
-            break
-        while next_cp is not None and p > next_cp:
-            snapshot(next_cp)
-            next_cp = next(cp_iter, None)
-        if next_cp is None:
-            break
+    primes = zip(table.primes.tolist(), table.rho().tolist())
+    for p, rho in _checkpointed(primes, checkpoints, snapshot):
         pi += 1
         if rho:
             sum_rho += rho
@@ -486,10 +490,7 @@ def prime_stats(
             log_prod.add(math.log1p(rho / p))
             if rho == d and bad % p != 0:
                 log_prod_split.add(math.log1p(rho / p))
-    while next_cp is not None:
-        snapshot(next_cp)
-        next_cp = next(cp_iter, None)
-    return PrimeStats(list(checkpoints), rows, closure_index)
+    return PrimeStats(checkpoints, rows, closure_index)
 
 
 @dataclass
@@ -500,18 +501,17 @@ class ProgressionSums:
     modulus: int
     checkpoints: list[int]
     sums: list[int]
+    phi: int  # Euler phi of the modulus
 
     @property
     def c1_estimate(self) -> float:
         """Final sum scaled by phi(m)/x: the empirical slope constant."""
-        return self.sums[-1] * self._phi / self.checkpoints[-1]
-
-    _phi: int = 1
+        return self.sums[-1] * self.phi / self.checkpoints[-1]
 
     def csv_rows(self) -> list[list[str]]:
         out = [["x", "sum_rho", "slope_estimate"]]
         for x, s in zip(self.checkpoints, self.sums):
-            out.append([str(x), str(s), f"{s * self._phi / x:.12g}"])
+            out.append([str(x), str(s), f"{s * self.phi / x:.12g}"])
         return out
 
     def to_csv(self) -> str:
@@ -534,27 +534,12 @@ def progression_root_sums(
         raise InvalidArgumentError("progression modulus must be positive")
     if math.gcd(a, m) != 1:
         raise InvalidArgumentError(f"progression needs gcd(a, m) = 1; got a={a}, m={m}")
-    if checkpoints is None:
-        checkpoints = decades(xmax)
-    checkpoints = sorted(set(int(c) for c in checkpoints))
-    if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > xmax:
-        raise InvalidArgumentError("checkpoints must lie in [1, xmax]")
+    checkpoints = _checkpoint_list(checkpoints, xmax)
     flt = ModulusFilter.all() if m == 1 else ModulusFilter.progression(a, m)
     sums: list[int] = []
     acc = 0
-    cp_iter = iter(checkpoints)
-    next_cp = next(cp_iter)
-    for n, rs in root_stream(f, xmax, flt, sieve):
-        while next_cp is not None and n > next_cp:
-            sums.append(acc)
-            next_cp = next(cp_iter, None)
-        if next_cp is None:
-            break
+    stream = root_stream(f, xmax, flt, sieve)
+    for _, rs in _checkpointed(stream, checkpoints, lambda _: sums.append(acc)):
         acc += len(rs.roots)
-    while next_cp is not None:
-        sums.append(acc)
-        next_cp = next(cp_iter, None)
-    phi_m = euler_phi(factorize(m, _sieve_for(m, sieve)))
-    out = ProgressionSums(a % m, m, list(checkpoints), sums)
-    out._phi = phi_m
-    return out
+    phi_m = euler_phi(factorize(m, _sieve_for(sieve)))
+    return ProgressionSums(a % m, m, checkpoints, sums, phi_m)

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .errors import AdmissibilityError, InvalidArgumentError, UnsupportedInputError
 from .intpoly import IntPolynomial, poly_eval_mod
-from .modarith import SpfSieve, factorize
-from .roots import _prime_power_roots_cached, _sieve_for, roots_mod_n
+from .modarith import SpfSieve, crt_pair, factorize
+from .roots import _prime_power_roots_cached, _sieve_for
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ def admissibility(f: IntPolynomial, n: int, sieve: SpfSieve | None = None) -> Ad
     g = math.gcd(n, f.eta * f.discriminant)
     if g == 1:
         return AdmissibilityReport(n, True, ())
-    fact = factorize(g, _sieve_for(g, sieve))
+    fact = factorize(g, _sieve_for(sieve))
     return AdmissibilityReport(n, False, tuple(p for p, _ in fact.parts))
 
 
@@ -95,7 +95,7 @@ def ideal_from_root(
         raise InvalidArgumentError(f"root {v} out of range [0, {n})")
     if poly_eval_mod(f, v, n) != 0:
         raise InvalidArgumentError(f"{v} is not a root of the polynomial mod {n}")
-    fact = factorize(n, _sieve_for(n, sieve))
+    fact = factorize(n, _sieve_for(sieve))
     return FactoredIdeal(tuple((p, e, v % p**e) for p, e in fact.parts))
 
 
@@ -104,12 +104,8 @@ def ideal_residue(ideal: FactoredIdeal) -> int:
     acc, acc_m = 0, 1
     for p, e, v in ideal.components:
         pe = p**e
-        if acc_m == 1:
-            acc, acc_m = v, pe
-        else:
-            inv = pow(acc_m % pe, -1, pe)
-            acc += acc_m * ((v - acc) * inv % pe)
-            acc_m *= pe
+        acc = crt_pair(acc, acc_m, v, pe)
+        acc_m *= pe
     return acc
 
 
@@ -232,7 +228,7 @@ def enumerate_degree_one(
         raise AdmissibilityError(report)
     if n == 1:
         return [FactoredIdeal(())]
-    fact = factorize(n, _sieve_for(n, sieve))
+    fact = factorize(n, _sieve_for(sieve))
     ideals = [()]
     for p, e in fact.parts:
         part = _prime_power_roots_cached(f, p, e)
@@ -249,9 +245,3 @@ def merge_coprime(a: FactoredIdeal, b: FactoredIdeal) -> FactoredIdeal:
         raise InvalidArgumentError("ideals share a prime; merge requires coprime norms")
     return FactoredIdeal(tuple(sorted(a.components + b.components)))
 
-
-def roots_match_ideals(f: IntPolynomial, n: int, sieve: SpfSieve | None = None) -> bool:
-    """Convenience check: residues of the norm-n ideals equal the roots mod n."""
-    ideals = enumerate_degree_one(f, n, sieve)
-    residues = sorted(ideal_residue(i) for i in ideals)
-    return residues == list(roots_mod_n(f, n, sieve).roots)

@@ -37,9 +37,8 @@ _TABLE_CHUNK = 1 << 12
 # fixed shift fails for every prime (s = 0 never splits x^2 + 1).
 _SHIFT_BASE = 2654435761
 
-# Abort exhaustive lifting above a ramified prime once this many candidates
-# would have to be enumerated at one level.
-_LIFT_CANDIDATE_LIMIT = 10**6
+# Refuse a level of singular lifts that would produce more roots than this.
+_LIFT_OUTPUT_LIMIT = 10**6
 
 _DEFAULT_SIEVE_LIMIT = 10**5
 
@@ -62,28 +61,11 @@ class RootSet:
         return iter(self.roots)
 
 
-@dataclass(frozen=True)
-class LiftTree:
-    """Roots mod p, p^2, ..., p^E with parent links between levels.
-
-    levels[e-1] lists the roots mod p^e; parents[e-1][i] is the index into
-    levels[e-2] of the residue the root reduces to (or -1 at level 1).
-    """
-
-    prime: int
-    levels: tuple[tuple[int, ...], ...]
-    parents: tuple[tuple[int, ...], ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
-
 def default_sieve() -> SpfSieve:
     return cached_sieve(_DEFAULT_SIEVE_LIMIT)
 
 
-def _sieve_for(n: int, sieve: SpfSieve | None) -> SpfSieve:
+def _sieve_for(sieve: SpfSieve | None) -> SpfSieve:
     if sieve is not None:
         return sieve
     return default_sieve()
@@ -423,56 +405,29 @@ def roots_mod_prime(f: IntPolynomial, p: int) -> list[int]:
     return list(_prime_power_roots_cached(f, p, 1))
 
 
-def hensel_lift_level(f: IntPolynomial, p: int, e: int, parent_root: int) -> list[int]:
-    """Roots mod p^e lying above a given root mod p^(e-1).
-
-    When f'(parent) is a unit mod p there is exactly one lift (a Newton
-    step); otherwise all p candidate offsets are checked and zero to p of
-    them may survive.
-    """
-    if e < 2:
-        raise InvalidArgumentError("lift level must be at least 2")
-    if not is_prime(p):
-        raise InvalidArgumentError(f"{p} is not prime")
-    pe_prev = p ** (e - 1)
-    pe = pe_prev * p
-    v = parent_root
-    if not 0 <= v < pe_prev:
-        raise InvalidArgumentError("parent root out of range for its level")
-    if poly_eval_mod(f, v, pe_prev) != 0:
-        raise InvalidArgumentError(
-            f"{v} is not a root of the polynomial mod {p}^{e - 1}"
-        )
-    deriv = f.deriv_mod(v, p)
-    if deriv != 0:
-        u = inverse(f.deriv_mod(v, pe), pe)
-        return [(v - poly_eval_mod(f, v, pe) * u) % pe]
-    return [
-        v + t * pe_prev
-        for t in range(p)
-        if poly_eval_mod(f, v + t * pe_prev, pe) == 0
-    ]
-
-
 def _lift_all(f: IntPolynomial, p: int, e: int, parents: tuple[int, ...]) -> tuple[int, ...]:
+    """Roots mod p^e above the given roots mod p^(e-1), for e >= 2.
+
+    A nonsingular root (p does not divide f'(v)) lifts by one Newton step.
+    At a singular root f(v + t p^(e-1)) = f(v) mod p^e for every t: the
+    linear Taylor term carries p * p^(e-1) and the higher ones p^(2(e-1)).
+    So one evaluation decides whether all p lifts are roots or none is.
+    """
     pe_prev = p ** (e - 1)
     pe = pe_prev * p
     out: list[int] = []
-    ramified = 0
+    singular = 0
     for v in parents:
         if f.deriv_mod(v, p) != 0:
             u = inverse(f.deriv_mod(v, pe), pe)
             out.append((v - poly_eval_mod(f, v, pe) * u) % pe)
-        else:
-            ramified += 1
-            if ramified * p > _LIFT_CANDIDATE_LIMIT:
+        elif poly_eval_mod(f, v, pe) == 0:
+            singular += 1
+            if singular * p > _LIFT_OUTPUT_LIMIT:
                 raise ResourceLimitError(
-                    f"lift enumeration above {p} exceeds {_LIFT_CANDIDATE_LIMIT} candidates"
+                    f"singular lifts to {p}^{e} exceed {_LIFT_OUTPUT_LIMIT} roots"
                 )
-            for t in range(p):
-                w = v + t * pe_prev
-                if poly_eval_mod(f, w, pe) == 0:
-                    out.append(w)
+            out.extend(range(v, pe, pe_prev))
     out.sort()
     return tuple(out)
 
@@ -497,46 +452,29 @@ def roots_mod_prime_power(f: IntPolynomial, p: int, e: int) -> list[int]:
     return list(_prime_power_roots_cached(f, p, e))
 
 
-def lift_tree(f: IntPolynomial, p: int, depth: int) -> LiftTree:
-    """The full tower of roots mod p, ..., p^depth with parent links."""
-    if not is_prime(p):
-        raise InvalidArgumentError(f"{p} is not prime")
-    if depth < 1:
-        raise InvalidArgumentError("depth must be at least 1")
-    levels = []
-    parents = []
-    for e in range(1, depth + 1):
-        roots = _prime_power_roots_cached(f, p, e)
-        levels.append(roots)
-        if e == 1:
-            parents.append((-1,) * len(roots))
+def _crt_roots(f: IntPolynomial, parts: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Sorted roots of f mod the product of the prime powers p^e in
+    ``parts`` (ascending p), glued through the CRT from the cached root
+    sets mod each p^e; no parts means the modulus 1 and the root 0."""
+    acc: tuple[int, ...] | list[int] = (0,)
+    acc_m = 1
+    for p, e in parts:
+        part = _prime_power_roots_cached(f, p, e)
+        if not part:
+            return ()
+        pe = p**e
+        if acc_m == 1:
+            acc, acc_m = part, pe
         else:
-            prev = levels[-2]
-            pe_prev = p ** (e - 1)
-            idx = {r: i for i, r in enumerate(prev)}
-            parents.append(tuple(idx[r % pe_prev] for r in roots))
-    return LiftTree(p, tuple(levels), tuple(parents))
+            inv = inverse(acc_m % pe, pe)
+            acc = [a + acc_m * ((b - a) * inv % pe) for a in acc for b in part]
+            acc_m *= pe
+    return tuple(sorted(acc))
 
 
 def roots_from_factorization(f: IntPolynomial, fact: Factorization) -> tuple[int, ...]:
     """Combine cached prime-power root sets through the CRT."""
-    if fact.modulus == 1:
-        return (0,)
-    acc: tuple[int, ...] | list[int] = (0,)
-    acc_m = 1
-    for p, e in fact.parts:
-        pe = p**e
-        part = _prime_power_roots_cached(f, p, e)
-        if not part:
-            return ()
-        if acc_m == 1:
-            acc = part
-            acc_m = pe
-            continue
-        inv = inverse(acc_m % pe, pe)
-        acc = [a + acc_m * ((b - a) * inv % pe) for a in acc for b in part]
-        acc_m *= pe
-    return tuple(sorted(acc))
+    return _crt_roots(f, fact.parts)
 
 
 def roots_mod_n(f: IntPolynomial, n: int, sieve: SpfSieve | None = None) -> RootSet:
@@ -547,9 +485,7 @@ def roots_mod_n(f: IntPolynomial, n: int, sieve: SpfSieve | None = None) -> Root
     """
     if n < 1:
         raise InvalidArgumentError("modulus must be positive")
-    if n == 1:
-        return RootSet(1, (0,))
-    fact = factorize(n, _sieve_for(n, sieve))
+    fact = factorize(n, _sieve_for(sieve))
     return RootSet(n, roots_from_factorization(f, fact))
 
 
@@ -627,7 +563,7 @@ class ModulusFilter:
     def needs_factorization(self) -> bool:
         return self.kind == "squarefree"
 
-    def accepts(self, n: int, fact: Factorization | None = None) -> bool:
+    def accepts(self, n: int) -> bool:
         if self.kind == "all":
             return True
         if self.kind == "progression":
@@ -636,9 +572,7 @@ class ModulusFilter:
             return math.gcd(n, self.m) == 1
         if self.kind == "list":
             return n in self.values
-        if fact is None:
-            fact = factorize(n, default_sieve())
-        return fact.squarefree
+        return factorize(n, default_sieve()).squarefree
 
     def describe(self) -> str:
         if self.kind == "progression":
@@ -651,6 +585,38 @@ class ModulusFilter:
 
     def __repr__(self) -> str:
         return f"ModulusFilter({self.describe()!r})"
+
+
+def _factored_moduli(
+    xmax: int,
+    flt: ModulusFilter,
+    sieve: SpfSieve | None,
+    extra_accept: Callable[[int], bool] | None,
+) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """Yield (n, parts) for the n = 1..xmax that ``flt`` and ``extra_accept``
+    accept, ascending; parts lists the prime powers (p, e) of n by
+    ascending p, each step of the walk dividing out the smallest prime."""
+    if sieve is None or sieve.limit < xmax:
+        sieve = cached_sieve(max(xmax, _DEFAULT_SIEVE_LIMIT))
+    spf = sieve.as_list()
+    squarefree = flt.needs_factorization
+    for n in range(1, xmax + 1):
+        if extra_accept is not None and not extra_accept(n):
+            continue
+        if not squarefree and not flt.accepts(n):
+            continue
+        m = n
+        parts = []
+        while m > 1:
+            p = spf[m]
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            parts.append((p, e))
+        if squarefree and any(e > 1 for _, e in parts):
+            continue
+        yield n, parts
 
 
 def root_stream(
@@ -669,53 +635,10 @@ def root_stream(
         raise InvalidArgumentError("xmax must be at least 1")
     if flt is None:
         flt = ModulusFilter.all()
-    if sieve is None or sieve.limit < xmax:
-        sieve = cached_sieve(max(xmax, _DEFAULT_SIEVE_LIMIT))
     if flt.kind != "list":  # an explicit list needs only its own primes
         prime_table(f).fill(xmax)
-    spf = sieve.as_list()
-    needs_fact = flt.needs_factorization
-    for n in range(1, xmax + 1):
-        if extra_accept is not None and not extra_accept(n):
-            continue
-        if n == 1:
-            if flt.accepts(1, Factorization(1, ())):
-                yield 1, RootSet(1, (0,))
-            continue
-        if not needs_fact and not flt.accepts(n):
-            continue
-        m = n
-        parts = []
-        while m > 1:
-            p = spf[m]
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            parts.append((p, e))
-        parts.sort()
-        if needs_fact and any(e > 1 for _, e in parts):
-            continue
-        roots: tuple[int, ...] | list[int] = (0,)
-        acc_m = 1
-        empty = False
-        for p, e in parts:
-            pe = p**e
-            part = _prime_power_roots_cached(f, p, e)
-            if not part:
-                empty = True
-                break
-            if acc_m == 1:
-                roots = part
-                acc_m = pe
-            else:
-                inv = inverse(acc_m % pe, pe)
-                roots = [a + acc_m * ((b - a) * inv % pe) for a in roots for b in part]
-                acc_m *= pe
-        if empty:
-            yield n, RootSet(n, ())
-        else:
-            yield n, RootSet(n, tuple(sorted(roots)))
+    for n, parts in _factored_moduli(xmax, flt, sieve, extra_accept):
+        yield n, RootSet(n, _crt_roots(f, parts))
 
 
 def clear_caches() -> None:

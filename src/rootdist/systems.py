@@ -17,16 +17,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equidist import (
-    HSpec,
     KahanSum,
+    _checkpoint_list,
+    _checkpointed,
     box_discrepancy_from_hist,
     root_exp_sum,
-    decades,
 )
 from .errors import InvalidArgumentError
 from .intpoly import IntPolynomial
-from .modarith import Factorization, SpfSieve, cached_sieve, factorize, inverse
-from .roots import ModulusFilter, RootSet, prime_table, roots_from_factorization, roots_mod_n
+from .modarith import SpfSieve, inverse
+from .roots import ModulusFilter, _crt_roots, _factored_moduli, prime_table, roots_mod_n
 
 _DEFAULT_GRIDS = {1: 64, 2: 64, 3: 16}
 _MAX_DIMENSION = 3
@@ -74,11 +74,6 @@ class PolySystem:
         for d in self.discriminants:
             out *= d
         return out
-
-
-def validate_system(polys) -> PolySystem:
-    """Build a PolySystem, diagnosing the first offending pair on failure."""
-    return PolySystem(tuple(polys))
 
 
 @dataclass(frozen=True)
@@ -229,22 +224,16 @@ def joint_weyl_series(
         raise InvalidArgumentError("grid resolution must be at least 2")
     if xmax < 1:
         raise InvalidArgumentError("xmax must be at least 1")
-    if checkpoints is None:
-        checkpoints = decades(xmax)
-    checkpoints = sorted(set(int(c) for c in checkpoints))
-    if checkpoints[0] < 1 or checkpoints[-1] > xmax:
-        raise InvalidArgumentError("checkpoints must lie in [1, xmax]")
+    checkpoints = _checkpoint_list(checkpoints, xmax)
     if flt is None:
         flt = ModulusFilter.all()
-    if sieve is None or sieve.limit < xmax:
-        sieve = cached_sieve(max(xmax, 10**5))
     if flt.kind != "list":  # an explicit list needs only its own primes
         for f in system.polys:
             prime_table(f).fill(xmax)
 
     series = JointWeylSeries(
         hset=hset,
-        checkpoints=list(checkpoints),
+        checkpoints=checkpoints,
         grid=grid,
         dimension=r,
         filter_desc=flt.describe(),
@@ -258,11 +247,8 @@ def joint_weyl_series(
     norm_acc = 0
     hist = np.zeros((grid,) * r, dtype=np.int64)
     cloud_count = 0
-    spf = sieve.as_list()
-    cp_iter = iter(checkpoints)
-    next_cp = next(cp_iter)
 
-    def snapshot():
+    def snapshot(_: int) -> None:
         series.normalizer.append(norm_acc)
         for h in hset:
             series.signed[h].append(complex(re_acc[h].value, im_acc[h].value))
@@ -271,29 +257,9 @@ def joint_weyl_series(
             box_discrepancy_from_hist(hist, cloud_count) if cloud_count else 1.0
         )
 
-    for n in range(1, xmax + 1):
-        while next_cp is not None and n > next_cp:
-            snapshot()
-            next_cp = next(cp_iter, None)
-        if next_cp is None:
-            break
-        if n == 1:
-            fact = Factorization(1, ())
-        else:
-            m = n
-            parts = []
-            while m > 1:
-                p = spf[m]
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                parts.append((p, e))
-            parts.sort()
-            fact = Factorization(n, tuple(parts))
-        if not flt.accepts(n, fact):
-            continue
-        per_poly = [roots_from_factorization(f, fact) for f in system.polys]
+    moduli = _factored_moduli(xmax, flt, sieve, None)
+    for n, parts in _checkpointed(moduli, checkpoints, snapshot):
+        per_poly = [_crt_roots(f, parts) for f in system.polys]
         count = 1
         for roots in per_poly:
             count *= len(roots)
@@ -311,7 +277,4 @@ def joint_weyl_series(
             hist[idx] += 1
             if cloud_sink is not None:
                 cloud_sink(n, tup)
-    while next_cp is not None:
-        snapshot()
-        next_cp = next(cp_iter, None)
     return series

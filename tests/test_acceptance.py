@@ -94,7 +94,7 @@ def test_criterion_03_split_identities(reference_polys, small_sieve, x2px1):
             ok = False
             break
         done += 1
-    system = rd.validate_system([x2px1, rd.parse_polynomial("-1,-1,1")])
+    system = rd.PolySystem((x2px1, rd.parse_polynomial("-1,-1,1")))
     done = 0
     while ok and done < 500:
         n1 = rng.randint(1, 100)
@@ -211,11 +211,11 @@ def test_criterion_09_haar_variance():
 def test_criterion_10_systems(x2px1, goldens):
     t0 = time.time()
     try:
-        rd.validate_system([rd.parse_polynomial("1,0,1"), rd.parse_polynomial("-2,0,1")])
+        rd.PolySystem((rd.parse_polynomial("1,0,1"), rd.parse_polynomial("-2,0,1")))
         rejected = False
     except rd.InvalidArgumentError as exc:
         rejected = "gcd 4" in str(exc)
-    system = rd.validate_system([x2px1, rd.parse_polynomial("-1,-1,1")])
+    system = rd.PolySystem((x2px1, rd.parse_polynomial("-1,-1,1")))
     tuples_ok = rd.root_tuples(system, 31).tuples == ((5, 13), (5, 19), (25, 13), (25, 19))
     cps = [10**3, 10**4, 10**5]
     series = rd.joint_weyl_series(system, 10**5, checkpoints=cps)

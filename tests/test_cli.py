@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from rootdist.cli import RunConfig, main
+from rootdist.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -212,24 +212,8 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert code == 2 and "bogus" in err
 
 
-def test_threads_env_honored_only_without_flag(capsys, monkeypatch):
-    monkeypatch.setenv("ROOTDIST_THREADS", "3")
-    code, out, _ = run_cli(capsys, "roots", "--poly", "1,0,1", "--n", "5")
-    assert code == 0
-    monkeypatch.setenv("ROOTDIST_THREADS", "zero")
-    code, _, err = run_cli(capsys, "roots", "--poly", "1,0,1", "--n", "5")
-    assert code == 2 and "ROOTDIST_THREADS" in err
-    code, _, _ = run_cli(capsys, "roots", "--poly", "1,0,1", "--n", "5", "--threads", "2")
-    assert code == 0  # flag wins, env ignored
-
-
-def test_threads_rejects_nonpositive(capsys):
-    code, _, err = run_cli(capsys, "roots", "--poly", "1,0,1", "--n", "5", "--threads", "0")
-    assert code == 2
-
-
-def test_run_config_round_trip():
-    cfg = RunConfig(command="weyl", poly="1,0,1", xmax=100, h="1", seed=3, threads=2)
-    assert RunConfig.from_dict(cfg.to_dict()) == cfg
-    with pytest.raises(Exception):
-        RunConfig.from_dict({"command": "weyl", "bogus": 1})
+def test_seed_and_threads_flags_are_gone():
+    for flag, value in (("--threads", "2"), ("--seed", "1")):
+        with pytest.raises(SystemExit) as info:
+            main(["roots", "--poly", "1,0,1", "--n", "5", flag, value])
+        assert info.value.code == 2

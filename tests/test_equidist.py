@@ -8,9 +8,12 @@ from rootdist import (
     HSpec,
     InvalidArgumentError,
     ModulusFilter,
+    PolySystem,
     box_discrepancy,
     decades,
     dilated_sum_square_bound,
+    joint_weyl_series,
+    parse_polynomial,
     prime_stats,
     progression_root_sums,
     ratio_points,
@@ -22,7 +25,13 @@ from rootdist import (
     weyl_series,
 )
 
-from oracles import direct_exp_sum, exact_star_discrepancy, van_der_corput
+from oracles import (
+    direct_exp_sum,
+    eratosthenes,
+    exact_star_discrepancy,
+    trial_factorize,
+    van_der_corput,
+)
 
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
@@ -248,6 +257,68 @@ def test_progression_rejects_common_factor(x2p1):
 def test_progression_slope_scaling(x2p1):
     sums = progression_root_sums(x2p1, 1, 4, 1000, checkpoints=[1000])
     assert sums.c1_estimate == sums.sums[-1] * 2 / 1000  # phi(4) = 2
+
+
+def test_checkpoint_rows_match_runs_stopped_there(x2p1, x2px1):
+    # Unsorted, repeated checkpoints whose last one lies below xmax: row k
+    # must be exactly the final row of a run to xmax = c_k.  61 and 1009 are
+    # primes that are 1 mod 3, 1 mod 4 and +-1 mod 5, so every statistic
+    # counts them, and a row that missed its own checkpoint shows in the
+    # root count summed directly below.
+    cps, xmax = [1009, 61, 1009, 1301], 1500
+    system = PolySystem((x2px1, parse_polynomial("-1,-1,1")))
+    f, g = system.polys
+
+    def rho(poly, n):
+        return len(roots_mod_n(poly, n).roots)
+
+    def squarefree(n):
+        return all(e == 1 for _, e in trial_factorize(n))
+
+    def weyl_rows(out):
+        return list(zip(out.normalizer, out.signed, out.abs_sum, out.empty_flags))
+
+    def joint_rows(out):
+        return [
+            (norm, disc, [out.signed[h][k] for h in out.hset], [out.abs_sum[h][k] for h in out.hset])
+            for k, (norm, disc) in enumerate(zip(out.normalizer, out.box_disc))
+        ]
+
+    # name: (run to x with checkpoints c, rows, root count in a row, that count to c)
+    cases = {
+        "weyl": (
+            lambda x, c: weyl_series(x2p1, HSpec.inverse_of(3), x, ModulusFilter.squarefree(), c),
+            weyl_rows,
+            lambda row: row[0],
+            lambda c: sum(rho(x2p1, n) for n in range(1, c + 1) if n % 3 and squarefree(n)),
+        ),
+        "stats": (
+            lambda x, c: prime_stats(x2p1, x, c),
+            lambda out: out.rows,
+            lambda row: row[3],
+            lambda c: sum(eratosthenes(c)),
+        ),
+        "sums": (
+            lambda x, c: progression_root_sums(x2p1, 1, 4, x, c),
+            lambda out: out.csv_rows()[1:],
+            lambda row: int(row[1]),
+            lambda c: sum(rho(x2p1, n) for n in range(1, c + 1, 4)),
+        ),
+        "joint": (
+            lambda x, c: joint_weyl_series(system, x, checkpoints=c),
+            joint_rows,
+            lambda row: row[0],
+            lambda c: sum(rho(f, n) * rho(g, n) for n in range(1, c + 1)),
+        ),
+    }
+    for name, (run, rows, count, direct) in cases.items():
+        out = run(xmax, cps)
+        assert out.checkpoints == [61, 1009, 1301], name
+        got = rows(out)
+        assert len(got) == 3, name
+        for row, c in zip(got, out.checkpoints):
+            assert row == rows(run(c, [c]))[-1], (name, c)
+            assert count(row) == direct(c), (name, c)
 
 
 def test_decades():

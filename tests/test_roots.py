@@ -7,8 +7,6 @@ import pytest
 from rootdist import (
     InvalidArgumentError,
     ModulusFilter,
-    hensel_lift_level,
-    lift_tree,
     poly_eval_mod,
     root_stream,
     roots_mod_n,
@@ -122,18 +120,8 @@ def test_prime_table_doubling_matches_single_pass(x3m2):
     assert _table_entries(steps) == _table_entries(whole)
 
 
-def test_hensel_examples(x2p1):
-    assert hensel_lift_level(x2p1, 5, 2, 2) == [7]
-    assert hensel_lift_level(x2p1, 5, 3, 7) == [57]
-    assert hensel_lift_level(x2p1, 2, 2, 1) == []
-
-
-def test_hensel_rejects_non_root(x2p1):
-    with pytest.raises(InvalidArgumentError):
-        hensel_lift_level(x2p1, 5, 2, 1)
-
-
 def test_prime_power_examples(x2p1):
+    assert roots_mod_prime_power(x2p1, 5, 2) == [7, 18]
     assert roots_mod_prime_power(x2p1, 5, 3) == [57, 68]
     assert 68 == 125 - 57
     assert roots_mod_prime_power(x2p1, 2, 2) == []
@@ -157,15 +145,6 @@ def test_unramified_power_counts_stable(reference_polys):
             base = len(roots_mod_prime(f, p))
             for e in range(2, 6):
                 assert len(roots_mod_prime_power(f, p, e)) == base
-
-
-def test_lift_tree_parent_links(x2p1):
-    tree = lift_tree(x2p1, 5, 4)
-    assert tree.levels[0] == tuple(roots_mod_prime(x2p1, 5))
-    for e in range(2, tree.depth + 1):
-        mod_prev = 5 ** (e - 1)
-        for root, parent in zip(tree.levels[e - 1], tree.parents[e - 1]):
-            assert tree.levels[e - 2][parent] == root % mod_prev
 
 
 def test_roots_mod_n_examples(x2p1):
@@ -257,20 +236,33 @@ def test_stream_determinism(x2p1):
 
 
 def test_ramified_lift_blowup_guard():
-    # x^2 - p for a prime p above the candidate cap: the unique root mod p is
-    # ramified, so lifting to p^2 would scan p > 10^6 offsets
+    # x^2 - p^3 for a prime p above the output cap: the unique root mod p is
+    # singular and all p > 10^6 of its lifts are roots mod p^2
     from rootdist import IntPolynomial, ResourceLimitError
 
     p = 1000003
-    f = IntPolynomial((-p, 0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IrreducibilityAssumedWarning)
+        f = IntPolynomial((-(p**3), 0, 1))
     assert roots_mod_prime(f, p) == [0]
     with pytest.raises(ResourceLimitError):
         roots_mod_prime_power(f, p, 2)
+    # x^2 - p: the singular root mod p has no lift at all
+    assert roots_mod_prime_power(IntPolynomial((-p, 0, 1)), p, 2) == []
+
+
+def test_singular_lifts_match_brute():
+    # x^2 - 8 at 2 and x^2 - 243 at 3: singular roots whose lifts survive
+    # some levels and die out at others
+    from rootdist import IntPolynomial
+
+    for coeffs, p in (((-8, 0, 1), 2), ((-243, 0, 1), 3)):
+        f = IntPolynomial(coeffs)
+        for e in range(1, 7):
+            assert roots_mod_prime_power(f, p, e) == brute_roots(coeffs, p**e), (coeffs, e)
 
 
 def test_level_validation(x2p1):
-    with pytest.raises(InvalidArgumentError):
-        hensel_lift_level(x2p1, 5, 1, 2)
     with pytest.raises(InvalidArgumentError):
         roots_mod_prime_power(x2p1, 5, 0)
     with pytest.raises(InvalidArgumentError):

@@ -7,6 +7,7 @@ import pytest
 from rootdist import (
     InvalidArgumentError,
     ModulusFilter,
+    PolySystem,
     default_hset,
     joint_exp_sum,
     joint_exp_sum_factored,
@@ -15,14 +16,13 @@ from rootdist import (
     root_exp_sum,
     root_tuples,
     roots_mod_n,
-    validate_system,
     weyl_series,
 )
 
 
 @pytest.fixture(scope="module")
 def pair_system(x2px1):
-    return validate_system([x2px1, parse_polynomial("-1,-1,1")])
+    return PolySystem((x2px1, parse_polynomial("-1,-1,1")))
 
 
 def test_validate_accepts_coprime_discs(pair_system):
@@ -33,13 +33,13 @@ def test_validate_accepts_coprime_discs(pair_system):
 
 def test_validate_rejects_shared_disc(x2p1):
     with pytest.raises(InvalidArgumentError) as info:
-        validate_system([x2p1, parse_polynomial("-2,0,1")])
+        PolySystem((x2p1, parse_polynomial("-2,0,1")))
     assert "gcd 4" in str(info.value)
     assert "0 and 1" in str(info.value)
 
 
 def test_singleton_system_valid(x2p1):
-    assert validate_system([x2p1]).dimension == 1
+    assert PolySystem((x2p1,)).dimension == 1
 
 
 def test_root_tuples_example(pair_system):
@@ -164,7 +164,7 @@ def test_joint_weyl_degenerate_cloud(pair_system):
 
 
 def test_joint_weyl_r1_matches_equidist(x2p1, small_sieve):
-    singleton = validate_system([x2p1])
+    singleton = PolySystem((x2p1,))
     js = joint_weyl_series(
         singleton, 500, hset=[(1,)], checkpoints=[100, 500], grid=64, sieve=small_sieve
     )
@@ -208,6 +208,6 @@ def test_dimension_cap():
         parse_polynomial("2,2,1"),    # disc -4
         parse_polynomial("2,1,1"),    # disc -7
     ]
-    assert validate_system(polys[:3]).dimension == 3
+    assert PolySystem(tuple(polys[:3])).dimension == 3
     with pytest.raises(InvalidArgumentError, match="dimension"):
-        joint_weyl_series(validate_system(polys), 10)
+        joint_weyl_series(PolySystem(tuple(polys)), 10)

@@ -47,8 +47,8 @@ def weyl_goldens(f):
 
 
 def system_goldens():
-    system = rd.validate_system(
-        [rd.parse_polynomial("1,1,1"), rd.parse_polynomial("-1,-1,1")]
+    system = rd.PolySystem(
+        (rd.parse_polynomial("1,1,1"), rd.parse_polynomial("-1,-1,1"))
     )
     cps = [10**3, 10**4, 10**5]
     series = rd.joint_weyl_series(system, 10**5, checkpoints=cps)
