@@ -18,14 +18,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .intpoly import IntPolynomial
 from .modarith import SpfSieve, euler_phi, factorize, inverse
-from .roots import (
-    ModulusFilter,
-    _prime_power_roots_cached,
-    _sieve_for,
-    prime_table,
-    root_stream,
-    roots_mod_n,
-)
+from .roots import ModulusFilter, _prime_power_roots_cached, prime_table, root_stream, roots_mod_n
 
 _TWO_PI = 2.0 * math.pi
 
@@ -57,7 +50,6 @@ def root_exp_sum(
     h: int,
     n: int,
     roots: tuple[int, ...] | None = None,
-    sieve: SpfSieve | None = None,
 ) -> complex:
     """Sum of exp(2*pi*i*h*v/n) over the roots v of f mod n.
 
@@ -65,7 +57,7 @@ def root_exp_sum(
     modulus of the result never exceeds the root count.
     """
     if roots is None:
-        roots = roots_mod_n(f, n, sieve).roots
+        roots = roots_mod_n(f, n).roots
     if h % n == 0:
         return complex(len(roots), 0.0)
     total_re = 0.0
@@ -77,21 +69,24 @@ def root_exp_sum(
     return complex(total_re, total_im)
 
 
-def root_exp_sum_factored(
-    f: IntPolynomial, h: int, n1: int, n2: int, sieve: SpfSieve | None = None
-) -> complex:
+def _cross_inverses(n1: int, n2: int) -> tuple[int, int]:
+    """(nbar2, nbar1) for coprime n1, n2: nbar2 inverts n2 mod n1 and nbar1
+    inverts n1 mod n2, each 0 when its modulus is 1."""
+    if math.gcd(n1, n2) != 1:
+        raise InvalidArgumentError(f"{n1} and {n2} are not coprime")
+    nbar2 = inverse(n2 % n1, n1) if n1 > 1 else 0
+    nbar1 = inverse(n1 % n2, n2) if n2 > 1 else 0
+    return nbar2, nbar1
+
+
+def root_exp_sum_factored(f: IntPolynomial, h: int, n1: int, n2: int) -> complex:
     """The coprime-split product form of the exponential sum.
 
     With nbar_i the inverse of n_i modulo the other factor, the sum over the
     combined modulus factors as the product of twisted sums over the parts.
     """
-    if math.gcd(n1, n2) != 1:
-        raise InvalidArgumentError(f"{n1} and {n2} are not coprime")
-    nbar2 = inverse(n2 % n1, n1) if n1 > 1 else 0
-    nbar1 = inverse(n1 % n2, n2) if n2 > 1 else 0
-    return root_exp_sum(f, h * nbar2, n1, sieve=sieve) * root_exp_sum(
-        f, h * nbar1, n2, sieve=sieve
-    )
+    nbar2, nbar1 = _cross_inverses(n1, n2)
+    return root_exp_sum(f, h * nbar2, n1) * root_exp_sum(f, h * nbar1, n2)
 
 
 @dataclass(frozen=True)
@@ -214,9 +209,6 @@ class WeylSeries:
                 [str(x), f"{z.real:.12g}", f"{z.imag:.12g}", f"{a:.12g}", str(norm), f"{w:.12g}"]
             )
         return rows
-
-    def to_csv(self) -> str:
-        return "\n".join(",".join(row) for row in self.csv_rows()) + "\n"
 
 
 def weyl_series(
@@ -362,7 +354,7 @@ class BoundCheck:
     holds: bool
 
 
-def split_prime_count(f: IntPolynomial, n: int, sieve: SpfSieve | None = None) -> int:
+def split_prime_count(f: IntPolynomial, n: int) -> int:
     """Number of primes dividing n that avoid eta*disc and split completely,
     i.e. have a full set of deg(f) roots."""
     if n < 1:
@@ -370,30 +362,27 @@ def split_prime_count(f: IntPolynomial, n: int, sieve: SpfSieve | None = None) -
     if n == 1:
         return 0
     bad = f.eta * f.discriminant
-    fact = factorize(n, _sieve_for(sieve))
     count = 0
-    for p, _ in fact.parts:
+    for p, _ in factorize(n).parts:
         if bad % p != 0 and len(_prime_power_roots_cached(f, p, 1)) == f.degree:
             count += 1
     return count
 
 
-def dilated_sum_square_bound(
-    f: IntPolynomial, h: int, n: int, sieve: SpfSieve | None = None
-) -> BoundCheck:
+def dilated_sum_square_bound(f: IntPolynomial, h: int, n: int) -> BoundCheck:
     """Mean-square bound for the dilated exponential sums.
 
     Compares sum over a = 1..n of |S(a*h, n)|^2 against
     n * gcd(h, n) * rho(n)^2 / d^(number of split primes dividing n),
     where S is the root exponential sum and rho the root count.
     """
-    roots = roots_mod_n(f, n, sieve).roots
+    roots = roots_mod_n(f, n).roots
     lhs_acc = KahanSum()
     for a in range(1, n + 1):
         lhs_acc.add(abs(root_exp_sum(f, a * h, n, roots)) ** 2)
     lhs = lhs_acc.value
     rho = len(roots)
-    omega = split_prime_count(f, n, sieve)
+    omega = split_prime_count(f, n)
     rhs = n * math.gcd(h, n) * rho * rho / f.degree**omega
     return BoundCheck(lhs, rhs, lhs <= rhs + 1e-6)
 
@@ -431,9 +420,6 @@ class PrimeStats:
         for x, s, xl, pi, c2, c3, c4 in self.rows:
             out.append([str(x), str(s), f"{xl:.12g}", str(pi), f"{c2:.12g}", f"{c3:.12g}", f"{c4:.12g}"])
         return out
-
-    def to_csv(self) -> str:
-        return "\n".join(",".join(row) for row in self.csv_rows()) + "\n"
 
 
 def prime_stats(
@@ -514,9 +500,6 @@ class ProgressionSums:
             out.append([str(x), str(s), f"{s * self.phi / x:.12g}"])
         return out
 
-    def to_csv(self) -> str:
-        return "\n".join(",".join(row) for row in self.csv_rows()) + "\n"
-
 
 def progression_root_sums(
     f: IntPolynomial,
@@ -541,5 +524,5 @@ def progression_root_sums(
     stream = root_stream(f, xmax, flt, sieve)
     for _, rs in _checkpointed(stream, checkpoints, lambda _: sums.append(acc)):
         acc += len(rs.roots)
-    phi_m = euler_phi(factorize(m, _sieve_for(sieve)))
+    phi_m = euler_phi(factorize(m))
     return ProgressionSums(a % m, m, checkpoints, sums, phi_m)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import AdmissibilityError, InvalidArgumentError, UnsupportedInputError
 from .intpoly import IntPolynomial, poly_eval_mod
 from .modarith import SpfSieve, crt_pair, factorize
-from .roots import _prime_power_roots_cached, _sieve_for
+from .roots import _prime_power_roots_cached
 
 
 @dataclass(frozen=True)
@@ -33,14 +33,13 @@ class AdmissibilityReport:
     offending_primes: tuple[int, ...]
 
 
-def admissibility(f: IntPolynomial, n: int, sieve: SpfSieve | None = None) -> AdmissibilityReport:
+def admissibility(f: IntPolynomial, n: int) -> AdmissibilityReport:
     if n < 1:
         raise InvalidArgumentError("modulus must be positive")
     g = math.gcd(n, f.eta * f.discriminant)
     if g == 1:
         return AdmissibilityReport(n, True, ())
-    fact = factorize(g, _sieve_for(sieve))
-    return AdmissibilityReport(n, False, tuple(p for p, _ in fact.parts))
+    return AdmissibilityReport(n, False, tuple(p for p, _ in factorize(g).parts))
 
 
 @dataclass(frozen=True)
@@ -84,19 +83,16 @@ class FactoredIdeal:
         return ideal
 
 
-def ideal_from_root(
-    f: IntPolynomial, v: int, n: int, sieve: SpfSieve | None = None
-) -> FactoredIdeal:
+def ideal_from_root(f: IntPolynomial, v: int, n: int) -> FactoredIdeal:
     """The ideal generated by (root shift, n) for a root v of f mod n."""
-    report = admissibility(f, n, sieve)
+    report = admissibility(f, n)
     if not report.admissible:
         raise AdmissibilityError(report)
     if not 0 <= v < n:
         raise InvalidArgumentError(f"root {v} out of range [0, {n})")
     if poly_eval_mod(f, v, n) != 0:
         raise InvalidArgumentError(f"{v} is not a root of the polynomial mod {n}")
-    fact = factorize(n, _sieve_for(sieve))
-    return FactoredIdeal(tuple((p, e, v % p**e) for p, e in fact.parts))
+    return FactoredIdeal(tuple((p, e, v % p**e) for p, e in factorize(n).parts))
 
 
 def ideal_residue(ideal: FactoredIdeal) -> int:
@@ -223,14 +219,11 @@ def enumerate_degree_one(
     f: IntPolynomial, n: int, sieve: SpfSieve | None = None
 ) -> list[FactoredIdeal]:
     """All degree-one ideals of norm n, via the product over prime powers."""
-    report = admissibility(f, n, sieve)
+    report = admissibility(f, n)
     if not report.admissible:
         raise AdmissibilityError(report)
-    if n == 1:
-        return [FactoredIdeal(())]
-    fact = factorize(n, _sieve_for(sieve))
     ideals = [()]
-    for p, e in fact.parts:
+    for p, e in factorize(n, sieve).parts:
         part = _prime_power_roots_cached(f, p, e)
         if not part:
             return []

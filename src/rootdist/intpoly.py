@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .errors import InvalidArgumentError
@@ -18,7 +19,7 @@ from .errors import InvalidArgumentError
 # Unicode minus signs tolerated in text input alongside ASCII '-'.
 _MINUS_VARIANTS = ("−", "–", "—")
 
-# Above this bound rational-root candidates are not enumerated exhaustively.
+# Above this bound rational-root candidates of degree >= 3 are not enumerated.
 _RATROOT_COEFF_CAP = 10**12
 
 
@@ -190,16 +191,23 @@ def _divisors(n: int) -> list[int]:
 
 
 def _rational_root(coeffs: tuple[int, ...]) -> object | None:
-    """Search for a rational root p/q with p | c0 and q | c_d.
+    """A rational root of the polynomial, or None when none exists.
 
-    Returns the root when one exists, None when provably none exists.  For
-    degree 2 and 3 the absence of a rational root proves irreducibility over
-    Q; larger degrees get only this spot check.  Coefficients beyond the
-    enumeration cap are skipped with a warning.
+    For degree 2 a rational root exists exactly when the discriminant is a
+    perfect square, which is decided at any size.  Higher degrees search the
+    candidates p/q with p | c0 and q | c_d.  For degree 2 and 3 the absence
+    of a rational root proves irreducibility over Q; larger degrees get only
+    this spot check.  Degree >= 3 coefficients beyond the enumeration cap
+    are skipped with a warning.
     """
     c0, cd = coeffs[0], coeffs[-1]
     if c0 == 0:
         return 0
+    if len(coeffs) == 3:
+        b = coeffs[1]
+        disc = b * b - 4 * cd * c0
+        s = math.isqrt(disc) if disc >= 0 else -1
+        return Fraction(s - b, 2 * cd) if s * s == disc else None
     if abs(c0) > _RATROOT_COEFF_CAP or abs(cd) > _RATROOT_COEFF_CAP:
         warnings.warn(
             "coefficients too large for exhaustive rational-root search; "
@@ -219,8 +227,6 @@ def _rational_root(coeffs: tuple[int, ...]) -> object | None:
                 for i, c in enumerate(coeffs):
                     val += c * num**i * q ** (d - i)
                 if val == 0:
-                    from fractions import Fraction
-
                     return Fraction(num, q)
     return None
 

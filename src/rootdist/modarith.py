@@ -1,26 +1,33 @@
 """Integer plumbing: smallest-prime-factor sieve, factorization, CRT, primality.
 
-The sieve table is a numpy array (4 bytes per entry below 2^31), which keeps
-a 10^8-entry table around 400 MB; that is the practical cap.  Factoring
-beyond the sieve limit falls back to trial division by sieved primes plus a
-deterministic Miller-Rabin test, and inputs outside that range are rejected
-rather than risked.
+One process-wide sieve (``cached_sieve``) serves every caller that does not
+bring its own; it is rebuilt larger only when a caller needs more.  The
+table is an int32 numpy array, and a limit above 10^8 entries (about 400 MB)
+is refused before anything is allocated.  Factoring beyond the sieve limit
+falls back to trial division by sieved primes plus a deterministic
+Miller-Rabin test, and inputs outside that range are rejected rather than
+risked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgumentError, UnsupportedInputError
+from .errors import InvalidArgumentError, ResourceLimitError, UnsupportedInputError
 
 # Deterministic Miller-Rabin base set: correct for n < 3317044064679887385961981,
 # which comfortably covers 64-bit inputs.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
+
+# Largest sieve limit built; 4 bytes per entry.
+_SIEVE_LIMIT_MAX = 10**8
+
+# The shared sieve is never built smaller than this.
+_SHARED_SIEVE_MIN = 10**5
 
 
 @dataclass(frozen=True)
@@ -42,10 +49,6 @@ class Factorization:
             raise InvalidArgumentError("factorization does not reconstruct its modulus")
 
     @property
-    def omega(self) -> int:
-        return len(self.parts)
-
-    @property
     def squarefree(self) -> bool:
         return all(e == 1 for _, e in self.parts)
 
@@ -56,9 +59,12 @@ class SpfSieve:
     def __init__(self, limit: int):
         if limit < 2:
             raise InvalidArgumentError("sieve limit must be at least 2")
+        if limit > _SIEVE_LIMIT_MAX:
+            raise ResourceLimitError(
+                f"sieve limit {limit} exceeds the cap of {_SIEVE_LIMIT_MAX} entries"
+            )
         self.limit = int(limit)
-        dtype = np.int32 if self.limit < 2**31 else np.int64
-        table = np.zeros(self.limit + 1, dtype=dtype)
+        table = np.zeros(self.limit + 1, dtype=np.int32)
         for p in range(2, math.isqrt(self.limit) + 1):
             if table[p] == 0:
                 chunk = table[p * p :: p]
@@ -67,19 +73,13 @@ class SpfSieve:
         untouched = untouched[untouched >= 2]
         table[untouched] = untouched
         self._table = table
-        self._list: list[int] | None = None
+        self.spf = memoryview(table)  # zero-copy; indexing yields Python ints
         self._primes: list[int] | None = None
 
     def __getitem__(self, n: int) -> int:
         if not 2 <= n <= self.limit:
             raise InvalidArgumentError(f"sieve lookup out of range: {n}")
         return int(self._table[n])
-
-    def as_list(self) -> list[int]:
-        """Plain-int copy of the table; faster for per-element lookups."""
-        if self._list is None:
-            self._list = self._table.tolist()
-        return self._list
 
     def primes(self) -> list[int]:
         if self._primes is None:
@@ -91,15 +91,34 @@ class SpfSieve:
         return len(self.primes())
 
 
-def build_spf_sieve(limit: int) -> SpfSieve:
-    """Build the smallest-prime-factor table for all n up to limit."""
-    return SpfSieve(limit)
+_shared_sieve: SpfSieve | None = None
 
 
-@lru_cache(maxsize=8)
 def cached_sieve(limit: int) -> SpfSieve:
-    """Shared sieve instances, reused across streams of the same size."""
-    return SpfSieve(limit)
+    """The process-wide sieve, covering at least limit.
+
+    It is replaced by a larger one only when limit exceeds it, so at most
+    one table is alive, and it never covers less than _SHARED_SIEVE_MIN.
+    """
+    global _shared_sieve
+    if _shared_sieve is None or _shared_sieve.limit < limit:
+        _shared_sieve = SpfSieve(max(limit, _SHARED_SIEVE_MIN))
+    return _shared_sieve
+
+
+def spf_parts(n: int, sieve: SpfSieve) -> list[tuple[int, int]]:
+    """The prime powers (p, e) of 1 <= n <= sieve.limit by ascending p:
+    each step divides out the smallest prime factor of what is left."""
+    spf = sieve.spf
+    parts = []
+    while n > 1:
+        p = spf[n]
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        parts.append((p, e))
+    return parts
 
 
 def is_prime(n: int) -> bool:
@@ -131,31 +150,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int, sieve: SpfSieve) -> Factorization:
-    """Factor n using the sieve, with a trial-division fallback above its limit.
+def factorize(n: int, sieve: SpfSieve | None = None) -> Factorization:
+    """Factor n using the sieve (the shared one by default), with a
+    trial-division fallback above its limit.
 
     A composite cofactor that survives trial division by every sieved prime
     is rejected (never guessed at).
     """
     if n < 1:
         raise InvalidArgumentError(f"cannot factorize {n}: need a positive integer")
-    if n == 1:
-        return Factorization(1, ())
-    parts: list[tuple[int, int]] = []
+    if sieve is None:
+        sieve = cached_sieve(0)
     if n <= sieve.limit:
-        table = sieve._table
-        m = n
-        while m > 1:
-            p = int(table[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            parts.append((p, e))
-        parts.sort()
-        return Factorization(n, tuple(parts))
+        return Factorization(n, tuple(spf_parts(n, sieve)))
+    parts: list[tuple[int, int]] = []
     m = n
-    for p in sieve.primes():
+    root = min(math.isqrt(n), sieve.limit)
+    small = sieve._table[2 : root + 1]  # trial division needs no prime above sqrt(n)
+    for p in (np.flatnonzero(small == np.arange(2, root + 1)) + 2).tolist():
         if p * p > m:
             break
         if m % p == 0:
@@ -171,7 +183,6 @@ def factorize(n: int, sieve: SpfSieve) -> Factorization:
             raise UnsupportedInputError(
                 f"composite cofactor {m} of {n} is beyond factoring capability"
             )
-    parts.sort()
     return Factorization(n, tuple(parts))
 
 

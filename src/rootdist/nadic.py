@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import AdmissibilityError, InvalidArgumentError
 from .ideals import admissibility
 from .intpoly import IntPolynomial, poly_eval_mod
-from .modarith import SpfSieve, inverse
+from .modarith import inverse
 from .roots import roots_mod_n
 
 _TWO_PI = 2.0 * math.pi
@@ -72,9 +72,7 @@ class NadicExpansion:
         return " ".join(str(a) for a in self.digits)
 
 
-def nadic_expansions(
-    f: IntPolynomial, base: int, depth: int, sieve: SpfSieve | None = None
-) -> list[NadicExpansion]:
+def nadic_expansions(f: IntPolynomial, base: int, depth: int) -> list[NadicExpansion]:
     """All base-n expansions of a root of f, one per root of f mod n.
 
     Requires gcd(base, eta*disc) = 1: under that gate every root mod n lifts
@@ -86,11 +84,11 @@ def nadic_expansions(
         raise InvalidArgumentError("base must be at least 2")
     if depth < 1:
         raise InvalidArgumentError("depth must be at least 1")
-    report = admissibility(f, base, sieve)
+    report = admissibility(f, base)
     if not report.admissible:
         raise AdmissibilityError(report)
     out = []
-    for seed in roots_mod_n(f, base, sieve).roots:
+    for seed in roots_mod_n(f, base).roots:
         u = inverse(f.deriv_mod(seed, base), base)
         digits = [seed]
         v = seed
@@ -290,7 +288,6 @@ def normality_evidence(
     base: int,
     depth: int,
     max_word_length: int,
-    sieve: SpfSieve | None = None,
 ) -> list[ExpansionEvidence]:
     """Word-frequency tables and Weyl magnitudes for every expansion.
 
@@ -307,7 +304,7 @@ def normality_evidence(
             stacklevel=2,
         )
     out = []
-    for exp in nadic_expansions(f, base, depth, sieve):
+    for exp in nadic_expansions(f, base, depth):
         reports = tuple(
             word_frequencies(exp.digits, base, m) for m in range(1, max_word_length + 1)
         )

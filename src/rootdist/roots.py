@@ -21,7 +21,7 @@ import numpy as np
 from . import fppoly
 from .errors import InvalidArgumentError, ResourceLimitError
 from .intpoly import IntPolynomial, poly_eval_mod
-from .modarith import Factorization, SpfSieve, cached_sieve, factorize, inverse, is_prime
+from .modarith import Factorization, SpfSieve, cached_sieve, factorize, inverse, is_prime, spf_parts
 
 # The scalar route scans every residue below this bound (p = 2 included)
 # and uses gcd(x^p - x, f) plus splitting above it.
@@ -40,8 +40,6 @@ _SHIFT_BASE = 2654435761
 # Refuse a level of singular lifts that would produce more roots than this.
 _LIFT_OUTPUT_LIMIT = 10**6
 
-_DEFAULT_SIEVE_LIMIT = 10**5
-
 
 @dataclass(frozen=True)
 class RootSet:
@@ -59,16 +57,6 @@ class RootSet:
 
     def __iter__(self):
         return iter(self.roots)
-
-
-def default_sieve() -> SpfSieve:
-    return cached_sieve(_DEFAULT_SIEVE_LIMIT)
-
-
-def _sieve_for(sieve: SpfSieve | None) -> SpfSieve:
-    if sieve is not None:
-        return sieve
-    return default_sieve()
 
 
 def _scan_roots(f: IntPolynomial, p: int) -> tuple[int, ...]:
@@ -477,7 +465,7 @@ def roots_from_factorization(f: IntPolynomial, fact: Factorization) -> tuple[int
     return _crt_roots(f, fact.parts)
 
 
-def roots_mod_n(f: IntPolynomial, n: int, sieve: SpfSieve | None = None) -> RootSet:
+def roots_mod_n(f: IntPolynomial, n: int) -> RootSet:
     """All roots of f mod n, assembled from its prime-power factors.
 
     The convention rho(1) = 1 with root {0} keeps counts multiplicative and
@@ -485,12 +473,11 @@ def roots_mod_n(f: IntPolynomial, n: int, sieve: SpfSieve | None = None) -> Root
     """
     if n < 1:
         raise InvalidArgumentError("modulus must be positive")
-    fact = factorize(n, _sieve_for(sieve))
-    return RootSet(n, roots_from_factorization(f, fact))
+    return RootSet(n, roots_from_factorization(f, factorize(n)))
 
 
-def root_count(f: IntPolynomial, n: int, sieve: SpfSieve | None = None) -> int:
-    return len(roots_mod_n(f, n, sieve).roots)
+def root_count(f: IntPolynomial, n: int) -> int:
+    return len(roots_mod_n(f, n).roots)
 
 
 class ModulusFilter:
@@ -572,7 +559,7 @@ class ModulusFilter:
             return math.gcd(n, self.m) == 1
         if self.kind == "list":
             return n in self.values
-        return factorize(n, default_sieve()).squarefree
+        return factorize(n).squarefree
 
     def describe(self) -> str:
         if self.kind == "progression":
@@ -593,30 +580,29 @@ def _factored_moduli(
     sieve: SpfSieve | None,
     extra_accept: Callable[[int], bool] | None,
 ) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    """Yield (n, parts) for the n = 1..xmax that ``flt`` and ``extra_accept``
-    accept, ascending; parts lists the prime powers (p, e) of n by
-    ascending p, each step of the walk dividing out the smallest prime."""
+    """Iterate (n, parts) for the n = 1..xmax that ``flt`` and
+    ``extra_accept`` accept, ascending; parts lists the prime powers (p, e)
+    of n by ascending p.
+
+    The sieve (the shared one unless ``sieve`` covers xmax) is fetched
+    before this returns, so a too-large xmax fails before any other work.
+    """
     if sieve is None or sieve.limit < xmax:
-        sieve = cached_sieve(max(xmax, _DEFAULT_SIEVE_LIMIT))
-    spf = sieve.as_list()
+        sieve = cached_sieve(xmax)
     squarefree = flt.needs_factorization
-    for n in range(1, xmax + 1):
-        if extra_accept is not None and not extra_accept(n):
-            continue
-        if not squarefree and not flt.accepts(n):
-            continue
-        m = n
-        parts = []
-        while m > 1:
-            p = spf[m]
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            parts.append((p, e))
-        if squarefree and any(e > 1 for _, e in parts):
-            continue
-        yield n, parts
+
+    def walk():
+        for n in range(1, xmax + 1):
+            if extra_accept is not None and not extra_accept(n):
+                continue
+            if not squarefree and not flt.accepts(n):
+                continue
+            parts = spf_parts(n, sieve)
+            if squarefree and any(e > 1 for _, e in parts):
+                continue
+            yield n, parts
+
+    return walk()
 
 
 def root_stream(
@@ -635,9 +621,10 @@ def root_stream(
         raise InvalidArgumentError("xmax must be at least 1")
     if flt is None:
         flt = ModulusFilter.all()
+    moduli = _factored_moduli(xmax, flt, sieve, extra_accept)
     if flt.kind != "list":  # an explicit list needs only its own primes
         prime_table(f).fill(xmax)
-    for n, parts in _factored_moduli(xmax, flt, sieve, extra_accept):
+    for n, parts in moduli:
         yield n, RootSet(n, _crt_roots(f, parts))
 
 

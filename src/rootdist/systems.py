@@ -20,12 +20,13 @@ from .equidist import (
     KahanSum,
     _checkpoint_list,
     _checkpointed,
+    _cross_inverses,
     box_discrepancy_from_hist,
     root_exp_sum,
 )
 from .errors import InvalidArgumentError
 from .intpoly import IntPolynomial
-from .modarith import SpfSieve, inverse
+from .modarith import SpfSieve
 from .roots import ModulusFilter, _crt_roots, _factored_moduli, prime_table, roots_mod_n
 
 _DEFAULT_GRIDS = {1: 64, 2: 64, 3: 16}
@@ -90,9 +91,9 @@ class TupleRootSet:
         return iter(self.tuples)
 
 
-def root_tuples(system: PolySystem, n: int, sieve: SpfSieve | None = None) -> TupleRootSet:
+def root_tuples(system: PolySystem, n: int) -> TupleRootSet:
     """Cartesian product of the per-polynomial root sets mod n."""
-    per_poly = [roots_mod_n(f, n, sieve).roots for f in system.polys]
+    per_poly = [roots_mod_n(f, n).roots for f in system.polys]
     return TupleRootSet(n, tuple(itertools.product(*per_poly)))
 
 
@@ -100,7 +101,6 @@ def joint_exp_sum(
     system: PolySystem,
     hvec: tuple[int, ...],
     n: int,
-    sieve: SpfSieve | None = None,
     rootsets: list[tuple[int, ...]] | None = None,
 ) -> complex:
     """Sum of exp(2*pi*i*(h . v)/n) over all root tuples v.
@@ -111,7 +111,7 @@ def joint_exp_sum(
     if len(hvec) != system.dimension:
         raise InvalidArgumentError("frequency vector length must match the system")
     if rootsets is None:
-        rootsets = [roots_mod_n(f, n, sieve).roots for f in system.polys]
+        rootsets = [roots_mod_n(f, n).roots for f in system.polys]
     out = complex(1.0, 0.0)
     for f, h, roots in zip(system.polys, hvec, rootsets):
         out *= root_exp_sum(f, h, n, roots)
@@ -120,20 +120,11 @@ def joint_exp_sum(
     return out
 
 
-def joint_exp_sum_factored(
-    system: PolySystem,
-    hvec: tuple[int, ...],
-    n1: int,
-    n2: int,
-    sieve: SpfSieve | None = None,
-) -> complex:
+def joint_exp_sum_factored(system: PolySystem, hvec: tuple[int, ...], n1: int, n2: int) -> complex:
     """Coprime-split product form of the joint exponential sum."""
-    if math.gcd(n1, n2) != 1:
-        raise InvalidArgumentError(f"{n1} and {n2} are not coprime")
-    nbar2 = inverse(n2 % n1, n1) if n1 > 1 else 0
-    nbar1 = inverse(n1 % n2, n2) if n2 > 1 else 0
-    left = joint_exp_sum(system, tuple(h * nbar2 for h in hvec), n1, sieve)
-    right = joint_exp_sum(system, tuple(h * nbar1 for h in hvec), n2, sieve)
+    nbar2, nbar1 = _cross_inverses(n1, n2)
+    left = joint_exp_sum(system, tuple(h * nbar2 for h in hvec), n1)
+    right = joint_exp_sum(system, tuple(h * nbar1 for h in hvec), n2)
     return left * right
 
 
@@ -187,9 +178,6 @@ class JointWeylSeries:
             rows.append(row)
         return rows
 
-    def to_csv(self) -> str:
-        return "\n".join(",".join(row) for row in self.csv_rows()) + "\n"
-
 
 def joint_weyl_series(
     system: PolySystem,
@@ -227,6 +215,7 @@ def joint_weyl_series(
     checkpoints = _checkpoint_list(checkpoints, xmax)
     if flt is None:
         flt = ModulusFilter.all()
+    moduli = _factored_moduli(xmax, flt, sieve, None)
     if flt.kind != "list":  # an explicit list needs only its own primes
         for f in system.polys:
             prime_table(f).fill(xmax)
@@ -257,7 +246,6 @@ def joint_weyl_series(
             box_discrepancy_from_hist(hist, cloud_count) if cloud_count else 1.0
         )
 
-    moduli = _factored_moduli(xmax, flt, sieve, None)
     for n, parts in _checkpointed(moduli, checkpoints, snapshot):
         per_poly = [_crt_roots(f, parts) for f in system.polys]
         count = 1

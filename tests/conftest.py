@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from rootdist import build_spf_sieve, parse_polynomial
+from rootdist import SpfSieve, parse_polynomial
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -32,4 +32,4 @@ def reference_polys(x2p1, x3m2, x2px1):
 
 @pytest.fixture(scope="session")
 def small_sieve():
-    return build_spf_sieve(10**5)
+    return SpfSieve(10**5)

@@ -5,6 +5,7 @@ direct scans, schoolbook trial division, exact rational arithmetic.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 import cmath
 
 import numpy as np
@@ -61,6 +62,29 @@ def trial_factorize(n):
     if m > 1:
         parts.append((m, 1))
     return parts
+
+
+def rational_root_search(coeffs):
+    """Some rational root p/q with p | c0 and q | c_d, or None: every
+    candidate is tried by evaluating q^d f(p/q) in integers."""
+    c0, cd = coeffs[0], coeffs[-1]
+    if c0 == 0:
+        return Fraction(0)
+    d = len(coeffs) - 1
+    for q in _divisors(cd):
+        for p in _divisors(c0):
+            for num in (p, -p):
+                val = 0  # Horner for q^d f(num/q)
+                for i in range(d, -1, -1):
+                    val = val * num + coeffs[i] * q ** (d - i)
+                if val == 0:
+                    return Fraction(num, q)
+    return None
+
+
+@lru_cache(maxsize=None)
+def _divisors(m):
+    return [k for k in range(1, abs(m) + 1) if m % k == 0]
 
 
 def exact_star_discrepancy(pairs):

@@ -27,7 +27,7 @@ def goldens():
 
 @pytest.fixture(scope="module")
 def big_sieve():
-    return rd.build_spf_sieve(10**6)
+    return rd.SpfSieve(10**6)
 
 
 def _report(num: int, desc: str, ok: bool, t0: float) -> None:
@@ -60,17 +60,17 @@ def test_criterion_02_bijection(reference_polys, small_sieve):
         for n in range(1, 3001):
             if math.gcd(n, bad) != 1:
                 continue
-            roots = rd.roots_mod_n(f, n, small_sieve).roots
+            roots = rd.roots_mod_n(f, n).roots
             ideals = rd.enumerate_degree_one(f, n, small_sieve)
             if len(ideals) != len(roots):
                 ok = False
                 break
             for v in roots:
-                if rd.ideal_residue(rd.ideal_from_root(f, v, n, small_sieve)) != v:
+                if rd.ideal_residue(rd.ideal_from_root(f, v, n)) != v:
                     ok = False
                     break
             for ideal in ideals:
-                if rd.ideal_from_root(f, rd.ideal_residue(ideal), n, small_sieve) != ideal:
+                if rd.ideal_from_root(f, rd.ideal_residue(ideal), n) != ideal:
                     ok = False
                     break
     _report(2, "root <-> ideal maps are mutually inverse for admissible n <= 3000", ok, t0)
@@ -88,8 +88,8 @@ def test_criterion_03_split_identities(reference_polys, small_sieve, x2px1):
         if math.gcd(n1, n2) != 1 or n1 * n2 > 10**5:
             continue
         h = rng.randint(-10, 10)
-        lhs = rd.root_exp_sum_factored(f, h, n1, n2, small_sieve)
-        rhs = rd.root_exp_sum(f, h, n1 * n2, sieve=small_sieve)
+        lhs = rd.root_exp_sum_factored(f, h, n1, n2)
+        rhs = rd.root_exp_sum(f, h, n1 * n2)
         if abs(lhs - rhs) >= 1e-9:
             ok = False
             break
@@ -102,8 +102,8 @@ def test_criterion_03_split_identities(reference_polys, small_sieve, x2px1):
         if math.gcd(n1, n2) != 1 or n1 * n2 > 10**4:
             continue
         h = (rng.randint(-3, 3), rng.randint(-3, 3))
-        lhs = rd.joint_exp_sum_factored(system, h, n1, n2, small_sieve)
-        rhs = rd.joint_exp_sum(system, h, n1 * n2, small_sieve)
+        lhs = rd.joint_exp_sum_factored(system, h, n1, n2)
+        rhs = rd.joint_exp_sum(system, h, n1 * n2)
         if abs(lhs - rhs) >= 1e-9:
             ok = False
         done += 1
@@ -116,9 +116,9 @@ def test_criterion_04_dilated_square_bound(reference_polys, small_sieve, x2p1):
     for f in reference_polys:
         for h in (1, 2, 3):
             for n in range(1, 501):
-                if not rd.dilated_sum_square_bound(f, h, n, small_sieve).holds:
+                if not rd.dilated_sum_square_bound(f, h, n).holds:
                     ok = False
-    chk = rd.dilated_sum_square_bound(x2p1, 1, 5, small_sieve)
+    chk = rd.dilated_sum_square_bound(x2p1, 1, 5)
     ok = ok and abs(chk.lhs - 10) < 1e-6 and abs(chk.rhs - 10) < 1e-6
     _report(4, "mean-square dilation bound holds for n <= 500, h in {1,2,3}; equality at (1,5)", ok, t0)
 

@@ -217,3 +217,13 @@ def test_seed_and_threads_flags_are_gone():
         with pytest.raises(SystemExit) as info:
             main(["roots", "--poly", "1,0,1", "--n", "5", flag, value])
         assert info.value.code == 2
+
+
+def test_oversized_sieve_exits_before_allocating(capsys):
+    from rootdist import parse_polynomial
+    from rootdist.roots import prime_table
+
+    code, out, err = run_cli(capsys, "weyl", "--poly", "1,0,1", "--xmax", "100000001")
+    assert code == 1 and out == "" and "sieve limit" in err
+    # the stream asked for its sieve before filling the prime table
+    assert prime_table(parse_polynomial("1,0,1")).limit < 10**8

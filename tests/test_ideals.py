@@ -95,7 +95,7 @@ def test_inertia_one_iff_degree_one(x2p1, small_sieve):
         for _ in range(rng.randint(0, 3)):
             p = rng.choice(candidate_primes)
             e = rng.randint(1, 2)
-            roots = roots_mod_n(x2p1, p**e, small_sieve).roots
+            roots = roots_mod_n(x2p1, p**e).roots
             comps.append((p, e, rng.choice(roots)))
         comps.sort()
         trials += 1
@@ -118,18 +118,18 @@ def test_bijection_small(x2p1, small_sieve):
     for n in range(1, 501):
         if math.gcd(n, bad) != 1:
             continue
-        roots = roots_mod_n(x2p1, n, small_sieve).roots
+        roots = roots_mod_n(x2p1, n).roots
         ideals = enumerate_degree_one(x2p1, n, small_sieve)
         assert len(ideals) == len(roots)
         for v in roots:
-            assert ideal_residue(ideal_from_root(x2p1, v, n, small_sieve)) == v
+            assert ideal_residue(ideal_from_root(x2p1, v, n)) == v
         for ideal in ideals:
-            assert ideal_from_root(x2p1, ideal_residue(ideal), n, small_sieve) == ideal
+            assert ideal_from_root(x2p1, ideal_residue(ideal), n) == ideal
 
 
 def test_norm_multiplicative_under_merge(x2p1, small_sieve):
-    a = ideal_from_root(x2p1, 7, 25, small_sieve)
-    b = ideal_from_root(x2p1, 5, 13, small_sieve)
+    a = ideal_from_root(x2p1, 7, 25)
+    b = ideal_from_root(x2p1, 5, 13)
     merged = merge_coprime(a, b)
     assert merged.norm == a.norm * b.norm
     assert ideal_residue(merged) % 25 == 7 and ideal_residue(merged) % 13 == 5

@@ -1,3 +1,4 @@
+import math
 import random
 import warnings
 
@@ -11,9 +12,9 @@ from rootdist import (
     poly_eval_mod,
     polynomial_to_text,
 )
-from rootdist.intpoly import IrreducibilityAssumedWarning
+from rootdist.intpoly import IrreducibilityAssumedWarning, _rational_root
 
-from oracles import brute_roots_py
+from oracles import brute_roots_py, rational_root_search
 
 
 def test_discriminant_quadratic(x2p1):
@@ -105,6 +106,35 @@ def test_rational_root_rejected():
         IntPolynomial((0, 1, 1))  # root 0
     with pytest.raises(InvalidArgumentError, match="rational root"):
         IntPolynomial((-1, 1, 2))  # root 1/2
+
+
+def test_quadratic_rational_root_beyond_search_cap():
+    # x^2 - 10^14 = (x - 10^7)(x + 10^7): coefficients past the divisor
+    # search cap, decided by the discriminant
+    with pytest.raises(InvalidArgumentError, match="rational root 10000000"):
+        IntPolynomial((-(10**14), 0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = IntPolynomial((-(1000003**3), 0, 1))
+    assert f.discriminant == 4 * 1000003**3
+
+
+def test_quadratic_rational_root_matches_divisor_search():
+    # every primitive quadratic with |coefficients| <= 30; the search result
+    # is shared between f, -f and f(-x), which have the same rational roots
+    want = {}
+    for a in range(-30, 31):
+        for b in range(-30, 31):
+            for c in range(-30, 31):
+                if a == 0 or math.gcd(a, b, c) != 1:
+                    continue
+                got = _rational_root((c, b, a))
+                if got is not None:
+                    assert a * got**2 + b * got + c == 0
+                key = (-c, abs(b), -a) if a < 0 else (c, abs(b), a)
+                if key not in want:
+                    want[key] = rational_root_search(key) is not None
+                assert (got is not None) == want[key], (a, b, c)
 
 
 def test_repeated_factor_rejected():

@@ -6,34 +6,52 @@ import pytest
 from rootdist import (
     Factorization,
     InvalidArgumentError,
+    ResourceLimitError,
     UnsupportedInputError,
-    build_spf_sieve,
+    SpfSieve,
     crt_pair,
     factorize,
     is_prime,
 )
 
+from rootdist.modarith import cached_sieve
+
 from oracles import eratosthenes, trial_factorize
 
 
 def test_sieve_small_entries():
-    sieve = build_spf_sieve(10)
+    sieve = SpfSieve(10)
     assert sieve[9] == 3
     assert sieve[7] == 7
     assert sieve[10] == 2
 
 
 def test_sieve_smallest_case():
-    assert build_spf_sieve(2)[2] == 2
+    assert SpfSieve(2)[2] == 2
 
 
 def test_sieve_rejects_tiny_limit():
     with pytest.raises(InvalidArgumentError):
-        build_spf_sieve(1)
+        SpfSieve(1)
+
+
+def test_sieve_refuses_limit_above_cap():
+    # raised before the 400 MB table is allocated
+    with pytest.raises(ResourceLimitError):
+        SpfSieve(10**8 + 1)
+
+
+def test_shared_sieve_grows_and_is_unique():
+    assert cached_sieve(50_000) is cached_sieve(10**5)
+    assert cached_sieve(10**5).limit >= 10**5
+    big = cached_sieve(2 * 10**5)
+    assert big.limit >= 2 * 10**5
+    # one table is alive: smaller requests get the grown one
+    assert cached_sieve(10**5) is big
 
 
 def test_sieve_prime_count_at_million():
-    sieve = build_spf_sieve(10**6)
+    sieve = SpfSieve(10**6)
     flags = eratosthenes(10**6)
     expected = sum(flags)
     assert expected == 78498
@@ -53,7 +71,7 @@ def test_factorize_examples(small_sieve):
 
 
 def test_factorize_prime_beyond_sieve():
-    sieve = build_spf_sieve(2000)
+    sieve = SpfSieve(2000)
     n = 999983
     assert all(n % d for d in range(2, math.isqrt(n) + 1))  # oracle: prime
     assert factorize(n, sieve).parts == ((n, 1),)
@@ -73,8 +91,15 @@ def test_factorize_rejects_zero(small_sieve):
         factorize(0, small_sieve)
 
 
+def test_factorize_beyond_sieve_matches_trial_division():
+    # trial division by the sieved primes up to sqrt(n); 994009 = 997^2
+    sieve = SpfSieve(1000)
+    for n in range(993_000, 995_000):
+        assert list(factorize(n, sieve).parts) == trial_factorize(n), n
+
+
 def test_factorize_rejects_hard_composite():
-    sieve = build_spf_sieve(100)
+    sieve = SpfSieve(100)
     hard = 1000003 * 1000033  # both prime factors beyond the sieve
     with pytest.raises(UnsupportedInputError):
         factorize(hard, sieve)

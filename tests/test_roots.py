@@ -7,6 +7,7 @@ import pytest
 from rootdist import (
     InvalidArgumentError,
     ModulusFilter,
+    factorize,
     poly_eval_mod,
     root_stream,
     roots_mod_n,
@@ -19,12 +20,13 @@ from rootdist.roots import (
     _lane_prime_bound,
     _lane_roots,
     _prime_roots_cached,
+    _factored_moduli,
     _primes_in,
     clear_caches,
     prime_table,
 )
 
-from oracles import brute_roots, eratosthenes
+from oracles import brute_roots, eratosthenes, trial_factorize
 
 
 def test_roots_mod_prime_examples(x2p1, x2px1):
@@ -156,14 +158,14 @@ def test_roots_mod_n_examples(x2p1):
 def test_roots_mod_n_soundness(reference_polys, small_sieve):
     for f in reference_polys:
         for n in range(1, 5001):
-            for v in roots_mod_n(f, n, small_sieve).roots:
+            for v in roots_mod_n(f, n).roots:
                 assert poly_eval_mod(f, v, n) == 0
 
 
 def test_roots_mod_n_completeness(reference_polys, small_sieve):
     for f in reference_polys:
         for n in range(1, 3001):
-            got = list(roots_mod_n(f, n, small_sieve).roots)
+            got = list(roots_mod_n(f, n).roots)
             assert got == brute_roots(f.coeffs, n), (f.coeffs, n)
 
 
@@ -175,9 +177,9 @@ def test_count_multiplicative(x2p1, small_sieve):
         n2 = rng.randint(1, 300)
         if math.gcd(n1, n2) != 1:
             continue
-        a = len(roots_mod_n(x2p1, n1, small_sieve).roots)
-        b = len(roots_mod_n(x2p1, n2, small_sieve).roots)
-        c = len(roots_mod_n(x2p1, n1 * n2, small_sieve).roots)
+        a = len(roots_mod_n(x2p1, n1).roots)
+        b = len(roots_mod_n(x2p1, n2).roots)
+        c = len(roots_mod_n(x2p1, n1 * n2).roots)
         assert c == a * b
         done += 1
 
@@ -186,7 +188,7 @@ def test_count_bounded_by_degree_power(reference_polys, small_sieve):
     for f in reference_polys:
         for n in range(1, 2000):
             omega = len(set(p for p, _ in __import__("rootdist").factorize(n, small_sieve).parts))
-            assert len(roots_mod_n(f, n, small_sieve).roots) <= f.degree**omega
+            assert len(roots_mod_n(f, n).roots) <= f.degree**omega
 
 
 def test_stream_rho_values(x2p1):
@@ -211,9 +213,19 @@ def test_stream_explicit_and_coprime_filters(x2p1):
     assert ns == [1, 3, 5, 7, 9]
 
 
+def test_smallest_prime_factor_walk_matches_trial_division():
+    # the one walk, through both of its callers
+    walked = list(_factored_moduli(5000, ModulusFilter.all(), None, None))
+    assert [n for n, _ in walked] == list(range(1, 5001))
+    for n, parts in walked:
+        want = trial_factorize(n)
+        assert list(factorize(n).parts) == want
+        assert parts == want
+
+
 def test_stream_matches_roots_mod_n(x3m2, small_sieve):
     for n, rs in root_stream(x3m2, 400, sieve=small_sieve):
-        assert rs.roots == roots_mod_n(x3m2, n, small_sieve).roots
+        assert rs.roots == roots_mod_n(x3m2, n).roots
 
 
 def test_filter_parse_and_describe():

@@ -66,9 +66,9 @@ def test_tuple_count_multiplicative(pair_system, small_sieve):
         n2 = rng.randint(1, 100)
         if math.gcd(n1, n2) != 1:
             continue
-        a = len(root_tuples(pair_system, n1, small_sieve))
-        b = len(root_tuples(pair_system, n2, small_sieve))
-        c = len(root_tuples(pair_system, n1 * n2, small_sieve))
+        a = len(root_tuples(pair_system, n1))
+        b = len(root_tuples(pair_system, n2))
+        c = len(root_tuples(pair_system, n1 * n2))
         assert c == a * b
         done += 1
 
@@ -90,10 +90,10 @@ def test_joint_exp_sum_matches_direct_tuple_sum(pair_system, small_sieve):
         n = rng.randint(1, 300)
         h = (rng.randint(-3, 3), rng.randint(-3, 3))
         direct = 0j
-        for tup in root_tuples(pair_system, n, small_sieve).tuples:
+        for tup in root_tuples(pair_system, n).tuples:
             phase = sum(hi * vi for hi, vi in zip(h, tup))
             direct += cmath.exp(2j * cmath.pi * phase / n)
-        got = joint_exp_sum(pair_system, h, n, small_sieve)
+        got = joint_exp_sum(pair_system, h, n)
         assert abs(got - direct) < 1e-9
 
 
@@ -103,9 +103,9 @@ def test_joint_exp_sum_separability(pair_system, small_sieve):
     for _ in range(50):
         n = rng.randint(2, 200)
         h1 = rng.randint(-4, 4)
-        got = joint_exp_sum(pair_system, (h1, 0), n, small_sieve)
-        lhs = root_exp_sum(pair_system.polys[0], h1, n, sieve=small_sieve)
-        rho2 = len(roots_mod_n(pair_system.polys[1], n, small_sieve).roots)
+        got = joint_exp_sum(pair_system, (h1, 0), n)
+        lhs = root_exp_sum(pair_system.polys[0], h1, n)
+        rho2 = len(roots_mod_n(pair_system.polys[1], n).roots)
         assert abs(got - lhs * rho2) < 1e-9
 
 
@@ -132,8 +132,8 @@ def test_joint_factored_identity_random(pair_system, small_sieve):
         if math.gcd(n1, n2) != 1 or n1 * n2 > 10**4:
             continue
         h = (rng.randint(-2, 2), rng.randint(-2, 2))
-        got = joint_exp_sum_factored(pair_system, h, n1, n2, small_sieve)
-        want = joint_exp_sum(pair_system, h, n1 * n2, small_sieve)
+        got = joint_exp_sum_factored(pair_system, h, n1, n2)
+        want = joint_exp_sum(pair_system, h, n1 * n2)
         assert abs(got - want) < 1e-9
         done += 1
 
@@ -188,7 +188,7 @@ def test_joint_weyl_filter(pair_system, small_sieve):
     manual = 0
     for n in range(1, 51):
         if n % 4 == 1:
-            manual += len(root_tuples(pair_system, n, small_sieve))
+            manual += len(root_tuples(pair_system, n))
     assert js.normalizer == [manual]
 
 
