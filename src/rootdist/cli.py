@@ -192,12 +192,11 @@ def _cmd_roots(args: argparse.Namespace) -> str:
     if (args.n is None) == (args.nmax is None):
         raise InvalidArgumentError("exactly one of --n and --nmax is required")
     if args.n is not None:
-        rs = roots_mod_n(f, args.n)
-        lines.append(f"{rs.modulus}: {' '.join(str(v) for v in rs.roots)}".rstrip())
+        stream = [(args.n, roots_mod_n(f, args.n))]
     else:
-        flt = ModulusFilter.parse(args.filter)
-        for n, rs in root_stream(f, args.nmax, flt):
-            lines.append(f"{n}: {' '.join(str(v) for v in rs.roots)}".rstrip())
+        stream = root_stream(f, args.nmax, ModulusFilter.parse(args.filter))
+    for n, roots in stream:
+        lines.append(f"{n}: {' '.join(str(v) for v in roots)}".rstrip())
     return "\n".join(lines) + "\n"
 
 
@@ -276,9 +275,8 @@ def _cmd_system(args: argparse.Namespace) -> str:
     if (args.n is None) == (args.xmax is None):
         raise InvalidArgumentError("exactly one of --n and --xmax is required")
     if args.n is not None:
-        tset = root_tuples(system, args.n)
-        body = " ".join(",".join(str(v) for v in tup) for tup in tset.tuples)
-        return f"{tset.modulus}: {body}".rstrip() + "\n"
+        body = " ".join(",".join(str(v) for v in tup) for tup in root_tuples(system, args.n))
+        return f"{args.n}: {body}".rstrip() + "\n"
     hset = (
         _parse_hset(args.hset, system.dimension)
         if args.hset

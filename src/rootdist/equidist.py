@@ -57,7 +57,7 @@ def root_exp_sum(
     modulus of the result never exceeds the root count.
     """
     if roots is None:
-        roots = roots_mod_n(f, n).roots
+        roots = roots_mod_n(f, n)
     if h % n == 0:
         return complex(len(roots), 0.0)
     total_re = 0.0
@@ -245,15 +245,15 @@ def weyl_series(
         series.empty_flags.append(norm_acc == 0)
 
     stream = root_stream(f, xmax, flt, sieve, extra_accept=extra)
-    for n, rs in _checkpointed(stream, checkpoints, snapshot):
-        if not rs.roots:
+    for n, roots in _checkpointed(stream, checkpoints, snapshot):
+        if not roots:
             continue
-        norm_acc += len(rs.roots)
+        norm_acc += len(roots)
         if h.kind == "const":
             hn = h.value
         else:
             hn = inverse(h.value % n, n) if n > 1 else 0
-        term = root_exp_sum(f, hn, n, rs.roots)
+        term = root_exp_sum(f, hn, n, roots)
         re_acc.add(term.real)
         im_acc.add(term.imag)
         abs_acc.add(abs(term))
@@ -268,8 +268,8 @@ def ratio_points(
 ) -> np.ndarray:
     """The fractions v/n for every root along the stream, in stream order."""
     pts: list[float] = []
-    for n, rs in root_stream(f, xmax, flt, sieve):
-        for v in rs.roots:
+    for n, roots in root_stream(f, xmax, flt, sieve):
+        for v in roots:
             pts.append(v / n)
     return np.asarray(pts, dtype=np.float64)
 
@@ -376,7 +376,7 @@ def dilated_sum_square_bound(f: IntPolynomial, h: int, n: int) -> BoundCheck:
     n * gcd(h, n) * rho(n)^2 / d^(number of split primes dividing n),
     where S is the root exponential sum and rho the root count.
     """
-    roots = roots_mod_n(f, n).roots
+    roots = roots_mod_n(f, n)
     lhs_acc = KahanSum()
     for a in range(1, n + 1):
         lhs_acc.add(abs(root_exp_sum(f, a * h, n, roots)) ** 2)
@@ -522,7 +522,7 @@ def progression_root_sums(
     sums: list[int] = []
     acc = 0
     stream = root_stream(f, xmax, flt, sieve)
-    for _, rs in _checkpointed(stream, checkpoints, lambda _: sums.append(acc)):
-        acc += len(rs.roots)
+    for _, roots in _checkpointed(stream, checkpoints, lambda _: sums.append(acc)):
+        acc += len(roots)
     phi_m = euler_phi(factorize(m))
     return ProgressionSums(a % m, m, checkpoints, sums, phi_m)

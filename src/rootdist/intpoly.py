@@ -29,16 +29,9 @@ class IrreducibilityAssumedWarning(UserWarning):
 
 @dataclass(frozen=True)
 class IntPolynomial:
-    """A primitive polynomial over Z of degree >= 2 with nonzero discriminant.
-
-    ``eta`` is the denominator-clearing constant: multiplying a root by eta
-    yields an algebraic integer.  It defaults to the absolute value of the
-    leading coefficient and may be overridden with any positive multiple of
-    it (a larger eta only shrinks the set of admissible moduli).
-    """
+    """A primitive polynomial over Z of degree >= 2 with nonzero discriminant."""
 
     coeffs: tuple[int, ...]
-    eta: int | None = None
 
     def __post_init__(self):
         coeffs = tuple(int(c) for c in self.coeffs)
@@ -66,17 +59,6 @@ class IntPolynomial:
                 IrreducibilityAssumedWarning,
                 stacklevel=2,
             )
-        lead = abs(coeffs[-1])
-        if self.eta is None:
-            object.__setattr__(self, "eta", lead)
-        else:
-            eta = int(self.eta)
-            if eta < 1 or eta % lead != 0:
-                raise InvalidArgumentError(
-                    "eta override must be a positive multiple of the leading "
-                    f"coefficient's absolute value ({lead})"
-                )
-            object.__setattr__(self, "eta", eta)
 
     @property
     def degree(self) -> int:
@@ -85,6 +67,12 @@ class IntPolynomial:
     @property
     def leading(self) -> int:
         return self.coeffs[-1]
+
+    @property
+    def eta(self) -> int:
+        """The denominator-clearing constant |leading|: eta times a root is
+        an algebraic integer."""
+        return abs(self.coeffs[-1])
 
     @cached_property
     def discriminant(self) -> int:
@@ -140,7 +128,7 @@ def poly_eval_mod(f: IntPolynomial, v: int, m: int) -> int:
     return acc
 
 
-def parse_polynomial(text: str, eta: int | None = None) -> IntPolynomial:
+def parse_polynomial(text: str) -> IntPolynomial:
     """Parse comma-separated ascending coefficients, e.g. "1,0,1" for x^2+1."""
     for variant in _MINUS_VARIANTS:
         text = text.replace(variant, "-")
@@ -151,7 +139,7 @@ def parse_polynomial(text: str, eta: int | None = None) -> IntPolynomial:
         coeffs = tuple(int(p) for p in parts)
     except ValueError as exc:
         raise InvalidArgumentError(f"cannot parse polynomial {text!r}: {exc}") from None
-    return IntPolynomial(coeffs, eta)
+    return IntPolynomial(coeffs)
 
 
 def polynomial_to_text(f: IntPolynomial) -> str:

@@ -84,7 +84,7 @@ class SpfSieve:
     def primes(self) -> list[int]:
         if self._primes is None:
             idx = np.flatnonzero(self._table == np.arange(self.limit + 1, dtype=self._table.dtype))
-            self._primes = [int(p) for p in idx if p >= 2]
+            self._primes = idx[idx >= 2].tolist()
         return self._primes
 
     def prime_count(self) -> int:

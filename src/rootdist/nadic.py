@@ -88,7 +88,7 @@ def nadic_expansions(f: IntPolynomial, base: int, depth: int) -> list[NadicExpan
     if not report.admissible:
         raise AdmissibilityError(report)
     out = []
-    for seed in roots_mod_n(f, base).roots:
+    for seed in roots_mod_n(f, base):
         u = inverse(f.deriv_mod(seed, base), base)
         digits = [seed]
         v = seed

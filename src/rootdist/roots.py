@@ -1,18 +1,20 @@
 """Roots of f(x) = 0 mod p, mod p^e, and mod n, plus filtered streams over n.
 
+A root set mod n is a sorted tuple of ints in [0, n); the modulus travels
+beside it (``root_stream`` yields (n, roots)), never inside it.
+
 Roots mod p come from one prime table per polynomial: every prime up to a
-limit, with its sorted roots in CSR form, filled for many primes at once in
-numpy lanes (see ``PrimeRootTable``).  Primes the lanes cannot take, and
-single primes far beyond the table, go through a scalar route.  Root sets
-for prime powers are memoized in LRU stores shared by every stream in the
-process.  Correctness never depends on a cache hit: entries are pure
-functions of (polynomial, prime, exponent).
+limit (at most the sieve's cap of 10^8), with its sorted roots in CSR form,
+filled for many primes at once in numpy lanes (see ``PrimeRootTable``).
+Primes the lanes cannot take, and single primes far beyond the table, go
+through a scalar route.  Root sets for prime powers are memoized in LRU
+stores shared by every stream in the process.  Correctness never depends on
+a cache hit: entries are pure functions of (polynomial, prime, exponent).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
@@ -21,7 +23,9 @@ import numpy as np
 from . import fppoly
 from .errors import InvalidArgumentError, ResourceLimitError
 from .intpoly import IntPolynomial, poly_eval_mod
-from .modarith import Factorization, SpfSieve, cached_sieve, factorize, inverse, is_prime, spf_parts
+from .modarith import (
+    _SIEVE_LIMIT_MAX, Factorization, SpfSieve, cached_sieve, factorize, inverse, is_prime, spf_parts
+)
 
 # The scalar route scans every residue below this bound (p = 2 included)
 # and uses gcd(x^p - x, f) plus splitting above it.
@@ -39,24 +43,6 @@ _SHIFT_BASE = 2654435761
 
 # Refuse a level of singular lifts that would produce more roots than this.
 _LIFT_OUTPUT_LIMIT = 10**6
-
-
-@dataclass(frozen=True)
-class RootSet:
-    """All roots of a fixed polynomial mod one modulus, sorted ascending."""
-
-    modulus: int
-    roots: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise InvalidArgumentError("modulus must be positive")
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-    def __iter__(self):
-        return iter(self.roots)
 
 
 def _scan_roots(f: IntPolynomial, p: int) -> tuple[int, ...]:
@@ -322,7 +308,8 @@ class PrimeRootTable:
     sorted ascending, so rho(primes[i]) = offsets[i+1] - offsets[i].  The
     table grows by ``fill``, which runs the batched route in chunks of
     lanes; p = 2, primes dividing the leading coefficient and primes from
-    _lane_prime_bound(d) on take the scalar route.
+    _lane_prime_bound(d) on take the scalar route.  Like the sieve, the
+    limit is capped at 10^8.
     """
 
     def __init__(self, f: IntPolynomial):
@@ -336,6 +323,10 @@ class PrimeRootTable:
         """Extend the table to every prime up to limit."""
         if limit <= self.limit:
             return
+        if limit > _SIEVE_LIMIT_MAX:
+            raise ResourceLimitError(
+                f"prime table limit {limit} exceeds the cap of {_SIEVE_LIMIT_MAX}"
+            )
         new = _primes_in(self.limit, limit)
         bound = _lane_prime_bound(self.f.degree)
         counts, roots = [np.zeros(0, np.int64)], [self.roots]
@@ -377,10 +368,11 @@ def prime_table(f: IntPolynomial) -> PrimeRootTable:
 def _table_roots(f: IntPolynomial, p: int) -> tuple[int, ...] | None:
     """Roots mod p from f's table.  A prime past the limit but within twice
     it doubles the table, so ascending per-prime callers pay for a few
-    passes in all; a prime further out returns None (the scalar route)."""
+    passes in all; a prime further out, or one whose doubling would pass
+    the table cap, returns None (the scalar route)."""
     table = prime_table(f)
     if p > table.limit:
-        if p > 2 * table.limit:
+        if p > 2 * table.limit or 2 * table.limit > _SIEVE_LIMIT_MAX:
             return None
         table.fill(2 * table.limit)
     return table.lookup(p)
@@ -465,19 +457,15 @@ def roots_from_factorization(f: IntPolynomial, fact: Factorization) -> tuple[int
     return _crt_roots(f, fact.parts)
 
 
-def roots_mod_n(f: IntPolynomial, n: int) -> RootSet:
-    """All roots of f mod n, assembled from its prime-power factors.
+def roots_mod_n(f: IntPolynomial, n: int) -> tuple[int, ...]:
+    """The sorted roots of f mod n, assembled from its prime-power factors.
 
     The convention rho(1) = 1 with root {0} keeps counts multiplicative and
     matches the ascending-modulus sequence starting at n = 1.
     """
     if n < 1:
         raise InvalidArgumentError("modulus must be positive")
-    return RootSet(n, roots_from_factorization(f, factorize(n)))
-
-
-def root_count(f: IntPolynomial, n: int) -> int:
-    return len(roots_mod_n(f, n).roots)
+    return roots_from_factorization(f, factorize(n))
 
 
 class ModulusFilter:
@@ -611,8 +599,9 @@ def root_stream(
     flt: ModulusFilter | None = None,
     sieve: SpfSieve | None = None,
     extra_accept: Callable[[int], bool] | None = None,
-) -> Iterator[tuple[int, RootSet]]:
-    """Yield (n, RootSet) for n = 1..xmax in ascending order, filtered.
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield (n, sorted roots of f mod n) for n = 1..xmax in ascending
+    order, filtered; one item per accepted modulus, empty root sets included.
 
     ``extra_accept`` is an additional cheap predicate on n (used for the
     coprimality restriction of inverse-mode Weyl sums).
@@ -625,7 +614,7 @@ def root_stream(
     if flt.kind != "list":  # an explicit list needs only its own primes
         prime_table(f).fill(xmax)
     for n, parts in moduli:
-        yield n, RootSet(n, _crt_roots(f, parts))
+        yield n, _crt_roots(f, parts)
 
 
 def clear_caches() -> None:

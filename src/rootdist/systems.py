@@ -3,9 +3,10 @@ discriminants: root tuples, joint exponential sums, and r-dimensional
 equidistribution trends.
 
 The tuple set mod n is the Cartesian product of the per-polynomial root
-sets, so joint exponential sums factor into one-dimensional sums and no
-tuple enumeration is needed to evaluate them; tuples are materialized only
-for listings and the discrepancy cloud.
+sets (sorted tuples), so joint exponential sums factor into one-dimensional
+sums and no tuple enumeration is needed to evaluate them; tuples are
+materialized only for listings (``root_tuples``, a tuple of root tuples in
+lexicographic order) and the discrepancy cloud.
 """
 
 from __future__ import annotations
@@ -77,24 +78,10 @@ class PolySystem:
         return out
 
 
-@dataclass(frozen=True)
-class TupleRootSet:
-    """All simultaneous root tuples mod one modulus, in lexicographic order."""
-
-    modulus: int
-    tuples: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.tuples)
-
-    def __iter__(self):
-        return iter(self.tuples)
-
-
-def root_tuples(system: PolySystem, n: int) -> TupleRootSet:
-    """Cartesian product of the per-polynomial root sets mod n."""
-    per_poly = [roots_mod_n(f, n).roots for f in system.polys]
-    return TupleRootSet(n, tuple(itertools.product(*per_poly)))
+def root_tuples(system: PolySystem, n: int) -> tuple[tuple[int, ...], ...]:
+    """Every simultaneous root tuple mod n, in lexicographic order: the
+    Cartesian product of the per-polynomial root sets mod n."""
+    return tuple(itertools.product(*(roots_mod_n(f, n) for f in system.polys)))
 
 
 def joint_exp_sum(
@@ -111,7 +98,7 @@ def joint_exp_sum(
     if len(hvec) != system.dimension:
         raise InvalidArgumentError("frequency vector length must match the system")
     if rootsets is None:
-        rootsets = [roots_mod_n(f, n).roots for f in system.polys]
+        rootsets = [roots_mod_n(f, n) for f in system.polys]
     out = complex(1.0, 0.0)
     for f, h, roots in zip(system.polys, hvec, rootsets):
         out *= root_exp_sum(f, h, n, roots)

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_goldens_replay_byte_identically(tmp_path, capsys):
+    """The stdout (and tuple cloud) of the runs in goldens/cli.json, which
+    tools/gen_goldens.py writes."""
+    cases = json.loads((Path(__file__).parent / "goldens" / "cli.json").read_text())
+    cloud = tmp_path / "cloud.csv"
+    for case in cases:
+        argv = case["argv"] + (["--cloud-out", str(cloud)] if "cloud_out" in case else [])
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (0, case["stdout"]), case["argv"]
+        if "cloud_out" in case:
+            assert cloud.read_text() == case["cloud_out"]
 
 
 def test_roots_single_n(capsys):
@@ -226,4 +240,13 @@ def test_oversized_sieve_exits_before_allocating(capsys):
     code, out, err = run_cli(capsys, "weyl", "--poly", "1,0,1", "--xmax", "100000001")
     assert code == 1 and out == "" and "sieve limit" in err
     # the stream asked for its sieve before filling the prime table
+    assert prime_table(parse_polynomial("1,0,1")).limit < 10**8
+
+
+def test_oversized_prime_table_exits_before_allocating(capsys):
+    from rootdist import parse_polynomial
+    from rootdist.roots import prime_table
+
+    code, out, err = run_cli(capsys, "stats", "--poly", "1,0,1", "--xmax", "100000001")
+    assert code == 1 and out == "" and "prime table limit" in err
     assert prime_table(parse_polynomial("1,0,1")).limit < 10**8

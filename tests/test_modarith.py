@@ -56,6 +56,7 @@ def test_sieve_prime_count_at_million():
     expected = sum(flags)
     assert expected == 78498
     assert sieve.prime_count() == expected
+    assert all(type(p) is int for p in sieve.primes())
 
 
 def test_sieve_agrees_with_trial_division(small_sieve):

@@ -7,6 +7,7 @@ import pytest
 from rootdist import (
     InvalidArgumentError,
     ModulusFilter,
+    ResourceLimitError,
     factorize,
     poly_eval_mod,
     root_stream,
@@ -14,6 +15,7 @@ from rootdist import (
     roots_mod_prime,
     roots_mod_prime_power,
 )
+from rootdist import roots as roots_module
 from rootdist.intpoly import IntPolynomial, IrreducibilityAssumedWarning
 from rootdist.roots import (
     PrimeRootTable,
@@ -122,6 +124,21 @@ def test_prime_table_doubling_matches_single_pass(x3m2):
     assert _table_entries(steps) == _table_entries(whole)
 
 
+def test_prime_table_cap(x3m2, monkeypatch):
+    # the cap is the sieve's 10^8; a small stand-in keeps the fills cheap
+    clear_caches()
+    monkeypatch.setattr(roots_module, "_SIEVE_LIMIT_MAX", 600)
+    table = prime_table(x3m2)
+    with pytest.raises(ResourceLimitError):
+        table.fill(601)
+    assert table.limit == 1 and table.primes.size == 0
+    table.fill(400)
+    # 409 is within twice the limit, but doubling would pass the cap
+    assert roots_mod_prime(x3m2, 409) == brute_roots(x3m2.coeffs, 409)
+    assert table.limit == 400
+    clear_caches()
+
+
 def test_prime_power_examples(x2p1):
     assert roots_mod_prime_power(x2p1, 5, 2) == [7, 18]
     assert roots_mod_prime_power(x2p1, 5, 3) == [57, 68]
@@ -150,22 +167,22 @@ def test_unramified_power_counts_stable(reference_polys):
 
 
 def test_roots_mod_n_examples(x2p1):
-    assert roots_mod_n(x2p1, 65).roots == (8, 18, 47, 57)
-    assert roots_mod_n(x2p1, 1).roots == (0,)
-    assert roots_mod_n(x2p1, 12).roots == ()
+    assert roots_mod_n(x2p1, 65) == (8, 18, 47, 57)
+    assert roots_mod_n(x2p1, 1) == (0,)
+    assert roots_mod_n(x2p1, 12) == ()
 
 
 def test_roots_mod_n_soundness(reference_polys, small_sieve):
     for f in reference_polys:
         for n in range(1, 5001):
-            for v in roots_mod_n(f, n).roots:
+            for v in roots_mod_n(f, n):
                 assert poly_eval_mod(f, v, n) == 0
 
 
 def test_roots_mod_n_completeness(reference_polys, small_sieve):
     for f in reference_polys:
         for n in range(1, 3001):
-            got = list(roots_mod_n(f, n).roots)
+            got = list(roots_mod_n(f, n))
             assert got == brute_roots(f.coeffs, n), (f.coeffs, n)
 
 
@@ -177,9 +194,9 @@ def test_count_multiplicative(x2p1, small_sieve):
         n2 = rng.randint(1, 300)
         if math.gcd(n1, n2) != 1:
             continue
-        a = len(roots_mod_n(x2p1, n1).roots)
-        b = len(roots_mod_n(x2p1, n2).roots)
-        c = len(roots_mod_n(x2p1, n1 * n2).roots)
+        a = len(roots_mod_n(x2p1, n1))
+        b = len(roots_mod_n(x2p1, n2))
+        c = len(roots_mod_n(x2p1, n1 * n2))
         assert c == a * b
         done += 1
 
@@ -188,11 +205,17 @@ def test_count_bounded_by_degree_power(reference_polys, small_sieve):
     for f in reference_polys:
         for n in range(1, 2000):
             omega = len(set(p for p, _ in __import__("rootdist").factorize(n, small_sieve).parts))
-            assert len(roots_mod_n(f, n).roots) <= f.degree**omega
+            assert len(roots_mod_n(f, n)) <= f.degree**omega
+
+
+def test_root_sets_are_sorted_tuples(x2p1, x3m2):
+    assert roots_mod_n(x3m2, 1001) == tuple(brute_roots(x3m2.coeffs, 1001))
+    for n, rs in root_stream(x2p1, 100):
+        assert type(rs) is tuple and list(rs) == brute_roots(x2p1.coeffs, n)
 
 
 def test_stream_rho_values(x2p1):
-    rho = {n: len(rs.roots) for n, rs in root_stream(x2p1, 10)}
+    rho = {n: len(rs) for n, rs in root_stream(x2p1, 10)}
     assert [rho[n] for n in range(1, 11)] == [1, 1, 0, 0, 2, 0, 0, 0, 0, 2]
 
 
@@ -225,7 +248,7 @@ def test_smallest_prime_factor_walk_matches_trial_division():
 
 def test_stream_matches_roots_mod_n(x3m2, small_sieve):
     for n, rs in root_stream(x3m2, 400, sieve=small_sieve):
-        assert rs.roots == roots_mod_n(x3m2, n).roots
+        assert rs == roots_mod_n(x3m2, n)
 
 
 def test_filter_parse_and_describe():
@@ -242,8 +265,8 @@ def test_filter_parse_and_describe():
 
 
 def test_stream_determinism(x2p1):
-    a = [(n, rs.roots) for n, rs in root_stream(x2p1, 500)]
-    b = [(n, rs.roots) for n, rs in root_stream(x2p1, 500)]
+    a = [(n, rs) for n, rs in root_stream(x2p1, 500)]
+    b = [(n, rs) for n, rs in root_stream(x2p1, 500)]
     assert a == b
 
 

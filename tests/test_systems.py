@@ -44,18 +44,18 @@ def test_singleton_system_valid(x2p1):
 
 def test_root_tuples_example(pair_system):
     tset = root_tuples(pair_system, 31)
-    assert tset.tuples == ((5, 13), (5, 19), (25, 13), (25, 19))
-    for v1, v2 in tset.tuples:
+    assert tset == ((5, 13), (5, 19), (25, 13), (25, 19))
+    for v1, v2 in tset:
         assert (v1 * v1 + v1 + 1) % 31 == 0
         assert (v2 * v2 - v2 - 1) % 31 == 0
 
 
 def test_root_tuples_mod_one(pair_system):
-    assert root_tuples(pair_system, 1).tuples == ((0, 0),)
+    assert root_tuples(pair_system, 1) == ((0, 0),)
 
 
 def test_root_tuples_empty(pair_system):
-    assert root_tuples(pair_system, 2).tuples == ()
+    assert root_tuples(pair_system, 2) == ()
 
 
 def test_tuple_count_multiplicative(pair_system, small_sieve):
@@ -90,7 +90,7 @@ def test_joint_exp_sum_matches_direct_tuple_sum(pair_system, small_sieve):
         n = rng.randint(1, 300)
         h = (rng.randint(-3, 3), rng.randint(-3, 3))
         direct = 0j
-        for tup in root_tuples(pair_system, n).tuples:
+        for tup in root_tuples(pair_system, n):
             phase = sum(hi * vi for hi, vi in zip(h, tup))
             direct += cmath.exp(2j * cmath.pi * phase / n)
         got = joint_exp_sum(pair_system, h, n)
@@ -105,7 +105,7 @@ def test_joint_exp_sum_separability(pair_system, small_sieve):
         h1 = rng.randint(-4, 4)
         got = joint_exp_sum(pair_system, (h1, 0), n)
         lhs = root_exp_sum(pair_system.polys[0], h1, n)
-        rho2 = len(roots_mod_n(pair_system.polys[1], n).roots)
+        rho2 = len(roots_mod_n(pair_system.polys[1], n))
         assert abs(got - lhs * rho2) < 1e-9
 
 

@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Regenerate the regression goldens under tests/goldens/.
+"""Regenerate the regression goldens under tests/goldens/: acceptance.json
+(the acceptance-criteria statistics) and cli.json (the stdout of small CLI
+runs).
 
 Run from the repository root after an intentional behavior change:
 
@@ -9,14 +11,18 @@ Values are deterministic (fixed seeds, pinned accumulation order), so a
 regeneration on unchanged code reproduces the committed files byte for byte.
 """
 
+import contextlib
+import io
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import rootdist as rd
+from rootdist import cli
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "goldens"
 
@@ -26,6 +32,42 @@ FILTERS = {
     "squarefree": rd.ModulusFilter.squarefree(),
     "progression_1_4": rd.ModulusFilter.progression(1, 4),
 }
+
+
+# Small CLI runs whose stdout cli.json pins byte for byte.  The flag marks
+# a run that also writes its tuple cloud through --cloud-out.
+CLI_COMMANDS = [
+    (["roots", "--poly", "1,0,1", "--n", "65"], False),
+    (["roots", "--poly", "1,0,1", "--nmax", "2000", "--filter", "squarefree"], False),
+    (["weyl", "--poly", "1,0,1", "--xmax", "20000", "--h", "inv:3",
+      "--checkpoints", "500,50,20000"], False),
+    (["weyl", "--poly", "1,0,1", "--xmax", "20000", "--filter", "progression:1,4",
+      "--format", "json"], False),
+    (["stats", "--poly=-2,0,0,1", "--xmax", "20000"], False),
+    (["stats", "--poly", "1,0,1", "--xmax", "20000", "--progression", "1,4"], False),
+    (["ideals", "--poly", "1,0,1", "--nmax", "500"], False),
+    (["system", "--polys", "1,1,1;-1,-1,1", "--n", "31"], False),
+    (["system", "--polys", "1,1,1;-1,-1,1", "--xmax", "5000"], True),
+    (["padic", "--poly", "1,0,1", "--base", "5", "--depth", "50"], False),
+    (["normality", "--poly", "1,0,1", "--base", "5", "--depth", "2000"], False),
+]
+
+
+def cli_goldens():
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        cloud = Path(tmp) / "cloud.csv"
+        for argv, writes_cloud in CLI_COMMANDS:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.main(argv + ["--cloud-out", str(cloud)] if writes_cloud else argv)
+            if code != 0:
+                raise SystemExit(f"rootdist {' '.join(argv)} exited {code}")
+            entry = {"argv": argv, "stdout": buf.getvalue()}
+            if writes_cloud:
+                entry["cloud_out"] = cloud.read_text()
+            out.append(entry)
+    return out
 
 
 def weyl_goldens(f):
@@ -95,6 +137,9 @@ def main():
     }
     path = GOLDEN_DIR / "acceptance.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {path}")
+    path = GOLDEN_DIR / "cli.json"
+    path.write_text(json.dumps(cli_goldens(), indent=2) + "\n")
     print(f"wrote {path}")
 
 
