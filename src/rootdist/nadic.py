@@ -1,10 +1,17 @@
 """Base-n digit towers for polynomial roots, digit statistics, and the
 Haar-measure Monte Carlo for the mean-square of digit Weyl sums.
 
-A root v of f mod n with gcd(n, eta*disc) = 1 has a unit derivative, so one
-linear Hensel update per level appends exactly one new base-n digit.  All
-tower arithmetic is exact big-integer work; phases are reduced mod 1 in
-integer arithmetic and only then converted to float (64 fractional bits).
+A root v of f mod n with gcd(n, eta*disc) = 1 has a unit derivative, so it
+lifts uniquely to a root mod n^L.  The lift runs quadratic Newton steps with
+precision doubling, the inverse of f' Newton-iterated alongside, and a
+divide-and-conquer base conversion reads off the L digits (von zur Gathen and
+Gerhard, Modern Computer Algebra, ch. 9).
+
+A phase e(h*prefix_l/n^l) is rounded once, to its 64-bit fractional cell
+floor(2^64 * frac(h*prefix_l/n^l)), and only then converted to float.  The
+prefix walk reads that cell off a rolling window of the top digits; when the
+window cannot certify the cell, it recomputes it exactly from the whole
+prefix.  All tower arithmetic is exact big-integer work.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import random
 import warnings
 from dataclasses import dataclass
 
-from .errors import AdmissibilityError, InvalidArgumentError
+from .errors import AdmissibilityError, InvalidArgumentError, ResourceLimitError
 from .ideals import admissibility
 from .intpoly import IntPolynomial, poly_eval_mod
 from .modarith import inverse
@@ -26,15 +33,51 @@ _TWO_PI = 2.0 * math.pi
 # Guard for the n^m-entry word table.
 _MAX_WORD_TABLE = 2 * 10**6
 
+# Guard for the tower depth: the Newton lift allocates n^depth at once.
+_MAX_DEPTH = 10**7
+
+# Digit runs at most this long are converted digit by digit.
+_DIGIT_LEAF = 32
+
+# The phase window spans n^W >= |h| * 2^(64 + _WINDOW_GUARD_BITS), so it
+# fails to certify a 64-bit cell about once per 2^_WINDOW_GUARD_BITS levels.
+_WINDOW_GUARD_BITS = 24
+_MASK64 = (1 << 64) - 1
+
 # Word counts thinner than this multiple of the table size are flagged.
 _SPARSE_FACTOR = 100
 
 
-def _frac_phase(num: int, den: int) -> complex:
-    """exp(2*pi*i*num/den) for arbitrarily large den, via a 64-bit shift."""
-    t = num % den
-    frac = ((t << 64) // den) * 2.0**-64
-    return cmath.exp(complex(0.0, _TWO_PI * frac))
+def _frac_cell(num: int, den: int) -> int:
+    """floor(2^64 * frac(num/den)) for arbitrarily large den."""
+    return ((num % den) << 64) // den
+
+
+def _digits_value(digits, base: int) -> int:
+    """sum of digits[j] * base^j, split in halves so big values stay cheap."""
+    if len(digits) <= _DIGIT_LEAF:
+        acc = 0
+        for a in reversed(digits):
+            acc = acc * base + a
+        return acc
+    half = len(digits) // 2
+    return _digits_value(digits[:half], base) + _digits_value(digits[half:], base) * base**half
+
+
+def _split_digits(x: int, base: int, count: int, powers: dict, out: list) -> None:
+    """Append the ``count`` base-n digits of x < base^count to out, least
+    significant first, by halving divmods."""
+    if count <= _DIGIT_LEAF:
+        for _ in range(count):
+            x, a = divmod(x, base)
+            out.append(a)
+        return
+    half = (count + 1) // 2
+    if half not in powers:
+        powers[half] = base**half
+    hi, lo = divmod(x, powers[half])
+    _split_digits(lo, base, half, powers, out)
+    _split_digits(hi, base, count - half, powers, out)
 
 
 @dataclass(frozen=True)
@@ -63,10 +106,7 @@ class NadicExpansion:
             raise InvalidArgumentError(
                 f"level must lie in [1, {self.depth}]; got {level}"
             )
-        acc = 0
-        for a in reversed(self.digits[:level]):
-            acc = acc * self.base + a
-        return acc
+        return _digits_value(self.digits[:level], self.base)
 
     def digit_line(self) -> str:
         return " ".join(str(a) for a in self.digits)
@@ -76,28 +116,41 @@ def nadic_expansions(f: IntPolynomial, base: int, depth: int) -> list[NadicExpan
     """All base-n expansions of a root of f, one per root of f mod n.
 
     Requires gcd(base, eta*disc) = 1: under that gate every root mod n lifts
-    uniquely level by level, so the expansion count equals the root count.
+    uniquely to every level, so the expansion count equals the root count.
     Bases touching eta*disc are rejected with the admissibility report
-    rather than guessed at.
+    rather than guessed at.  Depths above _MAX_DEPTH raise
+    ResourceLimitError before anything is allocated.
     """
     if base < 2:
         raise InvalidArgumentError("base must be at least 2")
     if depth < 1:
         raise InvalidArgumentError("depth must be at least 1")
+    if depth > _MAX_DEPTH:
+        raise ResourceLimitError(f"depth {depth} exceeds the cap of {_MAX_DEPTH} digits")
     report = admissibility(f, base)
     if not report.admissible:
         raise AdmissibilityError(report)
+    seeds = roots_mod_n(f, base)
+    if not seeds:
+        return []
+    # Precisions 1 = k_0 < k_1 < ... < k_t = depth with k_{i+1} <= 2*k_i.
+    steps = [depth]
+    while steps[-1] > 1:
+        steps.append((steps[-1] + 1) // 2)
+    steps.reverse()
+    powers = {k: base**k for k in steps}
     out = []
-    for seed in roots_mod_n(f, base):
-        u = inverse(f.deriv_mod(seed, base), base)
-        digits = [seed]
+    for seed in seeds:
+        # v is the root mod base^k and u the inverse of f'(v) mod base^k.
         v = seed
-        pw = base
-        for _ in range(depth - 1):
-            pw_next = pw * base
-            v_next = (v - poly_eval_mod(f, v, pw_next) * u) % pw_next
-            digits.append((v_next - v) // pw)
-            v, pw = v_next, pw_next
+        u = inverse(f.deriv_mod(seed, base), base)
+        for k in steps[1:]:
+            m = powers[k]
+            v = (v - poly_eval_mod(f, v, m) * u) % m
+            if k < depth:
+                u = u * (2 - f.deriv_mod(v, m) * u) % m
+        digits: list[int] = []
+        _split_digits(v, base, depth, powers, digits)
         out.append(NadicExpansion(f, base, tuple(digits)))
     return out
 
@@ -219,13 +272,43 @@ def prefix_weyl_sum(exp: NadicExpansion, h: int, levels: int) -> complex:
     if not 1 <= levels <= exp.depth:
         raise InvalidArgumentError(f"levels must lie in [1, {exp.depth}]")
     total = complex(1.0, 0.0)  # l = 0 term
-    prefix = 0
-    pw = 1
-    for l in range(1, levels + 1):
-        prefix += exp.digits[l - 1] * pw
-        pw *= exp.base
-        total += _frac_phase(h * prefix, pw)
-    return total / levels
+    return _phase_walk(exp.digits[:levels], exp.base, h, total) / levels
+
+
+def _phase_cells(digits, base: int, h: int):
+    """Yield floor(2^64 * frac(h*P_l/n^l)) for l = 1..len(digits), where P_l
+    is the value of the first l digits.
+
+    The window T holds the top W digits of P_l, so that P_l/n^l lies in
+    [T/n^W, (T+1)/n^W), with W least such that n^W >= |h| * 2^(64+guard).
+    The cell floor(2^64*h*x) mod 2^64 of every x in that interval is the
+    same when floor(2^64*h*T/n^W) = floor(2^64*h*(T+1)/n^W), which holds
+    exactly when the remainder r of the first quotient has
+    0 <= r + h*2^64 < n^W.  For l <= W the window is P_l itself, scaled, and
+    always exact.  Any other level recomputes its cell from the whole prefix.
+    """
+    bound = abs(h) << (64 + _WINDOW_GUARD_BITS)
+    width, top = 1, base
+    while top < bound:
+        width += 1
+        top *= base
+    lead = top // base
+    h64 = h << 64
+    window = 0
+    for l, a in enumerate(digits, 1):
+        window = a * lead + window // base
+        cell, r = divmod(window * h64, top)
+        if l > width and not 0 <= r + h64 < top:
+            cell = _frac_cell(h * _digits_value(digits[:l], base), base**l)
+        yield cell & _MASK64
+
+
+def _phase_walk(digits, base: int, h: int, acc: complex) -> complex:
+    """acc plus e(h*P_l/n^l) for l = 1..len(digits), added in level order;
+    every phase is formed from its 64-bit cell the same way."""
+    for cell in _phase_cells(digits, base, h):
+        acc += cmath.exp(complex(0.0, _TWO_PI * (cell * 2.0**-64)))
+    return acc
 
 
 def haar_monte_carlo(
@@ -253,13 +336,8 @@ def haar_monte_carlo(
     total_sq = 0.0
     for i in range(samples):
         rng = random.Random(f"{seed}:{i}")
-        prefix = 0
-        pw = 1
-        acc = complex(0.0, 0.0)
-        for _ in range(levels):
-            prefix += rng.randrange(base) * pw
-            pw *= base
-            acc += _frac_phase(h * prefix, pw)
+        digits = [rng.randrange(base) for _ in range(levels)]
+        acc = _phase_walk(digits, base, h, complex(0.0, 0.0))
         val = abs(acc / levels) ** 2
         total += val
         total_sq += val * val

@@ -1,14 +1,19 @@
 """Independent reference implementations used only to check the package.
 
 Everything here is deliberately written a different way from the library:
-direct scans, schoolbook trial division, exact rational arithmetic.
+direct scans, schoolbook trial division, exact rational arithmetic, and
+one-level-at-a-time digit towers with full-precision phases.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 import cmath
+import math
+import random
 
 import numpy as np
+
+from rootdist import inverse, poly_eval_mod, roots_mod_n
 
 
 def brute_roots(coeffs, n):
@@ -115,3 +120,66 @@ def van_der_corput(count, base=2):
             denom *= base
         pts.append(x)
     return pts
+
+
+def linear_hensel_digits(f, base, depth):
+    """Digit tuples of every base-n root of f, one per root mod n, by one
+    linear Hensel update per level with a full-precision evaluation each
+    time (O(depth^2))."""
+    out = []
+    for seed in roots_mod_n(f, base):
+        u = inverse(f.deriv_mod(seed, base), base)
+        digits = [seed]
+        v = seed
+        pw = base
+        for _ in range(depth - 1):
+            pw_next = pw * base
+            v_next = (v - poly_eval_mod(f, v, pw_next) * u) % pw_next
+            digits.append((v_next - v) // pw)
+            v, pw = v_next, pw_next
+        out.append(tuple(digits))
+    return out
+
+
+def _exact_phase(num, den):
+    """exp(2*pi*i*num/den), rounded once to 64 fractional bits of num/den mod 1."""
+    t = num % den
+    frac = ((t << 64) // den) * 2.0**-64
+    return cmath.exp(complex(0.0, 2.0 * math.pi * frac))
+
+
+def exact_prefix_weyl_sum(digits, base, h, levels):
+    """(1/levels) * (1 + sum over l = 1..levels of e(h*prefix_l/n^l)), with
+    every prefix rebuilt in full and reduced exactly (O(levels^2))."""
+    total = complex(1.0, 0.0)
+    prefix = 0
+    pw = 1
+    for l in range(1, levels + 1):
+        prefix += digits[l - 1] * pw
+        pw *= base
+        total += _exact_phase(h * prefix, pw)
+    return total / levels
+
+
+def exact_haar_monte_carlo(base, levels, samples, seed=0, h=1):
+    """(mean, stderr) of |S|^2 over random digit strings, sample i drawn
+    from random.Random(f"{seed}:{i}"), phases reduced exactly."""
+    total = 0.0
+    total_sq = 0.0
+    for i in range(samples):
+        rng = random.Random(f"{seed}:{i}")
+        prefix = 0
+        pw = 1
+        acc = complex(0.0, 0.0)
+        for _ in range(levels):
+            prefix += rng.randrange(base) * pw
+            pw *= base
+            acc += _exact_phase(h * prefix, pw)
+        val = abs(acc / levels) ** 2
+        total += val
+        total_sq += val * val
+    mean = total / samples
+    if samples == 1:
+        return mean, 0.0
+    var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
+    return mean, math.sqrt(var / samples)

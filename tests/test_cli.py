@@ -68,6 +68,14 @@ def test_unsupported_input_exit_code(capsys):
     assert code == 3 and "not admissible" in err
 
 
+def test_padic_depth_cap_exit_code(capsys):
+    # the cap trips before any lifting, so this returns at once
+    code, out, err = run_cli(
+        capsys, "padic", "--poly", "1,0,1", "--base", "5", "--depth", "10000001"
+    )
+    assert code == 1 and out == "" and "cap" in err
+
+
 def test_weyl_normalizer_column(capsys):
     code, out, _ = run_cli(capsys, "weyl", "--poly", "1,0,1", "--xmax", "10", "--h", "0")
     assert code == 0

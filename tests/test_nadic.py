@@ -4,9 +4,17 @@ import random
 import pytest
 import scipy.stats
 
+from oracles import (
+    exact_haar_monte_carlo,
+    exact_prefix_weyl_sum,
+    linear_hensel_digits,
+)
 from rootdist import (
     AdmissibilityError,
     InvalidArgumentError,
+    IntPolynomial,
+    NadicExpansion,
+    ResourceLimitError,
     haar_monte_carlo,
     nadic_expansions,
     normality_evidence,
@@ -14,6 +22,30 @@ from rootdist import (
     prefix_weyl_sum,
     word_frequencies,
 )
+from rootdist import nadic
+
+FREQUENCIES = (1, -1, 3, -12345, 2**40 + 1)
+
+
+def _window_width(base, h):
+    """Least W with base^W >= |h| * 2^88."""
+    w = 1
+    while base**w < abs(h) * 2**88:
+        w += 1
+    return w
+
+
+def _count_exact_cells(monkeypatch):
+    """Count the levels whose phase cell the walk recomputes in full."""
+    calls = []
+    inner = nadic._frac_cell
+
+    def spy(num, den):
+        calls.append(den)
+        return inner(num, den)
+
+    monkeypatch.setattr(nadic, "_frac_cell", spy)
+    return calls
 
 
 def test_expansion_digits_example(x2p1):
@@ -49,6 +81,37 @@ def test_expansion_input_validation(x2p1):
 
 def test_expansion_count_matches_root_count(x2p1):
     assert len(nadic_expansions(x2p1, 13, 10)) == 2
+
+
+@pytest.mark.parametrize(
+    "coeffs, base, depth",
+    [
+        ((1, 0, 1), 5, 10**4),
+        ((-2, 0, 0, 1), 5, 2000),
+        ((1, 1, 1), 7, 2000),
+        ((3, 0, 2), 5, 2000),
+        ((1, 0, 1), 65, 600),
+        ((1, 0, 1), 221, 500),
+    ],
+)
+def test_newton_digits_match_linear_hensel(coeffs, base, depth):
+    f = IntPolynomial(coeffs)
+    want = linear_hensel_digits(f, base, depth)
+    assert want
+    assert [e.digits for e in nadic_expansions(f, base, depth)] == want
+
+
+def test_newton_digits_every_small_depth(x3m2):
+    # every precision schedule up to 70, including depth 1 and odd halvings
+    full = linear_hensel_digits(x3m2, 5, 70)
+    for depth in range(1, 71):
+        got = [e.digits for e in nadic_expansions(x3m2, 5, depth)]
+        assert got == [d[:depth] for d in full], depth
+
+
+def test_expansion_depth_cap(x2p1):
+    with pytest.raises(ResourceLimitError):
+        nadic_expansions(x2p1, 5, nadic._MAX_DEPTH + 1)
 
 
 def test_expansion_composite_base(x2p1):
@@ -165,8 +228,6 @@ def test_prefix_weyl_sum_matches_direct(x2p1):
 def test_prefix_weyl_sum_constant_digits_geometric():
     # a constant digit string c,c,c,... has prefix_l / n^l = c/(n-1) * (1 - n^-l),
     # so the phases follow a closed geometric form
-    from rootdist import NadicExpansion, IntPolynomial
-
     f = IntPolynomial((1, 0, 1))
     base, c, levels = 7, 3, 12
     exp = NadicExpansion(f, base, (c,) * levels)
@@ -177,6 +238,48 @@ def test_prefix_weyl_sum_constant_digits_geometric():
         ratio = c * (base**l - 1) / (base - 1) / base**l
         direct += cmath.exp(2j * cmath.pi * h * ratio)
     assert abs(val - direct / levels) < 1e-9
+
+
+@pytest.mark.parametrize("h", FREQUENCIES)
+def test_prefix_weyl_sum_matches_exact_walk(h, x2p1, x2px1):
+    towers = nadic_expansions(x2p1, 5, 3000) + nadic_expansions(x2px1, 7, 1500)
+    towers += nadic_expansions(x2p1, 65, 600)
+    for exp in towers:
+        for levels in (1, 37, 38, 39, exp.depth // 3, exp.depth):
+            got = prefix_weyl_sum(exp, h, levels)
+            assert got == exact_prefix_weyl_sum(exp.digits, exp.base, h, levels)
+
+
+@pytest.mark.parametrize("base", [5, 7, 65])
+@pytest.mark.parametrize("h", FREQUENCIES)
+def test_prefix_weyl_sum_top_digit_strings(base, h, monkeypatch):
+    # x_l = 1 - n^-l sits just below 1, so for h > 0 the window
+    # [T, T+1)/n^W straddles the cell boundary at h at every level past W
+    exact = _count_exact_cells(monkeypatch)
+    exp = NadicExpansion(IntPolynomial((1, 0, 1)), base, (base - 1,) * 150)
+    assert prefix_weyl_sum(exp, h, 150) == exact_prefix_weyl_sum(exp.digits, base, h, 150)
+    if h > 0:
+        assert len(exact) == 150 - _window_width(base, h)
+
+
+def test_phase_window_falls_back_to_exact_cells(x2p1, monkeypatch):
+    # digits 3, 2, 2, ... give x_l = 1/2 + 5^-l/2 just above 1/2, while the
+    # window of top digits 2...2 reads just below 1/2: only the exact
+    # recomputation gives the cell 2^63 at every level past W
+    levels = 120
+    width = _window_width(5, 1)
+    exp = NadicExpansion(x2p1, 5, (3,) + (2,) * (levels - 1))
+    exact = _count_exact_cells(monkeypatch)
+    cells = list(nadic._phase_cells(exp.digits, 5, 1))
+    assert cells[width:] == [2**63] * (levels - width)
+    assert exact == [5**l for l in range(width + 1, levels + 1)]
+    assert prefix_weyl_sum(exp, 1, levels) == exact_prefix_weyl_sum(exp.digits, 5, 1, levels)
+    # a real tower certifies every level from its window
+    exact.clear()
+    for tower in nadic_expansions(x2p1, 5, 4000):
+        for h in FREQUENCIES:
+            prefix_weyl_sum(tower, h, 4000)
+    assert exact == []
 
 
 def test_prefix_weyl_sum_errors(x2p1):
@@ -192,6 +295,13 @@ def test_haar_monte_carlo_matches_mean(x2p1):
     assert abs(mean - 1 / 64) <= 3 * se
     mean, se = haar_monte_carlo(5, 16, 10**4, seed=1)
     assert abs(mean - 1 / 16) <= 3 * se
+
+
+@pytest.mark.parametrize("h", FREQUENCIES)
+def test_haar_monte_carlo_matches_exact_walk(h):
+    for base, levels, samples, seed in ((5, 200, 12, 0), (3, 64, 30, 7), (65, 40, 5, 2)):
+        got = haar_monte_carlo(base, levels, samples, seed=seed, h=h)
+        assert got == exact_haar_monte_carlo(base, levels, samples, seed=seed, h=h)
 
 
 def test_haar_monte_carlo_single_sample_deterministic():

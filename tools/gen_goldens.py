@@ -49,6 +49,8 @@ CLI_COMMANDS = [
     (["system", "--polys", "1,1,1;-1,-1,1", "--n", "31"], False),
     (["system", "--polys", "1,1,1;-1,-1,1", "--xmax", "5000"], True),
     (["padic", "--poly", "1,0,1", "--base", "5", "--depth", "50"], False),
+    (["padic", "--poly=-2,0,0,1", "--base", "5", "--depth", "3000"], False),
+    (["padic", "--poly", "1,0,1", "--base", "65", "--depth", "400"], False),
     (["normality", "--poly", "1,0,1", "--base", "5", "--depth", "2000"], False),
 ]
 
