@@ -48,10 +48,6 @@ class Factorization:
         if prod != self.modulus:
             raise InvalidArgumentError("factorization does not reconstruct its modulus")
 
-    @property
-    def squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.parts)
-
 
 class SpfSieve:
     """Smallest-prime-factor table for 2 <= n <= limit."""

@@ -10,13 +10,21 @@ Primes the lanes cannot take, and single primes far beyond the table, go
 through a scalar route.  Root sets for prime powers are memoized in LRU
 stores shared by every stream in the process.  Correctness never depends on
 a cache hit: entries are pure functions of (polynomial, prime, exponent).
+
+A stream reads one modulus table built for the call (``root_table``): the
+roots mod every n <= x in int32 CSR arrays.  Write n = q m with q the full
+power of the smallest prime of n; the roots mod n are the CRT products of
+the roots mod q and mod m.  The table is filled in ascending chunks
+[a, min(2a, a + _TABLE_CHUNK)), so that q and m (both at most n/2 when
+m > 1) always lie in an earlier chunk.  The table is not kept after the
+stream ends.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,15 +32,20 @@ from . import fppoly
 from .errors import InvalidArgumentError, ResourceLimitError
 from .intpoly import IntPolynomial, poly_eval_mod
 from .modarith import (
-    _SIEVE_LIMIT_MAX, Factorization, SpfSieve, cached_sieve, factorize, inverse, is_prime, spf_parts
+    _SIEVE_LIMIT_MAX, Factorization, SpfSieve, cached_sieve, factorize, inverse, is_prime
 )
 
 # The scalar route scans every residue below this bound (p = 2 included)
 # and uses gcd(x^p - x, f) plus splitting above it.
 _SCAN_LIMIT = 512
 
-# Primes per numpy pass while filling a table; bounds the scratch arrays.
+# Primes or moduli per numpy pass while filling a table; bounds the
+# scratch arrays.
 _TABLE_CHUNK = 1 << 12
+
+# Refuse a modulus table of more roots than this (4 bytes each).  It is
+# below 2^31, so int32 offsets hold every running total.
+_TABLE_ROOTS_MAX = 1 << 28
 
 # Split shifts are s_t = (_SHIFT_BASE + t) mod p for t = 0, 1, ...  Any p
 # consecutive shifts visit every residue, and some residue separates any two
@@ -534,20 +547,24 @@ class ModulusFilter:
             raise InvalidArgumentError(f"cannot parse filter {text!r}: {exc}") from None
         raise InvalidArgumentError(f"unknown filter kind {head!r}")
 
-    @property
-    def needs_factorization(self) -> bool:
-        return self.kind == "squarefree"
+    def window(self, lo: int, hi: int) -> Sequence[int]:
+        """The accepted n in [lo, hi), ascending, for 1 <= lo < hi."""
+        if self.kind == "all":
+            return range(lo, hi)
+        if self.kind == "progression":
+            return range(lo + (self.a - lo) % self.m, hi, self.m)
+        if self.kind == "list":
+            return sorted(v for v in self.values if lo <= v < hi)
+        n = np.arange(lo, hi, dtype=np.int64)
+        if self.kind == "coprime":
+            return n[np.gcd(n, self.m) == 1].tolist()
+        keep = np.ones(hi - lo, dtype=bool)
+        for p in _primes_in(1, math.isqrt(hi - 1)).tolist():
+            keep[(-lo) % (p * p) :: p * p] = False
+        return n[keep].tolist()
 
     def accepts(self, n: int) -> bool:
-        if self.kind == "all":
-            return True
-        if self.kind == "progression":
-            return n % self.m == self.a
-        if self.kind == "coprime":
-            return math.gcd(n, self.m) == 1
-        if self.kind == "list":
-            return n in self.values
-        return factorize(n).squarefree
+        return bool(self.window(n, n + 1))
 
     def describe(self) -> str:
         if self.kind == "progression":
@@ -562,35 +579,135 @@ class ModulusFilter:
         return f"ModulusFilter({self.describe()!r})"
 
 
-def _factored_moduli(
-    xmax: int,
-    flt: ModulusFilter,
-    sieve: SpfSieve | None,
-    extra_accept: Callable[[int], bool] | None,
-) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    """Iterate (n, parts) for the n = 1..xmax that ``flt`` and
-    ``extra_accept`` accept, ascending; parts lists the prime powers (p, e)
-    of n by ascending p.
+def _moduli_chunks(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """[lo, hi) in ascending chunks [a, min(2a, a + _TABLE_CHUNK)), for
+    lo >= 1: a proper divisor of n is at most n/2, so it lies in an earlier
+    chunk than n."""
+    while lo < hi:
+        top = min(2 * lo, lo + _TABLE_CHUNK, hi)
+        yield lo, top
+        lo = top
 
-    The sieve (the shared one unless ``sieve`` covers xmax) is fetched
-    before this returns, so a too-large xmax fails before any other work.
+
+def _split_smallest(lo: int, hi: int, spf: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(n, p, q, m) for n in [lo, hi), 2 <= lo: p = spf[n] is the smallest
+    prime of n, q = p^e its full power in n, and m = n // q."""
+    n = np.arange(lo, hi, dtype=np.int64)
+    p = spf[lo:hi].astype(np.int64)
+    q = p.copy()
+    m = n // p
+    more = np.flatnonzero(m % p == 0)
+    while more.size:
+        q[more] *= p[more]
+        m[more] //= p[more]
+        more = more[m[more] % p[more] == 0]
+    return n, p, q, m
+
+
+def root_table(
+    f: IntPolynomial, xmax: int, sieve: SpfSieve | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, roots): the sorted roots of f mod every n <= xmax in CSR
+    form, roots mod n = roots[offsets[n]:offsets[n + 1]] (n = 0 is empty),
+    both int32.
+
+    n = q m with q the full power of its smallest prime, so rho(n) =
+    rho(q) rho(m), and for m > 1 the roots mod n are b + m ((a - b) m^-1 mod
+    q) over the roots a mod q and b mod m, which lie in earlier chunks
+    (see ``_moduli_chunks``).  Roots mod a prime come from the prime table,
+    mod a higher prime power from ``_prime_power_roots_cached``.  A first
+    pass counts, a second fills; scratch is proportional to a chunk.  The
+    sieve (the shared one unless ``sieve`` covers xmax) is fetched before
+    the prime table is filled.
     """
     if sieve is None or sieve.limit < xmax:
         sieve = cached_sieve(xmax)
-    squarefree = flt.needs_factorization
+    table = prime_table(f)
+    table.fill(xmax)
+    spf = np.asarray(sieve.spf)
+    powers: dict[int, tuple[int, ...]] = {}  # n = p^e with e >= 2
 
-    def walk():
-        for n in range(1, xmax + 1):
-            if extra_accept is not None and not extra_accept(n):
-                continue
-            if not squarefree and not flt.accepts(n):
-                continue
-            parts = spf_parts(n, sieve)
-            if squarefree and any(e > 1 for _, e in parts):
-                continue
-            yield n, parts
+    offsets = np.zeros(xmax + 2, dtype=np.int32)
+    counts = offsets[1:]  # rho(n) at counts[n] until the running sum
+    counts[1] = 1
+    for lo, hi in _moduli_chunks(2, xmax + 1):
+        n, p, q, m = _split_smallest(lo, hi, spf)
+        c = counts[q] * counts[m]
+        i0, i1 = np.searchsorted(table.primes, (lo, hi)).tolist()
+        c[p == n] = np.diff(table.offsets[i0 : i1 + 1])
+        for i in np.flatnonzero((m == 1) & (p != n)).tolist():
+            pe, e = int(p[i]), 1
+            while pe < int(n[i]):
+                pe, e = pe * int(p[i]), e + 1
+            powers[pe] = _prime_power_roots_cached(f, int(p[i]), e)
+            c[i] = len(powers[pe])
+        counts[lo:hi] = c
+    total = int(counts.sum(dtype=np.int64))
+    if total > _TABLE_ROOTS_MAX:
+        raise ResourceLimitError(
+            f"roots mod every n <= {xmax} number {total}, above the cap of {_TABLE_ROOTS_MAX}"
+        )
+    np.cumsum(offsets, dtype=np.int32, out=offsets)
 
-    return walk()
+    roots = np.zeros(total, dtype=np.int32)  # roots[0] = 0 is the root mod 1
+    for lo, hi in _moduli_chunks(2, xmax + 1):
+        start, stop = int(offsets[lo]), int(offsets[hi])
+        if start == stop:
+            continue
+        n, p, q, m = _split_smallest(lo, hi, spf)
+        c = np.diff(offsets[lo : hi + 1])
+        i0, i1 = np.searchsorted(table.primes, (lo, hi)).tolist()
+        own = [np.repeat(np.flatnonzero(p == n), np.diff(table.offsets[i0 : i1 + 1]))]
+        vals = [table.roots[table.offsets[i0] : table.offsets[i1]]]
+        for i in np.flatnonzero((m == 1) & (p != n)).tolist():
+            own.append(np.full(c[i], i))
+            vals.append(np.array(powers[int(n[i])], dtype=np.int64))
+        sel = np.flatnonzero((m > 1) & (c > 0))
+        if sel.size:
+            k = c[sel]
+            qs, ms = q[sel], m[sel]
+            inv = _lane_pow(ms % qs, qs - qs // p[sel] - 1, qs)
+            pos = np.arange(int(k.sum())) - np.repeat(np.cumsum(k) - k, k)
+            rm = np.repeat(offsets[ms + 1] - offsets[ms], k)
+            a = roots[np.repeat(offsets[qs], k) + pos // rm].astype(np.int64)
+            b = roots[np.repeat(offsets[ms], k) + pos % rm].astype(np.int64)
+            Q = np.repeat(qs, k)
+            own.append(np.repeat(sel, k))
+            vals.append(b + np.repeat(ms, k) * ((a - b) % Q * np.repeat(inv, k) % Q))
+        own_all, vals_all = np.concatenate(own), np.concatenate(vals)
+        roots[start:stop] = vals_all[np.lexsort((vals_all, own_all))]
+    return offsets, roots
+
+
+def _stream_windows(
+    fs: Sequence[IntPolynomial], xmax: int, flt: ModulusFilter, sieve: SpfSieve | None
+) -> Iterator[tuple[int, Sequence[int], list[tuple[list[int], Sequence[int]]]]]:
+    """The moduli n <= xmax that ``flt`` accepts, a window at a time, with
+    the roots of each polynomial in ``fs``: yields (lo, ns, reads), and for
+    n in ns the roots mod n of fs[j] are vals[off[n - lo] : off[n - lo + 1]]
+    with (off, vals) = reads[j], read out of the table in one ``tolist``.
+
+    An explicit list takes ``roots_mod_n`` per listed n, so it needs only
+    its own primes and builds no table.
+    """
+    if flt.kind == "list":
+        for n in flt.window(1, xmax + 1):
+            reads = []
+            for f in fs:
+                roots = roots_mod_n(f, n)
+                reads.append(([0, len(roots)], roots))
+            yield n, (n,), reads
+        return
+    tables = [root_table(f, xmax, sieve) for f in fs]
+    for lo, hi in _moduli_chunks(1, xmax + 1):
+        ns = flt.window(lo, hi)
+        if not ns:
+            continue
+        reads = []
+        for offsets, roots in tables:
+            off = offsets[lo : hi + 1]
+            reads.append(((off - off[0]).tolist(), roots[off[0] : off[-1]].tolist()))
+        yield lo, ns, reads
 
 
 def root_stream(
@@ -603,6 +720,7 @@ def root_stream(
     """Yield (n, sorted roots of f mod n) for n = 1..xmax in ascending
     order, filtered; one item per accepted modulus, empty root sets included.
 
+    The roots come from one ``root_table`` built for this call.
     ``extra_accept`` is an additional cheap predicate on n (used for the
     coprimality restriction of inverse-mode Weyl sums).
     """
@@ -610,11 +728,11 @@ def root_stream(
         raise InvalidArgumentError("xmax must be at least 1")
     if flt is None:
         flt = ModulusFilter.all()
-    moduli = _factored_moduli(xmax, flt, sieve, extra_accept)
-    if flt.kind != "list":  # an explicit list needs only its own primes
-        prime_table(f).fill(xmax)
-    for n, parts in moduli:
-        yield n, _crt_roots(f, parts)
+    for lo, ns, ((off, vals),) in _stream_windows((f,), xmax, flt, sieve):
+        for n in ns:
+            if extra_accept is None or extra_accept(n):
+                i = n - lo
+                yield n, tuple(vals[off[i] : off[i + 1]])
 
 
 def clear_caches() -> None:

@@ -28,7 +28,7 @@ from .equidist import (
 from .errors import InvalidArgumentError
 from .intpoly import IntPolynomial
 from .modarith import SpfSieve
-from .roots import ModulusFilter, _crt_roots, _factored_moduli, prime_table, roots_mod_n
+from .roots import ModulusFilter, _stream_windows, roots_mod_n
 
 _DEFAULT_GRIDS = {1: 64, 2: 64, 3: 16}
 _MAX_DIMENSION = 3
@@ -202,11 +202,6 @@ def joint_weyl_series(
     checkpoints = _checkpoint_list(checkpoints, xmax)
     if flt is None:
         flt = ModulusFilter.all()
-    moduli = _factored_moduli(xmax, flt, sieve, None)
-    if flt.kind != "list":  # an explicit list needs only its own primes
-        for f in system.polys:
-            prime_table(f).fill(xmax)
-
     series = JointWeylSeries(
         hset=hset,
         checkpoints=checkpoints,
@@ -233,8 +228,13 @@ def joint_weyl_series(
             box_discrepancy_from_hist(hist, cloud_count) if cloud_count else 1.0
         )
 
-    for n, parts in _checkpointed(moduli, checkpoints, snapshot):
-        per_poly = [_crt_roots(f, parts) for f in system.polys]
+    def rows():
+        for lo, ns, reads in _stream_windows(system.polys, xmax, flt, sieve):
+            for n in ns:
+                i = n - lo
+                yield n, [tuple(vals[off[i] : off[i + 1]]) for off, vals in reads]
+
+    for n, per_poly in _checkpointed(rows(), checkpoints, snapshot):
         count = 1
         for roots in per_poly:
             count *= len(roots)

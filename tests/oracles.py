@@ -14,6 +14,8 @@ import random
 import numpy as np
 
 from rootdist import inverse, poly_eval_mod, roots_mod_n
+from rootdist.modarith import cached_sieve, spf_parts
+from rootdist.roots import _crt_roots
 
 
 def brute_roots(coeffs, n):
@@ -67,6 +69,31 @@ def trial_factorize(n):
     if m > 1:
         parts.append((m, 1))
     return parts
+
+
+def factored_root_stream(f, xmax, flt=None, extra_accept=None):
+    """(n, roots of f mod n) for the accepted n <= xmax, one modulus at a
+    time: n factored by its smallest prime factors (``spf_parts``), the
+    filter decided from n and that factorization, and the cached
+    prime-power root sets glued through the CRT (``_crt_roots``)."""
+    sieve = cached_sieve(xmax)
+    for n in range(1, xmax + 1):
+        if extra_accept is not None and not extra_accept(n):
+            continue
+        parts = spf_parts(n, sieve)
+        kind = "all" if flt is None else flt.kind
+        if kind == "squarefree":
+            keep = all(e == 1 for _, e in parts)
+        elif kind == "progression":
+            keep = n % flt.m == flt.a
+        elif kind == "coprime":
+            keep = math.gcd(n, flt.m) == 1
+        elif kind == "list":
+            keep = n in flt.values
+        else:
+            keep = True
+        if keep:
+            yield n, _crt_roots(f, parts)
 
 
 def rational_root_search(coeffs):

@@ -2,6 +2,7 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from rootdist import (
@@ -17,18 +18,21 @@ from rootdist import (
 )
 from rootdist import roots as roots_module
 from rootdist.intpoly import IntPolynomial, IrreducibilityAssumedWarning
+from rootdist.modarith import cached_sieve
 from rootdist.roots import (
     PrimeRootTable,
     _lane_prime_bound,
     _lane_roots,
+    _moduli_chunks,
     _prime_roots_cached,
-    _factored_moduli,
     _primes_in,
+    _split_smallest,
     clear_caches,
     prime_table,
+    root_table,
 )
 
-from oracles import brute_roots, eratosthenes, trial_factorize
+from oracles import brute_roots, eratosthenes, factored_root_stream, trial_factorize
 
 
 def test_roots_mod_prime_examples(x2p1, x2px1):
@@ -237,13 +241,86 @@ def test_stream_explicit_and_coprime_filters(x2p1):
 
 
 def test_smallest_prime_factor_walk_matches_trial_division():
-    # the one walk, through both of its callers
-    walked = list(_factored_moduli(5000, ModulusFilter.all(), None, None))
-    assert [n for n, _ in walked] == list(range(1, 5001))
-    for n, parts in walked:
-        want = trial_factorize(n)
-        assert list(factorize(n).parts) == want
-        assert parts == want
+    # the table's split n = q m, q the full power of the smallest prime,
+    # chunk by chunk, and factorize on the same sieve
+    spf = np.asarray(cached_sieve(5000).spf)
+    seen = []
+    for lo, hi in _moduli_chunks(2, 5001):
+        assert hi <= 2 * lo
+        for n, p, q, m in zip(*(a.tolist() for a in _split_smallest(lo, hi, spf))):
+            want = trial_factorize(n)
+            smallest, e = want[0]
+            assert (p, q, m) == (smallest, smallest**e, n // smallest**e)
+            assert list(factorize(n).parts) == want
+            seen.append(n)
+    assert seen == list(range(2, 5001))
+
+
+def _stream_filters():
+    return [
+        ModulusFilter.all(),
+        ModulusFilter.squarefree(),
+        ModulusFilter.progression(1, 4),
+        ModulusFilter.progression(3, 7),
+        ModulusFilter.coprime(6),
+        ModulusFilter.explicit([-5, 0, 1, 5, 10, 99, 1024, 12345, 19999, 20000, 20001, 10**9]),
+    ]
+
+
+def test_stream_matches_factored_walk(reference_polys):
+    # the table against the per-n walk it replaced, under every filter
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IrreducibilityAssumedWarning)
+        polys = reference_polys + [
+            IntPolynomial((3, 0, 2)),  # p = 2 divides the leading coefficient
+            IntPolynomial((-8, 0, 1)),  # singular at 2
+            IntPolynomial((1, 0, -10, 0, 1)),
+        ]
+    xmax = 20000
+    for f in polys:
+        for flt in _stream_filters():
+            assert list(root_stream(f, xmax, flt)) == list(factored_root_stream(f, xmax, flt)), (
+                f.coeffs,
+                flt,
+            )
+        prime_to_3 = lambda n: n % 3 != 0  # noqa: E731
+        odd = ModulusFilter.progression(1, 2)
+        got = list(root_stream(f, xmax, odd, extra_accept=prime_to_3))
+        assert got == list(factored_root_stream(f, xmax, odd, prime_to_3))
+
+
+def test_stream_chunk_edges(x3m2, monkeypatch):
+    # chunks of 7 moduli (and prime-table lanes of 7 primes): the dyadic
+    # start [1, 2), [2, 4), [4, 8), then [8, 15), [15, 22), ...
+    clear_caches()
+    monkeypatch.setattr(roots_module, "_TABLE_CHUNK", 7)
+    chunks = [(1, 2), (2, 4), (4, 8), (8, 15), (15, 22), (22, 29), (29, 30)]
+    assert list(_moduli_chunks(1, 30)) == chunks
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IrreducibilityAssumedWarning)
+        polys = [x3m2, IntPolynomial((-8, 0, 1))]
+    for f in polys:
+        for flt in _stream_filters():
+            got = list(root_stream(f, 3000, flt))
+            assert got == list(factored_root_stream(f, 3000, flt)), (f.coeffs, flt)
+    clear_caches()
+
+
+def test_root_table_layout_and_cap(x2p1, monkeypatch):
+    offsets, roots = root_table(x2p1, 1000)
+    assert offsets.dtype == np.int32 and roots.dtype == np.int32
+    assert offsets.size == 1002 and offsets[0] == offsets[1] == 0
+    assert roots[offsets[65] : offsets[66]].tolist() == [8, 18, 47, 57]
+    total = int(offsets[-1])
+    monkeypatch.setattr(roots_module, "_TABLE_ROOTS_MAX", total)
+    assert root_table(x2p1, 1000)[1].size == total
+    monkeypatch.setattr(roots_module, "_TABLE_ROOTS_MAX", total - 1)
+    with pytest.raises(ResourceLimitError):
+        root_table(x2p1, 1000)
+    with pytest.raises(ResourceLimitError):
+        next(root_stream(x2p1, 1000))
+    # an explicit list builds no table
+    assert list(root_stream(x2p1, 1000, ModulusFilter.explicit([65]))) == [(65, (8, 18, 47, 57))]
 
 
 def test_stream_matches_roots_mod_n(x3m2, small_sieve):

@@ -39,10 +39,14 @@ FILTERS = {
 CLI_COMMANDS = [
     (["roots", "--poly", "1,0,1", "--n", "65"], False),
     (["roots", "--poly", "1,0,1", "--nmax", "2000", "--filter", "squarefree"], False),
+    (["roots", "--poly=-8,0,1", "--nmax", "300", "--filter", "coprime:3"], False),
+    (["roots", "--poly", "1,0,1", "--nmax", "30", "--filter", "list:0,5,-5,10,99"], False),
     (["weyl", "--poly", "1,0,1", "--xmax", "20000", "--h", "inv:3",
       "--checkpoints", "500,50,20000"], False),
     (["weyl", "--poly", "1,0,1", "--xmax", "20000", "--filter", "progression:1,4",
       "--format", "json"], False),
+    (["weyl", "--poly=-2,0,0,1", "--xmax", "30000", "--filter", "squarefree"], False),
+    (["weyl", "--poly", "3,0,2", "--xmax", "20000", "--h", "inv:3"], False),
     (["stats", "--poly=-2,0,0,1", "--xmax", "20000"], False),
     (["stats", "--poly", "1,0,1", "--xmax", "20000", "--progression", "1,4"], False),
     (["ideals", "--poly", "1,0,1", "--nmax", "500"], False),
