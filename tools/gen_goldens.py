@@ -41,6 +41,10 @@ CLI_COMMANDS = [
     (["roots", "--poly", "1,0,1", "--nmax", "2000", "--filter", "squarefree"], False),
     (["roots", "--poly=-8,0,1", "--nmax", "300", "--filter", "coprime:3"], False),
     (["roots", "--poly", "1,0,1", "--nmax", "30", "--filter", "list:0,5,-5,10,99"], False),
+    # 5 (2^61 + 21), a prime past the int64 lane bound
+    (["roots", "--poly", "1,0,1", "--n", "11529215046068469865"], False),
+    # a prime above the 10^8 table cap, below the int64 lane bound for degree 3
+    (["roots", "--poly=-2,0,0,1", "--n", "1000000123"], False),
     (["weyl", "--poly", "1,0,1", "--xmax", "20000", "--h", "inv:3",
       "--checkpoints", "500,50,20000"], False),
     (["weyl", "--poly", "1,0,1", "--xmax", "20000", "--filter", "progression:1,4",
@@ -50,6 +54,8 @@ CLI_COMMANDS = [
     (["stats", "--poly=-2,0,0,1", "--xmax", "20000"], False),
     (["stats", "--poly", "1,0,1", "--xmax", "20000", "--progression", "1,4"], False),
     (["ideals", "--poly", "1,0,1", "--nmax", "500"], False),
+    # 13 (2^61 + 21)
+    (["ideals", "--poly", "1,0,1", "--n", "29975959119778021649"], False),
     (["system", "--polys", "1,1,1;-1,-1,1", "--n", "31"], False),
     (["system", "--polys", "1,1,1;-1,-1,1", "--xmax", "5000"], True),
     (["padic", "--poly", "1,0,1", "--base", "5", "--depth", "50"], False),
