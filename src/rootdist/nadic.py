@@ -208,14 +208,14 @@ class NormalityReport:
 
 def word_frequencies(digits, base: int, word_length: int) -> NormalityReport:
     """Count every length-m window of a digit sequence against uniformity."""
-    digits = tuple(int(d) for d in digits)
+    digits = tuple(map(int, digits))
     if base < 2:
         raise InvalidArgumentError("base must be at least 2")
     if word_length < 1:
         raise InvalidArgumentError("word length must be at least 1")
     if len(digits) < word_length:
         raise InvalidArgumentError("sequence shorter than the word length")
-    if any(not 0 <= d < base for d in digits):
+    if min(digits) < 0 or max(digits) >= base:
         raise InvalidArgumentError("digit out of range for the base")
     table_size = base**word_length
     if table_size > _MAX_WORD_TABLE:

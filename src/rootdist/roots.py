@@ -3,13 +3,16 @@
 A root set mod n is a sorted tuple of ints in [0, n); the modulus travels
 beside it (``root_stream`` yields (n, roots)), never inside it.
 
-Roots mod p come from one prime table per polynomial: every prime up to a
-limit (at most the sieve's cap of 10^8), with its sorted roots in CSR form,
-filled for many primes at once in numpy lanes (see ``PrimeRootTable``).
-Primes the lanes cannot take, and single primes far beyond the table, go
-through a scalar route.  Root sets for prime powers are memoized in LRU
-stores shared by every stream in the process.  Correctness never depends on
-a cache hit: entries are pure functions of (polynomial, prime, exponent).
+Roots mod p come from one algorithm: a residue scan for p < _SCAN_LIMIT,
+and otherwise the roots of gcd(x^p - x, f) by equal-degree splitting in
+numpy lanes, one lane per prime, holding int64 residues below
+``_lane_prime_bound`` and Python ints above it.  Every prime up to a limit
+(at most the sieve's cap of 10^8) sits in one prime table per polynomial,
+with its sorted roots in CSR form (see ``PrimeRootTable``); a single prime
+far beyond the table runs on a lane of its own.  Root sets for prime
+powers are memoized in LRU stores shared by every stream in the process.
+Correctness never depends on a cache hit: entries are pure functions of
+(polynomial, prime, exponent).
 
 A stream reads one modulus table built for the call (``root_table``): the
 roots mod every n <= x in int32 CSR arrays.  Write n = q m with q the full
@@ -28,15 +31,14 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import fppoly
 from .errors import InvalidArgumentError, ResourceLimitError
 from .intpoly import IntPolynomial, poly_eval_mod
 from .modarith import (
     _SIEVE_LIMIT_MAX, Factorization, SpfSieve, cached_sieve, factorize, inverse, is_prime
 )
 
-# The scalar route scans every residue below this bound (p = 2 included)
-# and uses gcd(x^p - x, f) plus splitting above it.
+# Roots mod a prime below this bound (p = 2 included) come from a scan of
+# every residue; the lanes take the larger primes.
 _SCAN_LIMIT = 512
 
 # Primes or moduli per numpy pass while filling a table; bounds the
@@ -62,75 +64,14 @@ def _scan_roots(f: IntPolynomial, p: int) -> tuple[int, ...]:
     return tuple(v for v in range(p) if poly_eval_mod(f, v, p) == 0)
 
 
-def _split_into_roots(g: fppoly.Poly, p: int, tries: int = 0) -> list[int]:
-    """Extract the roots of a monic product of distinct linear factors.
-
-    Equal-degree splitting: gcd with (x+s)^((p-1)/2) - 1 separates the roots
-    a by whether a+s is a quadratic residue.  The shifts s follow the
-    sequence described at ``_SHIFT_BASE``, so a proper split comes within p
-    tries; ``tries`` is the position in that sequence.
-    """
-    deg = fppoly.degree(g)
-    if deg <= 0:
-        return []
-    if deg == 1:
-        return [(-g[0]) % p]
-    while True:
-        s = (_SHIFT_BASE + tries) % p
-        tries += 1
-        h = fppoly.powmod_unchecked([s, 1], (p - 1) // 2, g, p)
-        if not h:
-            h = [p - 1]
-        else:
-            h = h[:]
-            h[0] = (h[0] - 1) % p
-            fppoly.trim(h)
-        if not h:
-            continue
-        t = fppoly.gcd_unchecked(h, g, p)
-        dt = fppoly.degree(t)
-        if 0 < dt < deg:
-            rest = fppoly.divmod_(g, t, p)[0]
-            return _split_into_roots(t, p, tries) + _split_into_roots(rest, p, tries)
-
-
-def _roots_mod_prime_large(f: IntPolynomial, p: int) -> tuple[int, ...]:
-    fb = fppoly.reduce_coeffs(f.coeffs, p)
-    deg = fppoly.degree(fb)
-    if deg <= 0:
-        # A primitive polynomial cannot vanish identically mod p, so a
-        # degree-0 reduction is a nonzero constant: no roots.
-        return ()
-    fb = fppoly.monic(fb, p)
-    if deg == 1:
-        return ((-fb[0]) % p,)
-    xp = fppoly.powmod_unchecked([0, 1], p, fb, p)
-    xp_minus_x = xp[:]
-    while len(xp_minus_x) < 2:
-        xp_minus_x.append(0)
-    xp_minus_x[1] = (xp_minus_x[1] - 1) % p
-    fppoly.trim(xp_minus_x)
-    g = fppoly.gcd_unchecked(xp_minus_x, fb, p)
-    if fppoly.degree(g) <= 0:
-        return ()
-    return tuple(sorted(_split_into_roots(g, p)))
-
-
-@lru_cache(maxsize=1 << 20)
-def _prime_roots_cached(f: IntPolynomial, p: int) -> tuple[int, ...]:
-    """The scalar route: one prime at a time, in Python integers."""
-    if p < _SCAN_LIMIT:
-        return _scan_roots(f, p)
-    return _roots_mod_prime_large(f, p)
-
-
-# -- Batched route ---------------------------------------------------------
+# -- Lanes -----------------------------------------------------------------
 #
-# One lane per prime.  A polynomial in lanes is an (L, w) int64 array whose
-# column j holds the coefficient of x^j mod the lane's prime, in [0, p).
-# Products of a polynomial of degree below d are summed before they are
-# reduced, so an intermediate stays below d * p^2; lanes take the primes
-# for which that is below 2^62 (see _lane_prime_bound).
+# One lane per prime.  A polynomial in lanes is an (L, w) array whose column
+# j holds the coefficient of x^j mod the lane's prime, in [0, p), in the
+# dtype of the prime array P.  Products of a polynomial of degree below d
+# are summed before they are reduced, so an intermediate stays below
+# d * p^2: int64 lanes take the primes for which that is below 2^62 (see
+# _lane_prime_bound), object lanes of Python ints take any prime.
 
 
 def _lane_prime_bound(d: int) -> int:
@@ -160,7 +101,7 @@ def _lane_reduce(C: np.ndarray, G: np.ndarray, P: np.ndarray) -> np.ndarray:
 def _lane_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A * B for A, B of one width, unreduced mod p (for _lane_reduce)."""
     k = A.shape[1]
-    C = np.zeros((A.shape[0], 2 * k - 1), dtype=np.int64)
+    C = np.zeros((A.shape[0], 2 * k - 1), dtype=A.dtype)
     for i in range(k):
         C[:, i : i + k] += A[:, i, None] * B
     return C
@@ -170,13 +111,13 @@ def _lane_powmod_linear(s: np.ndarray, e: np.ndarray, G: np.ndarray, P: np.ndarr
     """(x + s)^e mod G per lane; only lanes whose exponent has a bit set
     take the multiply at that bit."""
     L, k = G.shape[0], G.shape[1] - 1
-    R = np.zeros((L, k), dtype=np.int64)
+    R = np.zeros((L, k), dtype=P.dtype)
     R[:, 0] = 1
     for bit in range(int(e.max()).bit_length() - 1, -1, -1):
         R = _lane_reduce(_lane_mul(R, R), G, P)
         take = (e >> bit) & 1 == 1
         if take.any():
-            C = np.zeros((L, k + 1), dtype=np.int64)
+            C = np.zeros((L, k + 1), dtype=P.dtype)
             C[:, 1:] = R
             C[:, :k] += s[:, None] * R
             R = np.where(take[:, None], _lane_reduce(C, G, P), R)
@@ -197,8 +138,8 @@ def _lane_gcd(A: np.ndarray, B: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, 
     the result monic.
     """
     w = max(A.shape[1], B.shape[1])
-    A = np.pad(A, ((0, 0), (0, w - A.shape[1])))
-    B = np.pad(B, ((0, 0), (0, w - B.shape[1])))
+    # Pad with zeros of P's dtype: np.pad puts int64 zeros into object lanes.
+    A, B = (np.hstack([M, np.zeros((len(P), w - M.shape[1]), P.dtype)]) for M in (A, B))
     Pc = P[:, None]
     rows = np.arange(A.shape[0])
     cols = np.arange(w)
@@ -228,7 +169,7 @@ def _lane_divexact(A: np.ndarray, D: np.ndarray, P: np.ndarray) -> np.ndarray:
     k, j = A.shape[1] - 1, D.shape[1] - 1
     Pc = P[:, None]
     R = A.copy()
-    Q = np.zeros((A.shape[0], k - j + 1), dtype=np.int64)
+    Q = np.zeros((A.shape[0], k - j + 1), dtype=P.dtype)
     for i in range(k - j, -1, -1):
         q = R[:, i + j, None]
         Q[:, i] = q[:, 0]
@@ -237,20 +178,19 @@ def _lane_divexact(A: np.ndarray, D: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 
 def _lane_residues(c: int, P: np.ndarray) -> np.ndarray:
-    """c mod p per lane, for an integer c of any size."""
-    if -(1 << 62) < c < 1 << 62:
+    """c mod p per lane, for an integer c of any size; Python ints in
+    object lanes."""
+    if P.dtype == np.int64 and -(1 << 62) < c < 1 << 62:
         return np.int64(c) % P
-    return np.array([c % p for p in P.tolist()], dtype=np.int64)
+    return np.array([c % p for p in P.tolist()], dtype=P.dtype)
 
 
 def _lane_roots(coeffs: tuple[int, ...], P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Roots of f mod every lane prime, as (lane, root) pairs.
 
-    Every p must be odd, below _lane_prime_bound(d) and prime to the leading
-    coefficient, so that f mod p keeps its degree d >= 2.  The distinct
-    roots are those of g = gcd(x^p - x, f); pieces of g are split by
-    equal-degree splitting, one batch per piece degree, down to linear
-    factors.
+    Every p must be odd and prime to the leading coefficient, so that f mod
+    p keeps its degree d >= 2, and below _lane_prime_bound(d) in int64
+    lanes.  The distinct roots are those of g = gcd(x^p - x, f).
     """
     if P.size == 0:
         return np.zeros(0, np.int64), np.zeros(0, np.int64)
@@ -261,15 +201,29 @@ def _lane_roots(coeffs: tuple[int, ...], P: np.ndarray) -> tuple[np.ndarray, np.
     XP = _lane_powmod_linear(np.zeros_like(P), P, F, P)
     XP[:, 1] = (XP[:, 1] - 1) % P
     G, rho = _lane_gcd(F, XP, P)
+    return _split_into_roots(G, rho, P)
 
+
+def _split_into_roots(
+    G: np.ndarray, rho: np.ndarray, P: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of monic products of distinct linear factors, G of degree
+    rho in each lane, as (lane, root) pairs.
+
+    Equal-degree splitting: gcd with (x+s)^((p-1)/2) - 1 separates the roots
+    a by whether a+s is a quadratic residue.  The shifts s follow the
+    sequence described at ``_SHIFT_BASE``, so a proper split comes within p
+    tries.  Pieces are split in one batch per piece degree, down to linear
+    factors.
+    """
     lanes = np.arange(len(P))
     # degree -> list of (lane, prime, monic piece, shifts tried)
     pieces: dict[int, list] = {}
-    for k in range(1, d + 1):
+    for k in range(1, G.shape[1]):
         sel = rho == k
         if sel.any():
             pieces[k] = [(lanes[sel], P[sel], G[sel, : k + 1], np.zeros(int(sel.sum()), np.int64))]
-    for k in range(d, 1, -1):
+    for k in range(G.shape[1] - 1, 1, -1):
         if k not in pieces:
             continue
         own, Pk, Gk, tries = (np.concatenate(a) for a in zip(*pieces.pop(k)))
@@ -299,6 +253,34 @@ def _lane_roots(coeffs: tuple[int, ...], P: np.ndarray) -> tuple[np.ndarray, np.
     )
 
 
+def _roots_mod_prime_large(f: IntPolynomial, p: int) -> tuple[int, ...]:
+    """Roots mod one prime p >= _SCAN_LIMIT on a lane of its own, int64
+    below the lane bound and Python ints above it.  A prime dividing the
+    leading coefficient lowers the degree."""
+    coeffs = [c % p for c in f.coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    d = len(coeffs) - 1
+    if d <= 0:
+        # A primitive polynomial cannot vanish identically mod p, so a
+        # degree-0 reduction is a nonzero constant: no roots.
+        return ()
+    if d == 1:
+        return (-coeffs[0] * inverse(coeffs[1], p) % p,)
+    dtype = np.int64 if p < _lane_prime_bound(d) else object
+    _, roots = _lane_roots(tuple(coeffs), np.array([p], dtype=dtype))
+    return tuple(sorted(roots.tolist()))
+
+
+@lru_cache(maxsize=1 << 20)
+def _prime_roots_cached(f: IntPolynomial, p: int) -> tuple[int, ...]:
+    """Roots mod one prime outside the prime table's lanes: a residue scan
+    below _SCAN_LIMIT, a lane of its own above it."""
+    if p < _SCAN_LIMIT:
+        return _scan_roots(f, p)
+    return _roots_mod_prime_large(f, p)
+
+
 def _primes_in(lo: int, hi: int) -> np.ndarray:
     """The primes p with lo < p <= hi, ascending, for lo >= 1: a sieve of
     the segment by the primes up to sqrt(hi)."""
@@ -319,10 +301,10 @@ class PrimeRootTable:
 
     CSR layout: the roots mod primes[i] are roots[offsets[i]:offsets[i+1]],
     sorted ascending, so rho(primes[i]) = offsets[i+1] - offsets[i].  The
-    table grows by ``fill``, which runs the batched route in chunks of
-    lanes; p = 2, primes dividing the leading coefficient and primes from
-    _lane_prime_bound(d) on take the scalar route.  Like the sieve, the
-    limit is capped at 10^8.
+    table grows by ``fill``, which runs the odd primes prime to the leading
+    coefficient and below _lane_prime_bound(d) in chunks of int64 lanes;
+    the other primes go one at a time through ``_prime_roots_cached``.
+    Like the sieve, the limit is capped at 10^8.
     """
 
     def __init__(self, f: IntPolynomial):
@@ -348,9 +330,9 @@ class PrimeRootTable:
             lanes = (P != 2) & (_lane_residues(self.f.leading, P) != 0) & (P < bound)
             own, vals = _lane_roots(self.f.coeffs, P[lanes])
             own = np.flatnonzero(lanes)[own]
-            scalar = np.flatnonzero(~lanes)
-            found = [_prime_roots_cached(self.f, int(P[i])) for i in scalar]
-            own = np.concatenate([own, np.repeat(scalar, [len(r) for r in found])])
+            single = np.flatnonzero(~lanes)
+            found = [_prime_roots_cached(self.f, int(P[i])) for i in single]
+            own = np.concatenate([own, np.repeat(single, [len(r) for r in found])])
             vals = np.concatenate([vals, np.array([v for r in found for v in r], dtype=np.int64)])
             order = np.lexsort((vals, own))
             counts.append(np.bincount(own, minlength=P.size))
@@ -382,7 +364,7 @@ def _table_roots(f: IntPolynomial, p: int) -> tuple[int, ...] | None:
     """Roots mod p from f's table.  A prime past the limit but within twice
     it doubles the table, so ascending per-prime callers pay for a few
     passes in all; a prime further out, or one whose doubling would pass
-    the table cap, returns None (the scalar route)."""
+    the table cap, returns None (``_prime_roots_cached`` takes it)."""
     table = prime_table(f)
     if p > table.limit:
         if p > 2 * table.limit or 2 * table.limit > _SIEVE_LIMIT_MAX:

@@ -189,6 +189,8 @@ def test_word_frequencies_errors():
         word_frequencies([0, 1], 2, 3)
     with pytest.raises(InvalidArgumentError):
         word_frequencies([0, 5], 5, 1)
+    with pytest.raises(InvalidArgumentError):
+        word_frequencies([-1, 0], 5, 1)
 
 
 def test_chi_square_calibration():

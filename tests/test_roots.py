@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import sympy
 
 from rootdist import (
     InvalidArgumentError,
@@ -24,7 +25,6 @@ from rootdist.roots import (
     _lane_prime_bound,
     _lane_roots,
     _moduli_chunks,
-    _prime_roots_cached,
     _primes_in,
     _split_smallest,
     clear_caches,
@@ -48,7 +48,7 @@ def test_roots_mod_prime_rejects_composite(x2p1):
 
 
 def test_roots_mod_prime_large_matches_scan(reference_polys):
-    # single primes above 2^16, through the table or the scalar gcd route
+    # single primes above 2^16, through the table or a lane of their own
     flags = eratosthenes(70000)
     primes = [p for p in range(65536, 70000) if flags[p]][:12]
     for f in reference_polys:
@@ -83,7 +83,7 @@ def _table_entries(table):
     }
 
 
-def test_prime_table_matches_scalar_route(reference_polys):
+def test_prime_table_matches_brute_force(reference_polys):
     limit = 20000
     flags = eratosthenes(limit)
     for f in _oracle_polys(reference_polys):
@@ -93,12 +93,19 @@ def test_prime_table_matches_scalar_route(reference_polys):
         assert list(entries) == [p for p in range(limit + 1) if flags[p]]
         assert table.rho().tolist() == [len(r) for r in entries.values()]
         for p, got in entries.items():
-            assert got == list(_prime_roots_cached.__wrapped__(f, p)), (f.coeffs, p)
-            if p < 500:
-                assert got == brute_roots(f.coeffs, p), (f.coeffs, p)
+            assert got == brute_roots(f.coeffs, p), (f.coeffs, p)
 
 
-def test_lanes_near_their_prime_bound(reference_polys):
+def _sympy_roots(coeffs, p):
+    """The roots mod p of the linear factors sympy finds over F_p."""
+    g = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"), modulus=p)
+    if g.degree() < 1:
+        return []
+    linear = (h.all_coeffs() for h, _ in g.factor_list()[1] if h.degree() == 1)
+    return sorted(-int(b) * pow(int(a), -1, p) % p for a, b in linear)
+
+
+def test_int64_lanes_near_their_prime_bound_match_sympy(reference_polys):
     # the largest primes the int64 lanes take, where unreduced sums come
     # closest to overflow
     for f in _oracle_polys(reference_polys):
@@ -107,12 +114,75 @@ def test_lanes_near_their_prime_bound(reference_polys):
         lane, vals = _lane_roots(f.coeffs, P)
         for i, p in enumerate(P.tolist()):
             got = sorted(vals[lane == i].tolist())
-            assert got == list(_prime_roots_cached.__wrapped__(f, p)), (f.coeffs, p)
+            assert got == _sympy_roots(f.coeffs, p), (f.coeffs, p)
+
+
+def _object_lane_polys():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IrreducibilityAssumedWarning)
+        return [
+            IntPolynomial(c)
+            for c in [
+                (1, 0, 1),
+                (-7, 0, 2),
+                (-2, 0, 0, 1),
+                (1, 0, -10, 0, 1),
+                (3, -1, 4, 1, 5),
+                (-6, 0, 11, 0, 0, 1),
+                (1, -3, 0, 2, 0, 0, 7),
+                (-5, 1, 0, 0, 0, 0, 0, 2),
+            ]
+        ]
+
+
+def test_roots_mod_prime_past_the_lane_bound_matches_sympy():
+    # primes of 33 to 80 bits, all past every int64 lane bound: one object
+    # lane of Python ints per prime
+    rng = random.Random(5)
+    clear_caches()
+    for f in _object_lane_polys():
+        for bits in (33, 48, 64, 80):
+            p = sympy.nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
+            assert p >= _lane_prime_bound(2)
+            assert roots_mod_prime(f, p) == _sympy_roots(f.coeffs, p), (f.coeffs, p)
+
+
+def test_roots_mod_prime_past_the_lane_bound_with_leading_divisor():
+    p = 2**61 - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IrreducibilityAssumedWarning)
+        to_linear = IntPolynomial((1, 3, p))  # px^2 + 3x + 1 = 3x + 1 mod p
+        to_cubic = IntPolynomial((-2, 1, 0, 1, p))  # degree 4, and 3 mod p
+    clear_caches()
+    assert roots_mod_prime(to_linear, p) == [-pow(3, -1, p) % p]
+    got = roots_mod_prime(to_cubic, p)
+    assert got == _sympy_roots(to_cubic.coeffs, p)
+    assert got and all(poly_eval_mod(to_cubic, v, p) == 0 for v in got)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_lanes_match_brute_force_on_random_quartics(dtype):
+    # distinct roots of monic quartics, repeated roots included: the
+    # random ones, then three of the form (x - a)^2 (x - b)(x - c)
+    rng = random.Random(9)
+    cases = []
+    for _ in range(50):
+        p = rng.choice([101, 211, 307])
+        cases.append(([rng.randrange(p) for _ in range(4)] + [1], p))
+    for a, b, c, p in [(3, 7, 9, 101), (5, 9, 5, 211), (8, 8, 8, 307)]:
+        coeffs = [1]
+        for r in (a, a, b, c):
+            coeffs = [(u - r * v) % p for u, v in zip([0] + coeffs, coeffs + [0])]
+        cases.append((coeffs, p))
+    for coeffs, p in cases:
+        lane, vals = _lane_roots(tuple(coeffs), np.array([p], dtype=dtype))
+        assert lane.tolist() == [0] * len(vals)
+        assert sorted(vals.tolist()) == brute_roots(coeffs, p), (coeffs, p)
 
 
 def test_prime_table_doubling_matches_single_pass(x3m2):
     clear_caches()
-    roots_mod_prime(x3m2, 1000003)  # far beyond any table: scalar route
+    roots_mod_prime(x3m2, 1000003)  # far beyond any table: a lane of its own
     assert prime_table(x3m2).limit == 1
     flags = eratosthenes(20000)
     for p in (p for p in range(20001) if flags[p]):
