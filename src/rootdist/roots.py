@@ -3,16 +3,17 @@
 A root set mod n is a sorted tuple of ints in [0, n); the modulus travels
 beside it (``root_stream`` yields (n, roots)), never inside it.
 
-Roots mod p come from one algorithm: a residue scan for p < _SCAN_LIMIT,
-and otherwise the roots of gcd(x^p - x, f) by equal-degree splitting in
-numpy lanes, one lane per prime, holding int64 residues below
-``_lane_prime_bound`` and Python ints above it.  Every prime up to a limit
-(at most the sieve's cap of 10^8) sits in one prime table per polynomial,
-with its sorted roots in CSR form (see ``PrimeRootTable``); a single prime
-far beyond the table runs on a lane of its own.  Root sets for prime
-powers are memoized in LRU stores shared by every stream in the process.
-Correctness never depends on a cache hit: entries are pure functions of
-(polynomial, prime, exponent).
+Roots mod p come from one algorithm: the roots of gcd(x^p - x, f) by
+equal-degree splitting in numpy lanes, one lane per prime, holding int64
+residues below ``_lane_prime_bound`` and Python ints above it.  Every
+prime up to a limit (at most the sieve's cap of 10^8) sits in one prime
+table per polynomial, with its sorted roots in CSR form, filled in batches
+of lanes (see ``PrimeRootTable``).  A prime taken on its own (a single
+prime far beyond the table, p = 2, or one dividing the leading
+coefficient) gets a residue scan below _SCAN_LIMIT and a lane of its own
+above it.  Root sets for prime powers are memoized in LRU stores shared
+by every stream in the process.  Correctness never depends on a cache
+hit: entries are pure functions of (polynomial, prime, exponent).
 
 A stream reads one modulus table built for the call (``root_table``): the
 roots mod every n <= x in int32 CSR arrays.  Write n = q m with q the full
@@ -37,8 +38,8 @@ from .modarith import (
     _SIEVE_LIMIT_MAX, Factorization, SpfSieve, cached_sieve, factorize, inverse, is_prime
 )
 
-# Roots mod a prime below this bound (p = 2 included) come from a scan of
-# every residue; the lanes take the larger primes.
+# A prime taken on its own gets a scan of every residue below this bound
+# (p = 2 included) and a lane of its own above it.
 _SCAN_LIMIT = 512
 
 # Primes or moduli per numpy pass while filling a table; bounds the
