@@ -41,6 +41,8 @@ CLI_COMMANDS = [
     (["roots", "--poly", "1,0,1", "--nmax", "2000", "--filter", "squarefree"], False),
     (["roots", "--poly=-8,0,1", "--nmax", "300", "--filter", "coprime:3"], False),
     (["roots", "--poly", "1,0,1", "--nmax", "30", "--filter", "list:0,5,-5,10,99"], False),
+    # x^2 - 2^9 3^5 5^3: more roots than moduli, so the modulus table grows
+    (["roots", "--poly=-15552000,0,1", "--nmax", "300"], False),
     # 5 (2^61 + 21), a prime past the int64 lane bound
     (["roots", "--poly", "1,0,1", "--n", "11529215046068469865"], False),
     # a prime above the 10^8 table cap, below the int64 lane bound for degree 3
