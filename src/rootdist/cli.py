@@ -30,8 +30,8 @@ from .nadic import nadic_expansions, normality_evidence
 from .roots import ModulusFilter, root_stream, roots_mod_n
 from .systems import PolySystem, default_hset, joint_weyl_series, root_tuples
 
-# Flags whose value is a coefficient list, which may start with a minus sign.
-_COEFF_FLAGS = ("--poly", "--polys")
+# Flags whose value is a list of integers, which may start with a minus sign.
+_INT_LIST_FLAGS = ("--poly", "--polys", "--hset", "--progression")
 _NEGATIVE_LEAD = re.compile(r"-\s*\d")
 
 
@@ -343,17 +343,16 @@ def _apply_config(argv: list[str], parser: argparse.ArgumentParser, path: str) -
     return argv[: cmd_pos + 1] + inject + argv[cmd_pos + 1 :]
 
 
-def _glue_coefficient_values(argv: list[str]) -> list[str]:
-    """Spell ``--poly -2,0,0,1`` as ``--poly=-2,0,0,1``.
-
-    argparse reads a token that starts with '-' and is not a plain negative
-    number as a flag, which would leave --poly without its value.
-    """
+def _glue_int_list_values(argv: list[str]) -> list[str]:
+    """Spell ``--poly -2,0,0,1`` as ``--poly=-2,0,0,1`` for every flag in
+    _INT_LIST_FLAGS: argparse reads a token that starts with '-' and is not
+    a plain negative number as a flag, which would leave the flag without
+    its value."""
     out: list[str] = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _COEFF_FLAGS and i + 1 < len(argv) and _NEGATIVE_LEAD.match(argv[i + 1]):
+        if tok in _INT_LIST_FLAGS and i + 1 < len(argv) and _NEGATIVE_LEAD.match(argv[i + 1]):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -371,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if pre_args.config:
             argv = _apply_config(argv, parser, pre_args.config)
-        args = parser.parse_args(_glue_coefficient_values(argv))
+        args = parser.parse_args(_glue_int_list_values(argv))
         text = _HANDLERS[args.command](args)
         _emit(text, args.output)
     except RootdistError as exc:

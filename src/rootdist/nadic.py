@@ -17,10 +17,16 @@ prefix.  All tower arithmetic is exact big-integer work.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 import warnings
+from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AdmissibilityError, InvalidArgumentError, ResourceLimitError
 from .ideals import admissibility
@@ -223,29 +229,19 @@ def word_frequencies(digits, base: int, word_length: int) -> NormalityReport:
             f"word table would hold {table_size} entries; cap is {_MAX_WORD_TABLE}"
         )
     windows = len(digits) - word_length + 1
-    counts: dict[int, int] = {}
-    # Encode each window as an integer in a rolling fashion.
-    code = 0
-    for d in digits[:word_length]:
-        code = code * base + d
-    counts[code] = 1
-    msd = base ** (word_length - 1)
-    for i in range(1, windows):
-        code = (code - digits[i - 1] * msd) * base + digits[i + word_length - 1]
-        counts[code] = counts.get(code, 0) + 1
+    # Window i has the code sum of digits[i + j] * base^(m-1-j), below
+    # base^m <= _MAX_WORD_TABLE, so int64 holds it exactly; codes ascend in
+    # the lexicographic order of the words.
+    weights = base ** np.arange(word_length - 1, -1, -1, dtype=np.int64)
+    codes = sliding_window_view(np.array(digits, dtype=np.int64), word_length) @ weights
+    counts = np.bincount(codes, minlength=table_size).tolist()
     uniform = 1.0 / table_size
     expected = windows / table_size
     max_dev = 0.0
     chi = 0.0
     table = []
-    for code in range(table_size):
-        c = counts.get(code, 0)
-        word = []
-        x = code
-        for _ in range(word_length):
-            x, d = divmod(x, base)
-            word.append(d)
-        table.append((tuple(reversed(word)), c))
+    for word, c in zip(itertools.product(range(base), repeat=word_length), counts):
+        table.append((word, c))
         max_dev = max(max_dev, abs(c / windows - uniform))
         chi += (c - expected) ** 2 / expected
     sparse = len(digits) < table_size * _SPARSE_FACTOR
@@ -272,7 +268,7 @@ def prefix_weyl_sum(exp: NadicExpansion, h: int, levels: int) -> complex:
     if not 1 <= levels <= exp.depth:
         raise InvalidArgumentError(f"levels must lie in [1, {exp.depth}]")
     total = complex(1.0, 0.0)  # l = 0 term
-    return _phase_walk(exp.digits[:levels], exp.base, h, total) / levels
+    return deque(_phase_walk(exp.digits[:levels], exp.base, h, total), maxlen=1)[0] / levels
 
 
 def _phase_cells(digits, base: int, h: int):
@@ -303,12 +299,13 @@ def _phase_cells(digits, base: int, h: int):
         yield cell & _MASK64
 
 
-def _phase_walk(digits, base: int, h: int, acc: complex) -> complex:
-    """acc plus e(h*P_l/n^l) for l = 1..len(digits), added in level order;
-    every phase is formed from its 64-bit cell the same way."""
+def _phase_walk(digits, base: int, h: int, acc: complex) -> Iterator[complex]:
+    """Yield the running sums acc plus e(h*P_k/n^k) over k = 1..l, for
+    l = 1..len(digits), added in level order; every phase is formed from
+    its 64-bit cell the same way, and depends only on the first l digits."""
     for cell in _phase_cells(digits, base, h):
         acc += cmath.exp(complex(0.0, _TWO_PI * (cell * 2.0**-64)))
-    return acc
+        yield acc
 
 
 def haar_monte_carlo(
@@ -337,7 +334,7 @@ def haar_monte_carlo(
     for i in range(samples):
         rng = random.Random(f"{seed}:{i}")
         digits = [rng.randrange(base) for _ in range(levels)]
-        acc = _phase_walk(digits, base, h, complex(0.0, 0.0))
+        acc = deque(_phase_walk(digits, base, h, complex(0.0, 0.0)), maxlen=1)[0]
         val = abs(acc / levels) ** 2
         total += val
         total_sq += val * val
@@ -381,12 +378,14 @@ def normality_evidence(
             UserWarning,
             stacklevel=2,
         )
+    # prefix_weyl_sum(exp, 1, l) at these levels, read off one walk
+    traj_levels = {max(1, depth // 4), max(1, depth // 2), depth}
     out = []
     for exp in nadic_expansions(f, base, depth):
         reports = tuple(
             word_frequencies(exp.digits, base, m) for m in range(1, max_word_length + 1)
         )
-        traj_levels = sorted({max(1, depth // 4), max(1, depth // 2), depth})
-        traj = tuple((n_lvl, abs(prefix_weyl_sum(exp, 1, n_lvl))) for n_lvl in traj_levels)
+        sums = _phase_walk(exp.digits, base, 1, complex(1.0, 0.0))
+        traj = tuple((l, abs(acc / l)) for l, acc in enumerate(sums, 1) if l in traj_levels)
         out.append(ExpansionEvidence(exp.seed_root, reports, traj))
     return out

@@ -18,10 +18,10 @@ hit: entries are pure functions of (polynomial, prime, exponent).
 A stream reads one modulus table built for the call (``root_table``): the
 roots mod every n <= x in int32 CSR arrays.  Write n = q m with q the full
 power of the smallest prime of n; the roots mod n are the CRT products of
-the roots mod q and mod m.  The table is filled in ascending chunks
+the roots mod q and mod m.  One pass fills the table in ascending chunks
 [a, min(2a, a + _TABLE_CHUNK)), so that q and m (both at most n/2 when
-m > 1) always lie in an earlier chunk.  The table is not kept after the
-stream ends.
+m > 1) always lie in an earlier, finished chunk.  Streams read the table
+only through ``_stream_windows``, as root tuples, and do not keep it.
 """
 
 from __future__ import annotations
@@ -594,12 +594,13 @@ def root_table(
     form, roots mod n = roots[offsets[n]:offsets[n + 1]] (n = 0 is empty),
     both int32.
 
-    n = q m with q the full power of its smallest prime, so rho(n) =
-    rho(q) rho(m), and for m > 1 the roots mod n are b + m ((a - b) m^-1 mod
-    q) over the roots a mod q and b mod m, which lie in earlier chunks
-    (see ``_moduli_chunks``).  Roots mod a prime come from the prime table,
-    mod a higher prime power from ``_prime_power_roots_cached``.  A first
-    pass counts, a second fills; scratch is proportional to a chunk.  The
+    n = q m with q the full power of its smallest prime; for m > 1 the
+    roots mod n are b + m ((a - b) m^-1 mod q) over the roots a mod q and b
+    mod m, finished in earlier chunks (see ``_moduli_chunks``).  Roots mod
+    a prime come from the prime table, mod a higher prime power from
+    ``_prime_power_roots_cached``.  The roots buffer starts at xmax + 1 and
+    at least doubles when a chunk overruns it; a chunk that would pass
+    _TABLE_ROOTS_MAX roots raises ``ResourceLimitError`` unwritten.  The
     sieve (the shared one unless ``sieve`` covers xmax) is fetched before
     the prime table is filled.
     """
@@ -608,43 +609,24 @@ def root_table(
     table = prime_table(f)
     table.fill(xmax)
     spf = np.asarray(sieve.spf)
-    powers: dict[int, tuple[int, ...]] = {}  # n = p^e with e >= 2
 
     offsets = np.zeros(xmax + 2, dtype=np.int32)
-    counts = offsets[1:]  # rho(n) at counts[n] until the running sum
-    counts[1] = 1
+    offsets[2] = 1
+    roots = np.zeros(min(xmax + 1, _TABLE_ROOTS_MAX), dtype=np.int32)  # roots[0] = 0 mod 1
     for lo, hi in _moduli_chunks(2, xmax + 1):
         n, p, q, m = _split_smallest(lo, hi, spf)
-        c = counts[q] * counts[m]
-        i0, i1 = np.searchsorted(table.primes, (lo, hi)).tolist()
-        c[p == n] = np.diff(table.offsets[i0 : i1 + 1])
-        for i in np.flatnonzero((m == 1) & (p != n)).tolist():
-            pe, e = int(p[i]), 1
-            while pe < int(n[i]):
-                pe, e = pe * int(p[i]), e + 1
-            powers[pe] = _prime_power_roots_cached(f, int(p[i]), e)
-            c[i] = len(powers[pe])
-        counts[lo:hi] = c
-    total = int(counts.sum(dtype=np.int64))
-    if total > _TABLE_ROOTS_MAX:
-        raise ResourceLimitError(
-            f"roots mod every n <= {xmax} number {total}, above the cap of {_TABLE_ROOTS_MAX}"
-        )
-    np.cumsum(offsets, dtype=np.int32, out=offsets)
-
-    roots = np.zeros(total, dtype=np.int32)  # roots[0] = 0 is the root mod 1
-    for lo, hi in _moduli_chunks(2, xmax + 1):
-        start, stop = int(offsets[lo]), int(offsets[hi])
-        if start == stop:
-            continue
-        n, p, q, m = _split_smallest(lo, hi, spf)
-        c = np.diff(offsets[lo : hi + 1])
         i0, i1 = np.searchsorted(table.primes, (lo, hi)).tolist()
         own = [np.repeat(np.flatnonzero(p == n), np.diff(table.offsets[i0 : i1 + 1]))]
         vals = [table.roots[table.offsets[i0] : table.offsets[i1]]]
         for i in np.flatnonzero((m == 1) & (p != n)).tolist():
-            own.append(np.full(c[i], i))
-            vals.append(np.array(powers[int(n[i])], dtype=np.int64))
+            pe, e = int(p[i]), 1
+            while pe < int(n[i]):
+                pe, e = pe * int(p[i]), e + 1
+            power = _prime_power_roots_cached(f, int(p[i]), e)
+            own.append(np.full(len(power), i))
+            vals.append(np.array(power, dtype=np.int64))
+        # rho(q) rho(m), read only for m > 1: when m = 1, q = n is unfinished
+        c = (offsets[q + 1] - offsets[q]) * (offsets[m + 1] - offsets[m])
         sel = np.flatnonzero((m > 1) & (c > 0))
         if sel.size:
             k = c[sel]
@@ -658,39 +640,48 @@ def root_table(
             own.append(np.repeat(sel, k))
             vals.append(b + np.repeat(ms, k) * ((a - b) % Q * np.repeat(inv, k) % Q))
         own_all, vals_all = np.concatenate(own), np.concatenate(vals)
+        start = int(offsets[lo])
+        stop = start + own_all.size
+        if stop > _TABLE_ROOTS_MAX:
+            raise ResourceLimitError(
+                f"roots mod every n <= {xmax} pass the cap of {_TABLE_ROOTS_MAX}"
+            )
+        if stop > roots.size:
+            grown = np.zeros(min(max(stop, 2 * roots.size), _TABLE_ROOTS_MAX), dtype=np.int32)
+            grown[:start] = roots[:start]
+            roots = grown
         roots[start:stop] = vals_all[np.lexsort((vals_all, own_all))]
-    return offsets, roots
+        offsets[lo + 1 : hi + 1] = start + np.cumsum(np.bincount(own_all, minlength=hi - lo))
+    return offsets, roots[: offsets[-1]]
 
 
 def _stream_windows(
     fs: Sequence[IntPolynomial], xmax: int, flt: ModulusFilter, sieve: SpfSieve | None
-) -> Iterator[tuple[int, Sequence[int], list[tuple[list[int], Sequence[int]]]]]:
+) -> Iterator[tuple[Sequence[int], list[list[tuple[int, ...]]]]]:
     """The moduli n <= xmax that ``flt`` accepts, a window at a time, with
-    the roots of each polynomial in ``fs``: yields (lo, ns, reads), and for
-    n in ns the roots mod n of fs[j] are vals[off[n - lo] : off[n - lo + 1]]
-    with (off, vals) = reads[j], read out of the table in one ``tolist``.
+    the roots of each polynomial in ``fs``: yields (ns, rows), where
+    rows[j][k] is the sorted root tuple of fs[j] mod ns[k], sliced out of
+    one ``root_table`` per polynomial.
 
     An explicit list takes ``roots_mod_n`` per listed n, so it needs only
     its own primes and builds no table.
     """
     if flt.kind == "list":
         for n in flt.window(1, xmax + 1):
-            reads = []
-            for f in fs:
-                roots = roots_mod_n(f, n)
-                reads.append(([0, len(roots)], roots))
-            yield n, (n,), reads
+            yield (n,), [[roots_mod_n(f, n)] for f in fs]
         return
     tables = [root_table(f, xmax, sieve) for f in fs]
     for lo, hi in _moduli_chunks(1, xmax + 1):
         ns = flt.window(lo, hi)
         if not ns:
             continue
-        reads = []
+        rows = []
         for offsets, roots in tables:
             off = offsets[lo : hi + 1]
-            reads.append(((off - off[0]).tolist(), roots[off[0] : off[-1]].tolist()))
-        yield lo, ns, reads
+            vals = roots[off[0] : off[-1]].tolist()
+            off = (off - off[0]).tolist()
+            rows.append([tuple(vals[off[n - lo] : off[n - lo + 1]]) for n in ns])
+        yield ns, rows
 
 
 def root_stream(
@@ -711,11 +702,10 @@ def root_stream(
         raise InvalidArgumentError("xmax must be at least 1")
     if flt is None:
         flt = ModulusFilter.all()
-    for lo, ns, ((off, vals),) in _stream_windows((f,), xmax, flt, sieve):
-        for n in ns:
+    for ns, (rows,) in _stream_windows((f,), xmax, flt, sieve):
+        for n, roots in zip(ns, rows):
             if extra_accept is None or extra_accept(n):
-                i = n - lo
-                yield n, tuple(vals[off[i] : off[i + 1]])
+                yield n, roots
 
 
 def clear_caches() -> None:

@@ -228,13 +228,12 @@ def joint_weyl_series(
             box_discrepancy_from_hist(hist, cloud_count) if cloud_count else 1.0
         )
 
-    def rows():
-        for lo, ns, reads in _stream_windows(system.polys, xmax, flt, sieve):
-            for n in ns:
-                i = n - lo
-                yield n, [tuple(vals[off[i] : off[i + 1]]) for off, vals in reads]
-
-    for n, per_poly in _checkpointed(rows(), checkpoints, snapshot):
+    moduli = (
+        (n, per_poly)
+        for ns, rows in _stream_windows(system.polys, xmax, flt, sieve)
+        for n, *per_poly in zip(ns, *rows)
+    )
+    for n, per_poly in _checkpointed(moduli, checkpoints, snapshot):
         count = 1
         for roots in per_poly:
             count *= len(roots)

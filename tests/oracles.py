@@ -15,6 +15,7 @@ import numpy as np
 
 from rootdist import inverse, poly_eval_mod, roots_mod_n
 from rootdist.modarith import cached_sieve, spf_parts
+from rootdist.nadic import _SPARSE_FACTOR, NormalityReport
 from rootdist.roots import _crt_roots
 
 
@@ -166,6 +167,48 @@ def linear_hensel_digits(f, base, depth):
             v, pw = v_next, pw_next
         out.append(tuple(digits))
     return out
+
+
+def rolling_word_frequencies(digits, base, word_length):
+    """The NormalityReport of word_frequencies for a valid digit sequence,
+    counted by a rolling window code in a dict and every word decoded from
+    its code by divmod."""
+    digits = tuple(digits)
+    table_size = base**word_length
+    windows = len(digits) - word_length + 1
+    counts = {}
+    code = 0
+    for d in digits[:word_length]:
+        code = code * base + d
+    counts[code] = 1
+    msd = base ** (word_length - 1)
+    for i in range(1, windows):
+        code = (code - digits[i - 1] * msd) * base + digits[i + word_length - 1]
+        counts[code] = counts.get(code, 0) + 1
+    uniform = 1.0 / table_size
+    expected = windows / table_size
+    max_dev = 0.0
+    chi = 0.0
+    table = []
+    for code in range(table_size):
+        c = counts.get(code, 0)
+        word = []
+        x = code
+        for _ in range(word_length):
+            x, d = divmod(x, base)
+            word.append(d)
+        table.append((tuple(reversed(word)), c))
+        max_dev = max(max_dev, abs(c / windows - uniform))
+        chi += (c - expected) ** 2 / expected
+    return NormalityReport(
+        base=base,
+        word_length=word_length,
+        window_count=windows,
+        counts=tuple(table),
+        max_deviation=max_dev,
+        chi_square=chi,
+        sparse=len(digits) < table_size * _SPARSE_FACTOR,
+    )
 
 
 def _exact_phase(num, den):

@@ -39,6 +39,16 @@ def test_negative_leading_coefficient_after_poly_flag(capsys):
     assert code == 0 and out == "31: 13,5 13,25 19,5 19,25\n"
 
 
+def test_negative_leading_value_after_hset_and_progression_flags(capsys):
+    for cmd, flag, value in (
+        (["system", "--polys", "1,1,1;-1,-1,1", "--xmax", "100"], "--hset", "-1,1;1,1"),
+        (["stats", "--poly", "1,0,1", "--xmax", "100"], "--progression", "-1,4"),
+    ):
+        spaced = run_cli(capsys, *cmd, flag, value)
+        glued = run_cli(capsys, *cmd, f"{flag}={value}")
+        assert spaced[0] == 0 and spaced == glued, flag
+
+
 def test_roots_mod_one(capsys):
     code, out, _ = run_cli(capsys, "roots", "--poly", "1,0,1", "--n", "1")
     assert code == 0 and out == "1: 0\n"

@@ -8,6 +8,7 @@ from oracles import (
     exact_haar_monte_carlo,
     exact_prefix_weyl_sum,
     linear_hensel_digits,
+    rolling_word_frequencies,
 )
 from rootdist import (
     AdmissibilityError,
@@ -193,6 +194,21 @@ def test_word_frequencies_errors():
         word_frequencies([-1, 0], 5, 1)
 
 
+def test_word_frequencies_match_rolling_counts():
+    rng = random.Random(11)
+    for base in (2, 5, 7, 65):
+        for m in range(1, 5):
+            if base**m > nadic._MAX_WORD_TABLE:
+                continue
+            # every call walks the whole table: two lengths for the 65^3 words
+            lengths = (m, m + 1, m + 7, 500, 20000) if base**m < 10**4 else (m + 1, 5000)
+            for length in lengths:
+                digits = [rng.randrange(base) for _ in range(length)]
+                assert word_frequencies(digits, base, m) == rolling_word_frequencies(
+                    digits, base, m
+                ), (base, m, length)
+
+
 def test_chi_square_calibration():
     # m = 1 windows are a clean multinomial: the statistic should sit inside
     # the 99.9% quantile almost always on uniform input
@@ -333,6 +349,19 @@ def test_normality_evidence_structure(x2p1):
         assert len(ev.weyl_trajectory) == 3
         for _, mag in ev.weyl_trajectory:
             assert 0.0 <= mag <= 2.0
+
+
+@pytest.mark.filterwarnings("ignore:depth")
+@pytest.mark.parametrize("depth", [1, 2, 3, 7, 1000])
+def test_normality_trajectory_matches_prefix_weyl_sums(depth, x2p1, x3m2):
+    # one walk read at L/4, L/2 and L gives the bits of three separate walks
+    for f in (x2p1, x3m2):
+        evidence = normality_evidence(f, 5, depth, 1)
+        assert evidence
+        for ev, exp in zip(evidence, nadic_expansions(f, 5, depth)):
+            levels = sorted({max(1, depth // 4), max(1, depth // 2), depth})
+            want = tuple((l, abs(prefix_weyl_sum(exp, 1, l))) for l in levels)
+            assert ev.weyl_trajectory == want, (f.coeffs, depth)
 
 
 def test_normality_evidence_sparse_warning(x2p1):

@@ -376,6 +376,15 @@ def test_stream_chunk_edges(x3m2, monkeypatch):
     clear_caches()
 
 
+def test_stream_with_more_roots_than_moduli():
+    # x^2 - 2^9 3^5 5^3 holds 7011 roots mod the n <= 3000, so the roots
+    # buffer of the table (3001 entries at first) grows while it is filled
+    f = IntPolynomial((-15552000, 0, 1))
+    assert root_table(f, 3000)[1].size == 7011
+    for flt in _stream_filters():
+        assert list(root_stream(f, 3000, flt)) == list(factored_root_stream(f, 3000, flt)), flt
+
+
 def test_root_table_layout_and_cap(x2p1, monkeypatch):
     offsets, roots = root_table(x2p1, 1000)
     assert offsets.dtype == np.int32 and roots.dtype == np.int32
