@@ -50,7 +50,7 @@ def _read_config_file(path: str) -> dict:
                     )
                 key, _, value = line.partition("=")
                 values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidArgumentError(f"cannot read config file {path}: {exc}") from None
     return values
 
@@ -61,14 +61,17 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(output)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".rootdist-", dir=directory)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(prefix=".rootdist-", dir=directory)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, output)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise InvalidArgumentError(f"cannot write {output}: {exc.strerror or exc}") from None
         raise
 
 
@@ -116,7 +119,6 @@ def _parse_hset(text: str, r: int) -> list[tuple[int, ...]]:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", help="write to this path instead of stdout")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--config", help="key=value file supplying defaults")
 
 
@@ -183,6 +185,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_system.add_argument("--cloud-out", dest="cloud_out", help="dump tuple cloud CSV here")
     _add_common(p_system)
 
+    for tabular in (p_weyl, p_stats, p_system):
+        tabular.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
@@ -337,7 +341,7 @@ def _apply_config(argv: list[str], parser: argparse.ArgumentParser, path: str) -
     }
     inject: list[str] = []
     for key, value in raw.items():
-        if key == "config" or key not in option_by_dest:
+        if key in ("config", "help") or key not in option_by_dest:
             raise InvalidArgumentError(f"unknown config key {key!r}")
         inject += [option_by_dest[key], value]
     return argv[: cmd_pos + 1] + inject + argv[cmd_pos + 1 :]

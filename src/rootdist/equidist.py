@@ -124,9 +124,6 @@ class HSpec:
         except ValueError as exc:
             raise InvalidArgumentError(f"cannot parse h spec {text!r}: {exc}") from None
 
-    def describe(self) -> str:
-        return f"inv:{self.value}" if self.kind == "inverse" else str(self.value)
-
 
 def decades(xmax: int) -> list[int]:
     """Default checkpoints: powers of ten up to xmax, then xmax itself."""
@@ -186,7 +183,6 @@ class WeylSeries:
     """
 
     h: HSpec
-    filter_desc: str
     checkpoints: list[int]
     signed: list[complex] = field(default_factory=list)
     abs_sum: list[float] = field(default_factory=list)
@@ -226,15 +222,13 @@ def weyl_series(
     """
     if isinstance(h, int):
         h = HSpec.const(h)
-    if flt is None:
-        flt = ModulusFilter.all()
     checkpoints = _checkpoint_list(checkpoints, xmax)
     extra = None
     if h.kind == "inverse":
         m = h.value
         extra = lambda n: math.gcd(n, m) == 1  # noqa: E731
 
-    series = WeylSeries(h=h, filter_desc=flt.describe(), checkpoints=checkpoints)
+    series = WeylSeries(h=h, checkpoints=checkpoints)
     re_acc, im_acc, abs_acc = KahanSum(), KahanSum(), KahanSum()
     norm_acc = 0
 

@@ -93,9 +93,6 @@ class IntPolynomial:
             acc = acc * v + c
         return acc
 
-    def eval_mod(self, v: int, m: int) -> int:
-        return poly_eval_mod(self, v, m)
-
     def deriv_mod(self, v: int, m: int) -> int:
         if m < 1:
             raise InvalidArgumentError("modulus must be positive")
@@ -104,10 +101,6 @@ class IntPolynomial:
         for c in reversed(self.derivative()):
             acc = (acc * v + c) % m
         return acc
-
-    def admissible(self, n: int) -> bool:
-        """True when n shares no prime with eta times the discriminant."""
-        return math.gcd(n, self.eta * self.discriminant) == 1
 
     def __str__(self) -> str:
         return pretty(self)

@@ -361,26 +361,6 @@ def prime_table(f: IntPolynomial) -> PrimeRootTable:
     return PrimeRootTable(f)
 
 
-def _table_roots(f: IntPolynomial, p: int) -> tuple[int, ...] | None:
-    """Roots mod p from f's table.  A prime past the limit but within twice
-    it doubles the table, so ascending per-prime callers pay for a few
-    passes in all; a prime further out, or one whose doubling would pass
-    the table cap, returns None (``_prime_roots_cached`` takes it)."""
-    table = prime_table(f)
-    if p > table.limit:
-        if p > 2 * table.limit or 2 * table.limit > _SIEVE_LIMIT_MAX:
-            return None
-        table.fill(2 * table.limit)
-    return table.lookup(p)
-
-
-def roots_mod_prime(f: IntPolynomial, p: int) -> list[int]:
-    """Sorted roots of f mod a prime p."""
-    if p < 2 or not is_prime(p):
-        raise InvalidArgumentError(f"{p} is not prime")
-    return list(_prime_power_roots_cached(f, p, 1))
-
-
 def _lift_all(f: IntPolynomial, p: int, e: int, parents: tuple[int, ...]) -> tuple[int, ...]:
     """Roots mod p^e above the given roots mod p^(e-1), for e >= 2.
 
@@ -410,8 +390,16 @@ def _lift_all(f: IntPolynomial, p: int, e: int, parents: tuple[int, ...]) -> tup
 
 @lru_cache(maxsize=1 << 20)
 def _prime_power_roots_cached(f: IntPolynomial, p: int, e: int) -> tuple[int, ...]:
+    """Roots mod p^e.  For e = 1 they come from f's prime table: a prime
+    past its limit but within twice it doubles the table, so ascending
+    per-prime callers pay for a few passes in all; a prime further out, or
+    one whose doubling would pass the table cap, goes to
+    ``_prime_roots_cached``."""
     if e == 1:
-        roots = _table_roots(f, p)
+        table = prime_table(f)
+        if table.limit < p <= 2 * table.limit <= _SIEVE_LIMIT_MAX:
+            table.fill(2 * table.limit)
+        roots = table.lookup(p)
         return _prime_roots_cached(f, p) if roots is None else roots
     parents = _prime_power_roots_cached(f, p, e - 1)
     if not parents:
@@ -428,13 +416,18 @@ def roots_mod_prime_power(f: IntPolynomial, p: int, e: int) -> list[int]:
     return list(_prime_power_roots_cached(f, p, e))
 
 
-def _crt_roots(f: IntPolynomial, parts: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """Sorted roots of f mod the product of the prime powers p^e in
-    ``parts`` (ascending p), glued through the CRT from the cached root
-    sets mod each p^e; no parts means the modulus 1 and the root 0."""
+def roots_mod_prime(f: IntPolynomial, p: int) -> list[int]:
+    """Sorted roots of f mod a prime p."""
+    return roots_mod_prime_power(f, p, 1)
+
+
+def roots_from_factorization(f: IntPolynomial, fact: Factorization) -> tuple[int, ...]:
+    """Sorted roots of f mod ``fact.modulus``, glued through the CRT from
+    the cached root sets mod each p^e of ``fact.parts`` (ascending p); no
+    parts means the modulus 1 and the root 0."""
     acc: tuple[int, ...] | list[int] = (0,)
     acc_m = 1
-    for p, e in parts:
+    for p, e in fact.parts:
         part = _prime_power_roots_cached(f, p, e)
         if not part:
             return ()
@@ -446,11 +439,6 @@ def _crt_roots(f: IntPolynomial, parts: Iterable[tuple[int, int]]) -> tuple[int,
             acc = [a + acc_m * ((b - a) * inv % pe) for a in acc for b in part]
             acc_m *= pe
     return tuple(sorted(acc))
-
-
-def roots_from_factorization(f: IntPolynomial, fact: Factorization) -> tuple[int, ...]:
-    """Combine cached prime-power root sets through the CRT."""
-    return _crt_roots(f, fact.parts)
 
 
 def roots_mod_n(f: IntPolynomial, n: int) -> tuple[int, ...]:

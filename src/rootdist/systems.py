@@ -128,7 +128,6 @@ class JointWeylSeries:
     checkpoints: list[int]
     grid: int
     dimension: int
-    filter_desc: str
     normalizer: list[int] = field(default_factory=list)
     signed: dict[tuple[int, ...], list[complex]] = field(default_factory=dict)
     abs_sum: dict[tuple[int, ...], list[float]] = field(default_factory=dict)
@@ -207,7 +206,6 @@ def joint_weyl_series(
         checkpoints=checkpoints,
         grid=grid,
         dimension=r,
-        filter_desc=flt.describe(),
     )
     for h in hset:
         series.signed[h] = []

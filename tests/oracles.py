@@ -14,9 +14,9 @@ import random
 import numpy as np
 
 from rootdist import inverse, poly_eval_mod, roots_mod_n
-from rootdist.modarith import cached_sieve, spf_parts
+from rootdist.modarith import Factorization, cached_sieve, spf_parts
 from rootdist.nadic import _SPARSE_FACTOR, NormalityReport
-from rootdist.roots import _crt_roots
+from rootdist.roots import roots_from_factorization
 
 
 def brute_roots(coeffs, n):
@@ -76,7 +76,7 @@ def factored_root_stream(f, xmax, flt=None, extra_accept=None):
     """(n, roots of f mod n) for the accepted n <= xmax, one modulus at a
     time: n factored by its smallest prime factors (``spf_parts``), the
     filter decided from n and that factorization, and the cached
-    prime-power root sets glued through the CRT (``_crt_roots``)."""
+    prime-power root sets glued through the CRT."""
     sieve = cached_sieve(xmax)
     for n in range(1, xmax + 1):
         if extra_accept is not None and not extra_accept(n):
@@ -94,7 +94,7 @@ def factored_root_stream(f, xmax, flt=None, extra_accept=None):
         else:
             keep = True
         if keep:
-            yield n, _crt_roots(f, parts)
+            yield n, roots_from_factorization(f, Factorization(n, tuple(parts)))
 
 
 def rational_root_search(coeffs):

@@ -208,6 +208,28 @@ def test_error_leaves_no_output_file(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_unwritable_output_path_exits_2(tmp_path, capsys):
+    for flag, argv in (
+        ("--output", ["roots", "--poly", "1,0,1", "--n", "65"]),
+        ("--cloud-out", ["system", "--polys", "1,1,1;-1,-1,1", "--xmax", "20"]),
+    ):
+        target = tmp_path / "missing" / "o.txt"
+        code, out, err = run_cli(capsys, *argv, flag, str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("rootdist: error: ") and f"cannot write {target}" in err
+        assert ".rootdist-" not in err
+        assert not list(tmp_path.iterdir())
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"xmax=\xff\n")
+    code, out, err = run_cli(capsys, "weyl", "--poly", "1,0,1", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("rootdist: error: cannot read config file")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_byte_identical_reruns(capsys):
     _, first, _ = run_cli(capsys, "weyl", "--poly", "1,0,1", "--xmax", "500", "--h", "1")
     _, second, _ = run_cli(capsys, "weyl", "--poly", "1,0,1", "--xmax", "500", "--h", "1")
@@ -239,16 +261,32 @@ def test_config_file_defaults(tmp_path, capsys):
 
 def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("bogus=1\n")
-    code, _, err = run_cli(capsys, "weyl", "--poly", "1,0,1", "--xmax", "10", "--config", str(cfg))
-    assert code == 2 and "bogus" in err
+    # help=1 would inject --help: usage on stdout and exit 0 with nothing computed
+    for key in ("bogus", "help"):
+        cfg.write_text(f"{key}=1\n")
+        code, out, err = run_cli(
+            capsys, "weyl", "--poly", "1,0,1", "--xmax", "10", "--config", str(cfg)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("rootdist: error: ") and f"unknown config key '{key}'" in err
 
 
-def test_seed_and_threads_flags_are_gone():
+def test_seed_and_threads_flags_are_gone(capsys):
     for flag, value in (("--threads", "2"), ("--seed", "1")):
         with pytest.raises(SystemExit) as info:
             main(["roots", "--poly", "1,0,1", "--n", "5", flag, value])
         assert info.value.code == 2
+    # --format belongs to the tabular subcommands only
+    for argv in (
+        ["roots", "--poly", "1,0,1", "--n", "5"],
+        ["padic", "--poly", "1,0,1", "--base", "5", "--depth", "3"],
+        ["normality", "--poly", "1,0,1", "--base", "5", "--depth", "3"],
+        ["ideals", "--poly", "1,0,1", "--n", "5"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--format", "json"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
 def test_oversized_sieve_exits_before_allocating(capsys):

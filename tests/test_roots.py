@@ -43,8 +43,9 @@ def test_roots_mod_prime_examples(x2p1, x2px1):
 
 
 def test_roots_mod_prime_rejects_composite(x2p1):
-    with pytest.raises(InvalidArgumentError):
-        roots_mod_prime(x2p1, 10)
+    for p in (10, -7, 0, 1):
+        with pytest.raises(InvalidArgumentError):
+            roots_mod_prime(x2p1, p)
 
 
 def test_roots_mod_prime_large_matches_scan(reference_polys):
@@ -210,6 +211,18 @@ def test_prime_table_cap(x3m2, monkeypatch):
     # 409 is within twice the limit, but doubling would pass the cap
     assert roots_mod_prime(x3m2, 409) == brute_roots(x3m2.coeffs, 409)
     assert table.limit == 400
+    clear_caches()
+
+
+def test_prime_table_doubles_only_within_twice_its_limit(x3m2):
+    clear_caches()
+    table = prime_table(x3m2)
+    table.fill(100)
+    assert roots_mod_prime(x3m2, 199) == brute_roots(x3m2.coeffs, 199)
+    assert table.limit == 200
+    # 401 is past twice the limit: no fill, a single-prime route instead
+    assert roots_mod_prime(x3m2, 401) == brute_roots(x3m2.coeffs, 401)
+    assert table.limit == 200
     clear_caches()
 
 
