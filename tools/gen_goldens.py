@@ -55,6 +55,9 @@ CLI_COMMANDS = [
     (["weyl", "--poly", "3,0,2", "--xmax", "20000", "--h", "inv:3"], False),
     (["stats", "--poly=-2,0,0,1", "--xmax", "20000"], False),
     (["stats", "--poly", "1,0,1", "--xmax", "20000", "--progression", "1,4"], False),
+    # a non-monic quadratic (2 divides the leading coefficient) and a quartic
+    (["stats", "--poly=-7,0,2", "--xmax", "20000"], False),
+    (["stats", "--poly", "1,0,-10,0,1", "--xmax", "20000"], False),
     (["ideals", "--poly", "1,0,1", "--nmax", "500"], False),
     # 13 (2^61 + 21)
     (["ideals", "--poly", "1,0,1", "--n", "29975959119778021649"], False),
