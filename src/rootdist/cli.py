@@ -55,24 +55,31 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _emit(text: str, output: str | None) -> None:
-    """Write fully-built text to stdout or atomically to a file."""
-    if output is None:
-        sys.stdout.write(text)
-        return
-    directory = os.path.dirname(os.path.abspath(output)) or "."
-    tmp = None
+def _emit(outputs: list[tuple[str, str | None]]) -> None:
+    """Write fully-built texts, each to stdout (None) or to a file.  Each
+    file goes to a temp file beside it, with the mode a plain open would
+    give, and the temp files are renamed only once all are written."""
+    os.umask(umask := os.umask(0))
+    staged: list[tuple[str, str]] = []
+    path = None
     try:
-        fd, tmp = tempfile.mkstemp(prefix=".rootdist-", dir=directory)
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, output)
+        for text, path in outputs:
+            if path is not None:
+                fd, tmp = tempfile.mkstemp(prefix=".rootdist-", dir=os.path.dirname(os.path.abspath(path)))
+                staged.append((tmp, path))
+                with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+                os.chmod(tmp, 0o666 & ~umask)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         if isinstance(exc, OSError):
-            raise InvalidArgumentError(f"cannot write {output}: {exc.strerror or exc}") from None
+            raise InvalidArgumentError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise
+    sys.stdout.write("".join(text for text, path in outputs if path is None))
 
 
 def _rows_to_text(rows: list[list[str]], fmt: str) -> str:
@@ -274,7 +281,7 @@ def _cmd_ideals(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def _cmd_system(args: argparse.Namespace) -> str:
+def _cmd_system(args: argparse.Namespace) -> str | list[tuple[str, str | None]]:
     system = PolySystem(tuple(_parse_polys(args.polys)))
     if (args.n is None) == (args.xmax is None):
         raise InvalidArgumentError("exactly one of --n and --xmax is required")
@@ -302,12 +309,14 @@ def _cmd_system(args: argparse.Namespace) -> str:
         flt,
         cloud_sink=sink if cloud_rows is not None else None,
     )
-    if cloud_rows is not None:
-        head = "n," + ",".join(f"v{i + 1}" for i in range(system.dimension))
-        _emit(head + "\n" + "\n".join(cloud_rows) + "\n", args.cloud_out)
-    return _rows_to_text(series.csv_rows(), args.format)
+    text = _rows_to_text(series.csv_rows(), args.format)
+    if cloud_rows is None:
+        return text
+    head = "n," + ",".join(f"v{i + 1}" for i in range(system.dimension))
+    return [(text, args.output), (head + "\n" + "\n".join(cloud_rows) + "\n", args.cloud_out)]
 
 
+# A handler returns its text, or the (text, path) pairs to write (None: stdout).
 _HANDLERS = {
     "roots": _cmd_roots,
     "weyl": _cmd_weyl,
@@ -375,8 +384,8 @@ def main(argv: list[str] | None = None) -> int:
         if pre_args.config:
             argv = _apply_config(argv, parser, pre_args.config)
         args = parser.parse_args(_glue_int_list_values(argv))
-        text = _HANDLERS[args.command](args)
-        _emit(text, args.output)
+        out = _HANDLERS[args.command](args)
+        _emit(out if isinstance(out, list) else [(out, args.output)])
     except RootdistError as exc:
         print(f"rootdist: error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .intpoly import IntPolynomial
 from .modarith import SpfSieve, euler_phi, factorize, inverse
-from .roots import ModulusFilter, _prime_power_roots_cached, prime_table, root_stream, roots_mod_n
+from .roots import ModulusFilter, _prime_power_roots_cached, prime_counts, root_stream, roots_mod_n
 
 _TWO_PI = 2.0 * math.pi
 
@@ -396,18 +396,6 @@ class PrimeStats:
     rows: list[tuple[int, int, float, int, float, float, float]]
     closure_index: int
 
-    @property
-    def c2_estimate(self) -> float:
-        return self.rows[-1][4]
-
-    @property
-    def c3_estimate(self) -> float:
-        return self.rows[-1][5]
-
-    @property
-    def c4_estimate(self) -> float:
-        return self.rows[-1][6]
-
     def csv_rows(self) -> list[list[str]]:
         head = ["x", "sum_rho_p", "x_over_log_x", "pi_x", "c2_partial", "c3_partial", "c4_partial"]
         out = [head]
@@ -429,15 +417,13 @@ def prime_stats(
     the root field itself; it is 1 whenever that extension is trivial (as for
     quadratic fields) and must be supplied by the caller otherwise, since
     Galois closures are not computed here.  The primes and their root counts
-    come from the prime table of f, so ``sieve`` is not consulted.
+    come from ``prime_counts``, so ``sieve`` is not consulted.
     """
     if xmax < 2:
         raise InvalidArgumentError("xmax must be at least 2")
     if closure_index < 1:
         raise InvalidArgumentError("closure index must be at least 1")
     checkpoints = _checkpoint_list(checkpoints, xmax, lo=2)
-    table = prime_table(f)
-    table.fill(xmax)
     bad = f.eta * f.discriminant
     d = f.degree
     sum_rho = 0
@@ -461,8 +447,8 @@ def prime_stats(
             )
         )
 
-    primes = zip(table.primes.tolist(), table.rho().tolist())
-    for p, rho in _checkpointed(primes, checkpoints, snapshot):
+    primes, counts = prime_counts(f, xmax)
+    for p, rho in _checkpointed(zip(primes.tolist(), counts.tolist()), checkpoints, snapshot):
         pi += 1
         if rho:
             sum_rho += rho
@@ -482,11 +468,6 @@ class ProgressionSums:
     checkpoints: list[int]
     sums: list[int]
     phi: int  # Euler phi of the modulus
-
-    @property
-    def c1_estimate(self) -> float:
-        """Final sum scaled by phi(m)/x: the empirical slope constant."""
-        return self.sums[-1] * self.phi / self.checkpoints[-1]
 
     def csv_rows(self) -> list[list[str]]:
         out = [["x", "sum_rho", "slope_estimate"]]

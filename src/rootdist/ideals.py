@@ -74,14 +74,6 @@ class FactoredIdeal:
             {"norm": self.norm, "components": [[p, e, v] for p, e, v in self.components]}
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "FactoredIdeal":
-        data = json.loads(text)
-        ideal = cls(tuple((int(p), int(e), int(v)) for p, e, v in data["components"]))
-        if ideal.norm != data["norm"]:
-            raise InvalidArgumentError("serialized norm does not match components")
-        return ideal
-
 
 def ideal_from_root(f: IntPolynomial, v: int, n: int) -> FactoredIdeal:
     """The ideal generated by (root shift, n) for a root v of f mod n."""
@@ -229,12 +221,4 @@ def enumerate_degree_one(
             return []
         ideals = [comps + ((p, e, v),) for comps in ideals for v in part]
     return [FactoredIdeal(tuple(comps)) for comps in ideals]
-
-
-def merge_coprime(a: FactoredIdeal, b: FactoredIdeal) -> FactoredIdeal:
-    """Component-wise product of two ideals with coprime norms."""
-    primes_a = {p for p, _, _ in a.components}
-    if any(p in primes_a for p, _, _ in b.components):
-        raise InvalidArgumentError("ideals share a prime; merge requires coprime norms")
-    return FactoredIdeal(tuple(sorted(a.components + b.components)))
 

@@ -87,12 +87,6 @@ class IntPolynomial:
     def derivative(self) -> tuple[int, ...]:
         return tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1)
 
-    def eval_int(self, v: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
-
     def deriv_mod(self, v: int, m: int) -> int:
         if m < 1:
             raise InvalidArgumentError("modulus must be positive")
@@ -133,10 +127,6 @@ def parse_polynomial(text: str) -> IntPolynomial:
     except ValueError as exc:
         raise InvalidArgumentError(f"cannot parse polynomial {text!r}: {exc}") from None
     return IntPolynomial(coeffs)
-
-
-def polynomial_to_text(f: IntPolynomial) -> str:
-    return ",".join(str(c) for c in f.coeffs)
 
 
 def pretty(f: IntPolynomial) -> str:

@@ -83,9 +83,6 @@ class SpfSieve:
             self._primes = idx[idx >= 2].tolist()
         return self._primes
 
-    def prime_count(self) -> int:
-        return len(self.primes())
-
 
 _shared_sieve: SpfSieve | None = None
 

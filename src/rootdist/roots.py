@@ -3,17 +3,17 @@
 A root set mod n is a sorted tuple of ints in [0, n); the modulus travels
 beside it (``root_stream`` yields (n, roots)), never inside it.
 
-Roots mod p come from one algorithm: the roots of gcd(x^p - x, f) by
-equal-degree splitting in numpy lanes, one lane per prime, holding int64
-residues below ``_lane_prime_bound`` and Python ints above it.  Every
-prime up to a limit (at most the sieve's cap of 10^8) sits in one prime
-table per polynomial, with its sorted roots in CSR form, filled in batches
-of lanes (see ``PrimeRootTable``).  A prime taken on its own (a single
-prime far beyond the table, p = 2, or one dividing the leading
-coefficient) gets a residue scan below _SCAN_LIMIT and a lane of its own
-above it.  Root sets for prime powers are memoized in LRU stores shared
-by every stream in the process.  Correctness never depends on a cache
-hit: entries are pure functions of (polynomial, prime, exponent).
+Roots mod p come from numpy lanes, one lane per prime, holding int64
+residues below ``_lane_prime_bound`` and Python ints above it: for a
+quadratic (-b +- s)/(2a) with s^2 = b^2 - 4ac by Tonelli-Shanks, and
+otherwise the roots of gcd(x^p - x, f) by equal-degree splitting.  Every
+prime up to a limit (at most 10^8) sits in one prime table per polynomial,
+its sorted roots in CSR form (``PrimeRootTable``); ``prime_counts`` stops
+at 1 + (D/p) or at deg gcd and keeps nothing.  A prime taken on its own
+(far beyond the table, p = 2, or dividing the leading coefficient) gets a
+residue scan below _SCAN_LIMIT and a lane of its own above it.  Prime-power
+root sets are memoized in LRU stores shared by every stream; entries are
+pure functions of (polynomial, prime, exponent), so no hit is needed.
 
 A stream reads one modulus table built for the call (``root_table``): the
 roots mod every n <= x in int32 CSR arrays.  Write n = q m with q the full
@@ -26,6 +26,7 @@ only through ``_stream_windows``, as root tuples, and do not keep it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -83,7 +84,7 @@ def _lane_prime_bound(d: int) -> int:
 def _lane_pow(a: np.ndarray, e: np.ndarray, P: np.ndarray) -> np.ndarray:
     """a^e mod p per lane, by masked square-and-multiply."""
     r = np.ones_like(a)
-    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+    for bit in range(int(e.max(initial=0)).bit_length() - 1, -1, -1):
         r = r * r % P
         r = np.where((e >> bit) & 1 == 1, r * a % P, r)
     return r
@@ -114,7 +115,7 @@ def _lane_powmod_linear(s: np.ndarray, e: np.ndarray, G: np.ndarray, P: np.ndarr
     L, k = G.shape[0], G.shape[1] - 1
     R = np.zeros((L, k), dtype=P.dtype)
     R[:, 0] = 1
-    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+    for bit in range(int(e.max(initial=0)).bit_length() - 1, -1, -1):
         R = _lane_reduce(_lane_mul(R, R), G, P)
         take = (e >> bit) & 1 == 1
         if take.any():
@@ -186,23 +187,73 @@ def _lane_residues(c: int, P: np.ndarray) -> np.ndarray:
     return np.array([c % p for p in P.tolist()], dtype=P.dtype)
 
 
+def _lane_monic(coeffs: tuple[int, ...], P: np.ndarray) -> np.ndarray:
+    """f mod p made monic per lane, for p prime to its leading coefficient."""
+    F = np.stack([_lane_residues(c, P) for c in coeffs], axis=1)
+    return F if coeffs[-1] == 1 else F * _lane_pow(F[:, -1], P - 2, P)[:, None] % P[:, None]
+
+
+def _lane_root_gcd(F: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gcd(x^p - x, F) per lane for monic F, and its degree: the root count."""
+    XP = _lane_powmod_linear(np.zeros_like(P), P, F, P)
+    XP[:, 1] = (XP[:, 1] - 1) % P
+    return _lane_gcd(F, XP, P)
+
+
 def _lane_roots(coeffs: tuple[int, ...], P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Roots of f mod every lane prime, as (lane, root) pairs.
 
     Every p must be odd and prime to the leading coefficient, so that f mod
     p keeps its degree d >= 2, and below _lane_prime_bound(d) in int64
-    lanes.  The distinct roots are those of g = gcd(x^p - x, f).
+    lanes.  A quadratic takes ``_quadratic_roots``; for d >= 3 the distinct
+    roots are those of g = gcd(x^p - x, f).
     """
-    if P.size == 0:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    d = len(coeffs) - 1
-    Pc = P[:, None]
-    F = np.stack([_lane_residues(c, P) for c in coeffs], axis=1)
-    F = F * _lane_pow(F[:, d], P - 2, P)[:, None] % Pc
-    XP = _lane_powmod_linear(np.zeros_like(P), P, F, P)
-    XP[:, 1] = (XP[:, 1] - 1) % P
-    G, rho = _lane_gcd(F, XP, P)
-    return _split_into_roots(G, rho, P)
+    F = _lane_monic(coeffs, P)
+    if F.shape[1] == 3:
+        return _quadratic_roots(F, P)
+    return _split_into_roots(*_lane_root_gcd(F, P), P)
+
+
+def _quadratic_roots(F: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of monic quadratics x^2 + c1 x + c0 mod odd primes, as (lane,
+    root) pairs: (s - c1) / 2 for both square roots s of D = c1^2 - 4 c0.
+
+    Tonelli-Shanks per lane: with p - 1 = Q 2^S, Q odd, and a = D^((Q-1)/2),
+    R = a D and t = a R = D^Q satisfy R^2 = D t, and t^(2^(S-1)) is Euler's
+    test of D.  Step k = S-1, ..., 1 multiplies R by c and t by c^2 when t
+    has order 2^k, where c = z^Q (z the least non-residue) is squared down
+    to order 2^(k+1); then t = 1 and s = R.
+    """
+    D = (F[:, 1] * F[:, 1] - 4 * F[:, 0]) % P
+    Q, S = P - 1, np.zeros(P.size, np.int64)
+    while (even := Q % 2 == 0).any():
+        Q, S = np.where(even, Q // 2, Q), S + even
+    a = _lane_pow(D, (Q - 1) // 2, P)
+    R = a * D % P
+    t = a * R % P
+    chi = _lane_pow(t, (P - 1) // (2 * Q), P)  # 2^(S-1), in the dtype of P
+    sq = np.flatnonzero(chi == 1)
+    need = sq[t[sq] != 1]  # only these lanes ask for a non-residue
+    Pn, Sn, tn, Rn = P[need], S[need], t[need], R[need]
+    z, todo = np.zeros_like(Pn), np.arange(need.size)
+    for q in filter(is_prime, itertools.count(2)):  # the least non-residue is a prime
+        nr = _lane_pow(np.full_like(todo, q), (Pn[todo] - 1) // 2, Pn[todo]) == Pn[todo] - 1
+        z[todo[nr]], todo = q, todo[~nr]
+        if not todo.size:
+            break
+    c = _lane_pow(z, Q[need], Pn)
+    for k in range(int(Sn.max(initial=0)) - 1, 0, -1):
+        u = tn
+        for _ in range(k - 1):
+            u = u * u % Pn
+        flip = u != 1
+        Rn, tn = np.where(flip, Rn * c % Pn, Rn), np.where(flip, tn * c % Pn * c % Pn, tn)
+        c = np.where(k < Sn, c * c % Pn, c)
+    R[need] = Rn
+    lanes = np.flatnonzero(chi != P - 1)  # D = 0 (where R = 0) or a square
+    own = np.concatenate([lanes, sq])
+    s = np.concatenate([R[lanes], -R[sq]])
+    return own, (s - F[own, 1]) % P[own] * ((P[own] + 1) // 2) % P[own]
 
 
 def _split_into_roots(
@@ -297,6 +348,19 @@ def _primes_in(lo: int, hi: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64) + (lo + 1)
 
 
+def _prime_chunks(f: IntPolynomial, lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The primes p with lo < p <= hi in chunks of _TABLE_CHUNK, each with
+    the mask of its lane primes: odd, prime to the leading coefficient and
+    below _lane_prime_bound(d).  A hi past the cap of 10^8 raises first."""
+    if hi > _SIEVE_LIMIT_MAX:
+        raise ResourceLimitError(f"prime table limit {hi} exceeds the cap of {_SIEVE_LIMIT_MAX}")
+    new = _primes_in(lo, hi)
+    bound = _lane_prime_bound(f.degree)
+    for start in range(0, new.size, _TABLE_CHUNK):
+        P = new[start : start + _TABLE_CHUNK]
+        yield P, (P != 2) & (_lane_residues(f.leading, P) != 0) & (P < bound)
+
+
 class PrimeRootTable:
     """Roots of one polynomial mod every prime p <= limit.
 
@@ -319,16 +383,8 @@ class PrimeRootTable:
         """Extend the table to every prime up to limit."""
         if limit <= self.limit:
             return
-        if limit > _SIEVE_LIMIT_MAX:
-            raise ResourceLimitError(
-                f"prime table limit {limit} exceeds the cap of {_SIEVE_LIMIT_MAX}"
-            )
-        new = _primes_in(self.limit, limit)
-        bound = _lane_prime_bound(self.f.degree)
-        counts, roots = [np.zeros(0, np.int64)], [self.roots]
-        for start in range(0, new.size, _TABLE_CHUNK):
-            P = new[start : start + _TABLE_CHUNK]
-            lanes = (P != 2) & (_lane_residues(self.f.leading, P) != 0) & (P < bound)
+        primes, counts, roots = [self.primes], [np.zeros(0, np.int64)], [self.roots]
+        for P, lanes in _prime_chunks(self.f, self.limit, limit):
             own, vals = _lane_roots(self.f.coeffs, P[lanes])
             own = np.flatnonzero(lanes)[own]
             single = np.flatnonzero(~lanes)
@@ -336,9 +392,10 @@ class PrimeRootTable:
             own = np.concatenate([own, np.repeat(single, [len(r) for r in found])])
             vals = np.concatenate([vals, np.array([v for r in found for v in r], dtype=np.int64)])
             order = np.lexsort((vals, own))
+            primes.append(P)
             counts.append(np.bincount(own, minlength=P.size))
             roots.append(vals[order])
-        self.primes = np.concatenate([self.primes, new])
+        self.primes = np.concatenate(primes)
         self.offsets = np.concatenate([self.offsets, self.offsets[-1] + np.cumsum(np.concatenate(counts))])
         self.roots = np.concatenate(roots)
         self.limit = limit
@@ -359,6 +416,28 @@ class PrimeRootTable:
 def prime_table(f: IntPolynomial) -> PrimeRootTable:
     """The shared, growing prime table of f."""
     return PrimeRootTable(f)
+
+
+def prime_counts(f: IntPolynomial, xmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """(primes, rho): every prime p <= xmax and the number of roots of f mod
+    p.  The primes of f's prime table are sliced from it.  The others run
+    the front half of the lanes chunk by chunk, 1 + (D/p) by Euler's test
+    for a quadratic and deg gcd(x^p - x, f) otherwise, and are not kept."""
+    table = prime_table(f)
+    i = int(np.searchsorted(table.primes, xmax, side="right"))
+    primes, rho = [table.primes[:i]], [table.rho()[:i]]
+    for P, lanes in _prime_chunks(f, min(table.limit, xmax), xmax):
+        r = np.zeros(P.size, np.int64)
+        F = _lane_monic(f.coeffs, L := P[lanes])
+        if f.degree == 2:
+            D = (F[:, 1] * F[:, 1] - 4 * F[:, 0]) % L
+            r[lanes] = (_lane_pow(D, (L - 1) // 2, L) + 1) % L
+        else:
+            r[lanes] = _lane_root_gcd(F, L)[1]
+        r[~lanes] = [len(_prime_roots_cached(f, p)) for p in P[~lanes].tolist()]
+        primes.append(P)
+        rho.append(r)
+    return np.concatenate(primes), np.concatenate(rho)
 
 
 def _lift_all(f: IntPolynomial, p: int, e: int, parents: tuple[int, ...]) -> tuple[int, ...]:

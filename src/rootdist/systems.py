@@ -70,13 +70,6 @@ class PolySystem:
     def eta(self) -> int:
         return math.lcm(*(p.eta for p in self.polys))
 
-    @property
-    def disc_product(self) -> int:
-        out = 1
-        for d in self.discriminants:
-            out *= d
-        return out
-
 
 def root_tuples(system: PolySystem, n: int) -> tuple[tuple[int, ...], ...]:
     """Every simultaneous root tuple mod n, in lexicographic order: the

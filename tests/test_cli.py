@@ -221,6 +221,32 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys):
         assert not list(tmp_path.iterdir())
 
 
+def test_system_with_unwritable_output_leaves_no_cloud(tmp_path, capsys):
+    cloud = tmp_path / "c.csv"
+    target = tmp_path / "missing" / "o.csv"
+    code, out, err = run_cli(
+        capsys, "system", "--polys", "1,1,1;-1,-1,1", "--xmax", "20",
+        "--cloud-out", str(cloud), "--output", str(target),
+    )
+    assert code == 2 and out == "" and f"cannot write {target}" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_output_files_get_the_umask_mode(tmp_path, capsys):
+    old = os.umask(0o022)
+    try:
+        code, _, _ = run_cli(
+            capsys, "system", "--polys", "1,1,1;-1,-1,1", "--xmax", "20",
+            "--cloud-out", str(tmp_path / "c.csv"), "--output", str(tmp_path / "o.csv"),
+        )
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "o.csv"]
+    for path in tmp_path.iterdir():
+        assert path.stat().st_mode & 0o777 == 0o644
+
+
 def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(b"xmax=\xff\n")

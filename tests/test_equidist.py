@@ -256,7 +256,7 @@ def test_progression_rejects_common_factor(x2p1):
 
 def test_progression_slope_scaling(x2p1):
     sums = progression_root_sums(x2p1, 1, 4, 1000, checkpoints=[1000])
-    assert sums.c1_estimate == sums.sums[-1] * 2 / 1000  # phi(4) = 2
+    assert sums.csv_rows()[-1][2] == f"{sums.sums[-1] * 2 / 1000:.12g}"  # phi(4) = 2
 
 
 def test_checkpoint_rows_match_runs_stopped_there(x2p1, x2px1):

@@ -16,7 +16,6 @@ from rootdist import (
     ideal_residue,
     inertia_degree,
     is_degree_one,
-    merge_coprime,
     roots_mod_n,
 )
 
@@ -127,21 +126,10 @@ def test_bijection_small(x2p1, small_sieve):
             assert ideal_from_root(x2p1, ideal_residue(ideal), n) == ideal
 
 
-def test_norm_multiplicative_under_merge(x2p1, small_sieve):
-    a = ideal_from_root(x2p1, 7, 25)
-    b = ideal_from_root(x2p1, 5, 13)
-    merged = merge_coprime(a, b)
-    assert merged.norm == a.norm * b.norm
-    assert ideal_residue(merged) % 25 == 7 and ideal_residue(merged) % 13 == 5
-    with pytest.raises(InvalidArgumentError):
-        merge_coprime(a, a)
-
-
 def test_json_round_trip_and_field_order(x2p1):
     ideal = ideal_from_root(x2p1, 57, 65)
     text = ideal.to_json()
     assert text == '{"norm": 65, "components": [[5, 1, 2], [13, 1, 5]]}'
-    assert FactoredIdeal.from_json(text) == ideal
     data = json.loads(text)
     assert list(data.keys()) == ["norm", "components"]
 

@@ -10,7 +10,6 @@ from rootdist import (
     InvalidArgumentError,
     parse_polynomial,
     poly_eval_mod,
-    polynomial_to_text,
 )
 from rootdist.intpoly import IrreducibilityAssumedWarning, _rational_root
 
@@ -75,7 +74,7 @@ def test_eval_mod_matches_exact_reduction(reference_polys):
         f = rng.choice(reference_polys)
         m = rng.randint(1, 2**200)
         v = rng.randint(0, 2**64)
-        exact = f.eval_int(v) % m
+        exact = sum(c * v**i for i, c in enumerate(f.coeffs)) % m
         assert poly_eval_mod(f, v, m) == exact
 
 
@@ -156,7 +155,6 @@ def test_eta_default_and_override():
 def test_parse_round_trip():
     f = parse_polynomial(" 1 , 0 , 1 ")
     assert f.coeffs == (1, 0, 1)
-    assert polynomial_to_text(f) == "1,0,1"
     # unicode minus tolerated
     g = parse_polynomial("−2,0,0,1")
     assert g.coeffs == (-2, 0, 0, 1)

@@ -55,7 +55,7 @@ def test_sieve_prime_count_at_million():
     flags = eratosthenes(10**6)
     expected = sum(flags)
     assert expected == 78498
-    assert sieve.prime_count() == expected
+    assert len(sieve.primes()) == expected
     assert all(type(p) is int for p in sieve.primes())
 
 

@@ -22,12 +22,15 @@ from rootdist.intpoly import IntPolynomial, IrreducibilityAssumedWarning
 from rootdist.modarith import cached_sieve
 from rootdist.roots import (
     PrimeRootTable,
+    _lane_pow,
     _lane_prime_bound,
     _lane_roots,
     _moduli_chunks,
     _primes_in,
+    _roots_mod_prime_large,
     _split_smallest,
     clear_caches,
+    prime_counts,
     prime_table,
     root_table,
 )
@@ -179,6 +182,89 @@ def test_lanes_match_brute_force_on_random_quartics(dtype):
         lane, vals = _lane_roots(tuple(coeffs), np.array([p], dtype=dtype))
         assert lane.tolist() == [0] * len(vals)
         assert sorted(vals.tolist()) == brute_roots(coeffs, p), (coeffs, p)
+
+
+# v2(p - 1) = 16, 18, 20 and 23, all in int64 lanes: Tonelli-Shanks
+# takes up to 22 steps
+_DEEP_TWO_ADIC_PRIMES = (65537, 786433, 7340033, 998244353)
+
+
+def _quadratics_at(p):
+    # x^2 + 1, x^2 + x + 1, 2x^2 + 3x + 5, and x^2 + 2x + 1 + p, whose
+    # discriminant -4p is 0 mod p
+    return [IntPolynomial(c) for c in [(1, 0, 1), (1, 1, 1), (5, 3, 2), (1 + p, 2, 1)]]
+
+
+def _scan_int64(coeffs, p):
+    """Every v < p with f(v) = 0 mod p, by int64 Horner in blocks (p < 2^31)."""
+    out = []
+    for lo in range(0, p, 1 << 20):
+        v = np.arange(lo, min(p, lo + (1 << 20)), dtype=np.int64)
+        acc = np.full(v.size, coeffs[-1] % p, dtype=np.int64)
+        for c in reversed(coeffs[:-1]):
+            acc = (acc * v + c % p) % p
+        out += (v[acc == 0]).tolist()
+    return out
+
+
+# 3 * 2^66 + 1, on an object lane: 2^(S-1) does not fit in an int64
+@pytest.mark.parametrize("p", [*_DEEP_TWO_ADIC_PRIMES, 3 * 2**66 + 1])
+def test_quadratic_closed_form_at_deep_two_adic_primes(p, monkeypatch):
+    def no_split(*args):
+        raise AssertionError("a quadratic reached the equal-degree split")
+
+    monkeypatch.setattr(roots_module, "_split_into_roots", no_split)
+    for f in _quadratics_at(p):
+        want = _sympy_roots(f.coeffs, p)
+        if p < 10**7:
+            assert want == _scan_int64(f.coeffs, p), (f.coeffs, p)
+        assert list(_roots_mod_prime_large(f, p)) == want, (f.coeffs, p)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_quadratic_lanes_mix_two_adic_depths(dtype):
+    # one pass over primes whose Tonelli-Shanks runs differ in length
+    P = np.array([3, 5, 13, 17, 97, 257, *_DEEP_TWO_ADIC_PRIMES], dtype=dtype)
+    for coeffs in [(1, 0, 1), (1, 1, 1), (5, 3, 2), (-13, 0, 1)]:
+        lane, vals = _lane_roots(coeffs, P)
+        for i, p in enumerate(P.tolist()):
+            assert sorted(vals[lane == i].tolist()) == _sympy_roots(coeffs, p), (coeffs, p)
+
+
+def test_empty_lanes(x2p1, x3m2):
+    empty = np.zeros(0, np.int64)
+    assert _lane_pow(empty, empty, empty).size == 0
+    for coeffs in (x2p1.coeffs, x3m2.coeffs):
+        assert [a.size for a in _lane_roots(coeffs, empty)] == [0, 0]
+    # 1019 = 3 mod 4 and 1021 = 1 mod 4 leave -4 a non-residue and a
+    # square: no lane, then no lane without a root of t, asks for one
+    assert _roots_mod_prime_large(x2p1, 1019) == ()
+    assert _roots_mod_prime_large(x2p1, 1021) == tuple(brute_roots(x2p1.coeffs, 1021))
+    clear_caches()
+    assert [a.tolist() for a in prime_counts(x3m2, 2)] == [[2], [1]]
+    clear_caches()
+
+
+def test_prime_counts_match_the_table():
+    # the counts pass, a slice of a table that covers xmax, and a slice of
+    # one that covers part of it, for degrees 2 to 7
+    limit = 20000
+    for f in _object_lane_polys():
+        whole = PrimeRootTable(f)
+        whole.fill(limit)
+        clear_caches()
+        primes, rho = prime_counts(f, limit)
+        assert prime_table(f).limit == 1  # nothing stored
+        assert primes.tolist() == whole.primes.tolist(), f.coeffs
+        assert rho.tolist() == whole.rho().tolist(), f.coeffs
+        prime_table(f).fill(5000)
+        for xmax in (3000, limit):
+            primes, rho = prime_counts(f, xmax)
+            k = int(np.searchsorted(whole.primes, xmax, side="right"))
+            assert primes.tolist() == whole.primes[:k].tolist()
+            assert rho.tolist() == whole.rho()[:k].tolist()
+        assert prime_table(f).limit == 5000
+    clear_caches()
 
 
 def test_prime_table_doubling_matches_single_pass(x3m2):

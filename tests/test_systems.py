@@ -28,7 +28,6 @@ def pair_system(x2px1):
 def test_validate_accepts_coprime_discs(pair_system):
     assert pair_system.discriminants == (-3, 5)
     assert pair_system.eta == 1
-    assert pair_system.disc_product == -15
 
 
 def test_validate_rejects_shared_disc(x2p1):
