@@ -53,6 +53,9 @@ CLI_COMMANDS = [
       "--format", "json"], False),
     (["weyl", "--poly=-2,0,0,1", "--xmax", "30000", "--filter", "squarefree"], False),
     (["weyl", "--poly", "3,0,2", "--xmax", "20000", "--h", "inv:3"], False),
+    # inverse mode under a caller filter; coprime:10 with inv:6 keeps n prime to 30
+    (["weyl", "--poly", "1,0,1", "--xmax", "20000", "--h", "inv:3", "--filter", "squarefree"], False),
+    (["weyl", "--poly", "1,0,1", "--xmax", "20000", "--h", "inv:6", "--filter", "coprime:10"], False),
     (["stats", "--poly=-2,0,0,1", "--xmax", "20000"], False),
     (["stats", "--poly", "1,0,1", "--xmax", "20000", "--progression", "1,4"], False),
     # a non-monic quadratic (2 divides the leading coefficient) and a quartic
