@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -272,10 +271,7 @@ def _cmd_ideals(args: argparse.Namespace) -> str:
         for ideal in enumerate_degree_one(f, args.n):
             lines.append(ideal.to_json())
     else:
-        bad = f.eta * f.discriminant
-        for n in range(1, args.nmax + 1):
-            if math.gcd(n, bad) != 1:
-                continue
+        for n in ModulusFilter.coprime(abs(f.eta * f.discriminant)).window(1, args.nmax + 1):
             for ideal in enumerate_degree_one(f, n):
                 lines.append(ideal.to_json())
     return "\n".join(lines) + "\n" if lines else ""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -24,15 +24,17 @@ _TWO_PI = 2.0 * math.pi
 
 
 class KahanSum:
-    """Compensated float accumulator."""
+    """Compensated accumulator.  Started at 0j it sums complex terms: every
+    operation is then complex with complex, which CPython does componentwise,
+    so the result has the bits of two float sums."""
 
     __slots__ = ("value", "_c")
 
-    def __init__(self):
-        self.value = 0.0
-        self._c = 0.0
+    def __init__(self, zero: float | complex = 0.0):
+        self.value = zero
+        self._c = zero
 
-    def add(self, x: float) -> None:
+    def add(self, x: float | complex) -> None:
         y = x - self._c
         t = self.value + y
         self._c = (t - self.value) - y
@@ -217,29 +219,28 @@ def weyl_series(
 ) -> WeylSeries:
     """Accumulate the Weyl partial sums over the filtered stream up to xmax.
 
-    In inverse mode only moduli coprime to m contribute (the inverse must
-    exist), which is imposed on top of any caller filter.
+    In inverse mode only moduli prime to m contribute (the inverse must
+    exist): the caller's filter runs with prime_to = lcm(prime_to, m).
     """
     if isinstance(h, int):
         h = HSpec.const(h)
     checkpoints = _checkpoint_list(checkpoints, xmax)
-    extra = None
+    if flt is None:
+        flt = ModulusFilter.all()
     if h.kind == "inverse":
-        m = h.value
-        extra = lambda n: math.gcd(n, m) == 1  # noqa: E731
+        flt = replace(flt, prime_to=math.lcm(flt.prime_to, h.value))
 
     series = WeylSeries(h=h, checkpoints=checkpoints)
-    re_acc, im_acc, abs_acc = KahanSum(), KahanSum(), KahanSum()
+    acc, abs_acc = KahanSum(0j), KahanSum()
     norm_acc = 0
 
     def snapshot(_: int) -> None:
-        series.signed.append(complex(re_acc.value, im_acc.value))
+        series.signed.append(acc.value)
         series.abs_sum.append(abs_acc.value)
         series.normalizer.append(norm_acc)
         series.empty_flags.append(norm_acc == 0)
 
-    stream = root_stream(f, xmax, flt, sieve, extra_accept=extra)
-    for n, roots in _checkpointed(stream, checkpoints, snapshot):
+    for n, roots in _checkpointed(root_stream(f, xmax, flt, sieve), checkpoints, snapshot):
         if not roots:
             continue
         norm_acc += len(roots)
@@ -248,8 +249,7 @@ def weyl_series(
         else:
             hn = inverse(h.value % n, n) if n > 1 else 0
         term = root_exp_sum(f, hn, n, roots)
-        re_acc.add(term.real)
-        im_acc.add(term.imag)
+        acc.add(term)
         abs_acc.add(abs(term))
     return series
 
@@ -493,10 +493,9 @@ def progression_root_sums(
     if math.gcd(a, m) != 1:
         raise InvalidArgumentError(f"progression needs gcd(a, m) = 1; got a={a}, m={m}")
     checkpoints = _checkpoint_list(checkpoints, xmax)
-    flt = ModulusFilter.all() if m == 1 else ModulusFilter.progression(a, m)
     sums: list[int] = []
     acc = 0
-    stream = root_stream(f, xmax, flt, sieve)
+    stream = root_stream(f, xmax, ModulusFilter.progression(a, m), sieve)
     for _, roots in _checkpointed(stream, checkpoints, lambda _: sums.append(acc)):
         acc += len(roots)
     phi_m = euler_phi(factorize(m))

@@ -21,15 +21,17 @@ power of the smallest prime of n; the roots mod n are the CRT products of
 the roots mod q and mod m.  One pass fills the table in ascending chunks
 [a, min(2a, a + _TABLE_CHUNK)), so that q and m (both at most n/2 when
 m > 1) always lie in an earlier, finished chunk.  Streams read the table
-only through ``_stream_windows``, as root tuples, and do not keep it.
+only through ``_stream_windows``, as root tuples, and do not keep it; a
+``ModulusFilter`` alone decides their moduli, and a dropped one costs none.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -470,14 +472,15 @@ def _lift_all(f: IntPolynomial, p: int, e: int, parents: tuple[int, ...]) -> tup
 @lru_cache(maxsize=1 << 20)
 def _prime_power_roots_cached(f: IntPolynomial, p: int, e: int) -> tuple[int, ...]:
     """Roots mod p^e.  For e = 1 they come from f's prime table: a prime
-    past its limit but within twice it doubles the table, so ascending
-    per-prime callers pay for a few passes in all; a prime further out, or
-    one whose doubling would pass the table cap, goes to
-    ``_prime_roots_cached``."""
+    p >= _SCAN_LIMIT past its limit L but within 2 max(L, _SCAN_LIMIT)
+    fills it to that bound, so ascending callers pay for a few doubling
+    passes from wherever they start; other primes (below _SCAN_LIMIT,
+    further out, or past the cap) go to ``_prime_roots_cached``."""
     if e == 1:
         table = prime_table(f)
-        if table.limit < p <= 2 * table.limit <= _SIEVE_LIMIT_MAX:
-            table.fill(2 * table.limit)
+        grow = 2 * max(table.limit, _SCAN_LIMIT)
+        if max(table.limit, _SCAN_LIMIT - 1) < p <= grow <= _SIEVE_LIMIT_MAX:
+            table.fill(grow)
         roots = table.lookup(p)
         return _prime_roots_cached(f, p) if roots is None else roots
     parents = _prime_power_roots_cached(f, p, e - 1)
@@ -531,28 +534,29 @@ def roots_mod_n(f: IntPolynomial, n: int) -> tuple[int, ...]:
     return roots_from_factorization(f, factorize(n))
 
 
+@dataclass(frozen=True)
 class ModulusFilter:
-    """Which moduli a stream visits: all, squarefree, a progression,
-    coprime-to-m, or an explicit list."""
+    """Which moduli a stream visits: all n, the squarefree n, n = a mod m
+    or an explicit list, and of those only the n prime to ``prime_to``;
+    ``coprime(m)`` (``coprime:m``) is all n with prime_to = m."""
 
-    def __init__(self, kind: str, a: int = 0, m: int = 0, values: frozenset[int] | None = None):
-        self.kind = kind
-        self.a = a
-        self.m = m
-        self.values = values
-        if kind == "progression":
-            if m < 1 or math.gcd(a, m) != 1:
-                raise InvalidArgumentError(
-                    f"progression filter needs gcd(a, m) = 1; got a={a}, m={m}"
-                )
-        elif kind == "coprime":
-            if m < 1:
-                raise InvalidArgumentError("coprime filter needs a positive modulus")
-        elif kind == "list":
-            if not values:
-                raise InvalidArgumentError("explicit filter needs at least one modulus")
-        elif kind not in ("all", "squarefree"):
-            raise InvalidArgumentError(f"unknown filter kind {kind!r}")
+    kind: str
+    a: int = 0
+    m: int = 0
+    values: frozenset[int] | None = None
+    prime_to: int = 1
+
+    def __post_init__(self):
+        if self.kind == "progression" and (self.m < 1 or math.gcd(self.a, self.m) != 1):
+            raise InvalidArgumentError(
+                f"progression filter needs gcd(a, m) = 1; got a={self.a}, m={self.m}"
+            )
+        if self.kind == "list" and not self.values:
+            raise InvalidArgumentError("explicit filter needs at least one modulus")
+        if self.kind not in ("all", "squarefree", "progression", "list"):
+            raise InvalidArgumentError(f"unknown filter kind {self.kind!r}")
+        if self.prime_to < 1:
+            raise InvalidArgumentError("coprime filter needs a positive modulus")
 
     @classmethod
     def all(cls) -> "ModulusFilter":
@@ -568,7 +572,7 @@ class ModulusFilter:
 
     @classmethod
     def coprime(cls, m: int) -> "ModulusFilter":
-        return cls("coprime", m=m)
+        return cls("all", prime_to=m)
 
     @classmethod
     def explicit(cls, values: Iterable[int]) -> "ModulusFilter":
@@ -600,30 +604,35 @@ class ModulusFilter:
     def window(self, lo: int, hi: int) -> Sequence[int]:
         """The accepted n in [lo, hi), ascending, for 1 <= lo < hi."""
         if self.kind == "all":
-            return range(lo, hi)
-        if self.kind == "progression":
-            return range(lo + (self.a - lo) % self.m, hi, self.m)
-        if self.kind == "list":
-            return sorted(v for v in self.values if lo <= v < hi)
-        n = np.arange(lo, hi, dtype=np.int64)
-        if self.kind == "coprime":
-            return n[np.gcd(n, self.m) == 1].tolist()
-        keep = np.ones(hi - lo, dtype=bool)
-        for p in _primes_in(1, math.isqrt(hi - 1)).tolist():
-            keep[(-lo) % (p * p) :: p * p] = False
-        return n[keep].tolist()
+            ns: Sequence[int] = range(lo, hi)
+        elif self.kind == "progression":
+            ns = range(lo + (self.a - lo) % self.m, hi, self.m)
+        elif self.kind == "list":
+            ns = sorted(v for v in self.values if lo <= v < hi)
+        else:
+            keep = np.ones(hi - lo, dtype=bool)
+            for p in _primes_in(1, math.isqrt(hi - 1)).tolist():
+                keep[(-lo) % (p * p) :: p * p] = False
+            ns = (np.flatnonzero(keep) + lo).tolist()
+        if self.prime_to == 1:
+            return ns
+        # gcd(n, M) = gcd(n, M mod n): exact for M of any size
+        return [n for n in ns if math.gcd(n, self.prime_to % n) == 1]
 
     def accepts(self, n: int) -> bool:
         return bool(self.window(n, n + 1))
 
     def describe(self) -> str:
+        """The ``parse`` spelling, with "&coprime:M" after a kind other than all."""
         if self.kind == "progression":
-            return f"progression:{self.a},{self.m}"
-        if self.kind == "coprime":
-            return f"coprime:{self.m}"
-        if self.kind == "list":
-            return "list:" + ",".join(str(v) for v in sorted(self.values))
-        return self.kind
+            text = f"progression:{self.a},{self.m}"
+        elif self.kind == "list":
+            text = "list:" + ",".join(str(v) for v in sorted(self.values))
+        else:
+            text = self.kind
+        if self.prime_to > 1:
+            text = f"{'' if self.kind == 'all' else text + '&'}coprime:{self.prime_to}"
+        return text
 
     def __repr__(self) -> str:
         return f"ModulusFilter({self.describe()!r})"
@@ -756,23 +765,20 @@ def root_stream(
     xmax: int,
     flt: ModulusFilter | None = None,
     sieve: SpfSieve | None = None,
-    extra_accept: Callable[[int], bool] | None = None,
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield (n, sorted roots of f mod n) for n = 1..xmax in ascending
-    order, filtered; one item per accepted modulus, empty root sets included.
+    """Yield (n, sorted roots of f mod n) for the n <= xmax that ``flt``
+    accepts (all n by default), ascending; one item per accepted modulus,
+    empty root sets included.
 
-    The roots come from one ``root_table`` built for this call.
-    ``extra_accept`` is an additional cheap predicate on n (used for the
-    coprimality restriction of inverse-mode Weyl sums).
+    The roots come from one ``root_table`` built for this call; the filter
+    alone decides the moduli, so a modulus it drops costs no root tuple.
     """
     if xmax < 1:
         raise InvalidArgumentError("xmax must be at least 1")
     if flt is None:
         flt = ModulusFilter.all()
     for ns, (rows,) in _stream_windows((f,), xmax, flt, sieve):
-        for n, roots in zip(ns, rows):
-            if extra_accept is None or extra_accept(n):
-                yield n, roots
+        yield from zip(ns, rows)
 
 
 def clear_caches() -> None:

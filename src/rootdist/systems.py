@@ -203,8 +203,7 @@ def joint_weyl_series(
     for h in hset:
         series.signed[h] = []
         series.abs_sum[h] = []
-    re_acc = {h: KahanSum() for h in hset}
-    im_acc = {h: KahanSum() for h in hset}
+    acc = {h: KahanSum(0j) for h in hset}
     abs_acc = {h: KahanSum() for h in hset}
     norm_acc = 0
     hist = np.zeros((grid,) * r, dtype=np.int64)
@@ -213,7 +212,7 @@ def joint_weyl_series(
     def snapshot(_: int) -> None:
         series.normalizer.append(norm_acc)
         for h in hset:
-            series.signed[h].append(complex(re_acc[h].value, im_acc[h].value))
+            series.signed[h].append(acc[h].value)
             series.abs_sum[h].append(abs_acc[h].value)
         series.box_disc.append(
             box_discrepancy_from_hist(hist, cloud_count) if cloud_count else 1.0
@@ -233,8 +232,7 @@ def joint_weyl_series(
         norm_acc += count
         for h in hset:
             term = joint_exp_sum(system, h, n, rootsets=per_poly)
-            re_acc[h].add(term.real)
-            im_acc[h].add(term.imag)
+            acc[h].add(term)
             abs_acc[h].add(abs(term))
         cloud_count += count
         for tup in itertools.product(*per_poly):

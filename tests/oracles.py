@@ -72,14 +72,14 @@ def trial_factorize(n):
     return parts
 
 
-def factored_root_stream(f, xmax, flt=None, extra_accept=None):
+def factored_root_stream(f, xmax, flt=None):
     """(n, roots of f mod n) for the accepted n <= xmax, one modulus at a
     time: n factored by its smallest prime factors (``spf_parts``), the
-    filter decided from n and that factorization, and the cached
-    prime-power root sets glued through the CRT."""
+    filter decided from n and that factorization (and gcd(n, prime_to)),
+    and the cached prime-power root sets glued through the CRT."""
     sieve = cached_sieve(xmax)
     for n in range(1, xmax + 1):
-        if extra_accept is not None and not extra_accept(n):
+        if flt is not None and math.gcd(n, flt.prime_to) != 1:
             continue
         parts = spf_parts(n, sieve)
         kind = "all" if flt is None else flt.kind
@@ -87,8 +87,6 @@ def factored_root_stream(f, xmax, flt=None, extra_accept=None):
             keep = all(e == 1 for _, e in parts)
         elif kind == "progression":
             keep = n % flt.m == flt.a
-        elif kind == "coprime":
-            keep = math.gcd(n, flt.m) == 1
         elif kind == "list":
             keep = n in flt.values
         else:

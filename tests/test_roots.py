@@ -27,6 +27,7 @@ from rootdist.roots import (
     _lane_roots,
     _moduli_chunks,
     _primes_in,
+    _prime_roots_cached,
     _roots_mod_prime_large,
     _split_smallest,
     clear_caches,
@@ -275,7 +276,7 @@ def test_prime_table_doubling_matches_single_pass(x3m2):
     for p in (p for p in range(20001) if flags[p]):
         roots_mod_prime(x3m2, p)
     grown = prime_table(x3m2)
-    assert grown.limit == 32768  # doubled from 1 by the queries for 2, 3, 5, 11, ...
+    assert grown.limit == 32768  # 1024 at the query for 521, doubled at 1031, 2053, ...
     whole = PrimeRootTable(x3m2)
     whole.fill(grown.limit)
     assert _table_entries(grown) == _table_entries(whole)
@@ -294,21 +295,49 @@ def test_prime_table_cap(x3m2, monkeypatch):
         table.fill(601)
     assert table.limit == 1 and table.primes.size == 0
     table.fill(400)
-    # 409 is within twice the limit, but doubling would pass the cap
-    assert roots_mod_prime(x3m2, 409) == brute_roots(x3m2.coeffs, 409)
+    # 521 is within 2 max(limit, _SCAN_LIMIT) = 1024, but that fill would
+    # pass the cap
+    assert roots_mod_prime(x3m2, 521) == brute_roots(x3m2.coeffs, 521)
     assert table.limit == 400
     clear_caches()
 
 
 def test_prime_table_doubles_only_within_twice_its_limit(x3m2):
+    # a prime p >= _SCAN_LIMIT = 512 with max(limit, 511) < p <= 2 max(limit, 512)
+    # fills the table to that bound; any other prime leaves it
     clear_caches()
     table = prime_table(x3m2)
+    for p in (2, 3, 509):  # below _SCAN_LIMIT on a fresh table: a scan
+        assert roots_mod_prime(x3m2, p) == brute_roots(x3m2.coeffs, p)
+    assert table.limit == 1
+    # 1031 is past 2 max(1, 512) = 1024: no fill, a single-prime route instead
+    assert roots_mod_prime(x3m2, 1031) == brute_roots(x3m2.coeffs, 1031)
+    assert table.limit == 1
     table.fill(100)
-    assert roots_mod_prime(x3m2, 199) == brute_roots(x3m2.coeffs, 199)
-    assert table.limit == 200
-    # 401 is past twice the limit: no fill, a single-prime route instead
-    assert roots_mod_prime(x3m2, 401) == brute_roots(x3m2.coeffs, 401)
-    assert table.limit == 200
+    assert roots_mod_prime(x3m2, 307) == brute_roots(x3m2.coeffs, 307)
+    assert table.limit == 100
+    assert roots_mod_prime(x3m2, 1031) == brute_roots(x3m2.coeffs, 1031)
+    assert table.limit == 100
+    assert roots_mod_prime(x3m2, 521) == brute_roots(x3m2.coeffs, 521)
+    assert table.limit == 1024
+    assert roots_mod_prime(x3m2, 2039) == brute_roots(x3m2.coeffs, 2039)
+    assert table.limit == 2048
+    # 4099 is past twice the limit
+    assert roots_mod_prime(x3m2, 4099) == brute_roots(x3m2.coeffs, 4099)
+    assert table.limit == 2048
+    clear_caches()
+
+
+def test_prime_table_grows_for_ascending_callers_that_skip_two(x2p1):
+    # the ideals of x^2 + 1 skip p = 2; the scan takes the primes below 512
+    # and the table then doubles from 1024 on
+    clear_caches()
+    flags = eratosthenes(5000)
+    for p in (p for p in range(3, 5001) if flags[p]):
+        assert roots_mod_prime(x2p1, p) == brute_roots(x2p1.coeffs, p)
+    assert prime_table(x2p1).limit == 8192
+    # the 96 scans, and p = 2, which the first fill takes on its own
+    assert _prime_roots_cached.cache_info().currsize == sum(flags[:512]) == 97
     clear_caches()
 
 
@@ -452,10 +481,8 @@ def test_stream_matches_factored_walk(reference_polys):
                 f.coeffs,
                 flt,
             )
-        prime_to_3 = lambda n: n % 3 != 0  # noqa: E731
-        odd = ModulusFilter.progression(1, 2)
-        got = list(root_stream(f, xmax, odd, extra_accept=prime_to_3))
-        assert got == list(factored_root_stream(f, xmax, odd, prime_to_3))
+        odd = ModulusFilter("progression", 1, 2, prime_to=3)
+        assert list(root_stream(f, xmax, odd)) == list(factored_root_stream(f, xmax, odd))
 
 
 def test_stream_chunk_edges(x3m2, monkeypatch):
@@ -506,10 +533,32 @@ def test_stream_matches_roots_mod_n(x3m2, small_sieve):
         assert rs == roots_mod_n(x3m2, n)
 
 
+def test_filter_prime_to_past_int64(x2p1):
+    # gcd(n, M) = gcd(n, M mod n) under every kind, for M past 2^63
+    p70 = 590295810358705651741  # prime, 70 bits
+    kinds = [
+        ModulusFilter("all"),
+        ModulusFilter("squarefree"),
+        ModulusFilter("progression", 1, 4),
+        ModulusFilter("list", values=frozenset({1, 2, 3, 5, 30, 97, 98, 99, 400})),
+    ]
+    for M in (2**63 + 1, 2**64, 10**23, 30 * p70):
+        for base in kinds:
+            flt = ModulusFilter(base.kind, base.a, base.m, base.values, prime_to=M)
+            for lo, hi in ((1, 2), (1, 401), (97, 100), (200, 260)):
+                want = [n for n in base.window(lo, hi) if math.gcd(n, M) == 1]
+                assert list(flt.window(lo, hi)) == want, (M, base, lo, hi)
+    flt = ModulusFilter.parse("coprime:9223372036854775809")  # 3^3 19 43 5419 77158673929
+    assert flt == ModulusFilter("all", prime_to=2**63 + 1)
+    assert flt.describe() == "coprime:9223372036854775809"
+    assert [n for n, _ in root_stream(x2p1, 12, flt)] == [1, 2, 4, 5, 7, 8, 10, 11]
+
+
 def test_filter_parse_and_describe():
     flt = ModulusFilter.parse("progression:1,4")
     assert flt.accepts(9) and not flt.accepts(2)
     assert flt.describe() == "progression:1,4"
+    assert ModulusFilter("squarefree", prime_to=30).describe() == "squarefree&coprime:30"
     assert ModulusFilter.parse("coprime:6").accepts(35)
     assert ModulusFilter.parse("list:2,4").accepts(4)
     assert ModulusFilter.parse("all").accepts(123)
