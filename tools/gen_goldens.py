@@ -70,6 +70,12 @@ CLI_COMMANDS = [
     (["padic", "--poly=-2,0,0,1", "--base", "5", "--depth", "3000"], False),
     (["padic", "--poly", "1,0,1", "--base", "65", "--depth", "400"], False),
     (["normality", "--poly", "1,0,1", "--base", "5", "--depth", "2000"], False),
+    # base 2 under a monic quadratic with a unit discriminant
+    (["padic", "--poly", "2,1,1", "--base", "2", "--depth", "300"], False),
+    # 2^64 + 13, a prime base whose digits overflow int64
+    (["padic", "--poly", "1,0,1", "--base", "18446744073709551629", "--depth", "6"], False),
+    # deep enough that the phase walk runs over several chunks
+    (["normality", "--poly", "1,0,1", "--base", "5", "--depth", "70000", "--max-m", "4"], False),
 ]
 
 
