@@ -5,25 +5,26 @@ A root v of f mod n with gcd(n, eta*disc) = 1 has a unit derivative, so it
 lifts uniquely to a root mod n^L.  The lift runs quadratic Newton steps with
 precision doubling, the inverse of f' Newton-iterated alongside, and a
 divide-and-conquer base conversion reads off the L digits (von zur Gathen and
-Gerhard, Modern Computer Algebra, ch. 9).
+Gerhard, Modern Computer Algebra, ch. 9) down to leaves below 2^63, which
+numpy splits into digits in int64.
 
 A phase e(h*prefix_l/n^l) is rounded once, to its 64-bit fractional cell
 floor(2^64 * frac(h*prefix_l/n^l)), and only then converted to float.  The
 prefix walk reads that cell off a rolling window of the top digits; when the
 window cannot certify the cell, it recomputes it exactly from the whole
-prefix.  All tower arithmetic is exact big-integer work.
+prefix.  All tower arithmetic is exact big-integer work.  numpy turns chunks
+of cells into phases and adds them in level order with np.cumsum.
+normality_evidence refuses a word length that the digits cannot fill, or
+whose word table passes its cap, before it lifts anything.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import random
 import warnings
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -44,6 +45,10 @@ _MAX_DEPTH = 10**7
 
 # Digit runs at most this long are converted digit by digit.
 _DIGIT_LEAF = 32
+
+# Leaves per numpy digit batch, and levels per phase-walk chunk.
+_LEAF_BATCH = 1 << 12
+_WALK_CHUNK = 1 << 14
 
 # The phase window spans n^W >= |h| * 2^(64 + _WINDOW_GUARD_BITS), so it
 # fails to certify a 64-bit cell about once per 2^_WINDOW_GUARD_BITS levels.
@@ -70,20 +75,36 @@ def _digits_value(digits, base: int) -> int:
     return _digits_value(digits[:half], base) + _digits_value(digits[half:], base) * base**half
 
 
-def _split_digits(x: int, base: int, count: int, powers: dict, out: list) -> None:
-    """Append the ``count`` base-n digits of x < base^count to out, least
-    significant first, by halving divmods."""
-    if count <= _DIGIT_LEAF:
-        for _ in range(count):
-            x, a = divmod(x, base)
-            out.append(a)
-        return
-    half = (count + 1) // 2
-    if half not in powers:
-        powers[half] = base**half
-    hi, lo = divmod(x, powers[half])
-    _split_digits(lo, base, half, powers, out)
-    _split_digits(hi, base, count - half, powers, out)
+def _split_digits(x: int, base: int, count: int, powers: dict) -> list[int]:
+    """The ``count`` base-n digits of x < base^count, least significant first.
+
+    Halving divmods cut x into leaves of L digits, L the longest with
+    base^L < 2^63 (only the top leaf may be shorter), and numpy splits the
+    leaves in int64; a base of 2^63 or more is cut down to single digits.
+    """
+    leaf = 1
+    while base ** (leaf + 1) < 2**63:
+        leaf += 1
+    leaves, stack = [], [(x, count)]
+    while stack:
+        v, k = stack.pop()
+        if k <= leaf:
+            leaves.append(v)
+            continue
+        half = -(-k // (2 * leaf)) * leaf
+        if half not in powers:
+            powers[half] = base**half
+        hi, lo = divmod(v, powers[half])
+        stack += [(hi, k - half), (lo, half)]
+    if base >= 2**63:
+        return leaves
+    weights = base ** np.arange(leaf, dtype=np.int64)
+    digits: list[int] = []
+    for i in range(0, len(leaves), _LEAF_BATCH):
+        block = np.array(leaves[i : i + _LEAF_BATCH], dtype=np.int64)
+        digits += (block[:, None] // weights % base).ravel().tolist()
+    del digits[count:]  # the zeros above the top leaf
+    return digits
 
 
 @dataclass(frozen=True)
@@ -155,9 +176,7 @@ def nadic_expansions(f: IntPolynomial, base: int, depth: int) -> list[NadicExpan
             v = (v - poly_eval_mod(f, v, m) * u) % m
             if k < depth:
                 u = u * (2 - f.deriv_mod(v, m) * u) % m
-        digits: list[int] = []
-        _split_digits(v, base, depth, powers, digits)
-        out.append(NadicExpansion(f, base, tuple(digits)))
+        out.append(NadicExpansion(f, base, tuple(_split_digits(v, base, depth, powers))))
     return out
 
 
@@ -212,28 +231,38 @@ class NormalityReport:
         }
 
 
-def word_frequencies(digits, base: int, word_length: int) -> NormalityReport:
-    """Count every length-m window of a digit sequence against uniformity."""
-    digits = tuple(map(int, digits))
-    if base < 2:
-        raise InvalidArgumentError("base must be at least 2")
-    if word_length < 1:
-        raise InvalidArgumentError("word length must be at least 1")
-    if len(digits) < word_length:
+def _check_words(length: int, base: int, word_length: int) -> int:
+    """base^m for windows of length m in a sequence of the given length."""
+    if length < word_length:
         raise InvalidArgumentError("sequence shorter than the word length")
-    if min(digits) < 0 or max(digits) >= base:
-        raise InvalidArgumentError("digit out of range for the base")
     table_size = base**word_length
     if table_size > _MAX_WORD_TABLE:
         raise InvalidArgumentError(
             f"word table would hold {table_size} entries; cap is {_MAX_WORD_TABLE}"
         )
+    return table_size
+
+
+def word_frequencies(digits, base: int, word_length: int) -> NormalityReport:
+    """Count every length-m window of a digit sequence against uniformity.
+
+    An int64 array is counted as it is; any other sequence is read through
+    int() first."""
+    if not (isinstance(digits, np.ndarray) and digits.dtype == np.int64):
+        digits = tuple(map(int, digits))
+    if base < 2:
+        raise InvalidArgumentError("base must be at least 2")
+    if word_length < 1:
+        raise InvalidArgumentError("word length must be at least 1")
+    if len(digits) >= word_length and (np.min(digits) < 0 or np.max(digits) >= base):
+        raise InvalidArgumentError("digit out of range for the base")
+    table_size = _check_words(len(digits), base, word_length)
     windows = len(digits) - word_length + 1
     # Window i has the code sum of digits[i + j] * base^(m-1-j), below
     # base^m <= _MAX_WORD_TABLE, so int64 holds it exactly; codes ascend in
     # the lexicographic order of the words.
     weights = base ** np.arange(word_length - 1, -1, -1, dtype=np.int64)
-    codes = sliding_window_view(np.array(digits, dtype=np.int64), word_length) @ weights
+    codes = sliding_window_view(np.asarray(digits, dtype=np.int64), word_length) @ weights
     counts = np.bincount(codes, minlength=table_size).tolist()
     uniform = 1.0 / table_size
     expected = windows / table_size
@@ -268,12 +297,12 @@ def prefix_weyl_sum(exp: NadicExpansion, h: int, levels: int) -> complex:
     if not 1 <= levels <= exp.depth:
         raise InvalidArgumentError(f"levels must lie in [1, {exp.depth}]")
     total = complex(1.0, 0.0)  # l = 0 term
-    return deque(_phase_walk(exp.digits[:levels], exp.base, h, total), maxlen=1)[0] / levels
+    return _phase_walk(exp.digits[:levels], exp.base, h, total, [levels])[0] / levels
 
 
 def _phase_cells(digits, base: int, h: int):
     """Yield floor(2^64 * frac(h*P_l/n^l)) for l = 1..len(digits), where P_l
-    is the value of the first l digits.
+    is the value of the first l digits, in lists of _WALK_CHUNK levels.
 
     The window T holds the top W digits of P_l, so that P_l/n^l lies in
     [T/n^W, (T+1)/n^W), with W least such that n^W >= |h| * 2^(64+guard).
@@ -290,22 +319,37 @@ def _phase_cells(digits, base: int, h: int):
         top *= base
     lead = top // base
     h64 = h << 64
+    low, high = -h64, top - h64  # r certifies the cell when low <= r < high
     window = 0
-    for l, a in enumerate(digits, 1):
-        window = a * lead + window // base
-        cell, r = divmod(window * h64, top)
-        if l > width and not 0 <= r + h64 < top:
-            cell = _frac_cell(h * _digits_value(digits[:l], base), base**l)
-        yield cell & _MASK64
+    for start in range(0, len(digits), _WALK_CHUNK):
+        cells: list[int] = []
+        append = cells.append
+        for a in digits[start : start + _WALK_CHUNK]:
+            window = a * lead + window // base
+            cell, r = divmod(window * h64, top)
+            if not low <= r < high and (l := start + len(cells) + 1) > width:
+                cell = _frac_cell(h * _digits_value(digits[:l], base), base**l)
+            append(cell & _MASK64)
+        yield cells
 
 
-def _phase_walk(digits, base: int, h: int, acc: complex) -> Iterator[complex]:
-    """Yield the running sums acc plus e(h*P_k/n^k) over k = 1..l, for
-    l = 1..len(digits), added in level order; every phase is formed from
-    its 64-bit cell the same way, and depends only on the first l digits."""
-    for cell in _phase_cells(digits, base, h):
-        acc += cmath.exp(complex(0.0, _TWO_PI * (cell * 2.0**-64)))
-        yield acc
+def _phase_walk(digits, base: int, h: int, acc: complex, levels) -> list[complex]:
+    """acc plus e(h*P_k/n^k) over k = 1..l, for each of the ascending
+    ``levels`` l in [1, len(digits)], each phase formed from its 64-bit cell.
+    np.cumsum adds in order, with the sum so far put into the first term of
+    each chunk: exactly the sums of adding the phases to acc one by one."""
+    out = []
+    start, re, im = 0, acc.real, acc.imag
+    for cells in _phase_cells(digits, base, h):
+        theta = _TWO_PI * (np.array(cells, dtype=np.uint64) * 2.0**-64)
+        cos, sin = np.cos(theta), np.sin(theta)
+        cos[0] += re
+        sin[0] += im
+        cos, sin = np.cumsum(cos), np.cumsum(sin)
+        end = start + len(cells)
+        out += [complex(cos[l - start - 1], sin[l - start - 1]) for l in levels if start < l <= end]
+        start, re, im = end, cos[-1], sin[-1]
+    return out
 
 
 def haar_monte_carlo(
@@ -334,7 +378,7 @@ def haar_monte_carlo(
     for i in range(samples):
         rng = random.Random(f"{seed}:{i}")
         digits = [rng.randrange(base) for _ in range(levels)]
-        acc = deque(_phase_walk(digits, base, h, complex(0.0, 0.0)), maxlen=1)[0]
+        acc = _phase_walk(digits, base, h, complex(0.0, 0.0), [levels])[0]
         val = abs(acc / levels) ** 2
         total += val
         total_sq += val * val
@@ -371,6 +415,12 @@ def normality_evidence(
     """
     if max_word_length < 1:
         raise InvalidArgumentError("max word length must be at least 1")
+    # Refuse a word length before the lift, as word_frequencies would after
+    # it; base^m passes the table cap by m = 21, which bounds the loop.  A
+    # base below 2 or a depth below 1 is left to nadic_expansions to name.
+    if base >= 2 and depth >= 1:
+        for m in range(1, max_word_length + 1):
+            _check_words(depth, base, m)
     if depth < base**max_word_length * _SPARSE_FACTOR:
         warnings.warn(
             f"depth {depth} is below {_SPARSE_FACTOR} * base^{max_word_length}; "
@@ -379,13 +429,14 @@ def normality_evidence(
             stacklevel=2,
         )
     # prefix_weyl_sum(exp, 1, l) at these levels, read off one walk
-    traj_levels = {max(1, depth // 4), max(1, depth // 2), depth}
+    traj_levels = sorted({max(1, depth // 4), max(1, depth // 2), depth})
     out = []
     for exp in nadic_expansions(f, base, depth):
+        digits = np.array(exp.digits, dtype=np.int64)
         reports = tuple(
-            word_frequencies(exp.digits, base, m) for m in range(1, max_word_length + 1)
+            word_frequencies(digits, base, m) for m in range(1, max_word_length + 1)
         )
-        sums = _phase_walk(exp.digits, base, 1, complex(1.0, 0.0))
-        traj = tuple((l, abs(acc / l)) for l, acc in enumerate(sums, 1) if l in traj_levels)
+        sums = _phase_walk(exp.digits, base, 1, complex(1.0, 0.0), traj_levels)
+        traj = tuple((l, abs(acc / l)) for l, acc in zip(traj_levels, sums))
         out.append(ExpansionEvidence(exp.seed_root, reports, traj))
     return out

@@ -209,6 +209,40 @@ def rolling_word_frequencies(digits, base, word_length):
     )
 
 
+def scalar_phase_walk(digits, base, h, acc):
+    """Yield acc plus e(h*P_k/n^k) over k = 1..l for l = 1..len(digits): the
+    64-bit cell of every level read off a rolling window of the top digits
+    (recomputed from the whole prefix where the window cannot certify it),
+    turned into a phase by cmath.exp and added with Python's complex adds."""
+    bound = abs(h) << 88
+    width, top = 1, base
+    while top < bound:
+        width += 1
+        top *= base
+    lead = top // base
+    h64 = h << 64
+    window = 0
+    for l, a in enumerate(digits, 1):
+        window = a * lead + window // base
+        cell, r = divmod(window * h64, top)
+        if l > width and not 0 <= r + h64 < top:
+            prefix = 0
+            for d in reversed(digits[:l]):
+                prefix = prefix * base + d
+            cell = ((h * prefix) % base**l << 64) // base**l
+        acc += cmath.exp(complex(0.0, 2.0 * math.pi * ((cell & (2**64 - 1)) * 2.0**-64)))
+        yield acc
+
+
+def scalar_digits(x, base, count):
+    """The count base-n digits of x, least significant first, one divmod each."""
+    out = []
+    for _ in range(count):
+        x, a = divmod(x, base)
+        out.append(a)
+    return out
+
+
 def _exact_phase(num, den):
     """exp(2*pi*i*num/den), rounded once to 64 fractional bits of num/den mod 1."""
     t = num % den

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,28 @@ def test_padic_depth_cap_exit_code(capsys):
         capsys, "padic", "--poly", "1,0,1", "--base", "5", "--depth", "10000001"
     )
     assert code == 1 and out == "" and "cap" in err
+
+
+@pytest.mark.parametrize(
+    "base, depth, max_m, message",
+    [
+        ("13", "300000", "6", "word table would hold 4826809 entries"),
+        ("5", "300000", "10000000", "word table would hold 9765625 entries"),
+    ],
+)
+def test_normality_word_errors_exit_before_the_lift(base, depth, max_m, message, capsys, monkeypatch):
+    import rootdist.nadic
+
+    def lift(*args):
+        raise AssertionError("lifted before the word checks")
+
+    monkeypatch.setattr(rootdist.nadic, "nadic_expansions", lift)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "normality", "--poly", "1,0,1", "--base", base, "--depth", depth, "--max-m", max_m
+    )
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2 and out == "" and message in err
 
 
 def test_weyl_normalizer_column(capsys):

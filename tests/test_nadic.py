@@ -1,6 +1,8 @@
 import cmath
 import random
+import time
 
+import numpy as np
 import pytest
 import scipy.stats
 
@@ -9,6 +11,8 @@ from oracles import (
     exact_prefix_weyl_sum,
     linear_hensel_digits,
     rolling_word_frequencies,
+    scalar_digits,
+    scalar_phase_walk,
 )
 from rootdist import (
     AdmissibilityError,
@@ -26,6 +30,15 @@ from rootdist import (
 from rootdist import nadic
 
 FREQUENCIES = (1, -1, 3, -12345, 2**40 + 1)
+CHUNK = nadic._WALK_CHUNK
+
+
+@pytest.fixture(scope="module")
+def golden_towers(x2p1):
+    """The towers behind the goldens: x^2+1 in base 5, whose depth-2000 and
+    depth-10^4 prefixes the acceptance and CLI goldens pin, at the depth of
+    the deepest CLI golden."""
+    return nadic_expansions(x2p1, 5, 70000)
 
 
 def _window_width(base, h):
@@ -113,6 +126,40 @@ def test_newton_digits_every_small_depth(x3m2):
 def test_expansion_depth_cap(x2p1):
     with pytest.raises(ResourceLimitError):
         nadic_expansions(x2p1, 5, nadic._MAX_DEPTH + 1)
+
+
+@pytest.mark.parametrize(
+    "base", [2, 3, 5, 65, 2**31 - 1, 2**62 + 135, 2**63 - 25, 2**64 + 13]
+)
+def test_leaf_digits_match_scalar_divmod(base):
+    leaf = 1
+    while base ** (leaf + 1) < 2**63:
+        leaf += 1
+    rng = random.Random(base)
+    counts = {1, leaf - 1, leaf, leaf + 1, 2 * leaf + 3, 7 * leaf - 2, 300}
+    counts |= {rng.randrange(1, 2000) for _ in range(3)}
+    powers = {}
+    for count in sorted(c for c in counts if c >= 1):
+        top = base**count
+        values = [
+            top - 1,  # every digit base - 1
+            rng.randrange(top),
+            rng.randrange(base ** max(count // 3, 1)),  # leading zero digits
+            base ** (count // 2),  # one 1 among zeros
+            0,
+        ]
+        for x in values:
+            want = scalar_digits(x, base, count)
+            assert nadic._split_digits(x, base, count, powers) == want, (base, count, x)
+            assert nadic._split_digits(x, base, count, {}) == want
+
+
+def test_leaf_digits_in_several_batches():
+    # more leaves than one numpy batch holds; the leaves here are one digit
+    base = 2**62 + 135
+    count = nadic._LEAF_BATCH * 2 + 5
+    x = random.Random(3).randrange(base**count)
+    assert nadic._split_digits(x, base, count, {}) == scalar_digits(x, base, count)
 
 
 def test_expansion_composite_base(x2p1):
@@ -280,6 +327,61 @@ def test_prefix_weyl_sum_top_digit_strings(base, h, monkeypatch):
         assert len(exact) == 150 - _window_width(base, h)
 
 
+def _walk_levels(digits, base, h, acc, levels):
+    """The scalar walk's running sums at the given levels."""
+    want = set(levels)
+    return [s for l, s in enumerate(scalar_phase_walk(digits, base, h, acc), 1) if l in want]
+
+
+def test_walk_matches_scalar_walk_on_golden_towers(golden_towers):
+    # every level of the towers the goldens pin, across several chunks
+    levels = range(1, 70001)
+    for exp in golden_towers:
+        want = list(scalar_phase_walk(exp.digits, 5, 1, complex(1.0, 0.0)))
+        assert nadic._phase_walk(exp.digits, 5, 1, complex(1.0, 0.0), levels) == want
+
+
+def test_numpy_phases_match_cmath_on_golden_cells(golden_towers):
+    for exp in golden_towers:
+        cells = [c for chunk in nadic._phase_cells(exp.digits, 5, 1) for c in chunk]
+        theta = nadic._TWO_PI * (np.array(cells, dtype=np.uint64) * 2.0**-64)
+        want = [nadic._TWO_PI * (c * 2.0**-64) for c in cells]
+        assert theta.tolist() == want
+        phases = [cmath.exp(complex(0.0, t)) for t in want]
+        assert np.cos(theta).tolist() == [z.real for z in phases]
+        assert np.sin(theta).tolist() == [z.imag for z in phases]
+
+
+@pytest.mark.parametrize("h", FREQUENCIES)
+def test_walk_matches_scalar_walk_at_chunk_edges(h, golden_towers):
+    levels = [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 1]
+    for exp in golden_towers:
+        digits = exp.digits[: 2 * CHUNK + 1]
+        for acc in (complex(1.0, 0.0), complex(0.0, 0.0)):
+            want = _walk_levels(digits, 5, h, acc, levels)
+            assert nadic._phase_walk(digits, 5, h, acc, levels) == want
+            assert nadic._phase_walk(digits, 5, h, acc, levels[-1:]) == want[-1:]
+
+
+def test_walk_fallback_cell_in_a_later_chunk(monkeypatch):
+    # a run of 2s as long as the window reads 0.22...2 in base 5, just below
+    # 1/2, so the window straddles the cell boundary at 1/2; placed in the
+    # second chunk, those levels need the exact recomputation there
+    width = _window_width(5, 1)
+    rng = random.Random(9)
+    start = CHUNK + 100
+    digits = tuple(
+        [rng.randrange(5) for _ in range(start - 1)]
+        + [0] + [2] * (width + 2) + [0]
+        + [rng.randrange(5) for _ in range(50)]
+    )
+    exact = _count_exact_cells(monkeypatch)
+    levels = list(range(CHUNK - 2, len(digits) + 1))
+    got = nadic._phase_walk(digits, 5, 1, complex(1.0, 0.0), levels)
+    assert exact == [5**l for l in range(start + width, start + width + 3)]
+    assert got == _walk_levels(digits, 5, 1, complex(1.0, 0.0), levels)
+
+
 def test_phase_window_falls_back_to_exact_cells(x2p1, monkeypatch):
     # digits 3, 2, 2, ... give x_l = 1/2 + 5^-l/2 just above 1/2, while the
     # window of top digits 2...2 reads just below 1/2: only the exact
@@ -288,7 +390,7 @@ def test_phase_window_falls_back_to_exact_cells(x2p1, monkeypatch):
     width = _window_width(5, 1)
     exp = NadicExpansion(x2p1, 5, (3,) + (2,) * (levels - 1))
     exact = _count_exact_cells(monkeypatch)
-    cells = list(nadic._phase_cells(exp.digits, 5, 1))
+    cells = [c for chunk in nadic._phase_cells(exp.digits, 5, 1) for c in chunk]
     assert cells[width:] == [2**63] * (levels - width)
     assert exact == [5**l for l in range(width + 1, levels + 1)]
     assert prefix_weyl_sum(exp, 1, levels) == exact_prefix_weyl_sum(exp.digits, 5, 1, levels)
@@ -331,14 +433,12 @@ def test_haar_monte_carlo_single_sample_deterministic():
 
 
 def test_haar_monte_carlo_order_independence():
-    # sample i uses its own PRNG stream, so a prefix run matches a full run
-    full, _ = haar_monte_carlo(3, 8, 50, seed=7)
-    prefix_vals = []
-    for i in (10, 50):
-        m, _ = haar_monte_carlo(3, 8, i, seed=7)
-        prefix_vals.append(m)
-    redo, _ = haar_monte_carlo(3, 8, 50, seed=7)
-    assert full == redo
+    # sample i uses its own PRNG stream, so the first k samples of any run
+    # are those of the oracle, which draws each sample afresh
+    full = haar_monte_carlo(3, 8, 50, seed=7)
+    for k in (1, 10, 50):
+        assert haar_monte_carlo(3, 8, k, seed=7) == exact_haar_monte_carlo(3, 8, k, seed=7)
+    assert haar_monte_carlo(3, 8, 50, seed=7) == full
 
 
 def test_normality_evidence_structure(x2p1):
@@ -369,6 +469,64 @@ def test_normality_evidence_sparse_warning(x2p1):
         evidence = normality_evidence(x2p1, 5, 100, 3)
     for ev in evidence:
         assert ev.reports[-1].sparse
+
+
+def test_word_frequencies_same_for_lists_tuples_and_arrays():
+    rng = random.Random(12)
+    digits = [rng.randrange(5) for _ in range(3000)]
+    for m in (1, 2, 4):
+        want = word_frequencies(digits, 5, m)
+        assert word_frequencies(tuple(digits), 5, m) == want
+        assert word_frequencies(np.array(digits, dtype=np.int64), 5, m) == want
+        assert word_frequencies(np.array(digits, dtype=np.uint8), 5, m) == want
+
+
+@pytest.mark.parametrize(
+    "digits, base, m",
+    [
+        ([0, 1], 1, 1),
+        ([0, 1], 2, 0),
+        ([0, 1], 2, 3),
+        ([], 2, 1),
+        ([0, 5], 5, 1),
+        ([-1, 0], 5, 1),
+        ([0, 5], 5, 3),  # shorter than the word length wins over the range
+        ([0] * 20, 5, 10),
+        ([0, 5] * 10, 5, 10),  # the range check comes before the table cap
+    ],
+)
+def test_word_frequencies_errors_same_for_arrays(digits, base, m):
+    with pytest.raises(InvalidArgumentError) as listed:
+        word_frequencies(digits, base, m)
+    with pytest.raises(InvalidArgumentError) as arrayed:
+        word_frequencies(np.array(digits, dtype=np.int64), base, m)
+    assert str(arrayed.value) == str(listed.value)
+
+
+def _refuse_lift(monkeypatch):
+    def lift(*args):
+        raise AssertionError("lifted before the word checks")
+
+    monkeypatch.setattr(nadic, "nadic_expansions", lift)
+
+
+@pytest.mark.parametrize(
+    "base, depth, max_m",
+    [(13, 300000, 6), (5, 100, 10**7), (5, 3, 10**7), (2**64 + 13, 10, 1)],
+)
+def test_normality_refuses_word_lengths_before_the_lift(base, depth, max_m, x2p1, monkeypatch):
+    # the same first error that word_frequencies would reach after the lift
+    m = next(m for m in range(1, max_m + 1) if depth < m or base**m > nadic._MAX_WORD_TABLE)
+    with pytest.raises(InvalidArgumentError) as want:
+        word_frequencies(np.zeros(min(depth, 10), dtype=np.int64), base, m)
+    if depth >= m:
+        assert "word table would hold" in str(want.value)
+    _refuse_lift(monkeypatch)
+    t0 = time.perf_counter()
+    with pytest.raises(InvalidArgumentError) as got:
+        normality_evidence(x2p1, base, depth, max_m)
+    assert time.perf_counter() - t0 < 2.0
+    assert str(got.value) == str(want.value)
 
 
 def test_word_table_json_truncation():
