@@ -10,10 +10,11 @@ numpy splits into digits in int64.
 
 A phase e(h*prefix_l/n^l) is rounded once, to its 64-bit fractional cell
 floor(2^64 * frac(h*prefix_l/n^l)), and only then converted to float.  The
-prefix walk reads that cell off a rolling window of the top digits; when the
-window cannot certify the cell, it recomputes it exactly from the whole
-prefix.  All tower arithmetic is exact big-integer work.  numpy turns chunks
-of cells into phases and adds them in level order with np.cumsum.
+prefix walk gets every cell from the exact recurrence
+U_l = floor((a*h*2^64 + U_{l-1})/n), a the digit added at level l: one small
+division per level, with the cell U_l mod 2^64.  All tower arithmetic is
+exact big-integer work.  numpy turns chunks of cells into phases and adds
+them in level order with np.cumsum.
 normality_evidence refuses a word length that the digits cannot fill, or
 whose word table passes its cap, before it lifts anything.
 """
@@ -50,18 +51,10 @@ _DIGIT_LEAF = 32
 _LEAF_BATCH = 1 << 12
 _WALK_CHUNK = 1 << 14
 
-# The phase window spans n^W >= |h| * 2^(64 + _WINDOW_GUARD_BITS), so it
-# fails to certify a 64-bit cell about once per 2^_WINDOW_GUARD_BITS levels.
-_WINDOW_GUARD_BITS = 24
 _MASK64 = (1 << 64) - 1
 
 # Word counts thinner than this multiple of the table size are flagged.
 _SPARSE_FACTOR = 100
-
-
-def _frac_cell(num: int, den: int) -> int:
-    """floor(2^64 * frac(num/den)) for arbitrarily large den."""
-    return ((num % den) << 64) // den
 
 
 def _digits_value(digits, base: int) -> int:
@@ -304,32 +297,21 @@ def _phase_cells(digits, base: int, h: int):
     """Yield floor(2^64 * frac(h*P_l/n^l)) for l = 1..len(digits), where P_l
     is the value of the first l digits, in lists of _WALK_CHUNK levels.
 
-    The window T holds the top W digits of P_l, so that P_l/n^l lies in
-    [T/n^W, (T+1)/n^W), with W least such that n^W >= |h| * 2^(64+guard).
-    The cell floor(2^64*h*x) mod 2^64 of every x in that interval is the
-    same when floor(2^64*h*T/n^W) = floor(2^64*h*(T+1)/n^W), which holds
-    exactly when the remainder r of the first quotient has
-    0 <= r + h*2^64 < n^W.  For l <= W the window is P_l itself, scaled, and
-    always exact.  Any other level recomputes its cell from the whole prefix.
+    U_l = floor(2^64*h*P_l/n^l) satisfies U_0 = 0 and
+    U_l = floor((a*h*2^64 + U_{l-1})/n), a the digit added at level l:
+    P_l/n^l = (a + P_{l-1}/n^(l-1))/n, so 2^64*h*P_l/n^l = (q + t)/n with
+    the integer q = a*h*2^64 + U_{l-1} and 0 <= t < 1, and
+    floor((q + t)/n) = floor(q/n).  The cell is U_l mod 2^64, and
+    |U_l| <= |h| * 2^64 because P_l < n^l.
     """
-    bound = abs(h) << (64 + _WINDOW_GUARD_BITS)
-    width, top = 1, base
-    while top < bound:
-        width += 1
-        top *= base
-    lead = top // base
     h64 = h << 64
-    low, high = -h64, top - h64  # r certifies the cell when low <= r < high
-    window = 0
+    u = 0
     for start in range(0, len(digits), _WALK_CHUNK):
         cells: list[int] = []
         append = cells.append
         for a in digits[start : start + _WALK_CHUNK]:
-            window = a * lead + window // base
-            cell, r = divmod(window * h64, top)
-            if not low <= r < high and (l := start + len(cells) + 1) > width:
-                cell = _frac_cell(h * _digits_value(digits[:l], base), base**l)
-            append(cell & _MASK64)
+            u = (a * h64 + u) // base
+            append(u & _MASK64)
         yield cells
 
 
@@ -421,13 +403,13 @@ def normality_evidence(
     if base >= 2 and depth >= 1:
         for m in range(1, max_word_length + 1):
             _check_words(depth, base, m)
-    if depth < base**max_word_length * _SPARSE_FACTOR:
-        warnings.warn(
-            f"depth {depth} is below {_SPARSE_FACTOR} * base^{max_word_length}; "
-            "word counts will be sparse",
-            UserWarning,
-            stacklevel=2,
-        )
+        if depth < base**max_word_length * _SPARSE_FACTOR:
+            warnings.warn(
+                f"depth {depth} is below {_SPARSE_FACTOR} * base^{max_word_length}; "
+                "word counts will be sparse",
+                UserWarning,
+                stacklevel=2,
+            )
     # prefix_weyl_sum(exp, 1, l) at these levels, read off one walk
     traj_levels = sorted({max(1, depth // 4), max(1, depth // 2), depth})
     out = []

@@ -213,7 +213,9 @@ def scalar_phase_walk(digits, base, h, acc):
     """Yield acc plus e(h*P_k/n^k) over k = 1..l for l = 1..len(digits): the
     64-bit cell of every level read off a rolling window of the top digits
     (recomputed from the whole prefix where the window cannot certify it),
-    turned into a phase by cmath.exp and added with Python's complex adds."""
+    turned into a phase by cmath.exp and added with Python's complex adds.
+    The window is kept on purpose: it derives the cells independently of the
+    recurrence that rootdist.nadic uses."""
     bound = abs(h) << 88
     width, top = 1, base
     while top < bound:

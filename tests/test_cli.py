@@ -109,6 +109,22 @@ def test_normality_word_errors_exit_before_the_lift(base, depth, max_m, message,
     assert code == 2 and out == "" and message in err
 
 
+@pytest.mark.parametrize(
+    "base, depth, message",
+    [("5", "0", "depth must be at least 1"), ("-5", "10", "base must be at least 2")],
+)
+def test_normality_base_and_depth_errors_exit_fast(base, depth, message, capsys):
+    # the lift names these errors, so nothing before it may cost time that
+    # grows with --max-m
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "normality", "--poly", "1,0,1", "--base", base, "--depth", depth,
+        "--max-m", "10000000",
+    )
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2 and out == "" and message in err
+
+
 def test_weyl_normalizer_column(capsys):
     code, out, _ = run_cli(capsys, "weyl", "--poly", "1,0,1", "--xmax", "10", "--h", "0")
     assert code == 0

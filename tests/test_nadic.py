@@ -29,7 +29,7 @@ from rootdist import (
 )
 from rootdist import nadic
 
-FREQUENCIES = (1, -1, 3, -12345, 2**40 + 1)
+FREQUENCIES = (1, -1, 3, -12345, 2**40 + 1, 2**200 + 7)
 CHUNK = nadic._WALK_CHUNK
 
 
@@ -42,24 +42,49 @@ def golden_towers(x2p1):
 
 
 def _window_width(base, h):
-    """Least W with base^W >= |h| * 2^88."""
+    """Least W with base^W >= |h| * 2^88: the width of the window of top
+    digits that scalar_phase_walk reads each cell off."""
     w = 1
     while base**w < abs(h) * 2**88:
         w += 1
     return w
 
 
-def _count_exact_cells(monkeypatch):
-    """Count the levels whose phase cell the walk recomputes in full."""
-    calls = []
-    inner = nadic._frac_cell
+def _top_digit_string(base):
+    """n-1 repeated: x_l = 1 - n^-l sits just below 1, so for h > 0 the
+    oracle's window [T, T+1)/n^W straddles the cell boundary at h at every
+    level past W."""
+    return (base - 1,) * 150
 
-    def spy(num, den):
-        calls.append(den)
-        return inner(num, den)
 
-    monkeypatch.setattr(nadic, "_frac_cell", spy)
-    return calls
+def _three_twos_string():
+    """3, 2, 2, ...: x_l = 1/2 + 5^-l/2 sits just above 1/2, while the
+    oracle's window of top digits 2...2 reads just below 1/2."""
+    return (3,) + (2,) * 119
+
+
+def _later_chunk_string():
+    """Base-5 digits with a run of 2s as long as the oracle's window in the
+    second walk chunk: the window reads 0.22...2, just below 1/2, and
+    straddles the cell boundary at 1/2 there."""
+    width = _window_width(5, 1)
+    rng = random.Random(9)
+    return tuple(
+        [rng.randrange(5) for _ in range(CHUNK + 99)]
+        + [0] + [2] * (width + 2) + [0]
+        + [rng.randrange(5) for _ in range(50)]
+    )
+
+
+def _exact_cells(digits, base, h):
+    """((h*P_l) % n^l << 64) // n^l for l = 1..len(digits), P_l the value
+    of the first l digits, each from the whole prefix."""
+    out, prefix, pw = [], 0, 1
+    for a in digits:
+        prefix += a * pw
+        pw *= base
+        out.append(((h * prefix) % pw << 64) // pw)
+    return out
 
 
 def test_expansion_digits_example(x2p1):
@@ -308,7 +333,7 @@ def test_prefix_weyl_sum_constant_digits_geometric():
 @pytest.mark.parametrize("h", FREQUENCIES)
 def test_prefix_weyl_sum_matches_exact_walk(h, x2p1, x2px1):
     towers = nadic_expansions(x2p1, 5, 3000) + nadic_expansions(x2px1, 7, 1500)
-    towers += nadic_expansions(x2p1, 65, 600)
+    towers += nadic_expansions(x2p1, 65, 600) + nadic_expansions(x2p1, 2**64 + 13, 300)
     for exp in towers:
         for levels in (1, 37, 38, 39, exp.depth // 3, exp.depth):
             got = prefix_weyl_sum(exp, h, levels)
@@ -317,14 +342,18 @@ def test_prefix_weyl_sum_matches_exact_walk(h, x2p1, x2px1):
 
 @pytest.mark.parametrize("base", [5, 7, 65])
 @pytest.mark.parametrize("h", FREQUENCIES)
-def test_prefix_weyl_sum_top_digit_strings(base, h, monkeypatch):
-    # x_l = 1 - n^-l sits just below 1, so for h > 0 the window
-    # [T, T+1)/n^W straddles the cell boundary at h at every level past W
-    exact = _count_exact_cells(monkeypatch)
-    exp = NadicExpansion(IntPolynomial((1, 0, 1)), base, (base - 1,) * 150)
+def test_prefix_weyl_sum_top_digit_strings(base, h):
+    exp = NadicExpansion(IntPolynomial((1, 0, 1)), base, _top_digit_string(base))
     assert prefix_weyl_sum(exp, h, 150) == exact_prefix_weyl_sum(exp.digits, base, h, 150)
-    if h > 0:
-        assert len(exact) == 150 - _window_width(base, h)
+
+
+@pytest.mark.parametrize("h", FREQUENCIES)
+def test_phase_cells_match_exact_cells(h):
+    strings = [(_top_digit_string(base), base) for base in (5, 7, 65)]
+    strings += [(_three_twos_string(), 5), (_later_chunk_string(), 5)]
+    for digits, base in strings:
+        cells = [c for chunk in nadic._phase_cells(digits, base, h) for c in chunk]
+        assert cells == _exact_cells(digits, base, h)
 
 
 def _walk_levels(digits, base, h, acc, levels):
@@ -363,43 +392,24 @@ def test_walk_matches_scalar_walk_at_chunk_edges(h, golden_towers):
             assert nadic._phase_walk(digits, 5, h, acc, levels[-1:]) == want[-1:]
 
 
-def test_walk_fallback_cell_in_a_later_chunk(monkeypatch):
-    # a run of 2s as long as the window reads 0.22...2 in base 5, just below
-    # 1/2, so the window straddles the cell boundary at 1/2; placed in the
-    # second chunk, those levels need the exact recomputation there
-    width = _window_width(5, 1)
-    rng = random.Random(9)
-    start = CHUNK + 100
-    digits = tuple(
-        [rng.randrange(5) for _ in range(start - 1)]
-        + [0] + [2] * (width + 2) + [0]
-        + [rng.randrange(5) for _ in range(50)]
-    )
-    exact = _count_exact_cells(monkeypatch)
+def test_walk_fallback_cell_in_a_later_chunk():
+    # the oracle recomputes the cells of this run in the second chunk from
+    # the whole prefix; the walk must agree with it across the chunk edge
+    digits = _later_chunk_string()
     levels = list(range(CHUNK - 2, len(digits) + 1))
     got = nadic._phase_walk(digits, 5, 1, complex(1.0, 0.0), levels)
-    assert exact == [5**l for l in range(start + width, start + width + 3)]
     assert got == _walk_levels(digits, 5, 1, complex(1.0, 0.0), levels)
 
 
-def test_phase_window_falls_back_to_exact_cells(x2p1, monkeypatch):
-    # digits 3, 2, 2, ... give x_l = 1/2 + 5^-l/2 just above 1/2, while the
-    # window of top digits 2...2 reads just below 1/2: only the exact
-    # recomputation gives the cell 2^63 at every level past W
+def test_phase_window_falls_back_to_exact_cells(x2p1):
+    # the cell is 2^63 at every level past the oracle's window, where the
+    # oracle has to recompute it from the whole prefix
     levels = 120
     width = _window_width(5, 1)
-    exp = NadicExpansion(x2p1, 5, (3,) + (2,) * (levels - 1))
-    exact = _count_exact_cells(monkeypatch)
+    exp = NadicExpansion(x2p1, 5, _three_twos_string())
     cells = [c for chunk in nadic._phase_cells(exp.digits, 5, 1) for c in chunk]
     assert cells[width:] == [2**63] * (levels - width)
-    assert exact == [5**l for l in range(width + 1, levels + 1)]
     assert prefix_weyl_sum(exp, 1, levels) == exact_prefix_weyl_sum(exp.digits, 5, 1, levels)
-    # a real tower certifies every level from its window
-    exact.clear()
-    for tower in nadic_expansions(x2p1, 5, 4000):
-        for h in FREQUENCIES:
-            prefix_weyl_sum(tower, h, 4000)
-    assert exact == []
 
 
 def test_prefix_weyl_sum_errors(x2p1):
