@@ -357,9 +357,14 @@ def haar_monte_carlo(
         raise InvalidArgumentError("frequency h must be nonzero")
     total = 0.0
     total_sq = 0.0
+    bits = base.bit_length()
     for i in range(samples):
-        rng = random.Random(f"{seed}:{i}")
-        digits = [rng.randrange(base) for _ in range(levels)]
+        # rng.randrange(base) digit for digit: the same draws and rejections
+        draw = random.Random(f"{seed}:{i}").getrandbits
+        digits = []
+        while len(digits) < levels:
+            if (r := draw(bits)) < base:
+                digits.append(r)
         acc = _phase_walk(digits, base, h, complex(0.0, 0.0), [levels])[0]
         val = abs(acc / levels) ** 2
         total += val

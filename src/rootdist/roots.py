@@ -11,17 +11,18 @@ prime up to a limit (at most 10^8) sits in one prime table per polynomial,
 its sorted roots in CSR form (``PrimeRootTable``); ``prime_counts`` stops
 at 1 + (D/p) or at deg gcd and keeps nothing.  A prime taken on its own
 (far beyond the table, p = 2, or dividing the leading coefficient) gets a
-residue scan below _SCAN_LIMIT and a lane of its own above it.  Prime-power
-root sets are memoized in LRU stores shared by every stream; entries are
-pure functions of (polynomial, prime, exponent), so no hit is needed.
+residue scan below _SCAN_LIMIT and a lane of its own above it.  The root
+sets of ``roots_mod_n`` are memoized per prime power in LRU stores; entries
+are pure functions of (polynomial, prime, exponent), so no hit is needed.
 
-A stream reads one modulus table built for the call (``root_table``): the
-roots mod every n <= x in int32 CSR arrays.  Write n = q m with q the full
-power of the smallest prime of n; the roots mod n are the CRT products of
-the roots mod q and mod m.  One pass fills the table in ascending chunks
-[a, min(2a, a + _TABLE_CHUNK)), so that q and m (both at most n/2 when
-m > 1) always lie in an earlier, finished chunk.  Streams read the table
-only through ``_stream_windows``, as root tuples, and do not keep it; a
+A stream reads the modulus table of its polynomial (``root_table``): the
+roots mod every n <= x in int32 CSR arrays, one growing table per polynomial
+(for the last 4) shared by every stream, like the prime table.  Write n = q m
+with q the full power of the smallest prime of n; the roots mod n are the CRT
+products of the roots mod q and mod m, or lifts of the roots mod n/p when
+n = q.  Chunks [a, min(2a, a + _TABLE_CHUNK)) fill it in ascending order, so
+that q, m and n/p (at most n/2) always lie in an earlier, finished chunk.
+Streams read the table only through ``_stream_windows``, as root tuples; a
 ``ModulusFilter`` alone decides their moduli, and a dropped one costs none.
 """
 
@@ -663,48 +664,60 @@ def _split_smallest(lo: int, hi: int, spf: np.ndarray) -> tuple[np.ndarray, ...]
     return n, p, q, m
 
 
-def root_table(
-    f: IntPolynomial, xmax: int, sieve: SpfSieve | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(offsets, roots): the sorted roots of f mod every n <= xmax in CSR
-    form, roots mod n = roots[offsets[n]:offsets[n + 1]] (n = 0 is empty),
-    both int32.
+class ModulusTable:
+    """The sorted roots of one polynomial mod every n <= limit in int32 CSR
+    form: roots mod n = roots[offsets[n]:offsets[n + 1]] (n = 0 is empty).
 
-    n = q m with q the full power of its smallest prime; for m > 1 the
-    roots mod n are b + m ((a - b) m^-1 mod q) over the roots a mod q and b
-    mod m, finished in earlier chunks (see ``_moduli_chunks``).  Roots mod
-    a prime come from the prime table, mod a higher prime power from
-    ``_prime_power_roots_cached``.  The roots buffer starts at xmax + 1 and
-    at least doubles when a chunk overruns it; a chunk that would pass
-    _TABLE_ROOTS_MAX roots raises ``ResourceLimitError`` unwritten.  The
-    sieve (the shared one unless ``sieve`` covers xmax) is fetched before
-    the prime table is filled.
+    ``fill`` appends chunks of rows (``_moduli_chunks``) read off finished
+    rows.  Write n = q m, q the full power of the smallest prime p of n.  For
+    m > 1 the roots mod n are b + m ((a - b) m^-1 mod q) over the roots a mod
+    q and b mod m; for n = p^e, e >= 2, the zeros of f (int64 Horner mod n)
+    among the lifts v + t n/p, 0 <= t < p, of the roots v mod n/p.  So no
+    fill reads an LRU store once the prime table covers it.  Rows are written
+    only past the finished ones, so a view of those never changes; a fill
+    that would pass _TABLE_ROOTS_MAX roots raises ``ResourceLimitError`` and
+    leaves the table as it was.
     """
-    if sieve is None or sieve.limit < xmax:
-        sieve = cached_sieve(xmax)
-    table = prime_table(f)
-    table.fill(xmax)
-    spf = np.asarray(sieve.spf)
 
-    offsets = np.zeros(xmax + 2, dtype=np.int32)
-    offsets[2] = 1
-    roots = np.zeros(min(xmax + 1, _TABLE_ROOTS_MAX), dtype=np.int32)  # roots[0] = 0 mod 1
-    for lo, hi in _moduli_chunks(2, xmax + 1):
-        n, p, q, m = _split_smallest(lo, hi, spf)
-        i0, i1 = np.searchsorted(table.primes, (lo, hi)).tolist()
-        own = [np.repeat(np.flatnonzero(p == n), np.diff(table.offsets[i0 : i1 + 1]))]
-        vals = [table.roots[table.offsets[i0] : table.offsets[i1]]]
-        for i in np.flatnonzero((m == 1) & (p != n)).tolist():
-            pe, e = int(p[i]), 1
-            while pe < int(n[i]):
-                pe, e = pe * int(p[i]), e + 1
-            power = _prime_power_roots_cached(f, int(p[i]), e)
-            own.append(np.full(len(power), i))
-            vals.append(np.array(power, dtype=np.int64))
-        # rho(q) rho(m), read only for m > 1: when m = 1, q = n is unfinished
-        c = (offsets[q + 1] - offsets[q]) * (offsets[m + 1] - offsets[m])
-        sel = np.flatnonzero((m > 1) & (c > 0))
-        if sel.size:
+    def __init__(self, f: IntPolynomial):
+        self.f = f
+        self.limit = 1
+        self.offsets = np.array([0, 0, 1], dtype=np.int32)
+        self.roots = np.zeros(1, dtype=np.int32)  # roots[0] = 0 mod 1
+
+    def fill(self, xmax: int, sieve: SpfSieve | None = None) -> None:
+        """Extend the table to every n <= xmax; the sieve (the shared one
+        unless ``sieve`` covers xmax) is fetched before the prime table."""
+        if xmax <= self.limit:
+            return
+        if sieve is None or sieve.limit < xmax:
+            sieve = cached_sieve(xmax)
+        table = prime_table(self.f)
+        table.fill(xmax)
+        spf = np.asarray(sieve.spf)
+        offsets = np.zeros(xmax + 2, dtype=np.int32)
+        offsets[: self.limit + 2] = self.offsets
+        roots = self.roots
+        for lo, hi in _moduli_chunks(self.limit + 1, xmax + 1):
+            n, p, q, m = _split_smallest(lo, hi, spf)
+            i0, i1 = np.searchsorted(table.primes, (lo, hi)).tolist()
+            own = [np.repeat(np.flatnonzero(p == n), np.diff(table.offsets[i0 : i1 + 1]))]
+            vals = [table.roots[table.offsets[i0] : table.offsets[i1]]]
+            sel = np.flatnonzero((m == 1) & (p != n))  # n = p^e, e >= 2
+            if sel.size:
+                up = n[sel] // p[sel]
+                k = (offsets[up + 1] - offsets[up]) * p[sel]
+                i = np.repeat(sel, k)
+                pos = np.arange(int(k.sum())) - np.repeat(np.cumsum(k) - k, k)
+                v = roots[np.repeat(offsets[up], k) + pos // p[i]] + pos % p[i] * (n[i] // p[i])
+                r = np.zeros_like(v)
+                for a in reversed(self.f.coeffs):
+                    r = (r * v + _lane_residues(a, n[i])) % n[i]
+                own.append(i[r == 0])
+                vals.append(v[r == 0])
+            # rho(q) rho(m), read only for m > 1: when m = 1, q = n is unfinished
+            c = (offsets[q + 1] - offsets[q]) * (offsets[m + 1] - offsets[m])
+            sel = np.flatnonzero((m > 1) & (c > 0))
             k = c[sel]
             qs, ms = q[sel], m[sel]
             inv = _lane_pow(ms % qs, qs - qs // p[sel] - 1, qs)
@@ -715,20 +728,38 @@ def root_table(
             Q = np.repeat(qs, k)
             own.append(np.repeat(sel, k))
             vals.append(b + np.repeat(ms, k) * ((a - b) % Q * np.repeat(inv, k) % Q))
-        own_all, vals_all = np.concatenate(own), np.concatenate(vals)
-        start = int(offsets[lo])
-        stop = start + own_all.size
-        if stop > _TABLE_ROOTS_MAX:
-            raise ResourceLimitError(
-                f"roots mod every n <= {xmax} pass the cap of {_TABLE_ROOTS_MAX}"
-            )
-        if stop > roots.size:
-            grown = np.zeros(min(max(stop, 2 * roots.size), _TABLE_ROOTS_MAX), dtype=np.int32)
-            grown[:start] = roots[:start]
-            roots = grown
-        roots[start:stop] = vals_all[np.lexsort((vals_all, own_all))]
-        offsets[lo + 1 : hi + 1] = start + np.cumsum(np.bincount(own_all, minlength=hi - lo))
-    return offsets, roots[: offsets[-1]]
+            own_all, vals_all = np.concatenate(own), np.concatenate(vals)
+            start = int(offsets[lo])
+            stop = start + own_all.size
+            if stop > _TABLE_ROOTS_MAX:
+                raise ResourceLimitError(
+                    f"roots mod every n <= {xmax} pass the cap of {_TABLE_ROOTS_MAX}"
+                )
+            if stop > roots.size:
+                # np.zeros maps pages lazily: slack costs no memory until written
+                grown = np.zeros(min(max(stop, 2 * roots.size, xmax + 1), _TABLE_ROOTS_MAX), np.int32)
+                grown[:start] = roots[:start]
+                roots = grown
+            roots[start:stop] = vals_all[np.lexsort((vals_all, own_all))]
+            offsets[lo + 1 : hi + 1] = start + np.cumsum(np.bincount(own_all, minlength=hi - lo))
+        self.offsets, self.roots, self.limit = offsets, roots, xmax
+
+
+# The shared, growing modulus table of f, kept for the last 4 polynomials.
+modulus_table = lru_cache(maxsize=4)(ModulusTable)
+
+
+def root_table(
+    f: IntPolynomial, xmax: int, sieve: SpfSieve | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, roots): read-only views of the rows n <= xmax of f's
+    modulus table, filled to xmax first; both int32."""
+    table = modulus_table(f)
+    table.fill(xmax, sieve)
+    offsets = table.offsets[: xmax + 2]
+    roots = table.roots[: offsets[-1]]
+    offsets.flags.writeable = roots.flags.writeable = False
+    return offsets, roots
 
 
 def _stream_windows(
@@ -770,8 +801,8 @@ def root_stream(
     accepts (all n by default), ascending; one item per accepted modulus,
     empty root sets included.
 
-    The roots come from one ``root_table`` built for this call; the filter
-    alone decides the moduli, so a modulus it drops costs no root tuple.
+    The roots come from f's kept ``root_table``; the filter alone decides
+    the moduli, so a modulus it drops costs no root tuple.
     """
     if xmax < 1:
         raise InvalidArgumentError("xmax must be at least 1")
@@ -782,7 +813,9 @@ def root_stream(
 
 
 def clear_caches() -> None:
-    """Drop the memoized per-prime root stores (mainly for tests)."""
+    """Drop the memoized root stores, prime tables and modulus tables
+    (mainly for tests)."""
     _prime_roots_cached.cache_clear()
     _prime_power_roots_cached.cache_clear()
     prime_table.cache_clear()
+    modulus_table.cache_clear()

@@ -434,6 +434,25 @@ def test_haar_monte_carlo_matches_exact_walk(h):
         assert got == exact_haar_monte_carlo(base, levels, samples, seed=seed, h=h)
 
 
+@pytest.mark.parametrize("base", (2, 5, 7, 2**64 + 13))
+def test_haar_digits_are_randrange_draws(base, monkeypatch):
+    # the walk gets, sample for sample, the digits rng.randrange(base) draws
+    seen = []
+    walk = nadic._phase_walk
+
+    def spy(digits, *rest):
+        seen.append(digits)
+        return walk(digits, *rest)
+
+    monkeypatch.setattr(nadic, "_phase_walk", spy)
+    haar_monte_carlo(base, 300, 6, seed=11)
+    want = []
+    for i in range(6):
+        rng = random.Random(f"11:{i}")
+        want.append([rng.randrange(base) for _ in range(300)])
+    assert seen == want
+
+
 def test_haar_monte_carlo_single_sample_deterministic():
     m1, se1 = haar_monte_carlo(2, 1, 1, seed=0)
     m2, se2 = haar_monte_carlo(2, 1, 1, seed=0)

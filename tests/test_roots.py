@@ -27,10 +27,12 @@ from rootdist.roots import (
     _lane_roots,
     _moduli_chunks,
     _primes_in,
+    _prime_power_roots_cached,
     _prime_roots_cached,
     _roots_mod_prime_large,
     _split_smallest,
     clear_caches,
+    modulus_table,
     prime_counts,
     prime_table,
     root_table,
@@ -505,6 +507,7 @@ def test_stream_chunk_edges(x3m2, monkeypatch):
 def test_stream_with_more_roots_than_moduli():
     # x^2 - 2^9 3^5 5^3 holds 7011 roots mod the n <= 3000, so the roots
     # buffer of the table (3001 entries at first) grows while it is filled
+    clear_caches()
     f = IntPolynomial((-15552000, 0, 1))
     assert root_table(f, 3000)[1].size == 7011
     for flt in _stream_filters():
@@ -517,15 +520,95 @@ def test_root_table_layout_and_cap(x2p1, monkeypatch):
     assert offsets.size == 1002 and offsets[0] == offsets[1] == 0
     assert roots[offsets[65] : offsets[66]].tolist() == [8, 18, 47, 57]
     total = int(offsets[-1])
+    # the cap binds on a fresh build, not on the kept table
     monkeypatch.setattr(roots_module, "_TABLE_ROOTS_MAX", total)
+    clear_caches()
     assert root_table(x2p1, 1000)[1].size == total
     monkeypatch.setattr(roots_module, "_TABLE_ROOTS_MAX", total - 1)
+    clear_caches()
     with pytest.raises(ResourceLimitError):
         root_table(x2p1, 1000)
     with pytest.raises(ResourceLimitError):
         next(root_stream(x2p1, 1000))
+    # a growth past the cap raises in its last chunk and keeps the old
+    # limit; a later smaller growth still answers
+    root_table(x2p1, 100)
+    with pytest.raises(ResourceLimitError):
+        root_table(x2p1, 1000)
+    assert modulus_table(x2p1).limit == 100
+    small_offsets, small_roots = root_table(x2p1, 500)
+    assert small_offsets.tolist() == offsets[:502].tolist()
+    assert small_roots.tolist() == roots[: offsets[501]].tolist()
     # an explicit list builds no table
     assert list(root_stream(x2p1, 1000, ModulusFilter.explicit([65]))) == [(65, (8, 18, 47, 57))]
+    clear_caches()
+
+
+def _table_rows(offsets, roots):
+    off, vals = offsets.tolist(), roots.tolist()
+    return [(n, tuple(vals[off[n] : off[n + 1]])) for n in range(1, len(off) - 1)]
+
+
+def test_modulus_table_grows_in_steps():
+    # requests up and down: every answer equals a fresh build and the
+    # factored oracle, and the table keeps the largest limit asked for
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IrreducibilityAssumedWarning)
+        polys = [
+            IntPolynomial(c)
+            for c in ((1, 0, 1), (-2, 0, 0, 1), (-15552000, 0, 1), (-8, 0, 1), (-7, 0, 2), (2, 0, 0, 0, 1))
+        ]
+    steps = (5, 77, 1500, 40, 3000, 2999, 3001)
+    for f in polys:
+        want = list(factored_root_stream(f, max(steps)))
+        fresh = {}
+        for x in steps:
+            clear_caches()
+            fresh[x] = [a.tolist() for a in root_table(f, x)]
+        clear_caches()
+        for x in steps:
+            offsets, roots = root_table(f, x)
+            assert [offsets.tolist(), roots.tolist()] == fresh[x], (f.coeffs, x)
+            assert _table_rows(offsets, roots) == want[:x], (f.coeffs, x)
+        assert modulus_table(f).limit == max(steps)
+    clear_caches()
+
+
+def test_root_table_views_are_read_only_and_kept(x2px1):
+    clear_caches()
+    offsets, roots = root_table(x2px1, 2000)
+    kept = offsets.tolist(), roots.tolist()
+    for arr in (offsets, roots):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    # a small growth appends to the same roots buffer, a large one moves it
+    assert np.shares_memory(roots, root_table(x2px1, 2100)[1])
+    assert not np.shares_memory(roots, root_table(x2px1, 50000)[1])
+    assert (offsets.tolist(), roots.tolist()) == kept
+    assert _table_rows(offsets, roots) == list(factored_root_stream(x2px1, 2000))
+    assert modulus_table(x2px1).limit == 50000
+    clear_caches()
+    assert modulus_table(x2px1).limit == 1
+
+
+def test_table_fill_reads_no_root_store(monkeypatch):
+    # once the prime table covers x, a build or a growth asks neither LRU
+    # store and lifts nothing, so passes count the same work whether or not
+    # they built a table
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IrreducibilityAssumedWarning)
+        polys = [IntPolynomial(c) for c in ((1, 0, 1), (-2, 0, 0, 1), (-15552000, 0, 1), (-7, 0, 2))]
+    lifts = []
+    monkeypatch.setattr(roots_module, "_lift_all", lambda *args: lifts.append(args))
+    for f in polys:
+        clear_caches()
+        prime_table(f).fill(20000)
+        before = _prime_roots_cached.cache_info(), _prime_power_roots_cached.cache_info()
+        root_table(f, 3000)
+        root_table(f, 20000)
+        assert (_prime_roots_cached.cache_info(), _prime_power_roots_cached.cache_info()) == before
+        assert lifts == [], f.coeffs
+    clear_caches()
 
 
 def test_stream_matches_roots_mod_n(x3m2, small_sieve):
