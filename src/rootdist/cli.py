@@ -26,7 +26,7 @@ from .errors import InvalidArgumentError, RootdistError
 from .ideals import enumerate_degree_one
 from .intpoly import IntPolynomial, parse_polynomial
 from .nadic import nadic_expansions, normality_evidence
-from .roots import ModulusFilter, root_stream, roots_mod_n
+from .roots import ModulusFilter, modulus_table, root_stream, roots_mod_n
 from .systems import PolySystem, default_hset, joint_weyl_series, root_tuples
 
 # Flags whose value is a list of integers, which may start with a minus sign.
@@ -271,6 +271,7 @@ def _cmd_ideals(args: argparse.Namespace) -> str:
         for ideal in enumerate_degree_one(f, args.n):
             lines.append(ideal.to_json())
     else:
+        modulus_table(f).fill(args.nmax)  # every n below reads a row of it
         for n in ModulusFilter.coprime(abs(f.eta * f.discriminant)).window(1, args.nmax + 1):
             for ideal in enumerate_degree_one(f, n):
                 lines.append(ideal.to_json())

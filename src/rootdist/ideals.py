@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .errors import AdmissibilityError, InvalidArgumentError, UnsupportedInputError
 from .intpoly import IntPolynomial, poly_eval_mod
-from .modarith import SpfSieve, crt_pair, factorize
-from .roots import _prime_power_roots_cached
+from .modarith import SpfSieve, cached_sieve, crt_pair, factorize, spf_parts
+from .roots import roots_mod_n
 
 
 @dataclass(frozen=True)
@@ -210,15 +210,17 @@ def inertia_degree(
 def enumerate_degree_one(
     f: IntPolynomial, n: int, sieve: SpfSieve | None = None
 ) -> list[FactoredIdeal]:
-    """All degree-one ideals of norm n, via the product over prime powers."""
+    """All degree-one ideals of norm n, in lexicographic order: the root v
+    of f mod n (``roots_mod_n``) gives the components (p, e, v mod p^e)."""
     report = admissibility(f, n)
     if not report.admissible:
         raise AdmissibilityError(report)
-    ideals = [()]
-    for p, e in factorize(n, sieve).parts:
-        part = _prime_power_roots_cached(f, p, e)
-        if not part:
-            return []
-        ideals = [comps + ((p, e, v),) for comps in ideals for v in part]
-    return [FactoredIdeal(tuple(comps)) for comps in ideals]
+    roots = roots_mod_n(f, n)
+    if not roots:
+        return []
+    if sieve is None or sieve.limit < n:
+        sieve = cached_sieve(0)
+    parts = spf_parts(n, sieve) if n <= sieve.limit else factorize(n, sieve).parts
+    pes = [(p, e, p**e) for p, e in parts]
+    return [FactoredIdeal(c) for c in sorted(tuple((p, e, v % q) for p, e, q in pes) for v in roots)]
 

@@ -4,9 +4,12 @@ One process-wide sieve (``cached_sieve``) serves every caller that does not
 bring its own; it is rebuilt larger only when a caller needs more.  The
 table is an int32 numpy array, and a limit above 10^8 entries (about 400 MB)
 is refused before anything is allocated.  Factoring beyond the sieve limit
-falls back to trial division by sieved primes plus a deterministic
-Miller-Rabin test, and inputs outside that range are rejected rather than
-risked.
+falls back to trial division by sieved primes plus a primality test, and
+inputs outside that range are rejected rather than risked.  ``is_prime``
+reads the shared sieve when one covers n (it never builds one) and runs a
+Miller-Rabin test with the 13 prime bases 2..41 beyond it, proven correct
+below psi_13 = 3317044064679887385961981 (Sorenson and Webster, Math. Comp.
+86, 2017); larger n are refused.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ResourceLimitError, UnsupportedInputError
 
-# Deterministic Miller-Rabin base set: correct for n < 3317044064679887385961981,
-# which comfortably covers 64-bit inputs.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin base set: the first 13 primes are correct for
+# n < psi_13 = 3317044064679887385961981; the first 12 only below
+# psi_12 = 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 # Largest sieve limit built; 4 bytes per entry.
@@ -115,9 +119,12 @@ def spf_parts(n: int, sieve: SpfSieve) -> list[tuple[int, int]]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin below 3.3e24; raises beyond that range."""
+    """Read off the shared sieve when it covers n, else deterministic
+    Miller-Rabin below 3.3e24; raises beyond that range."""
     if n < 2:
         return False
+    if _shared_sieve is not None and n <= _shared_sieve.limit:
+        return _shared_sieve.spf[n] == n
     for p in _MR_BASES:
         if n % p == 0:
             return n == p

@@ -11,9 +11,11 @@ prime up to a limit (at most 10^8) sits in one prime table per polynomial,
 its sorted roots in CSR form (``PrimeRootTable``); ``prime_counts`` stops
 at 1 + (D/p) or at deg gcd and keeps nothing.  A prime taken on its own
 (far beyond the table, p = 2, or dividing the leading coefficient) gets a
-residue scan below _SCAN_LIMIT and a lane of its own above it.  The root
-sets of ``roots_mod_n`` are memoized per prime power in LRU stores; entries
-are pure functions of (polynomial, prime, exponent), so no hit is needed.
+residue scan below _SCAN_LIMIT (one int64 Horner pass over every residue)
+and a lane of its own above it.  ``roots_mod_n`` reads the row of f's kept
+modulus table when one covers n, and otherwise glues the root sets of the
+prime powers of n, memoized in LRU stores; entries are pure functions of
+(polynomial, prime, exponent), so no hit is needed.
 
 A stream reads the modulus table of its polynomial (``root_table``): the
 roots mod every n <= x in int32 CSR arrays, one growing table per polynomial
@@ -66,7 +68,12 @@ _LIFT_OUTPUT_LIMIT = 10**6
 
 
 def _scan_roots(f: IntPolynomial, p: int) -> tuple[int, ...]:
-    return tuple(v for v in range(p) if poly_eval_mod(f, v, p) == 0)
+    """The roots mod p < _SCAN_LIMIT: f at every residue by int64 Horner."""
+    v = np.arange(p, dtype=np.int64)
+    r = np.zeros(p, dtype=np.int64)
+    for a in reversed(f.coeffs):
+        r = (r * v + a % p) % p
+    return tuple(np.flatnonzero(r == 0).tolist())
 
 
 # -- Lanes -----------------------------------------------------------------
@@ -525,13 +532,18 @@ def roots_from_factorization(f: IntPolynomial, fact: Factorization) -> tuple[int
 
 
 def roots_mod_n(f: IntPolynomial, n: int) -> tuple[int, ...]:
-    """The sorted roots of f mod n, assembled from its prime-power factors.
+    """The sorted roots of f mod n: the row of f's kept modulus table when it
+    covers n (no table is made, grown or reordered), else assembled from the
+    prime-power factors of n.
 
     The convention rho(1) = 1 with root {0} keeps counts multiplicative and
     matches the ascending-modulus sequence starting at n = 1.
     """
     if n < 1:
         raise InvalidArgumentError("modulus must be positive")
+    table = _modulus_tables.get(f)
+    if table is not None and n <= table.limit:
+        return tuple(table.roots[table.offsets[n] : table.offsets[n + 1]].tolist())
     return roots_from_factorization(f, factorize(n))
 
 
@@ -745,8 +757,18 @@ class ModulusTable:
         self.offsets, self.roots, self.limit = offsets, roots, xmax
 
 
-# The shared, growing modulus table of f, kept for the last 4 polynomials.
-modulus_table = lru_cache(maxsize=4)(ModulusTable)
+# The shared, growing modulus tables of the last 4 polynomials asked for,
+# least recently used first (a dict keeps insertion order).
+_modulus_tables: dict[IntPolynomial, ModulusTable] = {}
+
+
+def modulus_table(f: IntPolynomial) -> ModulusTable:
+    """The shared, growing modulus table of f, made when none is kept."""
+    table = _modulus_tables.pop(f, None) or ModulusTable(f)
+    _modulus_tables[f] = table
+    if len(_modulus_tables) > 4:
+        del _modulus_tables[next(iter(_modulus_tables))]
+    return table
 
 
 def root_table(
@@ -818,4 +840,4 @@ def clear_caches() -> None:
     _prime_roots_cached.cache_clear()
     _prime_power_roots_cached.cache_clear()
     prime_table.cache_clear()
-    modulus_table.cache_clear()
+    _modulus_tables.clear()

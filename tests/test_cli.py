@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import time
@@ -25,6 +26,24 @@ def test_cli_goldens_replay_byte_identically(tmp_path, capsys):
         assert (code, out) == (0, case["stdout"]), case["argv"]
         if "cloud_out" in case:
             assert cloud.read_text() == case["cloud_out"]
+
+
+def test_cli_md5_goldens(capsys):
+    """The stdout md5 of the larger runs in goldens/cli_md5.json, which
+    tools/gen_goldens.py writes."""
+    cases = json.loads((Path(__file__).parent / "goldens" / "cli_md5.json").read_text())
+    assert cases
+    for case in cases:
+        code, out, _ = run_cli(capsys, *case["argv"])
+        assert (code, hashlib.md5(out.encode()).hexdigest()) == (0, case["md5"]), case["argv"]
+
+
+@pytest.mark.parametrize("poly", ["1,0,1", "-2,0,0,1"])
+def test_psi_12_is_a_composite_cofactor(poly, capsys):
+    # 399165290221 * 798330580441: both factors are past trial division
+    code, out, err = run_cli(capsys, "roots", f"--poly={poly}", "--n", "318665857834031151167461")
+    assert code == 3 and out == ""
+    assert "composite cofactor 318665857834031151167461" in err and "beyond factoring capability" in err
 
 
 def test_roots_single_n(capsys):

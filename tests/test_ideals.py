@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -17,7 +18,13 @@ from rootdist import (
     inertia_degree,
     is_degree_one,
     roots_mod_n,
+    roots_mod_prime_power,
 )
+from rootdist import roots as roots_module
+from rootdist.intpoly import IntPolynomial
+from rootdist.roots import clear_caches, root_table
+
+from oracles import trial_factorize
 
 
 def test_ideal_from_root_examples(x2p1):
@@ -124,6 +131,35 @@ def test_bijection_small(x2p1, small_sieve):
             assert ideal_residue(ideal_from_root(x2p1, v, n)) == v
         for ideal in ideals:
             assert ideal_from_root(x2p1, ideal_residue(ideal), n) == ideal
+
+
+def _refuse(*args):
+    pytest.fail("the factorization route ran")
+
+
+def _product_route(f, n):
+    """The ideals of norm n as the product, by ascending primes, of the root
+    sets mod each p^e of n: the order enumerate_degree_one keeps."""
+    sets = ([(p, e, v) for v in roots_mod_prime_power(f, p, e)] for p, e in trial_factorize(n))
+    return [FactoredIdeal(comps) for comps in itertools.product(*sets)]
+
+
+def test_enumerate_reads_the_kept_table(monkeypatch):
+    # ROADMAP item 7's polynomials to 2e4: with no table kept, and off a
+    # kept table with the factorization route patched out, every n gives
+    # the product route's ideals in its order
+    for c in ((1, 0, 1), (-8, 0, 1), (-7, 0, 2), (-15552000, 0, 1), (-2, 0, 0, 1)):
+        f = IntPolynomial(c)
+        bad = f.eta * f.discriminant
+        ns = [n for n in range(1, 20001) if math.gcd(n, bad) == 1]
+        clear_caches()
+        want = [_product_route(f, n) for n in ns]
+        assert [enumerate_degree_one(f, n) for n in ns] == want, c
+        root_table(f, 20000)
+        with monkeypatch.context() as m:
+            m.setattr(roots_module, "roots_from_factorization", _refuse)
+            assert [enumerate_degree_one(f, n) for n in ns] == want, c
+    clear_caches()
 
 
 def test_json_round_trip_and_field_order(x2p1):

@@ -14,6 +14,7 @@ from rootdist import (
     is_prime,
 )
 
+from rootdist import modarith
 from rootdist.modarith import cached_sieve
 
 from oracles import eratosthenes, trial_factorize
@@ -141,10 +142,43 @@ def test_crt_random_round_trip():
         done += 1
 
 
-def test_is_prime_against_sieve():
-    flags = eratosthenes(10**4)
-    for n in range(10**4 + 1):
+# psi_12 and psi_13: the least strong pseudoprimes to the first 12 and the
+# first 13 prime bases (Sorenson and Webster, Math. Comp. 86, 2017).
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def _check_is_prime_to(limit):
+    flags = eratosthenes(limit)  # a bytearray sieve, not the library's
+    for n in range(limit + 1):
         assert is_prime(n) == bool(flags[n]), n
+
+
+def test_is_prime_against_sieve():
+    # read off the shared sieve
+    assert cached_sieve(0).limit >= 10**5
+    _check_is_prime_to(10**5)
+
+
+def test_is_prime_by_miller_rabin_against_sieve(monkeypatch):
+    monkeypatch.setattr(modarith, "_shared_sieve", None)
+    _check_is_prime_to(10**5)
+
+
+def test_is_prime_builds_no_sieve(monkeypatch):
+    monkeypatch.setattr(modarith, "_shared_sieve", None)
+    for n in (0, 1, 2, 97, 99991, 10**5 + 3, 2**61 - 1, PSI_12):
+        is_prime(n)
+    assert modarith._shared_sieve is None
+
+
+def test_is_prime_psi_12():
+    # a strong pseudoprime to the bases 2..37, so base 41 decides it
+    p, q = 399165290221, 798330580441
+    assert PSI_12 == p * q and is_prime(p) and is_prime(q)
+    assert not is_prime(PSI_12)
+    with pytest.raises(UnsupportedInputError):
+        is_prime(PSI_13)  # no factor among the bases, at the proven bound
 
 
 def test_is_prime_64bit_values():

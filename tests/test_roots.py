@@ -10,6 +10,7 @@ from rootdist import (
     InvalidArgumentError,
     ModulusFilter,
     ResourceLimitError,
+    enumerate_degree_one,
     factorize,
     poly_eval_mod,
     root_stream,
@@ -21,6 +22,7 @@ from rootdist import roots as roots_module
 from rootdist.intpoly import IntPolynomial, IrreducibilityAssumedWarning
 from rootdist.modarith import cached_sieve
 from rootdist.roots import (
+    _SCAN_LIMIT,
     PrimeRootTable,
     _lane_pow,
     _lane_prime_bound,
@@ -30,6 +32,7 @@ from rootdist.roots import (
     _prime_power_roots_cached,
     _prime_roots_cached,
     _roots_mod_prime_large,
+    _scan_roots,
     _split_smallest,
     clear_caches,
     modulus_table,
@@ -38,7 +41,11 @@ from rootdist.roots import (
     root_table,
 )
 
-from oracles import brute_roots, eratosthenes, factored_root_stream, trial_factorize
+from oracles import brute_roots, brute_roots_py, eratosthenes, factored_root_stream, trial_factorize
+
+# ROADMAP item 7's polynomials for the table route: 2 divides the leading
+# coefficient of 2x^2 - 7, and x^2 - 2^9 3^5 5^3 has more roots than moduli.
+TABLE_ROUTE_POLYS = ((1, 0, 1), (-8, 0, 1), (-7, 0, 2), (-15552000, 0, 1), (-2, 0, 0, 1))
 
 
 def test_roots_mod_prime_examples(x2p1, x2px1):
@@ -612,8 +619,66 @@ def test_table_fill_reads_no_root_store(monkeypatch):
 
 
 def test_stream_matches_roots_mod_n(x3m2, small_sieve):
-    for n, rs in root_stream(x3m2, 400, sieve=small_sieve):
-        assert rs == roots_mod_n(x3m2, n)
+    # the per-n roots come by factorization: no table is kept before the stream
+    clear_caches()
+    want = [(n, roots_mod_n(x3m2, n)) for n in range(1, 401)]
+    assert list(root_stream(x3m2, 400, sieve=small_sieve)) == want
+
+
+def _refuse(*args):
+    pytest.fail("the factorization route ran")
+
+
+def test_roots_mod_n_reads_the_kept_table(monkeypatch):
+    # every n <= 2e4 by factorization with no table kept, then off the rows
+    # of a kept table with the factorization route patched out
+    for c in TABLE_ROUTE_POLYS:
+        f = IntPolynomial(c)
+        clear_caches()
+        want = [roots_mod_n(f, n) for n in range(1, 20001)]
+        root_table(f, 20000)
+        with monkeypatch.context() as m:
+            m.setattr(roots_module, "roots_from_factorization", _refuse)
+            got = [roots_mod_n(f, n) for n in range(1, 20001)]
+        assert got == want, c
+        assert all(type(v) is int for rs in got for v in rs)
+        # past the table: the factorization route, and the table stays as it was
+        assert roots_mod_n(f, 20001) == tuple(brute_roots(c, 20001))
+        assert roots_module._modulus_tables[f].limit == 20000
+    clear_caches()
+
+
+def test_per_n_queries_make_grow_or_evict_no_table():
+    # four kept tables; per-n queries on a fifth polynomial, and past a kept
+    # table's limit, leave the keeper's tables, limits and order as they were
+    clear_caches()
+    for c in TABLE_ROUTE_POLYS[:4]:
+        root_table(IntPolynomial(c), 300)
+    kept = [(f, t, t.limit) for f, t in roots_module._modulus_tables.items()]
+    fifth, first = IntPolynomial(TABLE_ROUTE_POLYS[4]), kept[0][0]
+    assert roots_mod_n(fifth, 1001) == tuple(brute_roots(fifth.coeffs, 1001))
+    assert len(enumerate_degree_one(fifth, 1001)) == len(brute_roots(fifth.coeffs, 1001))
+    assert roots_mod_n(first, 1105) == tuple(brute_roots(first.coeffs, 1105))
+    assert len(enumerate_degree_one(first, 1105)) == 8
+    assert [(f, t, t.limit) for f, t in roots_module._modulus_tables.items()] == kept
+    # asking for a fifth table evicts the least recently asked for
+    root_table(fifth, 300)
+    assert list(roots_module._modulus_tables) == [f for f, _, _ in kept[1:]] + [fifth]
+    clear_caches()
+
+
+def test_scan_matches_residue_by_residue_below_the_scan_limit():
+    # every prime below 512; the leading coefficient of 2x^2 - 7 and of
+    # 30x^3 + x + 7 vanishes at some of them, and one has coefficients past int64
+    flags = eratosthenes(_SCAN_LIMIT - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IrreducibilityAssumedWarning)
+        polys = [IntPolynomial(c) for c in TABLE_ROUTE_POLYS + ((7, 1, 0, 30), (2**70 + 3, -(2**65), 1))]
+    for f in polys:
+        for p in (p for p in range(_SCAN_LIMIT) if flags[p]):
+            got = _scan_roots(f, p)
+            assert got == tuple(brute_roots_py(f.coeffs, p)), (f.coeffs, p)
+            assert all(type(v) is int for v in got)
 
 
 def test_filter_prime_to_past_int64(x2p1):

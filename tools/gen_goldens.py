@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate the regression goldens under tests/goldens/: acceptance.json
-(the acceptance-criteria statistics) and cli.json (the stdout of small CLI
-runs).
+(the acceptance-criteria statistics), cli.json (the stdout of small CLI
+runs) and cli_md5.json (the stdout md5 of larger CLI runs).
 
 Run from the repository root after an intentional behavior change:
 
@@ -12,6 +12,7 @@ regeneration on unchanged code reproduces the committed files byte for byte.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -79,17 +80,37 @@ CLI_COMMANDS = [
 ]
 
 
+# Larger CLI runs whose stdout cli_md5.json pins by md5: every n <= 20000
+# reads the modulus table (2 divides the leading coefficient of 2x^2 - 7).
+CLI_MD5_COMMANDS = [
+    ["ideals", "--poly", "1,0,1", "--nmax", "20000"],
+    ["ideals", "--poly=-7,0,2", "--nmax", "20000"],
+]
+
+
+def cli_stdout(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"rootdist {' '.join(argv)} exited {code}")
+    return buf.getvalue()
+
+
+def cli_md5_goldens():
+    return [
+        {"argv": argv, "md5": hashlib.md5(cli_stdout(argv).encode()).hexdigest()}
+        for argv in CLI_MD5_COMMANDS
+    ]
+
+
 def cli_goldens():
     out = []
     with tempfile.TemporaryDirectory() as tmp:
         cloud = Path(tmp) / "cloud.csv"
         for argv, writes_cloud in CLI_COMMANDS:
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = cli.main(argv + ["--cloud-out", str(cloud)] if writes_cloud else argv)
-            if code != 0:
-                raise SystemExit(f"rootdist {' '.join(argv)} exited {code}")
-            entry = {"argv": argv, "stdout": buf.getvalue()}
+            stdout = cli_stdout(argv + ["--cloud-out", str(cloud)] if writes_cloud else argv)
+            entry = {"argv": argv, "stdout": stdout}
             if writes_cloud:
                 entry["cloud_out"] = cloud.read_text()
             out.append(entry)
@@ -166,6 +187,9 @@ def main():
     print(f"wrote {path}")
     path = GOLDEN_DIR / "cli.json"
     path.write_text(json.dumps(cli_goldens(), indent=2) + "\n")
+    print(f"wrote {path}")
+    path = GOLDEN_DIR / "cli_md5.json"
+    path.write_text(json.dumps(cli_md5_goldens(), indent=2) + "\n")
     print(f"wrote {path}")
 
 
