@@ -80,11 +80,15 @@ CLI_COMMANDS = [
 ]
 
 
-# Larger CLI runs whose stdout cli_md5.json pins by md5: every n <= 20000
-# reads the modulus table (2 divides the leading coefficient of 2x^2 - 7).
+# Larger CLI runs whose stdout cli_md5.json pins by md5.  The ideals runs
+# read every n <= 20000 off the modulus table (2 divides the leading
+# coefficient of 2x^2 - 7); the weyl run sums phases over seven decade
+# checkpoints and the system run over a pair to 1e5.
 CLI_MD5_COMMANDS = [
     ["ideals", "--poly", "1,0,1", "--nmax", "20000"],
     ["ideals", "--poly=-7,0,2", "--nmax", "20000"],
+    ["weyl", "--poly", "1,0,1", "--xmax", "1000000"],
+    ["system", "--polys", "1,1,1;-1,-1,1", "--xmax", "100000"],
 ]
 
 
