@@ -4,21 +4,29 @@ measures, and prime-counting statistics.
 Accumulation order is pinned to ascending modulus and float sums carry Kahan
 compensation, so identical inputs reproduce identical output bytes.  Phases
 are reduced mod 1 in integer arithmetic before any float conversion.
+
+Stream consumers read every ``root_stream`` item (the benchmark counts them)
+and work its nonempty rows in numpy, at most one window (_TABLE_CHUNK moduli)
+at a time: ``_phase_sums`` does what ``root_exp_sum`` does per modulus, in its
+order, and the per-modulus sums enter the Kahan sums in ascending n, so every
+bit is as the scalar loop left it.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 from .intpoly import IntPolynomial
 from .modarith import SpfSieve, euler_phi, factorize, inverse
-from .roots import ModulusFilter, _prime_power_roots_cached, prime_counts, root_stream, roots_mod_n
+from .roots import (_INT64_MODULUS_BOUND, _TABLE_CHUNK, ModulusFilter, _lane_residues,
+                    _prime_power_roots_cached, prime_counts, root_stream, roots_mod_n)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -40,11 +48,15 @@ class KahanSum:
         self._c = (t - self.value) - y
         self.value = t
 
-
-def unit_phase(num: int, den: int) -> complex:
-    """exp(2*pi*i*num/den) with the fraction reduced mod 1 exactly."""
-    t = num % den
-    return cmath.exp(complex(0.0, _TWO_PI * (t / den)))
+    def extend(self, xs: Iterable[float]) -> None:
+        """``add`` each of xs in order, on locals."""
+        s, c = self.value, self._c
+        for x in xs:
+            y = x - c
+            t = s + y
+            c = (t - s) - y
+            s = t
+        self.value, self._c = s, c
 
 
 def root_exp_sum(
@@ -65,10 +77,78 @@ def root_exp_sum(
     total_re = 0.0
     total_im = 0.0
     for v in roots:
-        z = unit_phase(h * v, n)
+        z = cmath.exp(complex(0.0, _TWO_PI * (h * v % n / n)))  # reduced mod 1 exactly
         total_re += z.real
         total_im += z.imag
     return complex(total_re, total_im)
+
+
+def _phase_sums(ns, counts, roots, hn) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im): ``root_exp_sum`` bit for bit for each of the moduli ns, with
+    rows (counts, roots) as ``_stream_windows`` makes them and hn = h mod n.
+    Step j adds cos and sin of 2 pi (t / n), t = hn v mod n, for the j-th root
+    v of every modulus that has one; h = 0 mod n adds cos 0 = 1 per root."""
+    own = np.repeat(np.arange(ns.size), counts)
+    n = ns[own]
+    y = _TWO_PI * np.asarray(hn[own] * roots % n / n, dtype=np.float64)
+    cos, sin = np.cos(y), np.sin(y)
+    first = np.cumsum(counts) - counts
+    re, im = np.zeros(ns.size), np.zeros(ns.size)
+    live, j = np.flatnonzero(counts), 0
+    while live.size:
+        re[live] += cos[first[live] + j]
+        im[live] += sin[first[live] + j]
+        j += 1
+        live = live[counts[live] > j]
+    return re, im
+
+
+def _windows(stream: Iterable[tuple[int, tuple[int, ...]]], last: int) -> Iterator:
+    """The nonempty rows of an ascending (n, roots) stream as windows (ns,
+    [(counts, roots)]) over fewer than _TABLE_CHUNK consecutive n, as a table
+    window is, arrays as in ``_stream_windows``.  Every item is read, up to
+    the first past last."""
+
+    def window():
+        dt = np.int64 if not ns or ns[-1] <= _INT64_MODULUS_BOUND else object
+        counts = np.fromiter(map(len, rows), np.int64, len(rows))
+        flat = np.fromiter(itertools.chain.from_iterable(rows), dt, int(counts.sum()))
+        return np.array(ns, dtype=dt), [(counts, flat)]
+
+    ns: list[int] = []
+    rows: list[tuple[int, ...]] = []
+    for n, roots in stream:
+        if n > last:
+            break
+        if roots:
+            if ns and n - ns[0] >= _TABLE_CHUNK:
+                yield window()
+                ns, rows = [], []
+            ns.append(n)
+            rows.append(roots)
+    yield window()
+
+
+def _segments(windows: Iterable[tuple[np.ndarray, list]], checkpoints: list[int]) -> Iterator:
+    """Cut ascending windows (ns, rows) at the checkpoints: yields (segment,
+    done), segment a window's (ns, rows) piece or None, and done true once
+    every n up to the next checkpoint has been yielded.  Stops at the last."""
+    cps = iter(checkpoints)
+    c = next(cps)
+    for ns, rows in windows:
+        ends = [np.concatenate(([0], np.cumsum(k))) for k, _ in rows]
+        lo = 0
+        while c is not None:
+            hi = int(np.searchsorted(ns, c, side="right"))
+            yield (ns[lo:hi], [(k[lo:hi], v[e[lo] : e[hi]]) for (k, v), e in zip(rows, ends)]), hi < ns.size
+            if hi == ns.size:
+                break
+            lo, c = hi, next(cps, None)
+        if c is None:
+            return
+    while c is not None:
+        yield None, True
+        c = next(cps, None)
 
 
 def _cross_inverses(n1: int, n2: int) -> tuple[int, int]:
@@ -152,28 +232,6 @@ def _checkpoint_list(checkpoints: Iterable[int] | None, xmax: int, lo: int = 1) 
     return cps
 
 
-def _checkpointed(
-    items: Iterable[tuple], checkpoints: list[int], snapshot: Callable[[int], None]
-) -> Iterator[tuple]:
-    """Pass through items keyed by an ascending item[0], calling snapshot(c)
-    for each checkpoint c once every item with key <= c has been passed on.
-
-    Stops at the first item past the last checkpoint.
-    """
-    cps = iter(checkpoints)
-    c = next(cps, None)
-    for item in items:
-        while c is not None and item[0] > c:
-            snapshot(c)
-            c = next(cps, None)
-        if c is None:
-            return
-        yield item
-    while c is not None:
-        snapshot(c)
-        c = next(cps, None)
-
-
 @dataclass
 class WeylSeries:
     """Checkpointed partial exponential sums along a filtered modulus stream.
@@ -231,26 +289,23 @@ def weyl_series(
         flt = replace(flt, prime_to=math.lcm(flt.prime_to, h.value))
 
     series = WeylSeries(h=h, checkpoints=checkpoints)
-    acc, abs_acc = KahanSum(0j), KahanSum()
-    norm_acc = 0
-
-    def snapshot(_: int) -> None:
-        series.signed.append(acc.value)
-        series.abs_sum.append(abs_acc.value)
-        series.normalizer.append(norm_acc)
-        series.empty_flags.append(norm_acc == 0)
-
-    for n, roots in _checkpointed(root_stream(f, xmax, flt, sieve), checkpoints, snapshot):
-        if not roots:
-            continue
-        norm_acc += len(roots)
-        if h.kind == "const":
-            hn = h.value
-        else:
-            hn = inverse(h.value % n, n) if n > 1 else 0
-        term = root_exp_sum(f, hn, n, roots)
-        acc.add(term)
-        abs_acc.add(abs(term))
+    sums = [KahanSum(), KahanSum(), KahanSum()]  # re, im, |term|
+    norm = 0
+    stream = _windows(root_stream(f, xmax, flt, sieve), checkpoints[-1])
+    for seg, done in _segments(stream, checkpoints):
+        if seg:
+            ns, ((counts, roots),) = seg
+            hn = _lane_residues(h.value, ns) if h.kind == "const" else np.array(
+                [inverse(h.value % n, n) if n > 1 else 0 for n in ns.tolist()], ns.dtype)
+            re, im = _phase_sums(ns, counts, roots, hn)
+            for acc, xs in zip(sums, (re, im, np.hypot(re, im))):
+                acc.extend(xs.tolist())
+            norm += int(counts.sum())
+        if done:
+            series.signed.append(complex(sums[0].value, sums[1].value))
+            series.abs_sum.append(sums[2].value)
+            series.normalizer.append(norm)
+            series.empty_flags.append(norm == 0)
     return series
 
 
@@ -261,11 +316,11 @@ def ratio_points(
     sieve: SpfSieve | None = None,
 ) -> np.ndarray:
     """The fractions v/n for every root along the stream, in stream order."""
-    pts: list[float] = []
-    for n, roots in root_stream(f, xmax, flt, sieve):
-        for v in roots:
-            pts.append(v / n)
-    return np.asarray(pts, dtype=np.float64)
+    pts = [
+        np.asarray(roots / np.repeat(ns, counts), dtype=np.float64)
+        for ns, ((counts, roots),) in _windows(root_stream(f, xmax, flt, sieve), xmax)
+    ]
+    return np.concatenate(pts)
 
 
 def star_discrepancy(points) -> float:
@@ -448,14 +503,17 @@ def prime_stats(
         )
 
     primes, counts = prime_counts(f, xmax)
-    for p, rho in _checkpointed(zip(primes.tolist(), counts.tolist()), checkpoints, snapshot):
-        pi += 1
-        if rho:
-            sum_rho += rho
-            ratio_acc.add(rho / p)
-            log_prod.add(math.log1p(rho / p))
-            if rho == d and bad % p != 0:
-                log_prod_split.add(math.log1p(rho / p))
+    cuts = np.searchsorted(primes, checkpoints, side="right").tolist()
+    for x, lo, hi in zip(checkpoints, [0] + cuts, cuts):
+        for p, rho in zip(primes[lo:hi].tolist(), counts[lo:hi].tolist()):
+            if rho:
+                sum_rho += rho
+                ratio_acc.add(rho / p)
+                log_prod.add(math.log1p(rho / p))
+                if rho == d and bad % p != 0:
+                    log_prod_split.add(math.log1p(rho / p))
+        pi = hi
+        snapshot(x)
     return PrimeStats(checkpoints, rows, closure_index)
 
 
@@ -496,7 +554,9 @@ def progression_root_sums(
     sums: list[int] = []
     acc = 0
     stream = root_stream(f, xmax, ModulusFilter.progression(a, m), sieve)
-    for _, roots in _checkpointed(stream, checkpoints, lambda _: sums.append(acc)):
-        acc += len(roots)
+    for seg, done in _segments(_windows(stream, checkpoints[-1]), checkpoints):
+        acc += int(seg[1][0][0].sum()) if seg else 0
+        if done:
+            sums.append(acc)
     phi_m = euler_phi(factorize(m))
     return ProgressionSums(a % m, m, checkpoints, sums, phi_m)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import AdmissibilityError, InvalidArgumentError, UnsupportedInputError
 from .intpoly import IntPolynomial, poly_eval_mod
 from .modarith import SpfSieve, cached_sieve, crt_pair, factorize, spf_parts
-from .roots import roots_mod_n
+from .roots import roots_from_factorization, roots_mod_n
 
 
 @dataclass(frozen=True)
@@ -215,12 +215,13 @@ def enumerate_degree_one(
     report = admissibility(f, n)
     if not report.admissible:
         raise AdmissibilityError(report)
-    roots = roots_mod_n(f, n)
-    if not roots:
-        return []
     if sieve is None or sieve.limit < n:
         sieve = cached_sieve(0)
-    parts = spf_parts(n, sieve) if n <= sieve.limit else factorize(n, sieve).parts
+    fact = None if n <= sieve.limit else factorize(n, sieve)  # once, for roots and parts
+    roots = roots_mod_n(f, n) if fact is None else roots_from_factorization(f, fact)
+    if not roots:
+        return []
+    parts = spf_parts(n, sieve) if fact is None else fact.parts
     pes = [(p, e, p**e) for p, e in parts]
     return [FactoredIdeal(c) for c in sorted(tuple((p, e, v % q) for p, e, q in pes) for v in roots)]
 

@@ -36,6 +36,8 @@ class IntPolynomial:
     def __post_init__(self):
         coeffs = tuple(int(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
+        # the dataclass hash, once: every kept-table lookup hashes f
+        object.__setattr__(self, "_hash", hash((coeffs,)))
         if len(coeffs) < 3:
             raise InvalidArgumentError("polynomial degree must be at least 2")
         if coeffs[-1] == 0:
@@ -59,6 +61,9 @@ class IntPolynomial:
                 IrreducibilityAssumedWarning,
                 stacklevel=2,
             )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def degree(self) -> int:

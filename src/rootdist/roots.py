@@ -24,8 +24,11 @@ with q the full power of the smallest prime of n; the roots mod n are the CRT
 products of the roots mod q and mod m, or lifts of the roots mod n/p when
 n = q.  Chunks [a, min(2a, a + _TABLE_CHUNK)) fill it in ascending order, so
 that q, m and n/p (at most n/2) always lie in an earlier, finished chunk.
-Streams read the table only through ``_stream_windows``, as root tuples; a
-``ModulusFilter`` alone decides their moduli, and a dropped one costs none.
+Streams read the table only through ``_stream_windows``, in CSR windows; a
+``ModulusFilter`` alone decides their moduli, and a dropped one costs
+nothing.  ``root_stream`` makes a tuple only of a nonempty row (every empty
+one is the shared ()), and the single-polynomial consumers read its items,
+because the benchmark's traced ``trace.stream_moduli`` counts them.
 """
 
 from __future__ import annotations
@@ -65,6 +68,10 @@ _SHIFT_BASE = 2654435761
 
 # Refuse a level of singular lifts that would produce more roots than this.
 _LIFT_OUTPUT_LIMIT = 10**6
+
+# Streams keep moduli up to this bound in int64 arrays: a product of two
+# residues stays below 2^63, and a residue converts to float64 exactly.
+_INT64_MODULUS_BOUND = math.isqrt((1 << 63) - 1)
 
 
 def _scan_roots(f: IntPolynomial, p: int) -> tuple[int, ...]:
@@ -629,6 +636,9 @@ class ModulusFilter:
             ns = (np.flatnonzero(keep) + lo).tolist()
         if self.prime_to == 1:
             return ns
+        if self.prime_to < 1 << 63 and hi <= 1 << 63:
+            at = np.asarray(ns, dtype=np.int64)
+            return at[np.gcd(at, self.prime_to) == 1].tolist()
         # gcd(n, M) = gcd(n, M mod n): exact for M of any size
         return [n for n in ns if math.gcd(n, self.prime_to % n) == 1]
 
@@ -784,33 +794,38 @@ def root_table(
     return offsets, roots
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges [s, s + k) over starts s and lengths k, one after another."""
+    ends = np.cumsum(lengths)
+    return np.arange(int(ends[-1]) if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
+
+
 def _stream_windows(
     fs: Sequence[IntPolynomial], xmax: int, flt: ModulusFilter, sieve: SpfSieve | None
-) -> Iterator[tuple[Sequence[int], list[list[tuple[int, ...]]]]]:
+) -> Iterator[tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]]:
     """The moduli n <= xmax that ``flt`` accepts, a window at a time, with
-    the roots of each polynomial in ``fs``: yields (ns, rows), where
-    rows[j][k] is the sorted root tuple of fs[j] mod ns[k], sliced out of
-    one ``root_table`` per polynomial.
-
-    An explicit list takes ``roots_mod_n`` per listed n, so it needs only
-    its own primes and builds no table.
+    the roots of each polynomial in ``fs`` (one ``root_table`` each): yields
+    (ns, rows), ns ascending and rows[j] = (counts, roots), the counts[k]
+    sorted roots of fs[j] mod ns[k] one row after another in roots; int64
+    arrays, object past _INT64_MODULUS_BOUND.  An explicit list takes
+    ``roots_mod_n`` per listed n, so it needs only its own primes.
     """
     if flt.kind == "list":
         for n in flt.window(1, xmax + 1):
-            yield (n,), [[roots_mod_n(f, n)] for f in fs]
+            dt = np.int64 if n <= _INT64_MODULUS_BOUND else object
+            rows = [roots_mod_n(f, n) for f in fs]
+            yield np.array([n], dt), [(np.array([len(r)]), np.array(r, dt)) for r in rows]
         return
     tables = [root_table(f, xmax, sieve) for f in fs]
     for lo, hi in _moduli_chunks(1, xmax + 1):
         ns = flt.window(lo, hi)
-        if not ns:
-            continue
-        rows = []
-        for offsets, roots in tables:
-            off = offsets[lo : hi + 1]
-            vals = roots[off[0] : off[-1]].tolist()
-            off = (off - off[0]).tolist()
-            rows.append([tuple(vals[off[n - lo] : off[n - lo + 1]]) for n in ns])
-        yield ns, rows
+        ns = np.arange(ns.start, ns.stop, ns.step) if isinstance(ns, range) else np.array(ns, np.int64)
+        if ns.size:
+            counts = [(offsets[ns + 1] - offsets[ns]).astype(np.int64) for offsets, _ in tables]
+            yield ns, [
+                (c, roots[_ranges(offsets[ns], c)].astype(np.int64))
+                for c, (offsets, roots) in zip(counts, tables)
+            ]
 
 
 def root_stream(
@@ -819,19 +834,24 @@ def root_stream(
     flt: ModulusFilter | None = None,
     sieve: SpfSieve | None = None,
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield (n, sorted roots of f mod n) for the n <= xmax that ``flt``
-    accepts (all n by default), ascending; one item per accepted modulus,
-    empty root sets included.
-
-    The roots come from f's kept ``root_table``; the filter alone decides
-    the moduli, so a modulus it drops costs no root tuple.
+    """(n, sorted roots of f mod n) for the n <= xmax that ``flt`` accepts
+    (all n by default), ascending, empty root sets included, from f's kept
+    ``root_table`` (read on the first item).  Only a nonempty row becomes a
+    tuple of its own; every empty one is the shared ().
     """
     if xmax < 1:
         raise InvalidArgumentError("xmax must be at least 1")
-    if flt is None:
-        flt = ModulusFilter.all()
-    for ns, (rows,) in _stream_windows((f,), xmax, flt, sieve):
-        yield from zip(ns, rows)
+
+    def rows(counts: np.ndarray, roots: np.ndarray) -> list[tuple[int, ...]]:
+        vals, ends = roots.tolist(), np.cumsum(counts)
+        nz = np.flatnonzero(counts)
+        out: list[tuple[int, ...]] = [()] * counts.size
+        for i, a, b in zip(nz.tolist(), (ends - counts)[nz].tolist(), ends[nz].tolist()):
+            out[i] = tuple(vals[a:b])
+        return out
+
+    windows = _stream_windows((f,), xmax, flt or ModulusFilter.all(), sieve)
+    return itertools.chain.from_iterable(zip(ns.tolist(), rows(*row)) for ns, (row,) in windows)
 
 
 def clear_caches() -> None:

@@ -20,15 +20,16 @@ import numpy as np
 from .equidist import (
     KahanSum,
     _checkpoint_list,
-    _checkpointed,
     _cross_inverses,
+    _phase_sums,
+    _segments,
     box_discrepancy_from_hist,
     root_exp_sum,
 )
 from .errors import InvalidArgumentError
 from .intpoly import IntPolynomial
 from .modarith import SpfSieve
-from .roots import ModulusFilter, _stream_windows, roots_mod_n
+from .roots import ModulusFilter, _lane_residues, _ranges, _stream_windows, roots_mod_n
 
 _DEFAULT_GRIDS = {1: 64, 2: 64, 3: 16}
 _MAX_DIMENSION = 3
@@ -203,41 +204,53 @@ def joint_weyl_series(
     for h in hset:
         series.signed[h] = []
         series.abs_sum[h] = []
-    acc = {h: KahanSum(0j) for h in hset}
-    abs_acc = {h: KahanSum() for h in hset}
+    sums = {h: (KahanSum(), KahanSum(), KahanSum()) for h in hset}  # re, im, |term|
     norm_acc = 0
     hist = np.zeros((grid,) * r, dtype=np.int64)
-    cloud_count = 0
 
-    def snapshot(_: int) -> None:
-        series.normalizer.append(norm_acc)
+    def add(ns: np.ndarray, rows: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        nonlocal norm_acc, hist
+        phases = {}  # (j, h_j) -> the root_exp_sum of polynomial j per n
         for h in hset:
-            series.signed[h].append(acc[h].value)
-            series.abs_sum[h].append(abs_acc[h].value)
-        series.box_disc.append(
-            box_discrepancy_from_hist(hist, cloud_count) if cloud_count else 1.0
-        )
+            # joint_exp_sum: the product of the sums from 1 + 0j, left as it is once exactly 0
+            re, im = np.ones(ns.size), np.zeros(ns.size)
+            for j, hj in enumerate(h):
+                if (j, hj) not in phases:
+                    phases[j, hj] = _phase_sums(ns, *rows[j], _lane_residues(hj, ns))
+                a, b = phases[j, hj]
+                live = (re != 0) | (im != 0)
+                re, im = np.where(live, re * a - im * b, re), np.where(live, re * b + im * a, im)
+            for acc, xs in zip(sums[h], (re, im, np.hypot(re, im))):
+                acc.extend(xs.tolist())
+        # every root tuple of every n, lexicographic: the last root varies fastest
+        count = np.prod([k for k, _ in rows], axis=0)
+        own = np.repeat(np.arange(ns.size), count)
+        pos = _ranges(np.zeros_like(count), count)
+        cols = []
+        for k, roots in reversed(rows):
+            cols.insert(0, roots[np.repeat(np.cumsum(k) - k, count) + pos % k[own]])
+            pos //= k[own]
+        cell = np.zeros(own.size, dtype=np.int64)
+        for v in cols:
+            cell = cell * grid + np.asarray(v * grid // ns[own], dtype=np.int64)
+        hist += np.bincount(cell, minlength=hist.size).reshape(hist.shape)
+        norm_acc += own.size
+        if cloud_sink is not None:
+            for n, *tup in zip(ns[own].tolist(), *(v.tolist() for v in cols)):
+                cloud_sink(n, tuple(tup))
 
-    moduli = (
-        (n, per_poly)
-        for ns, rows in _stream_windows(system.polys, xmax, flt, sieve)
-        for n, *per_poly in zip(ns, *rows)
-    )
-    for n, per_poly in _checkpointed(moduli, checkpoints, snapshot):
-        count = 1
-        for roots in per_poly:
-            count *= len(roots)
-        if count == 0:
-            continue
-        norm_acc += count
-        for h in hset:
-            term = joint_exp_sum(system, h, n, rootsets=per_poly)
-            acc[h].add(term)
-            abs_acc[h].add(abs(term))
-        cloud_count += count
-        for tup in itertools.product(*per_poly):
-            idx = tuple((v * grid) // n for v in tup)
-            hist[idx] += 1
-            if cloud_sink is not None:
-                cloud_sink(n, tup)
+    def nonempty(windows):  # the moduli at which every polynomial has a root
+        for ns, rows in windows:
+            keep = np.flatnonzero(np.prod([k for k, _ in rows], axis=0))
+            yield ns[keep], [(k[keep], v[_ranges((np.cumsum(k) - k)[keep], k[keep])]) for k, v in rows]
+
+    for seg, done in _segments(nonempty(_stream_windows(system.polys, xmax, flt, sieve)), checkpoints):
+        if seg:
+            add(*seg)
+        if done:
+            series.normalizer.append(norm_acc)
+            for h, (re, im, mag) in sums.items():
+                series.signed[h].append(complex(re.value, im.value))
+                series.abs_sum[h].append(mag.value)
+            series.box_disc.append(box_discrepancy_from_hist(hist, norm_acc) if norm_acc else 1.0)
     return series

@@ -8,15 +8,28 @@ one-level-at-a-time digit towers with full-precision phases.
 from fractions import Fraction
 from functools import lru_cache
 import cmath
+import itertools
 import math
 import random
 
 import numpy as np
 
-from rootdist import inverse, poly_eval_mod, roots_mod_n
+from rootdist import (
+    HSpec,
+    JointWeylSeries,
+    ModulusFilter,
+    WeylSeries,
+    inverse,
+    poly_eval_mod,
+    root_exp_sum,
+    root_stream,
+    roots_mod_n,
+)
+from rootdist.equidist import KahanSum, _checkpoint_list, box_discrepancy_from_hist
 from rootdist.modarith import Factorization, cached_sieve, spf_parts
 from rootdist.nadic import _SPARSE_FACTOR, NormalityReport
 from rootdist.roots import roots_from_factorization
+from rootdist.systems import default_hset, joint_exp_sum
 
 
 def brute_roots(coeffs, n):
@@ -287,3 +300,109 @@ def exact_haar_monte_carlo(base, levels, samples, seed=0, h=1):
         return mean, 0.0
     var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
     return mean, math.sqrt(var / samples)
+
+
+# -- scalar stream consumers ----------------------------------------------
+#
+# The per-modulus loops that the numpy stream consumers replaced: one
+# root_exp_sum (cmath.exp per root) and one complex KahanSum.add per modulus.
+
+
+def checkpointed(items, checkpoints, snapshot):
+    """Pass through items keyed by an ascending item[0], calling snapshot(c)
+    for each checkpoint c once every item with key <= c has been passed on;
+    stop at the first item past the last checkpoint."""
+    cps = iter(checkpoints)
+    c = next(cps, None)
+    for item in items:
+        while c is not None and item[0] > c:
+            snapshot(c)
+            c = next(cps, None)
+        if c is None:
+            return
+        yield item
+    while c is not None:
+        snapshot(c)
+        c = next(cps, None)
+
+
+def scalar_weyl_series(f, h, xmax, flt=None, checkpoints=None):
+    if isinstance(h, int):
+        h = HSpec.const(h)
+    checkpoints = _checkpoint_list(checkpoints, xmax)
+    flt = flt or ModulusFilter.all()
+    if h.kind == "inverse":
+        flt = ModulusFilter(flt.kind, flt.a, flt.m, flt.values, math.lcm(flt.prime_to, h.value))
+    series = WeylSeries(h=h, checkpoints=checkpoints)
+    acc, abs_acc = KahanSum(0j), KahanSum()
+    norm = 0
+
+    def snapshot(_):
+        series.signed.append(acc.value)
+        series.abs_sum.append(abs_acc.value)
+        series.normalizer.append(norm)
+        series.empty_flags.append(norm == 0)
+
+    for n, roots in checkpointed(root_stream(f, xmax, flt), checkpoints, snapshot):
+        if not roots:
+            continue
+        norm += len(roots)
+        hn = h.value if h.kind == "const" else (inverse(h.value % n, n) if n > 1 else 0)
+        term = root_exp_sum(f, hn, n, roots)
+        acc.add(term)
+        abs_acc.add(abs(term))
+    return series
+
+
+def scalar_ratio_points(f, xmax, flt=None):
+    return np.asarray([v / n for n, roots in root_stream(f, xmax, flt) for v in roots], dtype=np.float64)
+
+
+def scalar_progression_sums(f, a, m, xmax, checkpoints=None):
+    """The sums column of ``progression_root_sums``."""
+    checkpoints = _checkpoint_list(checkpoints, xmax)
+    sums = []
+    acc = 0
+    stream = root_stream(f, xmax, ModulusFilter.progression(a, m))
+    for _, roots in checkpointed(stream, checkpoints, lambda _: sums.append(acc)):
+        acc += len(roots)
+    return sums
+
+
+def scalar_joint_weyl_series(system, xmax, checkpoints=None, grid=None, flt=None, cloud_sink=None):
+    r = system.dimension
+    hset = default_hset(r)
+    grid = grid or {1: 64, 2: 64, 3: 16}[r]
+    checkpoints = _checkpoint_list(checkpoints, xmax)
+    flt = flt or ModulusFilter.all()
+    series = JointWeylSeries(hset=hset, checkpoints=checkpoints, grid=grid, dimension=r)
+    for h in hset:
+        series.signed[h], series.abs_sum[h] = [], []
+    acc = {h: KahanSum(0j) for h in hset}
+    abs_acc = {h: KahanSum() for h in hset}
+    hist = np.zeros((grid,) * r, dtype=np.int64)
+    norm = 0
+
+    def snapshot(_):
+        series.normalizer.append(norm)
+        for h in hset:
+            series.signed[h].append(acc[h].value)
+            series.abs_sum[h].append(abs_acc[h].value)
+        series.box_disc.append(box_discrepancy_from_hist(hist, norm) if norm else 1.0)
+
+    streams = [root_stream(f, xmax, flt) for f in system.polys]
+    moduli = ((items[0][0], [roots for _, roots in items]) for items in zip(*streams))
+    for n, per_poly in checkpointed(moduli, checkpoints, snapshot):
+        count = math.prod(len(roots) for roots in per_poly)
+        if count == 0:
+            continue
+        norm += count
+        for h in hset:
+            term = joint_exp_sum(system, h, n, rootsets=per_poly)
+            acc[h].add(term)
+            abs_acc[h].add(abs(term))
+        for tup in itertools.product(*per_poly):
+            hist[tuple((v * grid) // n for v in tup)] += 1
+            if cloud_sink is not None:
+                cloud_sink(n, tup)
+    return series

@@ -390,3 +390,26 @@ def test_oversized_prime_table_exits_before_allocating(capsys):
     code, out, err = run_cli(capsys, "stats", "--poly", "1,0,1", "--xmax", "100000001")
     assert code == 1 and out == "" and "prime table limit" in err
     assert prime_table(parse_polynomial("1,0,1")).limit < 10**8
+
+
+def test_ideals_past_every_sieve_factor_n_once(monkeypatch, capsys):
+    # 13 (2^61 + 21): the roots and the (p, e) parts come from one factorize
+    import sys
+
+    from rootdist import modarith
+
+    calls = []
+    original = modarith.factorize
+
+    def counted(n, *args, **kwargs):
+        calls.append(n)
+        return original(n, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("rootdist") and getattr(mod, "factorize", None) is original:
+            monkeypatch.setattr(mod, "factorize", counted)
+    argv = ["ideals", "--poly", "1,0,1", "--n", "29975959119778021649"]
+    code, out, _ = run_cli(capsys, *argv)
+    cases = json.loads((Path(__file__).parent / "goldens" / "cli.json").read_text())
+    assert (code, out) == (0, next(c["stdout"] for c in cases if c["argv"] == argv))
+    assert calls == [29975959119778021649]

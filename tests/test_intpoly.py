@@ -177,3 +177,14 @@ def test_eval_consistency_with_brute_roots(x2px1):
         roots = brute_roots_py(x2px1.coeffs, n)
         for v in range(n):
             assert (poly_eval_mod(x2px1, v, n) == 0) == (v in roots)
+
+
+def test_equal_coefficients_hash_equal_and_share_one_table():
+    from rootdist.roots import _modulus_tables, modulus_table
+
+    f, g = IntPolynomial((1, 0, 1)), parse_polynomial("1,0,1")
+    assert f is not g and f == g and hash(f) == hash(g) == hash(((1, 0, 1),))
+    assert f != IntPolynomial((2, 0, 1)) and IntPolynomial((2, 0, 1)) == IntPolynomial((2, 0, 1))
+    assert {f: 1}[g] == 1
+    assert modulus_table(f) is modulus_table(g)
+    assert sum(1 for h in _modulus_tables if h == f) == 1

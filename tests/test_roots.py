@@ -702,6 +702,18 @@ def test_filter_prime_to_past_int64(x2p1):
     assert [n for n, _ in root_stream(x2p1, 12, flt)] == [1, 2, 4, 5, 7, 8, 10, 11]
 
 
+def test_filter_prime_to_below_int64_is_exact():
+    # one np.gcd pass for M < 2^63, against math.gcd
+    for M in (6, 2**31 + 11, 2**40 * 3 * 5 * 7, 3**39, 2**63 - 25):
+        for base in ("all", "squarefree", "progression:1,4"):
+            flt = ModulusFilter.parse(base)
+            flt = ModulusFilter(flt.kind, flt.a, flt.m, flt.values, prime_to=M)
+            for lo, hi in ((1, 2), (1, 401), (97, 100), (5000, 9100)):
+                want = [n for n in ModulusFilter.parse(base).window(lo, hi) if math.gcd(n, M) == 1]
+                got = flt.window(lo, hi)
+                assert got == want and all(type(n) is int for n in got), (M, base, lo, hi)
+
+
 def test_filter_parse_and_describe():
     flt = ModulusFilter.parse("progression:1,4")
     assert flt.accepts(9) and not flt.accepts(2)
