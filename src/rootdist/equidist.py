@@ -6,8 +6,8 @@ compensation, so identical inputs reproduce identical output bytes.  Phases
 are reduced mod 1 in integer arithmetic before any float conversion.
 
 Stream consumers read every ``root_stream`` item (the benchmark counts them)
-and work its nonempty rows in numpy, at most one window (_TABLE_CHUNK moduli)
-at a time: ``_phase_sums`` does what ``root_exp_sum`` does per modulus, in its
+and work its nonempty rows in numpy, fewer than _TABLE_CHUNK consecutive n at
+a time: ``_phase_sums`` does what ``root_exp_sum`` does per modulus, in its
 order, and the per-modulus sums enter the Kahan sums in ascending n, so every
 bit is as the scalar loop left it.
 """

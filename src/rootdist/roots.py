@@ -637,7 +637,7 @@ class ModulusFilter:
         if self.prime_to == 1:
             return ns
         if self.prime_to < 1 << 63 and hi <= 1 << 63:
-            at = np.asarray(ns, dtype=np.int64)
+            at = _int64_array(ns)
             return at[np.gcd(at, self.prime_to) == 1].tolist()
         # gcd(n, M) = gcd(n, M mod n): exact for M of any size
         return [n for n in ns if math.gcd(n, self.prime_to % n) == 1]
@@ -659,6 +659,11 @@ class ModulusFilter:
 
     def __repr__(self) -> str:
         return f"ModulusFilter({self.describe()!r})"
+
+
+def _int64_array(ns: Sequence[int]) -> np.ndarray:
+    """ns as an int64 array; a range by np.arange, not one int at a time."""
+    return np.arange(ns.start, ns.stop, ns.step) if isinstance(ns, range) else np.array(ns, np.int64)
 
 
 def _moduli_chunks(lo: int, hi: int) -> Iterator[tuple[int, int]]:
@@ -684,6 +689,12 @@ def _split_smallest(lo: int, hi: int, spf: np.ndarray) -> tuple[np.ndarray, ...]
         m[more] //= p[more]
         more = more[m[more] % p[more] == 0]
     return n, p, q, m
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges [s, s + k) over starts s and lengths k, one after another."""
+    ends = np.cumsum(lengths)
+    return np.arange(int(ends[-1]) if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
 
 
 class ModulusTable:
@@ -730,7 +741,7 @@ class ModulusTable:
                 up = n[sel] // p[sel]
                 k = (offsets[up + 1] - offsets[up]) * p[sel]
                 i = np.repeat(sel, k)
-                pos = np.arange(int(k.sum())) - np.repeat(np.cumsum(k) - k, k)
+                pos = _ranges(np.zeros_like(k), k)
                 v = roots[np.repeat(offsets[up], k) + pos // p[i]] + pos % p[i] * (n[i] // p[i])
                 r = np.zeros_like(v)
                 for a in reversed(self.f.coeffs):
@@ -743,7 +754,7 @@ class ModulusTable:
             k = c[sel]
             qs, ms = q[sel], m[sel]
             inv = _lane_pow(ms % qs, qs - qs // p[sel] - 1, qs)
-            pos = np.arange(int(k.sum())) - np.repeat(np.cumsum(k) - k, k)
+            pos = _ranges(np.zeros_like(k), k)
             rm = np.repeat(offsets[ms + 1] - offsets[ms], k)
             a = roots[np.repeat(offsets[qs], k) + pos // rm].astype(np.int64)
             b = roots[np.repeat(offsets[ms], k) + pos % rm].astype(np.int64)
@@ -794,12 +805,6 @@ def root_table(
     return offsets, roots
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The ranges [s, s + k) over starts s and lengths k, one after another."""
-    ends = np.cumsum(lengths)
-    return np.arange(int(ends[-1]) if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
-
-
 def _stream_windows(
     fs: Sequence[IntPolynomial], xmax: int, flt: ModulusFilter, sieve: SpfSieve | None
 ) -> Iterator[tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]]:
@@ -818,8 +823,7 @@ def _stream_windows(
         return
     tables = [root_table(f, xmax, sieve) for f in fs]
     for lo, hi in _moduli_chunks(1, xmax + 1):
-        ns = flt.window(lo, hi)
-        ns = np.arange(ns.start, ns.stop, ns.step) if isinstance(ns, range) else np.array(ns, np.int64)
+        ns = _int64_array(flt.window(lo, hi))
         if ns.size:
             counts = [(offsets[ns + 1] - offsets[ns]).astype(np.int64) for offsets, _ in tables]
             yield ns, [
