@@ -271,8 +271,10 @@ def _cmd_ideals(args: argparse.Namespace) -> str:
         for ideal in enumerate_degree_one(f, args.n):
             lines.append(ideal.to_json())
     else:
+        if args.nmax < 1:
+            raise InvalidArgumentError("xmax must be at least 1")
         modulus_table(f).fill(args.nmax)  # every n below reads a row of it
-        for n in ModulusFilter.coprime(abs(f.eta * f.discriminant)).window(1, args.nmax + 1):
+        for n in ModulusFilter.coprime(abs(f.eta * f.discriminant)).window(1, args.nmax + 1).tolist():
             for ideal in enumerate_degree_one(f, n):
                 lines.append(ideal.to_json())
     return "\n".join(lines) + "\n" if lines else ""

@@ -9,7 +9,8 @@ Stream consumers read every ``root_stream`` item (the benchmark counts them)
 and work its nonempty rows in numpy, fewer than _TABLE_CHUNK consecutive n at
 a time: ``_phase_sums`` does what ``root_exp_sum`` does per modulus, in its
 order, and the per-modulus sums enter the Kahan sums in ascending n, so every
-bit is as the scalar loop left it.
+bit is as the scalar loop left it.  A checkpointed walk streams, and fills
+tables, only up to its last checkpoint; xmax bounds the checkpoints.
 """
 
 from __future__ import annotations
@@ -103,11 +104,10 @@ def _phase_sums(ns, counts, roots, hn) -> tuple[np.ndarray, np.ndarray]:
     return re, im
 
 
-def _windows(stream: Iterable[tuple[int, tuple[int, ...]]], last: int) -> Iterator:
+def _windows(stream: Iterable[tuple[int, tuple[int, ...]]]) -> Iterator:
     """The nonempty rows of an ascending (n, roots) stream as windows (ns,
     [(counts, roots)]) over fewer than _TABLE_CHUNK consecutive n, as a table
-    window is, arrays as in ``_stream_windows``.  Every item is read, up to
-    the first past last."""
+    window is, arrays as in ``_stream_windows``.  Every item is read."""
 
     def window():
         dt = np.int64 if not ns or ns[-1] <= _INT64_MODULUS_BOUND else object
@@ -118,8 +118,6 @@ def _windows(stream: Iterable[tuple[int, tuple[int, ...]]], last: int) -> Iterat
     ns: list[int] = []
     rows: list[tuple[int, ...]] = []
     for n, roots in stream:
-        if n > last:
-            break
         if roots:
             if ns and n - ns[0] >= _TABLE_CHUNK:
                 yield window()
@@ -130,25 +128,23 @@ def _windows(stream: Iterable[tuple[int, tuple[int, ...]]], last: int) -> Iterat
 
 
 def _segments(windows: Iterable[tuple[np.ndarray, list]], checkpoints: list[int]) -> Iterator:
-    """Cut ascending windows (ns, rows) at the checkpoints: yields (segment,
-    done), segment a window's (ns, rows) piece or None, and done true once
-    every n up to the next checkpoint has been yielded.  Stops at the last."""
+    """Cut ascending windows (ns, rows), none past the last checkpoint, at the
+    checkpoints: yields (segment, done), segment a piece of a window or None,
+    and done true once every n up to the next checkpoint has been yielded."""
     cps = iter(checkpoints)
     c = next(cps)
     for ns, rows in windows:
         ends = [np.concatenate(([0], np.cumsum(k))) for k, _ in rows]
         lo = 0
-        while c is not None:
+        while True:
             hi = int(np.searchsorted(ns, c, side="right"))
             yield (ns[lo:hi], [(k[lo:hi], v[e[lo] : e[hi]]) for (k, v), e in zip(rows, ends)]), hi < ns.size
             if hi == ns.size:
                 break
-            lo, c = hi, next(cps, None)
-        if c is None:
-            return
-    while c is not None:
+            lo, c = hi, next(cps)
+    yield None, True
+    for _ in cps:
         yield None, True
-        c = next(cps, None)
 
 
 def _cross_inverses(n1: int, n2: int) -> tuple[int, int]:
@@ -291,7 +287,7 @@ def weyl_series(
     series = WeylSeries(h=h, checkpoints=checkpoints)
     sums = [KahanSum(), KahanSum(), KahanSum()]  # re, im, |term|
     norm = 0
-    stream = _windows(root_stream(f, xmax, flt, sieve), checkpoints[-1])
+    stream = _windows(root_stream(f, checkpoints[-1], flt, sieve))
     for seg, done in _segments(stream, checkpoints):
         if seg:
             ns, ((counts, roots),) = seg
@@ -318,7 +314,7 @@ def ratio_points(
     """The fractions v/n for every root along the stream, in stream order."""
     pts = [
         np.asarray(roots / np.repeat(ns, counts), dtype=np.float64)
-        for ns, ((counts, roots),) in _windows(root_stream(f, xmax, flt, sieve), xmax)
+        for ns, ((counts, roots),) in _windows(root_stream(f, xmax, flt, sieve))
     ]
     return np.concatenate(pts)
 
@@ -502,7 +498,7 @@ def prime_stats(
             )
         )
 
-    primes, counts = prime_counts(f, xmax)
+    primes, counts = prime_counts(f, checkpoints[-1])
     cuts = np.searchsorted(primes, checkpoints, side="right").tolist()
     for x, lo, hi in zip(checkpoints, [0] + cuts, cuts):
         for p, rho in zip(primes[lo:hi].tolist(), counts[lo:hi].tolist()):
@@ -546,17 +542,13 @@ def progression_root_sums(
 
     Requires gcd(a, m) = 1; m = 1 gives the unrestricted sum.
     """
-    if m < 1:
-        raise InvalidArgumentError("progression modulus must be positive")
-    if math.gcd(a, m) != 1:
-        raise InvalidArgumentError(f"progression needs gcd(a, m) = 1; got a={a}, m={m}")
+    flt = ModulusFilter.progression(a, m)
     checkpoints = _checkpoint_list(checkpoints, xmax)
     sums: list[int] = []
     acc = 0
-    stream = root_stream(f, xmax, ModulusFilter.progression(a, m), sieve)
-    for seg, done in _segments(_windows(stream, checkpoints[-1]), checkpoints):
+    for seg, done in _segments(_windows(root_stream(f, checkpoints[-1], flt, sieve)), checkpoints):
         acc += int(seg[1][0][0].sum()) if seg else 0
         if done:
             sums.append(acc)
     phi_m = euler_phi(factorize(m))
-    return ProgressionSums(a % m, m, checkpoints, sums, phi_m)
+    return ProgressionSums(flt.a, m, checkpoints, sums, phi_m)

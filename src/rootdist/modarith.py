@@ -165,9 +165,7 @@ def factorize(n: int, sieve: SpfSieve | None = None) -> Factorization:
         return Factorization(n, tuple(spf_parts(n, sieve)))
     parts: list[tuple[int, int]] = []
     m = n
-    root = min(math.isqrt(n), sieve.limit)
-    small = sieve._table[2 : root + 1]  # trial division needs no prime above sqrt(n)
-    for p in (np.flatnonzero(small == np.arange(2, root + 1)) + 2).tolist():
+    for p in sieve.primes():
         if p * p > m:
             break
         if m % p == 0:

@@ -25,7 +25,8 @@ products of the roots mod q and mod m, or lifts of the roots mod n/p when
 n = q.  Chunks [a, min(2a, a + _TABLE_CHUNK)) fill it in ascending order, so
 that q, m and n/p (at most n/2) always lie in an earlier, finished chunk.
 Streams read the table only through ``_stream_windows``, in CSR windows; a
-``ModulusFilter`` alone decides their moduli, and a dropped one costs
+``ModulusFilter`` alone decides their moduli, as one ascending int64 array
+per window (Python ints only past 2^63 - 1), and a dropped one costs
 nothing.  ``root_stream`` makes a tuple only of a nonempty row (every empty
 one is the shared ()), and the single-polynomial consumers read its items,
 because the benchmark's traced ``trace.stream_moduli`` counts them.
@@ -621,32 +622,40 @@ class ModulusFilter:
             raise InvalidArgumentError(f"cannot parse filter {text!r}: {exc}") from None
         raise InvalidArgumentError(f"unknown filter kind {head!r}")
 
-    def window(self, lo: int, hi: int) -> Sequence[int]:
-        """The accepted n in [lo, hi), ascending, for 1 <= lo < hi."""
-        if self.kind == "all":
-            ns: Sequence[int] = range(lo, hi)
-        elif self.kind == "progression":
-            ns = range(lo + (self.a - lo) % self.m, hi, self.m)
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """The accepted n in [lo, hi), ascending, for 1 <= lo < hi: int64, or
+        Python ints (object dtype) when one passes 2^63 - 1.  A squarefree
+        window sieves the primes up to sqrt(hi - 1), refused past the cap."""
+        if self.kind == "squarefree":
+            root = math.isqrt(hi - 1)
+            if root > _SIEVE_LIMIT_MAX:
+                raise ResourceLimitError(f"squarefree window to {hi - 1} sieves past {_SIEVE_LIMIT_MAX}")
+            keep = np.ones(hi - lo, dtype=bool)
+            for p in _primes_in(1, root).tolist():
+                keep[(-lo) % (p * p) :: p * p] = False
+            ns = np.flatnonzero(keep) + lo
         elif self.kind == "list":
             ns = sorted(v for v in self.values if lo <= v < hi)
         else:
-            keep = np.ones(hi - lo, dtype=bool)
-            for p in _primes_in(1, math.isqrt(hi - 1)).tolist():
-                keep[(-lo) % (p * p) :: p * p] = False
-            ns = (np.flatnonzero(keep) + lo).tolist()
+            ns = range(lo, hi) if self.kind == "all" else range(lo + (self.a - lo) % self.m, hi, self.m)
+            if hi < 1 << 63:
+                # int64 bounds: a step past hi leaves the first n at most
+                ns = np.arange(min(ns.start, hi), hi, min(ns.step, hi))
+        if not isinstance(ns, np.ndarray):
+            ns = np.array(ns, np.int64 if not ns or ns[-1] < 1 << 63 else object)
         if self.prime_to == 1:
             return ns
-        if self.prime_to < 1 << 63 and hi <= 1 << 63:
-            at = _int64_array(ns)
-            return at[np.gcd(at, self.prime_to) == 1].tolist()
+        if self.prime_to < 1 << 63 and ns.dtype == np.int64:
+            return ns[np.gcd(ns, self.prime_to) == 1]
         # gcd(n, M) = gcd(n, M mod n): exact for M of any size
-        return [n for n in ns if math.gcd(n, self.prime_to % n) == 1]
+        return ns[np.array([math.gcd(n, self.prime_to % n) == 1 for n in ns.tolist()], dtype=bool)]
 
     def accepts(self, n: int) -> bool:
-        return bool(self.window(n, n + 1))
+        return self.window(n, n + 1).size > 0
 
     def describe(self) -> str:
-        """The ``parse`` spelling, with "&coprime:M" after a kind other than all."""
+        """The ``parse`` spelling; a kind other than all under coprime:M
+        shows as "kind&coprime:M", for display only (``parse`` rejects it)."""
         if self.kind == "progression":
             text = f"progression:{self.a},{self.m}"
         elif self.kind == "list":
@@ -659,11 +668,6 @@ class ModulusFilter:
 
     def __repr__(self) -> str:
         return f"ModulusFilter({self.describe()!r})"
-
-
-def _int64_array(ns: Sequence[int]) -> np.ndarray:
-    """ns as an int64 array; a range by np.arange, not one int at a time."""
-    return np.arange(ns.start, ns.stop, ns.step) if isinstance(ns, range) else np.array(ns, np.int64)
 
 
 def _moduli_chunks(lo: int, hi: int) -> Iterator[tuple[int, int]]:
@@ -816,14 +820,14 @@ def _stream_windows(
     ``roots_mod_n`` per listed n, so it needs only its own primes.
     """
     if flt.kind == "list":
-        for n in flt.window(1, xmax + 1):
+        for n in flt.window(1, xmax + 1).tolist():
             dt = np.int64 if n <= _INT64_MODULUS_BOUND else object
             rows = [roots_mod_n(f, n) for f in fs]
             yield np.array([n], dt), [(np.array([len(r)]), np.array(r, dt)) for r in rows]
         return
     tables = [root_table(f, xmax, sieve) for f in fs]
     for lo, hi in _moduli_chunks(1, xmax + 1):
-        ns = _int64_array(flt.window(lo, hi))
+        ns = flt.window(lo, hi)
         if ns.size:
             counts = [(offsets[ns + 1] - offsets[ns]).astype(np.int64) for offsets, _ in tables]
             yield ns, [

@@ -244,7 +244,8 @@ def joint_weyl_series(
             keep = np.flatnonzero(np.prod([k for k, _ in rows], axis=0))
             yield ns[keep], [(k[keep], v[_ranges((np.cumsum(k) - k)[keep], k[keep])]) for k, v in rows]
 
-    for seg, done in _segments(nonempty(_stream_windows(system.polys, xmax, flt, sieve)), checkpoints):
+    windows = _stream_windows(system.polys, checkpoints[-1], flt, sieve)
+    for seg, done in _segments(nonempty(windows), checkpoints):
         if seg:
             add(*seg)
         if done:

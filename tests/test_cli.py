@@ -413,3 +413,40 @@ def test_ideals_past_every_sieve_factor_n_once(monkeypatch, capsys):
     cases = json.loads((Path(__file__).parent / "goldens" / "cli.json").read_text())
     assert (code, out) == (0, next(c["stdout"] for c in cases if c["argv"] == argv))
     assert calls == [29975959119778021649]
+
+
+def test_progression_modulus_past_int64(capsys):
+    # 10^23: a window holds one n at most, and the table is indexed by int64
+    m = "100000000000000000000000"
+    code, out, _ = run_cli(capsys, "weyl", "--poly", "1,0,1", "--xmax", "100", "--filter", f"progression:1,{m}")
+    assert (code, out) == run_cli(capsys, "weyl", "--poly", "1,0,1", "--xmax", "100", "--filter", "list:1")[:2]
+    assert code == 0 and out.count("\n") == 3
+    code, out, _ = run_cli(capsys, "roots", "--poly", "1,0,1", "--nmax", "5", "--filter", f"progression:1,{m}")
+    assert (code, out) == (0, "1: 0\n")
+    code, out, _ = run_cli(capsys, "stats", "--poly", "1,0,1", "--xmax", "100", "--progression", f"1,{m}")
+    assert code == 0 and out.splitlines()[1:] == ["10,1,4e+21", "100,1,4e+20"]
+
+
+def test_bad_progression_reports_the_filter_error(capsys):
+    code, out, err = run_cli(capsys, "stats", "--poly", "1,0,1", "--xmax", "100", "--progression", "2,4")
+    assert code == 2 and out == "" and "progression filter needs gcd(a, m) = 1" in err
+    code, _, err = run_cli(capsys, "stats", "--poly", "1,0,1", "--xmax", "100", "--progression", "1,0")
+    assert code == 2 and "progression filter needs gcd(a, m) = 1" in err
+
+
+@pytest.mark.parametrize("nmax", ["0", "-5"])
+def test_ideals_nmax_below_one_exits_2(nmax, capsys):
+    code, out, err = run_cli(capsys, "ideals", "--poly", "1,0,1", "--nmax", nmax)
+    assert code == 2 and out == "" and "xmax must be at least 1" in err
+
+
+def test_checkpoints_below_xmax_stop_the_walk(capsys):
+    # the walk reads only to the last checkpoint, so a bound past the sieve
+    # cap fills nothing past 10
+    from rootdist import parse_polynomial
+    from rootdist.roots import prime_table
+
+    code, out, err = run_cli(capsys, "weyl", "--poly", "1,0,1", "--xmax", "100000001", "--checkpoints", "10")
+    assert (code, out) == run_cli(capsys, "weyl", "--poly", "1,0,1", "--xmax", "10")[:2]
+    assert code == 0 and err == "" and out.count("\n") == 2
+    assert prime_table(parse_polynomial("1,0,1")).limit < 10**8

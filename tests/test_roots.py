@@ -711,7 +711,57 @@ def test_filter_prime_to_below_int64_is_exact():
             for lo, hi in ((1, 2), (1, 401), (97, 100), (5000, 9100)):
                 want = [n for n in ModulusFilter.parse(base).window(lo, hi) if math.gcd(n, M) == 1]
                 got = flt.window(lo, hi)
-                assert got == want and all(type(n) is int for n in got), (M, base, lo, hi)
+                assert got.dtype == np.int64 and got.tolist() == want, (M, base, lo, hi)
+
+
+def test_filter_windows_are_ascending_int64_arrays():
+    # every kind, against a Python-int reference; past 2^63 - 1 a listed n
+    # comes back as a Python int in an object array
+    big = [2**63 - 1, 2**63, 2**64 + 13, 2**70]
+    kinds = {
+        "all": lambda n: True,
+        "squarefree": lambda n: all(n % (p * p) for p in range(2, math.isqrt(n) + 1)),
+        "progression:3,7": lambda n: n % 7 == 3,
+        "progression:1,100000000000000000000000": lambda n: n == 1,
+        "coprime:6": lambda n: math.gcd(n, 6) == 1,
+        "coprime:100000000000000000000007": lambda n: math.gcd(n, 10**23 + 7) == 1,
+        "list:1,5,97,400,4096": lambda n: n in (1, 5, 97, 400, 4096),
+    }
+    for text, keep in kinds.items():
+        flt = ModulusFilter.parse(text)
+        for lo, hi in ((1, 2), (1, 401), (97, 100), (4000, 8192)):
+            got = flt.window(lo, hi)
+            want = [n for n in range(lo, hi) if keep(n)]
+            assert got.dtype == np.int64 and got.tolist() == want, (text, lo, hi)
+    flt = ModulusFilter.explicit([3] + big)
+    for lo, hi in ((1, 2**63), (1, 2**71), (2**63, 2**65)):
+        got = flt.window(lo, hi)
+        want = [n for n in [3] + big if lo <= n < hi]
+        assert got.dtype == (np.int64 if want[-1] < 2**63 else object), (lo, hi)
+        assert got.tolist() == want and all(type(n) is int for n in got.tolist())
+    # accepts far past int64, as the ranges and the exact gcd answered it
+    n = 2**70
+    assert ModulusFilter.all().accepts(n)
+    assert ModulusFilter.progression(n % 7, 7).accepts(n) and not ModulusFilter.progression(1, 4).accepts(n)
+    assert ModulusFilter.progression(1, 10**23).accepts(1) and not ModulusFilter.progression(1, 10**23).accepts(n)
+    assert ModulusFilter.coprime(35).accepts(n) and not ModulusFilter.coprime(6).accepts(n)
+    assert ModulusFilter.explicit(big).accepts(n) and not ModulusFilter.explicit(big).accepts(n + 1)
+
+
+def test_squarefree_window_refuses_a_sieve_past_the_cap(monkeypatch):
+    # sqrt(hi - 1) past the cap raises before anything is allocated; a
+    # small stand-in cap shows the bound is exact
+    flt = ModulusFilter.squarefree()
+    with pytest.raises(ResourceLimitError):
+        flt.accepts(2**70)
+    monkeypatch.setattr(roots_module, "_SIEVE_LIMIT_MAX", 100)
+    want = [n for n in range(10100, 10201) if all(n % (p * p) for p in range(2, 101))]
+    assert flt.window(10100, 10201).tolist() == want
+    assert flt.accepts(10199) and not flt.accepts(10100)
+    with pytest.raises(ResourceLimitError):
+        flt.window(10100, 10202)  # sqrt(10201) = 101
+    with pytest.raises(ResourceLimitError):
+        list(root_stream(IntPolynomial((1, 0, 1)), 10201, flt))
 
 
 def test_filter_parse_and_describe():

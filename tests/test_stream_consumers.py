@@ -169,9 +169,9 @@ def test_longer_streams_and_small_batches_match_scalar_loops(poly, monkeypatch):
     assert progression_root_sums(f, 1, 4, 2000).sums == scalar_progression_sums(f, 1, 4, 2000)
 
 
-def test_consumers_read_items_up_to_the_first_past_the_last_checkpoint(monkeypatch):
+def test_consumers_read_items_up_to_the_last_checkpoint(monkeypatch):
     # the benchmark counts root_stream items: the walk reads every item up
-    # to the last checkpoint and one more, as the scalar walk did
+    # to the last checkpoint, which is xmax under the default decades
     import rootdist.equidist as equidist
 
     f = parse_polynomial("1,0,1")
@@ -184,13 +184,39 @@ def test_consumers_read_items_up_to_the_first_past_the_last_checkpoint(monkeypat
 
     equidist_root_stream = equidist.root_stream
     monkeypatch.setattr(equidist, "root_stream", counted)
-    for text, want in (("all", list(range(1, 52))), ("progression:1,4", list(range(1, 54, 4)))):
+    for text, want in (("all", list(range(1, 51))), ("progression:1,4", list(range(1, 50, 4)))):
         read.clear()
         weyl_series(f, 1, 3000, ModulusFilter.parse(text), [7, 50])
         assert read == want, text
         read.clear()
         progression_root_sums(f, 1, 4, 3000, [7, 50])
-        assert read == list(range(1, 54, 4))
+        assert read == list(range(1, 50, 4))
     read.clear()
     weyl_series(f, 1, 3000)
     assert read == list(range(1, 3001))
+
+
+def test_checkpointed_walks_stop_at_the_last_checkpoint(monkeypatch):
+    # explicit checkpoints below xmax: the same reprs as with xmax at the last
+    # checkpoint, and no table (or prime count) reaches past it
+    import rootdist.equidist as equidist
+    from rootdist import prime_stats
+    from rootdist.roots import _modulus_tables, clear_caches
+
+    f, g = parse_polynomial("1,0,1"), parse_polynomial("-1,-1,1")
+    system = PolySystem((parse_polynomial("1,1,1"), g))
+    cps = [7, 50, 999]
+    counted = []
+    prime_counts = equidist.prime_counts
+    monkeypatch.setattr(equidist, "prime_counts", lambda f, x: counted.append(x) or prime_counts(f, x))
+    for xmax in (999, 5000, 10**9):
+        clear_caches()
+        h, flt = HSpec.inverse_of(3), ModulusFilter.squarefree()
+        assert weyl_reprs(weyl_series(f, h, xmax, flt, cps)) == weyl_reprs(weyl_series(f, h, 999, flt, cps))
+        assert progression_root_sums(f, 1, 4, xmax, cps).sums == progression_root_sums(f, 1, 4, 999, cps).sums
+        assert joint_reprs(joint_weyl_series(system, xmax, checkpoints=cps)) == joint_reprs(
+            joint_weyl_series(system, 999, checkpoints=cps))
+        assert _modulus_tables[f].limit == _modulus_tables[g].limit == 999, xmax
+        assert repr(prime_stats(f, xmax, cps).rows) == repr(prime_stats(f, 999, cps).rows)
+        assert counted[-2:] == [999, 999]
+    clear_caches()
