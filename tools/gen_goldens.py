@@ -85,7 +85,9 @@ CLI_COMMANDS = [
 # coefficient of 2x^2 - 7); the weyl run sums phases over seven decade
 # checkpoints and the system run over a pair to 1e5.  The squarefree weyl
 # run under inv:3 takes the squarefree and coprime window steps to 1e6, and
-# the ideals run of x^2 - 2^9 3^5 5^3 keeps only the n prime to 30.
+# the ideals run of x^2 - 2^9 3^5 5^3 keeps only the n prime to 30.  The
+# last two ideals runs are a cubic (x^3 - 2, n prime to 6) and x^2 + 1 to
+# 2e5, which reads 60 table windows against 16 for the runs to 20000.
 CLI_MD5_COMMANDS = [
     ["ideals", "--poly", "1,0,1", "--nmax", "20000"],
     ["ideals", "--poly=-7,0,2", "--nmax", "20000"],
@@ -93,6 +95,8 @@ CLI_MD5_COMMANDS = [
     ["system", "--polys", "1,1,1;-1,-1,1", "--xmax", "100000"],
     ["weyl", "--poly", "1,0,1", "--xmax", "1000000", "--h", "inv:3", "--filter", "squarefree"],
     ["ideals", "--poly=-15552000,0,1", "--nmax", "20000"],
+    ["ideals", "--poly=-2,0,0,1", "--nmax", "20000"],
+    ["ideals", "--poly", "1,0,1", "--nmax", "200000"],
 ]
 
 
