@@ -23,10 +23,11 @@ from .equidist import (
     weyl_series,
 )
 from .errors import InvalidArgumentError, RootdistError
-from .ideals import enumerate_degree_one
+from .ideals import _ideals_of, enumerate_degree_one
 from .intpoly import IntPolynomial, parse_polynomial
 from .nadic import nadic_expansions, normality_evidence
-from .roots import ModulusFilter, modulus_table, root_stream, roots_mod_n
+from .modarith import cached_sieve, spf_parts
+from .roots import ModulusFilter, root_stream, roots_mod_n
 from .systems import PolySystem, default_hset, joint_weyl_series, root_tuples
 
 # Flags whose value is a list of integers, which may start with a minus sign.
@@ -266,18 +267,13 @@ def _cmd_ideals(args: argparse.Namespace) -> str:
     f = parse_polynomial(args.poly)
     if (args.n is None) == (args.nmax is None):
         raise InvalidArgumentError("exactly one of --n and --nmax is required")
-    lines = []
     if args.n is not None:
-        for ideal in enumerate_degree_one(f, args.n):
-            lines.append(ideal.to_json())
+        rows = [enumerate_degree_one(f, args.n)]
     else:
-        if args.nmax < 1:
-            raise InvalidArgumentError("xmax must be at least 1")
-        modulus_table(f).fill(args.nmax)  # every n below reads a row of it
-        for n in ModulusFilter.coprime(abs(f.eta * f.discriminant)).window(1, args.nmax + 1).tolist():
-            for ideal in enumerate_degree_one(f, n):
-                lines.append(ideal.to_json())
-    return "\n".join(lines) + "\n" if lines else ""
+        stream = root_stream(f, args.nmax, ModulusFilter.coprime(abs(f.eta * f.discriminant)))
+        sieve = cached_sieve(args.nmax)  # the sieve the stream's table fill reads
+        rows = (_ideals_of(roots, spf_parts(n, sieve)) for n, roots in stream if roots)
+    return "".join(ideal.to_json() + "\n" for row in rows for ideal in row)
 
 
 def _cmd_system(args: argparse.Namespace) -> str | list[tuple[str, str | None]]:

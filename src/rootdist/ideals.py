@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 from .errors import AdmissibilityError, InvalidArgumentError, UnsupportedInputError
 from .intpoly import IntPolynomial, poly_eval_mod
@@ -84,7 +85,12 @@ def ideal_from_root(f: IntPolynomial, v: int, n: int) -> FactoredIdeal:
         raise InvalidArgumentError(f"root {v} out of range [0, {n})")
     if poly_eval_mod(f, v, n) != 0:
         raise InvalidArgumentError(f"{v} is not a root of the polynomial mod {n}")
-    return FactoredIdeal(tuple((p, e, v % p**e) for p, e in factorize(n).parts))
+    return _ideals_of((v,), factorize(n).parts)[0]
+
+
+def _ideals_of(roots: Iterable[int], parts: Sequence[tuple[int, int]]) -> list[FactoredIdeal]:
+    """The sorted ideals of roots v mod prod p^e over ``parts``: components (p, e, v mod p^e)."""
+    return [FactoredIdeal(c) for c in sorted(tuple((p, e, v % p**e) for p, e in parts) for v in roots)]
 
 
 def ideal_residue(ideal: FactoredIdeal) -> int:
@@ -210,8 +216,8 @@ def inertia_degree(
 def enumerate_degree_one(
     f: IntPolynomial, n: int, sieve: SpfSieve | None = None
 ) -> list[FactoredIdeal]:
-    """All degree-one ideals of norm n, in lexicographic order: the root v
-    of f mod n (``roots_mod_n``) gives the components (p, e, v mod p^e)."""
+    """All degree-one ideals of norm n, sorted: ``_ideals_of`` the roots of
+    f mod n (``roots_mod_n``) and the parts of n (one factorization past the sieve)."""
     report = admissibility(f, n)
     if not report.admissible:
         raise AdmissibilityError(report)
@@ -221,7 +227,5 @@ def enumerate_degree_one(
     roots = roots_mod_n(f, n) if fact is None else roots_from_factorization(f, fact)
     if not roots:
         return []
-    parts = spf_parts(n, sieve) if fact is None else fact.parts
-    pes = [(p, e, p**e) for p, e in parts]
-    return [FactoredIdeal(c) for c in sorted(tuple((p, e, v % q) for p, e, q in pes) for v in roots)]
+    return _ideals_of(roots, spf_parts(n, sieve) if fact is None else fact.parts)
 
