@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import AdmissibilityError, InvalidArgumentError, UnsupportedInputError
 from .intpoly import IntPolynomial, poly_eval_mod
-from .modarith import SpfSieve, cached_sieve, crt_pair, factorize, spf_parts
+from .modarith import SpfSieve, cached_sieve, crt_pair, factorize, is_prime, spf_parts
 from .roots import roots_from_factorization, roots_mod_n
 
 
@@ -103,6 +104,18 @@ def ideal_residue(ideal: FactoredIdeal) -> int:
     return acc
 
 
+def _check_components(f: IntPolynomial, components: tuple[tuple[int, int, int], ...]) -> None:
+    """Refuse a component (p, e, v) unless p is prime, e >= 1, 0 <= v < p^e
+    and f(v) = 0 mod p^e."""
+    for p, e, v in components:
+        if not is_prime(p):
+            raise InvalidArgumentError(f"component p = {p} is not prime")
+        if e < 1 or not 0 <= v < p**e:
+            raise InvalidArgumentError("component exponent or residue out of range")
+        if poly_eval_mod(f, v, p**e) != 0:
+            raise InvalidArgumentError(f"component residue {v} is not a root mod {p}^{e}")
+
+
 def is_degree_one(
     f: IntPolynomial, components: tuple[tuple[int, int, int], ...]
 ) -> tuple[bool, str]:
@@ -113,16 +126,9 @@ def is_degree_one(
     degree-one prime power, which this representation can only certify for
     primes away from eta*disc.
     """
+    _check_components(f, components)
     bad = f.eta * f.discriminant
-    seen: dict[int, int] = {}
-    for p, e, v in components:
-        if e < 1 or not 0 <= v < p**e:
-            raise InvalidArgumentError("component exponent or residue out of range")
-        if poly_eval_mod(f, v, p**e) != 0:
-            raise InvalidArgumentError(
-                f"component residue {v} is not a root mod {p}^{e}"
-            )
-        seen[p] = seen.get(p, 0) + 1
+    seen = Counter(p for p, _, _ in components)
     repeated = sorted(p for p, k in seen.items() if k > 1)
     if repeated:
         return False, (
@@ -194,17 +200,14 @@ def inertia_degree(
     integers is governed per prime by the largest exponent present.  The
     unit ideal (no components) has degree one by convention.
     """
+    _check_components(f, components)
     bad = f.eta * f.discriminant
     total: dict[int, int] = {}
     largest: dict[int, int] = {}
-    for p, e, v in components:
+    for p, e, _ in components:
         if bad % p == 0:
             raise UnsupportedInputError(
                 f"prime {p} divides eta*disc; ramified components are unsupported"
-            )
-        if poly_eval_mod(f, v, p**e) != 0:
-            raise InvalidArgumentError(
-                f"component residue {v} is not a root mod {p}^{e}"
             )
         total[p] = total.get(p, 0) + e
         largest[p] = max(largest.get(p, 0), e)

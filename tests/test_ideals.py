@@ -92,6 +92,22 @@ def test_inertia_rejects_ramified(x2p1):
         inertia_degree(x2p1, ((2, 1, 1),))
 
 
+@pytest.mark.parametrize("check", [inertia_degree, is_degree_one])
+@pytest.mark.parametrize(
+    "comp, why",
+    [
+        ((5, 0, 2), "out of range"),  # e = 0
+        ((5, 1, 7), "out of range"),  # residue past p^e
+        ((1, 1, 0), "is not prime"),
+        ((4, 1, 0), "is not prime"),  # 4 divides disc, but is no prime
+    ],
+)
+def test_component_checks_come_first(x2p1, check, comp, why):
+    with pytest.raises(InvalidArgumentError, match=why) as info:
+        check(x2p1, (comp,))
+    assert info.value.exit_code == 2
+
+
 def test_inertia_one_iff_degree_one(x2p1, small_sieve):
     rng = random.Random(23)
     candidate_primes = [p for p in (5, 13, 17, 29, 37, 41) ]
