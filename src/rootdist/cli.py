@@ -281,6 +281,8 @@ def _cmd_system(args: argparse.Namespace) -> str | list[tuple[str, str | None]]:
     if (args.n is None) == (args.xmax is None):
         raise InvalidArgumentError("exactly one of --n and --xmax is required")
     if args.n is not None:
+        if args.cloud_out:
+            raise InvalidArgumentError("--cloud-out needs --xmax")
         body = " ".join(",".join(str(v) for v in tup) for tup in root_tuples(system, args.n))
         return f"{args.n}: {body}".rstrip() + "\n"
     hset = (

@@ -242,6 +242,16 @@ def test_system_trend_and_cloud(tmp_path, capsys):
     assert body[1] == "1,0,0"
 
 
+def test_system_single_n_refuses_cloud_out(tmp_path, capsys):
+    cloud = tmp_path / "cloud.csv"
+    code, out, err = run_cli(
+        capsys, "system", "--polys", "1,1,1;-1,-1,1", "--n", "13", "--cloud-out", str(cloud)
+    )
+    assert code == 2 and out == ""
+    assert "--cloud-out needs --xmax" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_output_file_atomic(tmp_path, capsys):
     target = tmp_path / "series.csv"
     code, _, _ = run_cli(
