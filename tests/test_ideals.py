@@ -20,6 +20,7 @@ from rootdist import (
     roots_mod_n,
     roots_mod_prime_power,
 )
+from rootdist import cli
 from rootdist import roots as roots_module
 from rootdist.intpoly import IntPolynomial
 from rootdist.roots import clear_caches, root_table
@@ -160,21 +161,27 @@ def _product_route(f, n):
     return [FactoredIdeal(comps) for comps in itertools.product(*sets)]
 
 
-def test_enumerate_reads_the_kept_table(monkeypatch):
+def test_enumerate_reads_the_kept_table(monkeypatch, capsys):
     # ROADMAP item 7's polynomials to 2e4: with no table kept, and off a
     # kept table with the factorization route patched out, every n gives
-    # the product route's ideals in its order
+    # the product route's ideals in its order, and ideals --nmax prints
+    # their JSON lines in n order
     for c in ((1, 0, 1), (-8, 0, 1), (-7, 0, 2), (-15552000, 0, 1), (-2, 0, 0, 1)):
         f = IntPolynomial(c)
         bad = f.eta * f.discriminant
         ns = [n for n in range(1, 20001) if math.gcd(n, bad) == 1]
+        argv = ["ideals", "--poly=" + ",".join(map(str, c)), "--nmax", "20000"]
         clear_caches()
         want = [_product_route(f, n) for n in ns]
+        lines = "".join(ideal.to_json() + "\n" for row in want for ideal in row)
         assert [enumerate_degree_one(f, n) for n in ns] == want, c
+        assert (cli.main(argv), capsys.readouterr().out) == (0, lines), c
+        clear_caches()
         root_table(f, 20000)
         with monkeypatch.context() as m:
             m.setattr(roots_module, "roots_from_factorization", _refuse)
             assert [enumerate_degree_one(f, n) for n in ns] == want, c
+            assert (cli.main(argv), capsys.readouterr().out) == (0, lines), c
     clear_caches()
 
 
