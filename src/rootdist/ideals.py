@@ -219,7 +219,7 @@ def inertia_degree(
 def enumerate_degree_one(
     f: IntPolynomial, n: int, sieve: SpfSieve | None = None
 ) -> list[FactoredIdeal]:
-    """All degree-one ideals of norm n, sorted: ``_ideals_of`` the roots of
+    """All degree-one ideals of norm n, sorted: ``_ideals_of`` applied to the roots of
     f mod n (``roots_mod_n``) and the parts of n (one factorization past the sieve)."""
     report = admissibility(f, n)
     if not report.admissible:

@@ -100,7 +100,7 @@ def test_inertia_rejects_ramified(x2p1):
         ((5, 0, 2), "out of range"),  # e = 0
         ((5, 1, 7), "out of range"),  # residue past p^e
         ((1, 1, 0), "is not prime"),
-        ((4, 1, 0), "is not prime"),  # 4 divides disc, but is no prime
+        ((4, 1, 0), "is not prime"),  # 4 divides disc but is not prime
     ],
 )
 def test_component_checks_come_first(x2p1, check, comp, why):
