@@ -87,7 +87,10 @@ CLI_COMMANDS = [
 # run under inv:3 takes the squarefree and coprime window steps to 1e6, and
 # the ideals run of x^2 - 2^9 3^5 5^3 keeps only the n prime to 30.  The
 # last two ideals runs are a cubic (x^3 - 2, n prime to 6) and x^2 + 1 to
-# 2e5, which reads 60 table windows against 16 for the runs to 20000.
+# 2e5, which reads 60 table windows against 16 for the runs to 20000.  The
+# stats runs count roots mod every prime: x^3 - 2 to 1e6 over many lane
+# chunks, the cyclic cubic x^3 - 3x + 1 (discriminant 81, a square, and 3
+# divides it) and the non-monic 5x^3 - 3x - 1.
 CLI_MD5_COMMANDS = [
     ["ideals", "--poly", "1,0,1", "--nmax", "20000"],
     ["ideals", "--poly=-7,0,2", "--nmax", "20000"],
@@ -97,6 +100,9 @@ CLI_MD5_COMMANDS = [
     ["ideals", "--poly=-15552000,0,1", "--nmax", "20000"],
     ["ideals", "--poly=-2,0,0,1", "--nmax", "20000"],
     ["ideals", "--poly", "1,0,1", "--nmax", "200000"],
+    ["stats", "--poly=-2,0,0,1", "--xmax", "1000000"],
+    ["stats", "--poly", "1,-3,0,1", "--xmax", "200000"],
+    ["stats", "--poly=-1,-3,0,5", "--xmax", "200000"],
 ]
 
 
