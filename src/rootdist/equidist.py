@@ -501,13 +501,17 @@ def prime_stats(
     primes, counts = prime_counts(f, checkpoints[-1])
     cuts = np.searchsorted(primes, checkpoints, side="right").tolist()
     for x, lo, hi in zip(checkpoints, [0] + cuts, cuts):
-        for p, rho in zip(primes[lo:hi].tolist(), counts[lo:hi].tolist()):
-            if rho:
-                sum_rho += rho
-                ratio_acc.add(rho / p)
-                log_prod.add(math.log1p(rho / p))
-                if rho == d and bad % p != 0:
-                    log_prod_split.add(math.log1p(rho / p))
+        # the terms of the per-prime loop, in its order: numpy divides as
+        # Python does below 2^53, and log1p is the same libm call
+        keep = counts[lo:hi] != 0
+        ps, rs = primes[lo:hi][keep], counts[lo:hi][keep]
+        ratios = (rs / ps).tolist()
+        logs = list(map(math.log1p, ratios))
+        sum_rho += int(rs.sum())
+        ratio_acc.extend(ratios)
+        log_prod.extend(logs)
+        split = (rs == d) & (_lane_residues(bad, ps) != 0)
+        log_prod_split.extend(itertools.compress(logs, split.tolist()))
         pi = hi
         snapshot(x)
     return PrimeStats(checkpoints, rows, closure_index)

@@ -8,8 +8,12 @@ residues below ``_lane_prime_bound`` and Python ints above it: for a
 quadratic (-b +- s)/(2a) with s^2 = b^2 - 4ac by Tonelli-Shanks, and
 otherwise the roots of gcd(x^p - x, f) by equal-degree splitting.  Every
 prime up to a limit (at most 10^8) sits in one prime table per polynomial,
-its sorted roots in CSR form (``PrimeRootTable``); ``prime_counts`` stops
-at 1 + (D/p) or at deg gcd and keeps nothing.  A prime taken on its own
+its sorted roots in CSR form (``PrimeRootTable``).  ``prime_counts`` keeps
+nothing: it stops at 1 + (D/p) for a quadratic and at deg gcd for d >= 4.
+For a cubic, Stickelberger's (D/p) = (-1)^(3 - r), r the number of
+irreducible factors of f mod a prime p not dividing D (Swan, Pacific J.
+Math. 12, 1962), leaves one root at (D/p) = -1 and 0 or 3 at (D/p) = 1, as
+x^p = x mod f or not; only p | D takes the gcd.  A prime taken on its own
 (far beyond the table, p = 2, or dividing the leading coefficient) gets a
 residue scan below _SCAN_LIMIT (one int64 Horner pass over every residue)
 and a lane of its own above it.  ``roots_mod_n`` reads the row of f's kept
@@ -255,7 +259,11 @@ def _quadratic_roots(F: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Pn, Sn, tn, Rn = P[need], S[need], t[need], R[need]
     z, todo = np.zeros_like(Pn), np.arange(need.size)
     for q in filter(is_prime, itertools.count(2)):  # the least non-residue is a prime
-        nr = _lane_pow(np.full_like(todo, q), (Pn[todo] - 1) // 2, Pn[todo]) == Pn[todo] - 1
+        # p = 1 mod 4 here: (2/p) = -1 iff p = 5 mod 8, and (q/p) = (p/q) for odd q
+        m = 8 if q == 2 else q
+        square = np.zeros(m, bool)
+        square[np.arange(m) ** 2 % m] = True
+        nr = ~square[(Pn[todo] % m).astype(np.int64)]
         z[todo[nr]], todo = q, todo[~nr]
         if not todo.size:
             break
@@ -439,8 +447,10 @@ def prime_table(f: IntPolynomial) -> PrimeRootTable:
 def prime_counts(f: IntPolynomial, xmax: int) -> tuple[np.ndarray, np.ndarray]:
     """(primes, rho): every prime p <= xmax and the number of roots of f mod
     p.  The primes of f's prime table are sliced from it.  The others run
-    the front half of the lanes chunk by chunk, 1 + (D/p) by Euler's test
-    for a quadratic and deg gcd(x^p - x, f) otherwise, and are not kept."""
+    the front half of the lanes chunk by chunk and are not kept: 1 + (D/p)
+    by Euler's test for a quadratic; for a cubic 1 root where (D/p) = -1,
+    3 or 0 where (D/p) = 1 as x^p = x mod f or not (Stickelberger), and
+    deg gcd(x^p - x, f) where p | D; deg gcd for every lane of d >= 4."""
     table = prime_table(f)
     i = int(np.searchsorted(table.primes, xmax, side="right"))
     primes, rho = [table.primes[:i]], [table.rho()[:i]]
@@ -450,6 +460,14 @@ def prime_counts(f: IntPolynomial, xmax: int) -> tuple[np.ndarray, np.ndarray]:
         if f.degree == 2:
             D = (F[:, 1] * F[:, 1] - 4 * F[:, 0]) % L
             r[lanes] = (_lane_pow(D, (L - 1) // 2, L) + 1) % L
+        elif f.degree == 3:
+            # disc(f) = lead^4 disc(F); (D/p) = -1 leaves 2 factors, 1 leaves 1 or 3
+            chi = _lane_pow(_lane_residues(f.discriminant, L), (L - 1) // 2, L)
+            rl, sq, ram = np.ones(L.size, np.int64), chi == 1, chi == 0
+            XP = _lane_powmod_linear(np.zeros_like(L[sq]), L[sq], F[sq], L[sq])
+            rl[sq] = 3 * ((XP[:, 1] == 1) & (XP[:, 0] == 0) & (XP[:, 2] == 0))
+            rl[ram] = _lane_root_gcd(F[ram], L[ram])[1]
+            r[lanes] = rl
         else:
             r[lanes] = _lane_root_gcd(F, L)[1]
         r[~lanes] = [len(_prime_roots_cached(f, p)) for p in P[~lanes].tolist()]
