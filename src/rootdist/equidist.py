@@ -475,7 +475,6 @@ def prime_stats(
     if closure_index < 1:
         raise InvalidArgumentError("closure index must be at least 1")
     checkpoints = _checkpoint_list(checkpoints, xmax, lo=2)
-    bad = f.eta * f.discriminant
     d = f.degree
     sum_rho = 0
     pi = 0
@@ -510,8 +509,9 @@ def prime_stats(
         sum_rho += int(rs.sum())
         ratio_acc.extend(ratios)
         log_prod.extend(logs)
-        split = (rs == d) & (_lane_residues(bad, ps) != 0)
-        log_prod_split.extend(itertools.compress(logs, split.tolist()))
+        # rho = d puts p outside eta * disc: mod p | eta the primitive f
+        # drops in degree, and mod p | disc it has a repeated root
+        log_prod_split.extend(itertools.compress(logs, (rs == d).tolist()))
         pi = hi
         snapshot(x)
     return PrimeStats(checkpoints, rows, closure_index)
