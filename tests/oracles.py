@@ -28,7 +28,7 @@ from rootdist import (
 from rootdist.equidist import KahanSum, _checkpoint_list, box_discrepancy_from_hist
 from rootdist.modarith import Factorization, cached_sieve, spf_parts
 from rootdist.nadic import _SPARSE_FACTOR, NormalityReport
-from rootdist.roots import roots_from_factorization
+from rootdist.roots import PrimeRootTable, roots_from_factorization
 from rootdist.systems import default_hset, joint_exp_sum
 
 
@@ -406,3 +406,40 @@ def scalar_joint_weyl_series(system, xmax, checkpoints=None, grid=None, flt=None
             if cloud_sink is not None:
                 cloud_sink(n, tup)
     return series
+
+
+def scalar_prime_stats(f, xmax, checkpoints=None, closure_index=1):
+    """The rows of ``prime_stats`` by its per-prime loop: one ``KahanSum.add``
+    per prime with a root for each sum, in ascending p, over the root counts
+    of a prime table (the table route: gcd and splitting, or Tonelli-Shanks
+    for a quadratic)."""
+    checkpoints = _checkpoint_list(checkpoints, xmax, lo=2)
+    table = PrimeRootTable(f)
+    table.fill(checkpoints[-1])
+    bad, d = f.eta * f.discriminant, f.degree
+    ratio_acc, log_prod, log_prod_split = KahanSum(), KahanSum(), KahanSum()
+    sum_rho = pi = 0
+    rows = []
+
+    def snapshot(x):
+        logx = math.log(x)
+        rows.append((
+            x,
+            sum_rho,
+            x / logx,
+            pi,
+            ratio_acc.value - math.log(logx),
+            math.exp(log_prod.value) / logx,
+            math.exp(log_prod_split.value) / logx ** (1.0 / closure_index),
+        ))
+
+    items = zip(table.primes.tolist(), table.rho().tolist())
+    for p, rho in checkpointed(items, checkpoints, snapshot):
+        pi += 1
+        if rho:
+            sum_rho += rho
+            ratio_acc.add(rho / p)
+            log_prod.add(math.log1p(rho / p))
+            if rho == d and bad % p != 0:
+                log_prod_split.add(math.log1p(rho / p))
+    return rows

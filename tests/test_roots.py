@@ -241,6 +241,44 @@ def test_quadratic_lanes_mix_two_adic_depths(dtype):
             assert sorted(vals[lane == i].tolist()) == _sympy_roots(coeffs, p), (coeffs, p)
 
 
+# primes p = 1 mod 4 whose least quadratic non-residue is 2, 3, 7, 11, 17,
+# 23 and 41, and past 2^64 (object lanes only) 2, 7, 3 and 17
+_LEAST_NON_RESIDUE_PRIMES = {
+    np.int64: ((5, 2), (17, 3), (241, 7), (1009, 11), (8089, 17), (53881, 23), (1083289, 41)),
+    object: ((18446744073709551629, 2), (18446744073709552009, 7),
+             (18446744073709552361, 3), (18446744073709552969, 17)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_quadratic_roots_at_primes_of_each_least_non_residue(dtype):
+    # x^2 - s^2 for the s whose Tonelli-Shanks asks for a non-residue, one
+    # lane each, in one pass over all the primes
+    cases = _LEAST_NON_RESIDUE_PRIMES[np.int64]
+    if dtype is object:
+        cases += _LEAST_NON_RESIDUE_PRIMES[object]
+    rows, primes = [], []
+    for p, q in cases:
+        assert sympy.legendre_symbol(q, p) == -1 and all(sympy.legendre_symbol(r, p) == 1 for r in range(2, q))
+        Q = p - 1
+        while Q % 2 == 0:
+            Q //= 2
+        asks = [s for s in range(2, 40) if pow(s * s, Q, p) != 1]
+        assert asks, p
+        for s in asks:
+            rows.append([-s * s % p, 0, 1])
+            primes.append(p)
+    P = np.array(primes, dtype=dtype)
+    lane, vals = roots_module._quadratic_roots(np.array(rows, dtype=dtype), P)
+    for i, (c0, _, _) in enumerate(rows):
+        p = primes[i]
+        assert sorted(vals[lane == i].tolist()) == _sympy_roots((c0, 0, 1), p), (p, c0)
+    for p, _ in cases:
+        for coeffs in [(1, 0, 1), (1, 1, 1), (5, 3, 2), (-2, 0, 1), (-3, 0, 1)]:
+            lane, vals = _lane_roots(coeffs, np.array([p], dtype=dtype))
+            assert sorted(vals.tolist()) == _sympy_roots(coeffs, p), (coeffs, p)
+
+
 def test_empty_lanes(x2p1, x3m2):
     empty = np.zeros(0, np.int64)
     assert _lane_pow(empty, empty, empty).size == 0
@@ -255,11 +293,16 @@ def test_empty_lanes(x2p1, x3m2):
     clear_caches()
 
 
+# x^3 - 3x + 1 is cyclic (discriminant 81, a square, so (D/p) is never -1,
+# and 3 divides it); 5x^3 - 3x - 1 is not monic (discriminant -135)
+CUBICS = ((-2, 0, 0, 1), (1, -3, 0, 1), (-1, -3, 0, 5))
+
+
 def test_prime_counts_match_the_table():
     # the counts pass, a slice of a table that covers xmax, and a slice of
     # one that covers part of it, for degrees 2 to 7
     limit = 20000
-    for f in _object_lane_polys():
+    for f in _object_lane_polys() + [IntPolynomial(c) for c in CUBICS[1:]]:
         whole = PrimeRootTable(f)
         whole.fill(limit)
         clear_caches()
@@ -274,6 +317,41 @@ def test_prime_counts_match_the_table():
             assert primes.tolist() == whole.primes[:k].tolist()
             assert rho.tolist() == whole.rho()[:k].tolist()
         assert prime_table(f).limit == 5000
+    clear_caches()
+
+
+def test_cubic_counts_take_the_gcd_only_where_p_divides_the_discriminant(monkeypatch):
+    # (D/p) = -1 counts one root with no powering; x^p mod f is taken only
+    # where (D/p) = 1, and gcd(x^p - x, f) only where p | D
+    gcd_lanes, power_lanes = [], []
+    root_gcd, powmod = roots_module._lane_root_gcd, roots_module._lane_powmod_linear
+    monkeypatch.setattr(
+        roots_module, "_lane_root_gcd", lambda F, P: gcd_lanes.extend(P.tolist()) or root_gcd(F, P)
+    )
+    monkeypatch.setattr(
+        roots_module, "_lane_powmod_linear",
+        lambda s, e, G, P: power_lanes.extend(P.tolist()) or powmod(s, e, G, P),
+    )
+    limit = 50000
+    for coeffs in CUBICS:
+        f = IntPolynomial(coeffs)
+        whole = PrimeRootTable(f)
+        whole.fill(limit)
+        gcd_lanes.clear()
+        power_lanes.clear()
+        clear_caches()
+        primes, rho = prime_counts(f, limit)
+        assert rho.tolist() == whole.rho().tolist(), coeffs
+        disc = f.discriminant
+        lanes = [p for p in primes.tolist() if p != 2 and f.leading % p != 0]
+        assert sorted(gcd_lanes) == [p for p in lanes if disc % p == 0] == [3], coeffs
+        # the gcd powers its own lanes once more
+        squares = [p for p in lanes if sympy.legendre_symbol(disc % p, p) == 1]
+        assert sorted(power_lanes) == sorted(squares + gcd_lanes), coeffs
+        if disc == 81:  # a square: every lane but p = 3 powers
+            assert len(squares) == len(lanes) - 1
+        else:  # about half do
+            assert 0.4 * len(lanes) < len(squares) < 0.6 * len(lanes), coeffs
     clear_caches()
 
 

@@ -14,16 +14,18 @@ from rootdist import (
     PolySystem,
     joint_weyl_series,
     parse_polynomial,
+    prime_stats,
     progression_root_sums,
     ratio_points,
     roots_mod_n,
     weyl_series,
 )
 from rootdist.equidist import _TWO_PI
-from rootdist.roots import _INT64_MODULUS_BOUND, root_table
+from rootdist.roots import _INT64_MODULUS_BOUND, clear_caches, prime_table, root_table
 
 from oracles import (
     scalar_joint_weyl_series,
+    scalar_prime_stats,
     scalar_progression_sums,
     scalar_ratio_points,
     scalar_weyl_series,
@@ -194,6 +196,29 @@ def test_consumers_read_items_up_to_the_last_checkpoint(monkeypatch):
     read.clear()
     weyl_series(f, 1, 3000)
     assert read == list(range(1, 3001))
+
+
+# x^2 + 1, x^3 - 2, 2x^2 - 7, the cyclic x^3 - 3x + 1, the non-monic
+# 5x^3 - 3x - 1 and x^4 - 10x^2 + 1
+STATS_POLYS = ["1,0,1", "-2,0,0,1", "-7,0,2", "1,-3,0,1", "-1,-3,0,5", "1,0,-10,0,1"]
+
+
+@pytest.mark.filterwarnings("ignore::rootdist.intpoly.IrreducibilityAssumedWarning")
+@pytest.mark.parametrize("poly", STATS_POLYS)
+def test_prime_stats_matches_scalar_loop(poly):
+    # lane chunks hold 4096 primes, the first up to 38873 and the second up
+    # to 84017: the checkpoints cut inside and at the end of one, from the
+    # counts pass alone and with a prime table that covers part of the way
+    f = parse_polynomial(poly)
+    xmax = 100000
+    for cps, closure in [(None, 1), ([2, 3, 20000, 38873, 60000, xmax], 3), ([50, 7919], 2)]:
+        want = scalar_prime_stats(f, xmax, cps, closure)
+        for table_limit in (1, 30000):
+            clear_caches()
+            prime_table(f).fill(table_limit)
+            got = prime_stats(f, xmax, cps, closure)
+            assert repr(got.rows) == repr(want), (poly, cps, table_limit)
+    clear_caches()
 
 
 def test_checkpointed_walks_stop_at_the_last_checkpoint(monkeypatch):
