@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -150,6 +151,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _primes_upto(sieve: SpfSieve, root: int) -> Iterator[int]:
+    """The primes up to root <= sieve.limit, ascending, read off the table a
+    block at a time, so that a caller who stops early reads no further."""
+    for a in range(2, root + 1, 1 << 14):
+        b = min(a + (1 << 14), root + 1)
+        yield from (np.flatnonzero(sieve._table[a:b] == np.arange(a, b, dtype=np.int32)) + a).tolist()
+
+
 def factorize(n: int, sieve: SpfSieve | None = None) -> Factorization:
     """Factor n using the sieve (the shared one by default), with a
     trial-division fallback above its limit.
@@ -165,7 +174,7 @@ def factorize(n: int, sieve: SpfSieve | None = None) -> Factorization:
         return Factorization(n, tuple(spf_parts(n, sieve)))
     parts: list[tuple[int, int]] = []
     m = n
-    for p in sieve.primes():
+    for p in _primes_upto(sieve, min(math.isqrt(n), sieve.limit)):
         if p * p > m:
             break
         if m % p == 0:

@@ -100,6 +100,21 @@ def test_factorize_beyond_sieve_matches_trial_division():
         assert list(factorize(n, sieve).parts) == trial_factorize(n), n
 
 
+def test_factorize_beyond_sieve_lists_only_the_primes_to_its_root(monkeypatch):
+    # trial division reads the primes up to isqrt(n) off the sieve's table,
+    # never the list of every prime it holds
+    def every_prime(self):
+        raise AssertionError("factorize listed every prime of the sieve")
+
+    monkeypatch.setattr(SpfSieve, "primes", every_prime)
+    sieve = SpfSieve(10**4)
+    # a prime, 7 q with q past the sieve, and two prime powers
+    for n in (1000003, 7 * 1000003, 9973**3, 3**20):
+        assert list(factorize(n, sieve).parts) == trial_factorize(n), n
+    with pytest.raises(UnsupportedInputError):
+        factorize(10007 * 10009, sieve)  # both past the sieve
+
+
 def test_factorize_rejects_hard_composite():
     sieve = SpfSieve(100)
     hard = 1000003 * 1000033  # both prime factors beyond the sieve
