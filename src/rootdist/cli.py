@@ -140,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_roots.add_argument("--poly", required=True, help="ascending coefficients, e.g. 1,0,1")
     p_roots.add_argument("--n", type=int)
     p_roots.add_argument("--nmax", type=int)
-    p_roots.add_argument("--filter", default="all")
+    p_roots.add_argument("--filter")
     _add_common(p_roots)
 
     p_weyl = sub.add_parser("weyl", help="checkpointed Weyl partial sums")
@@ -187,8 +187,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_system.add_argument("--xmax", type=int)
     p_system.add_argument("--hset", help="semicolon-separated frequency vectors")
     p_system.add_argument("--grid", type=int)
-    p_system.add_argument("--filter", default="all")
-    p_system.add_argument("--checkpoints", default="decades")
+    p_system.add_argument("--filter")
+    p_system.add_argument("--checkpoints")
     p_system.add_argument("--cloud-out", dest="cloud_out", help="dump tuple cloud CSV here")
     _add_common(p_system)
 
@@ -197,15 +197,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_unread(args: argparse.Namespace, ranged: str, *flags: str) -> None:
+    """Exit 2 on a flag given to a single-n run, which only ``ranged`` reads;
+    a value from --config counts as given."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise InvalidArgumentError(f"{flag} needs {ranged}")
+
+
 def _cmd_roots(args: argparse.Namespace) -> str:
     f = parse_polynomial(args.poly)
     lines = []
     if (args.n is None) == (args.nmax is None):
         raise InvalidArgumentError("exactly one of --n and --nmax is required")
     if args.n is not None:
+        _refuse_unread(args, "--nmax", "--filter")
         stream = [(args.n, roots_mod_n(f, args.n))]
     else:
-        stream = root_stream(f, args.nmax, ModulusFilter.parse(args.filter))
+        flt = ModulusFilter.parse("all" if args.filter is None else args.filter)
+        stream = root_stream(f, args.nmax, flt)
     for n, roots in stream:
         lines.append(f"{n}: {' '.join(str(v) for v in roots)}".rstrip())
     return "\n".join(lines) + "\n"
@@ -281,8 +291,7 @@ def _cmd_system(args: argparse.Namespace) -> str | list[tuple[str, str | None]]:
     if (args.n is None) == (args.xmax is None):
         raise InvalidArgumentError("exactly one of --n and --xmax is required")
     if args.n is not None:
-        if args.cloud_out:
-            raise InvalidArgumentError("--cloud-out needs --xmax")
+        _refuse_unread(args, "--xmax", "--hset", "--grid", "--filter", "--checkpoints", "--cloud-out")
         body = " ".join(",".join(str(v) for v in tup) for tup in root_tuples(system, args.n))
         return f"{args.n}: {body}".rstrip() + "\n"
     hset = (
@@ -290,8 +299,8 @@ def _cmd_system(args: argparse.Namespace) -> str | list[tuple[str, str | None]]:
         if args.hset
         else default_hset(system.dimension)
     )
-    flt = ModulusFilter.parse(args.filter)
-    cps = _parse_checkpoints(args.checkpoints, args.xmax)
+    flt = ModulusFilter.parse("all" if args.filter is None else args.filter)
+    cps = _parse_checkpoints("decades" if args.checkpoints is None else args.checkpoints, args.xmax)
     cloud_rows: list[str] | None = [] if args.cloud_out else None
 
     def sink(n, tup):

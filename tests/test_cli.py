@@ -252,6 +252,33 @@ def test_system_single_n_refuses_cloud_out(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_roots_single_n_refuses_filter(tmp_path, capsys):
+    # the filter would reject 25; a --config value counts as given
+    argv = ["roots", "--poly", "1,0,1", "--n", "25"]
+    code, out, err = run_cli(capsys, *argv, "--filter", "squarefree")
+    assert (code, out) == (2, "") and "--filter needs --nmax" in err
+    cfg = tmp_path / "roots.cfg"
+    cfg.write_text("filter=all\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (2, "") and "--filter needs --nmax" in err
+    assert run_cli(capsys, *argv)[:2] == (0, "25: 7 18\n")
+    assert run_cli(capsys, "roots", "--poly", "1,0,1", "--nmax", "25", "--config", str(cfg))[0] == 0
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--hset", "1,0"), ("--grid", "7"), ("--filter", "squarefree"), ("--checkpoints", "5")]
+)
+def test_system_single_n_refuses_ranged_flags(flag, value, tmp_path, capsys):
+    argv = ["system", "--polys", "1,1,1;-1,-1,1", "--n", "13"]
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert (code, out) == (2, "") and f"{flag} needs --xmax" in err
+    cfg = tmp_path / "system.cfg"
+    cfg.write_text(f"{flag[2:]}={value}\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (2, "") and f"{flag} needs --xmax" in err
+    assert run_cli(capsys, *argv)[:2] == (0, "13:\n")
+
+
 def test_output_file_atomic(tmp_path, capsys):
     target = tmp_path / "series.csv"
     code, _, _ = run_cli(
