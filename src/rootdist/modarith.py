@@ -84,9 +84,15 @@ class SpfSieve:
 
     def primes(self) -> list[int]:
         if self._primes is None:
-            idx = np.flatnonzero(self._table == np.arange(self.limit + 1, dtype=self._table.dtype))
-            self._primes = idx[idx >= 2].tolist()
+            self._primes = list(self._primes_upto(self.limit))
         return self._primes
+
+    def _primes_upto(self, root: int) -> Iterator[int]:
+        """The primes up to root <= limit, ascending, read off the table a
+        block at a time, so that a caller who stops early reads no further."""
+        for a in range(2, root + 1, 1 << 14):
+            b = min(a + (1 << 14), root + 1)
+            yield from (np.flatnonzero(self._table[a:b] == np.arange(a, b, dtype=np.int32)) + a).tolist()
 
 
 _shared_sieve: SpfSieve | None = None
@@ -151,14 +157,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _primes_upto(sieve: SpfSieve, root: int) -> Iterator[int]:
-    """The primes up to root <= sieve.limit, ascending, read off the table a
-    block at a time, so that a caller who stops early reads no further."""
-    for a in range(2, root + 1, 1 << 14):
-        b = min(a + (1 << 14), root + 1)
-        yield from (np.flatnonzero(sieve._table[a:b] == np.arange(a, b, dtype=np.int32)) + a).tolist()
-
-
 def factorize(n: int, sieve: SpfSieve | None = None) -> Factorization:
     """Factor n using the sieve (the shared one by default), with a
     trial-division fallback above its limit.
@@ -174,7 +172,7 @@ def factorize(n: int, sieve: SpfSieve | None = None) -> Factorization:
         return Factorization(n, tuple(spf_parts(n, sieve)))
     parts: list[tuple[int, int]] = []
     m = n
-    for p in _primes_upto(sieve, min(math.isqrt(n), sieve.limit)):
+    for p in sieve._primes_upto(min(math.isqrt(n), sieve.limit)):
         if p * p > m:
             break
         if m % p == 0:

@@ -465,7 +465,7 @@ def prime_counts(f: IntPolynomial, xmax: int) -> tuple[np.ndarray, np.ndarray]:
             chi = _lane_pow(_lane_residues(f.discriminant, L), (L - 1) // 2, L)
             rl, sq, ram = np.ones(L.size, np.int64), chi == 1, chi == 0
             XP = _lane_powmod_linear(np.zeros_like(L[sq]), L[sq], F[sq], L[sq])
-            rl[sq] = 3 * ((XP[:, 1] == 1) & (XP[:, 0] == 0) & (XP[:, 2] == 0))
+            rl[sq] = 3 * (XP == [0, 1, 0]).all(axis=1)  # x^p = x mod F
             rl[ram] = _lane_root_gcd(F[ram], L[ram])[1]
             r[lanes] = rl
         else:
