@@ -67,6 +67,9 @@ CLI_COMMANDS = [
     (["ideals", "--poly", "1,0,1", "--n", "29975959119778021649"], False),
     (["system", "--polys", "1,1,1;-1,-1,1", "--n", "31"], False),
     (["system", "--polys", "1,1,1;-1,-1,1", "--xmax", "5000"], True),
+    # x^2 + 3 has root sums exactly 0 at (h, n) = (1, 508), (-1, 508) and
+    # (1, 652), where x^2 + x + 2 has roots: joint sums that are exact zeros
+    (["system", "--polys", "3,0,1;2,1,1", "--xmax", "1000"], False),
     (["padic", "--poly", "1,0,1", "--base", "5", "--depth", "50"], False),
     (["padic", "--poly=-2,0,0,1", "--base", "5", "--depth", "3000"], False),
     (["padic", "--poly", "1,0,1", "--base", "65", "--depth", "400"], False),
