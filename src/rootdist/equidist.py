@@ -44,13 +44,10 @@ class KahanSum:
         self._c = zero
 
     def add(self, x: float | complex) -> None:
-        y = x - self._c
-        t = self.value + y
-        self._c = (t - self.value) - y
-        self.value = t
+        self.extend((x,))
 
     def extend(self, xs: Iterable[float]) -> None:
-        """``add`` each of xs in order, on locals."""
+        """Add each of xs in order, with the compensated step on locals."""
         s, c = self.value, self._c
         for x in xs:
             y = x - c
@@ -73,8 +70,6 @@ def root_exp_sum(
     """
     if roots is None:
         roots = roots_mod_n(f, n)
-    if h % n == 0:
-        return complex(len(roots), 0.0)
     total_re = 0.0
     total_im = 0.0
     for v in roots:
@@ -228,6 +223,11 @@ def _checkpoint_list(checkpoints: Iterable[int] | None, xmax: int, lo: int = 1) 
     return cps
 
 
+def _weyl_statistic(signed: list[complex], normalizer: list[int]) -> list[float]:
+    """|signed| / normalizer at each checkpoint, NaN where no root counted."""
+    return [abs(z) / norm if norm > 0 else math.nan for z, norm in zip(signed, normalizer)]
+
+
 @dataclass
 class WeylSeries:
     """Checkpointed partial exponential sums along a filtered modulus stream.
@@ -247,10 +247,7 @@ class WeylSeries:
 
     @property
     def weyl_statistic(self) -> list[float]:
-        out = []
-        for z, norm in zip(self.signed, self.normalizer):
-            out.append(abs(z) / norm if norm > 0 else math.nan)
-        return out
+        return _weyl_statistic(self.signed, self.normalizer)
 
     def csv_rows(self) -> list[list[str]]:
         rows = [["x", "signed_re", "signed_im", "abs_sum", "normalizer", "W"]]
@@ -404,8 +401,6 @@ def split_prime_count(f: IntPolynomial, n: int) -> int:
     i.e. have a full set of deg(f) roots."""
     if n < 1:
         raise InvalidArgumentError("modulus must be positive")
-    if n == 1:
-        return 0
     bad = f.eta * f.discriminant
     count = 0
     for p, _ in factorize(n).parts:

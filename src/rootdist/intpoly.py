@@ -93,13 +93,7 @@ class IntPolynomial:
         return tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1)
 
     def deriv_mod(self, v: int, m: int) -> int:
-        if m < 1:
-            raise InvalidArgumentError("modulus must be positive")
-        acc = 0
-        v = v % m
-        for c in reversed(self.derivative()):
-            acc = (acc * v + c) % m
-        return acc
+        return _horner(self.derivative(), v, m)
 
     def __str__(self) -> str:
         return pretty(self)
@@ -111,11 +105,16 @@ def poly_eval_mod(f: IntPolynomial, v: int, m: int) -> int:
     m may be arbitrarily large (for example a deep prime power); the
     reduction keeps intermediates no bigger than m squared.
     """
+    return _horner(f.coeffs, v, m)
+
+
+def _horner(coeffs: tuple[int, ...], v: int, m: int) -> int:
+    """The polynomial with ascending coefficients coeffs at v, mod m >= 1."""
     if m < 1:
         raise InvalidArgumentError("modulus must be positive")
     acc = 0
     v = v % m
-    for c in reversed(f.coeffs):
+    for c in reversed(coeffs):
         acc = (acc * v + c) % m
     return acc
 

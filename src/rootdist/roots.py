@@ -548,12 +548,9 @@ def roots_from_factorization(f: IntPolynomial, fact: Factorization) -> tuple[int
         if not part:
             return ()
         pe = p**e
-        if acc_m == 1:
-            acc, acc_m = part, pe
-        else:
-            inv = inverse(acc_m % pe, pe)
-            acc = [a + acc_m * ((b - a) * inv % pe) for a in acc for b in part]
-            acc_m *= pe
+        inv = inverse(acc_m % pe, pe)
+        acc = [a + acc_m * ((b - a) * inv % pe) for a in acc for b in part]
+        acc_m *= pe
     return tuple(sorted(acc))
 
 

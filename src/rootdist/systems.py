@@ -23,6 +23,7 @@ from .equidist import (
     _cross_inverses,
     _phase_sums,
     _segments,
+    _weyl_statistic,
     box_discrepancy_from_hist,
     root_exp_sum,
 )
@@ -96,8 +97,6 @@ def joint_exp_sum(
     out = complex(1.0, 0.0)
     for f, h, roots in zip(system.polys, hvec, rootsets):
         out *= root_exp_sum(f, h, n, roots)
-        if out == 0:
-            return out
     return out
 
 
@@ -128,10 +127,7 @@ class JointWeylSeries:
     box_disc: list[float] = field(default_factory=list)
 
     def weyl_statistic(self, h: tuple[int, ...]) -> list[float]:
-        return [
-            abs(z) / norm if norm > 0 else math.nan
-            for z, norm in zip(self.signed[h], self.normalizer)
-        ]
+        return _weyl_statistic(self.signed[h], self.normalizer)
 
     def csv_rows(self) -> list[list[str]]:
         def tag(h):
@@ -212,14 +208,13 @@ def joint_weyl_series(
         nonlocal norm_acc, hist
         phases = {}  # (j, h_j) -> the root_exp_sum of polynomial j per n
         for h in hset:
-            # joint_exp_sum: the product of the sums from 1 + 0j, left as it is once exactly 0
+            # joint_exp_sum: the product of the sums from 1 + 0j
             re, im = np.ones(ns.size), np.zeros(ns.size)
             for j, hj in enumerate(h):
                 if (j, hj) not in phases:
                     phases[j, hj] = _phase_sums(ns, *rows[j], _lane_residues(hj, ns))
                 a, b = phases[j, hj]
-                live = (re != 0) | (im != 0)
-                re, im = np.where(live, re * a - im * b, re), np.where(live, re * b + im * a, im)
+                re, im = re * a - im * b, re * b + im * a
             for acc, xs in zip(sums[h], (re, im, np.hypot(re, im))):
                 acc.extend(xs.tolist())
         # every root tuple of every n, lexicographic: the last root varies fastest

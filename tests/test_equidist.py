@@ -48,6 +48,21 @@ def test_exp_sum_h_zero_gives_count(x2p1):
     assert root_exp_sum(x2p1, 5, 5) == 2  # h = 0 mod n
 
 
+def test_exp_sum_h_zero_mod_n_is_the_exact_count(x2p1):
+    # every phase is cos 0 = 1.0 and sin 0 = 0.0, so the loop sums ones
+    x2p3 = parse_polynomial("3,0,1")
+    for f, n in ((x2p1, 5), (x2p1, 65), (x2p1, 3), (x2p3, 508), (x2p3, 1)):
+        for k in (0, 1, -2):
+            want = complex(len(roots_mod_n(f, n)), 0.0)
+            assert repr(root_exp_sum(f, k * n, n)) == repr(want), (f.coeffs, n, k)
+
+
+def test_exp_sum_exactly_zero():
+    # the roots of x^2 + 3 mod 508 are 39, 254 - 39, 254 + 39 and 508 - 39,
+    # and their phases cancel in floats to exactly 0
+    assert root_exp_sum(parse_polynomial("3,0,1"), 1, 508) == 0j
+
+
 def test_exp_sum_bounded_and_conjugate(reference_polys, small_sieve):
     rng = random.Random(31)
     for _ in range(300):

@@ -80,6 +80,13 @@ def test_roots_mod_prime_large_with_leading_divisor():
     assert roots_mod_prime(f, p) == brute_roots(f.coeffs, p)
 
 
+def test_roots_mod_prime_large_with_only_the_constant_left():
+    # 521x^2 + 521x + 1 is the nonzero constant 1 mod 521 > _SCAN_LIMIT
+    f = IntPolynomial((1, 521, 521))
+    assert _roots_mod_prime_large(f, 521) == ()
+    assert roots_mod_prime(f, 521) == []
+
+
 def _oracle_polys(reference_polys):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IrreducibilityAssumedWarning)

@@ -102,7 +102,9 @@ def joint_reprs(series):
 
 
 @pytest.mark.parametrize(
-    "polys", [("1,1,1", "-1,-1,1"), ("1,0,1", "-1,-1,0,1"), ("1,1,1", "-1,-1,1", "1,0,1")]
+    "polys",
+    # x^2 + 3 has root sums exactly 0 at n = 508 and 652, where x^2 + x + 2 has roots
+    [("1,1,1", "-1,-1,1"), ("1,0,1", "-1,-1,0,1"), ("1,1,1", "-1,-1,1", "1,0,1"), ("3,0,1", "2,1,1")],
 )
 def test_joint_weyl_series_matches_scalar_loop(polys):
     system = PolySystem(tuple(parse_polynomial(p) for p in polys))

@@ -79,6 +79,13 @@ def test_joint_exp_sum_factors_on_zero_component(pair_system):
     assert abs(got - expected) < 1e-12
 
 
+def test_joint_exp_sum_with_an_exactly_zero_factor():
+    system = PolySystem((parse_polynomial("3,0,1"), parse_polynomial("2,1,1")))
+    assert root_exp_sum(system.polys[0], 1, 508) == 0j
+    assert roots_mod_n(system.polys[1], 508)
+    assert joint_exp_sum(system, (1, 1), 508) == 0
+
+
 def test_joint_exp_sum_zero_vector_counts(pair_system):
     assert joint_exp_sum(pair_system, (0, 0), 31) == 4
 
