@@ -82,8 +82,8 @@ def _emit(outputs: list[tuple[str, str | None]]) -> None:
     sys.stdout.write("".join(text for text, path in outputs if path is None))
 
 
-def _rows_to_text(rows: list[list[str]], fmt: str) -> str:
-    if fmt == "csv":
+def _rows_to_text(rows: list[list[str]], fmt: str | None) -> str:
+    if fmt != "json":  # csv, also when --format is not given
         return "\n".join(",".join(row) for row in rows) + "\n"
     head, *body = rows
     return json.dumps([dict(zip(head, row)) for row in body], indent=2) + "\n"
@@ -168,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--poly", required=True)
     p_stats.add_argument("--xmax", type=int, required=True)
     p_stats.add_argument("--checkpoints", default="decades")
-    p_stats.add_argument("--closure-index", type=int, default=1, dest="closure_index")
+    p_stats.add_argument("--closure-index", type=int, dest="closure_index")
     p_stats.add_argument(
         "--progression",
         help="a,m: sum root counts over n = a mod m instead of prime statistics",
@@ -193,13 +193,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p_system)
 
     for tabular in (p_weyl, p_stats, p_system):
-        tabular.add_argument("--format", choices=("csv", "json"), default="csv")
+        tabular.add_argument("--format", choices=("csv", "json"))
     return parser
 
 
 def _refuse_unread(args: argparse.Namespace, ranged: str, *flags: str) -> None:
-    """Exit 2 on a flag given to a single-n run, which only ``ranged`` reads;
-    a value from --config counts as given."""
+    """Exit 2 on a flag given to a run that does not read it (only ``ranged``
+    does); a value from --config counts as given."""
     for flag in flags:
         if getattr(args, flag[2:].replace("-", "_")) is not None:
             raise InvalidArgumentError(f"{flag} needs {ranged}")
@@ -260,6 +260,7 @@ def _cmd_stats(args: argparse.Namespace) -> str:
     f = parse_polynomial(args.poly)
     cps = _parse_checkpoints(args.checkpoints, args.xmax)
     if args.progression:
+        _refuse_unread(args, "prime statistics, not --progression", "--closure-index")
         try:
             a_txt, m_txt = args.progression.split(",")
             a, m = int(a_txt), int(m_txt)
@@ -269,7 +270,7 @@ def _cmd_stats(args: argparse.Namespace) -> str:
             ) from None
         sums = progression_root_sums(f, a, m, args.xmax, cps)
         return _rows_to_text(sums.csv_rows(), args.format)
-    stats = prime_stats(f, args.xmax, cps, args.closure_index)
+    stats = prime_stats(f, args.xmax, cps, 1 if args.closure_index is None else args.closure_index)
     return _rows_to_text(stats.csv_rows(), args.format)
 
 
@@ -291,7 +292,8 @@ def _cmd_system(args: argparse.Namespace) -> str | list[tuple[str, str | None]]:
     if (args.n is None) == (args.xmax is None):
         raise InvalidArgumentError("exactly one of --n and --xmax is required")
     if args.n is not None:
-        _refuse_unread(args, "--xmax", "--hset", "--grid", "--filter", "--checkpoints", "--cloud-out")
+        _refuse_unread(args, "--xmax", "--hset", "--grid", "--filter", "--checkpoints", "--cloud-out",
+                       "--format")
         body = " ".join(",".join(str(v) for v in tup) for tup in root_tuples(system, args.n))
         return f"{args.n}: {body}".rstrip() + "\n"
     hset = (

@@ -92,6 +92,20 @@ def test_roots_needs_exactly_one_target(capsys):
     assert code == 2 and "exactly one" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ideals", "--poly", "1,0,1"],
+        ["ideals", "--poly", "1,0,1", "--n", "5", "--nmax", "5"],
+        ["system", "--polys", "1,1,1;-1,-1,1"],
+        ["system", "--polys", "1,1,1;-1,-1,1", "--n", "31", "--xmax", "31"],
+    ],
+)
+def test_ideals_and_system_need_exactly_one_target(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and "exactly one" in err
+
+
 def test_unsupported_input_exit_code(capsys):
     # base 2 divides the discriminant of x^2+1: admissibility failure is exit 3
     code, _, err = run_cli(capsys, "padic", "--poly", "1,0,1", "--base", "2", "--depth", "4")
@@ -207,6 +221,30 @@ def test_stats_progression_mode(capsys):
     assert out.splitlines()[1].split(",")[1] == "3"
 
 
+def test_stats_closure_index_default_and_refusals(tmp_path, capsys):
+    argv = ["stats", "--poly", "1,0,1", "--xmax", "100"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv, "--closure-index", "1", "--format", "csv")[:2] == (0, out)
+    code, out, err = run_cli(capsys, *argv, "--closure-index", "0")
+    assert (code, out) == (2, "") and "closure index must be at least 1" in err
+    # the progression table never reads the closure index; a --config value counts as given
+    cfg = tmp_path / "stats.cfg"
+    cfg.write_text("closure-index=1\n")
+    for extra in (["--closure-index", "3"], ["--closure-index", "0"], ["--config", str(cfg)]):
+        code, out, err = run_cli(capsys, *argv, "--progression", "1,4", *extra)
+        assert (code, out) == (2, "") and "--closure-index" in err, extra
+    assert run_cli(capsys, *argv, "--progression", "1,4")[0] == 0
+
+
+def test_system_hset_entries_must_parse_and_fit(capsys):
+    argv = ["system", "--polys", "1,1,1;-1,-1,1", "--xmax", "100"]
+    for hset, message in (("1,x", "cannot parse hset entry"), ("1,0;1,0,1", "wrong dimension"),
+                          ("1", "wrong dimension"), (";", "empty hset")):
+        code, out, err = run_cli(capsys, *argv, "--hset", hset)
+        assert (code, out) == (2, "") and message in err, hset
+
+
 def test_ideals_json_lines(capsys):
     code, out, _ = run_cli(capsys, "ideals", "--poly", "1,0,1", "--n", "65")
     assert code == 0
@@ -266,7 +304,9 @@ def test_roots_single_n_refuses_filter(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--hset", "1,0"), ("--grid", "7"), ("--filter", "squarefree"), ("--checkpoints", "5")]
+    "flag, value",
+    [("--hset", "1,0"), ("--grid", "7"), ("--filter", "squarefree"), ("--checkpoints", "5"),
+     ("--format", "json")],
 )
 def test_system_single_n_refuses_ranged_flags(flag, value, tmp_path, capsys):
     argv = ["system", "--polys", "1,1,1;-1,-1,1", "--n", "13"]
