@@ -46,9 +46,6 @@ def test_exp_sum_golden_ratio_identity(x2p1):
 def test_exp_sum_h_zero_gives_count(x2p1):
     assert root_exp_sum(x2p1, 0, 5) == 2
     assert root_exp_sum(x2p1, 5, 5) == 2  # h = 0 mod n
-
-
-def test_exp_sum_h_zero_mod_n_is_the_exact_count(x2p1):
     # every phase is cos 0 = 1.0 and sin 0 = 0.0, so the loop sums ones
     x2p3 = parse_polynomial("3,0,1")
     for f, n in ((x2p1, 5), (x2p1, 65), (x2p1, 3), (x2p3, 508), (x2p3, 1)):
