@@ -106,6 +106,9 @@ CLI_MD5_COMMANDS = [
     ["stats", "--poly=-2,0,0,1", "--xmax", "1000000"],
     ["stats", "--poly", "1,-3,0,1", "--xmax", "200000"],
     ["stats", "--poly=-1,-3,0,5", "--xmax", "200000"],
+    # digit walks: base 2 spans three walk chunks, base 65 has four towers
+    ["normality", "--poly", "2,1,1", "--base", "2", "--depth", "40000", "--max-m", "3"],
+    ["normality", "--poly", "1,0,1", "--base", "65", "--depth", "20000", "--max-m", "1"],
 ]
 
 
