@@ -259,7 +259,7 @@ def _cmd_normality(args: argparse.Namespace) -> str:
 def _cmd_stats(args: argparse.Namespace) -> str:
     f = parse_polynomial(args.poly)
     cps = _parse_checkpoints(args.checkpoints, args.xmax)
-    if args.progression:
+    if args.progression is not None:
         _refuse_unread(args, "prime statistics, not --progression", "--closure-index")
         try:
             a_txt, m_txt = args.progression.split(",")
@@ -298,7 +298,7 @@ def _cmd_system(args: argparse.Namespace) -> str | list[tuple[str, str | None]]:
         return f"{args.n}: {body}".rstrip() + "\n"
     hset = (
         _parse_hset(args.hset, system.dimension)
-        if args.hset
+        if args.hset is not None
         else default_hset(system.dimension)
     )
     flt = ModulusFilter.parse("all" if args.filter is None else args.filter)

@@ -237,10 +237,18 @@ def test_stats_closure_index_default_and_refusals(tmp_path, capsys):
     assert run_cli(capsys, *argv, "--progression", "1,4")[0] == 0
 
 
+def test_stats_empty_progression_fails_to_parse(capsys):
+    # an empty value is given, not absent: it must not fall back to the
+    # prime-statistics table
+    argv = ["stats", "--poly", "1,0,1", "--xmax", "100", "--progression", ""]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and "cannot parse progression ''" in err
+
+
 def test_system_hset_entries_must_parse_and_fit(capsys):
     argv = ["system", "--polys", "1,1,1;-1,-1,1", "--xmax", "100"]
     for hset, message in (("1,x", "cannot parse hset entry"), ("1,0;1,0,1", "wrong dimension"),
-                          ("1", "wrong dimension"), (";", "empty hset")):
+                          ("1", "wrong dimension"), (";", "empty hset"), ("", "empty hset")):
         code, out, err = run_cli(capsys, *argv, "--hset", hset)
         assert (code, out) == (2, "") and message in err, hset
 
