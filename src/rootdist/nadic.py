@@ -11,10 +11,13 @@ numpy splits into digits in int64.
 A phase e(h*prefix_l/n^l) is rounded once, to its 64-bit fractional cell
 floor(2^64 * frac(h*prefix_l/n^l)), and only then converted to float.  The
 prefix walk gets every cell from the exact recurrence
-U_l = floor((a*h*2^64 + U_{l-1})/n), a the digit added at level l: one small
-division per level, with the cell U_l mod 2^64.  All tower arithmetic is
-exact big-integer work.  numpy turns chunks of cells into phases and adds
-them in level order with np.cumsum.
+U_l = floor((a*h*2^64 + U_{l-1})/n), a the digit added at level l, with the
+cell U_l mod 2^64, taken in blocks of B levels, B - 1 the largest j with
+n^j <= 2^32: Python steps U exactly from one block start to the next, and
+numpy divides every cell inside a block out of the block start's U in 32-bit
+limbs.  One walk takes a 2-D array of equal-length digit rows (the towers of
+normality_evidence, or a batch of Haar samples), turns chunks of cells into
+phases and adds them along each row in level order with np.cumsum.
 normality_evidence refuses a word length that the digits cannot fill, or
 whose word table passes its cap, before it lifts anything.
 """
@@ -47,9 +50,9 @@ _MAX_DEPTH = 10**7
 # Digit runs at most this long are converted digit by digit.
 _DIGIT_LEAF = 32
 
-# Leaves per numpy digit batch, and levels per phase-walk chunk.
+# Leaves per numpy digit batch, and cells per phase-walk chunk.
 _LEAF_BATCH = 1 << 12
-_WALK_CHUNK = 1 << 14
+_WALK_CHUNK = 1 << 15
 
 _MASK64 = (1 << 64) - 1
 
@@ -290,12 +293,22 @@ def prefix_weyl_sum(exp: NadicExpansion, h: int, levels: int) -> complex:
     if not 1 <= levels <= exp.depth:
         raise InvalidArgumentError(f"levels must lie in [1, {exp.depth}]")
     total = complex(1.0, 0.0)  # l = 0 term
-    return _phase_walk(exp.digits[:levels], exp.base, h, total, [levels])[0] / levels
+    return _phase_walk([exp.digits[:levels]], exp.base, h, total, [levels])[0][0] / levels
 
 
-def _phase_cells(digits, base: int, h: int):
-    """Yield floor(2^64 * frac(h*P_l/n^l)) for l = 1..len(digits), where P_l
-    is the value of the first l digits, in lists of _WALK_CHUNK levels.
+def _block(base: int) -> int:
+    """B: one more than the largest j with base^j <= 2^32, or 1 past 2^32."""
+    b = 1
+    while base**b <= 2**32:
+        b += 1
+    return b
+
+
+def _phase_cells(rows, base: int, h: int):
+    """Yield floor(2^64 * frac(h*P_l/n^l)) for l = 1..L of every row of
+    equal-length digit rows, where P_l is the value of the row's first l
+    digits, as uint64 arrays (rows x levels) of at most max(_WALK_CHUNK,
+    rows*B) cells, each ending on a block start.
 
     U_l = floor(2^64*h*P_l/n^l) satisfies U_0 = 0 and
     U_l = floor((a*h*2^64 + U_{l-1})/n), a the digit added at level l:
@@ -303,35 +316,99 @@ def _phase_cells(digits, base: int, h: int):
     the integer q = a*h*2^64 + U_{l-1} and 0 <= t < 1, and
     floor((q + t)/n) = floor(q/n).  The cell is U_l mod 2^64, and
     |U_l| <= |h| * 2^64 because P_l < n^l.
+
+    Since floor(floor(x/a)/b) = floor(x/(ab)), a block of B levels from s
+    gives U_{s+j} = floor((h*2^64*D_j + U_s)/n^j), D_j the value of the
+    block's first j digits.  Python takes that step exactly at j = B, from
+    one block start to the next.  For 0 < j < B write U_s = c*2^64 + u with
+    0 <= u < 2^64 and r = (h*D_j + c) mod n^j: the cell is then
+    floor((r*2^64 + u)/n^j), which numpy divides in two 32-bit limbs.  As
+    n^j | n^(B-1) <= 2^32, r may be formed from h and c mod n^(B-1), and
+    h*D_j + c < 2^64 and every partial quotient fit in uint64.
     """
-    h64 = h << 64
-    u = 0
-    for start in range(0, len(digits), _WALK_CHUNK):
-        cells: list[int] = []
-        append = cells.append
-        for a in digits[start : start + _WALK_CHUNK]:
-            u = (a * h64 + u) // base
-            append(u & _MASK64)
-        yield cells
+    block = _block(base)
+    step, low = base**block, base ** (block - 1)
+    h64, hlow = h << 64, h % low
+    count, length = len(rows), len(rows[0])
+    chunk = block * max(1, _WALK_CHUNK // (count * block))
+    tops = [0] * count
+    for start in range(0, length, chunk):
+        stop = min(start + chunk, length)
+        blocks = -(-(stop - start) // block)
+        if block == 1:
+            values = [list(map(int, row[start:stop])) for row in rows]
+        else:
+            powers = base ** np.arange(block, dtype=np.uint64)
+            digits = np.zeros((count, blocks * block), dtype=np.uint64)
+            digits[:, : stop - start] = [row[start:stop] for row in rows]
+            # prefix[r, k, j - 1] is D_j of block k of row r; D_B < n^B <= 2^64
+            prefix = np.cumsum(digits.reshape(count, blocks, block) * powers, axis=2)
+            values = prefix[:, :, -1].tolist()
+        ulist, clist = [], []
+        for i, row in enumerate(values):
+            x = tops[i]
+            us, cs = [x & _MASK64], [(x >> 64) % low]
+            for d in row:
+                x = (h64 * d + x) // step
+                us.append(x & _MASK64)
+                cs.append((x >> 64) % low)
+            tops[i] = x
+            ulist.append(us)
+            clist.append(cs)
+        u = np.array(ulist, dtype=np.uint64)
+        cells = np.empty((count, blocks, block), dtype=np.uint64)
+        cells[:, :, -1] = u[:, 1:]
+        if block > 1:
+            c = np.array(clist, dtype=np.uint64)[:, :-1, None]
+            u = u[:, :-1, None]
+            r = (hlow * prefix[:, :, :-1] + c) % powers[1:]
+            q, r = np.divmod(r << 32 | u >> 32, powers[1:])
+            cells[:, :, :-1] = q << 32 | (r << 32 | u & 0xFFFFFFFF) // powers[1:]
+        yield cells.reshape(count, -1)[:, : stop - start]
 
 
-def _phase_walk(digits, base: int, h: int, acc: complex, levels) -> list[complex]:
-    """acc plus e(h*P_k/n^k) over k = 1..l, for each of the ascending
-    ``levels`` l in [1, len(digits)], each phase formed from its 64-bit cell.
-    np.cumsum adds in order, with the sum so far put into the first term of
-    each chunk: exactly the sums of adding the phases to acc one by one."""
-    out = []
-    start, re, im = 0, acc.real, acc.imag
-    for cells in _phase_cells(digits, base, h):
-        theta = _TWO_PI * (np.array(cells, dtype=np.uint64) * 2.0**-64)
+def _phase_walk(rows, base: int, h: int, acc: complex, levels) -> list[list[complex]]:
+    """For each of the equal-length digit rows, acc plus e(h*P_k/n^k) over
+    k = 1..l at each of the ascending ``levels`` l in [1, L], each phase
+    formed from its 64-bit cell.  np.cumsum adds in order along each row,
+    with the row's sum so far put into the first term of each chunk: exactly
+    the sums of adding the phases to acc one by one."""
+    out = [[] for _ in rows]
+    start = 0
+    re, im = np.full(len(rows), acc.real), np.full(len(rows), acc.imag)
+    for cells in _phase_cells(rows, base, h):
+        theta = _TWO_PI * (cells * 2.0**-64)
         cos, sin = np.cos(theta), np.sin(theta)
-        cos[0] += re
-        sin[0] += im
-        cos, sin = np.cumsum(cos), np.cumsum(sin)
-        end = start + len(cells)
-        out += [complex(cos[l - start - 1], sin[l - start - 1]) for l in levels if start < l <= end]
-        start, re, im = end, cos[-1], sin[-1]
+        cos[:, 0] += re
+        sin[:, 0] += im
+        cos, sin = np.cumsum(cos, axis=1), np.cumsum(sin, axis=1)
+        end = start + cells.shape[1]
+        cols = [l - start - 1 for l in levels if start < l <= end]
+        for sums, res, ims in zip(out, cos[:, cols].tolist(), sin[:, cols].tolist()):
+            sums += map(complex, res, ims)
+        start, re, im = end, cos[:, -1], sin[:, -1]
     return out
+
+
+def _randrange_digits(rng: random.Random, base: int, count: int):
+    """The first ``count`` values of rng.randrange(base).
+
+    randrange draws getrandbits(k), k the bit length of base, until a draw
+    falls below base.  For k <= 32 each draw is the top k bits of one 32-bit
+    word of the generator, and getrandbits(32*w) returns the next w words,
+    the first in the lowest bits; so the words are drawn w at a time and the
+    rejections made in numpy.
+    """
+    bits = base.bit_length()
+    if bits > 32:
+        return [rng.randrange(base) for _ in range(count)]
+    kept = []
+    while (need := count - sum(map(len, kept))) > 0:
+        words = 2 * need + 16  # each word is kept with probability above 1/2
+        draws = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), "<u4")
+        draws = draws >> (32 - bits)
+        kept.append(draws[draws < base])
+    return np.concatenate(kept)[:count]
 
 
 def haar_monte_carlo(
@@ -357,18 +434,17 @@ def haar_monte_carlo(
         raise InvalidArgumentError("frequency h must be nonzero")
     total = 0.0
     total_sq = 0.0
-    bits = base.bit_length()
-    for i in range(samples):
-        # rng.randrange(base) digit for digit: the same draws and rejections
-        draw = random.Random(f"{seed}:{i}").getrandbits
-        digits = []
-        while len(digits) < levels:
-            if (r := draw(bits)) < base:
-                digits.append(r)
-        acc = _phase_walk(digits, base, h, complex(0.0, 0.0), [levels])[0]
-        val = abs(acc / levels) ** 2
-        total += val
-        total_sq += val * val
+    # samples per walk, so that a batch holds at most _WALK_CHUNK digits
+    batch = max(1, _WALK_CHUNK // max(levels, _block(base)))
+    for first in range(0, samples, batch):
+        rows = [
+            _randrange_digits(random.Random(f"{seed}:{i}"), base, levels)
+            for i in range(first, min(first + batch, samples))
+        ]
+        for (acc,) in _phase_walk(rows, base, h, complex(0.0, 0.0), [levels]):
+            val = abs(acc / levels) ** 2
+            total += val
+            total_sq += val * val
     mean = total / samples
     if samples == 1:
         return mean, 0.0
@@ -417,13 +493,14 @@ def normality_evidence(
             )
     # prefix_weyl_sum(exp, 1, l) at these levels, read off one walk
     traj_levels = sorted({max(1, depth // 4), max(1, depth // 2), depth})
+    exps = nadic_expansions(f, base, depth)
+    if not exps:
+        return []
+    digits = [np.array(exp.digits, dtype=np.int64) for exp in exps]
+    sums = _phase_walk(digits, base, 1, complex(1.0, 0.0), traj_levels)
     out = []
-    for exp in nadic_expansions(f, base, depth):
-        digits = np.array(exp.digits, dtype=np.int64)
-        reports = tuple(
-            word_frequencies(digits, base, m) for m in range(1, max_word_length + 1)
-        )
-        sums = _phase_walk(exp.digits, base, 1, complex(1.0, 0.0), traj_levels)
-        traj = tuple((l, abs(acc / l)) for l, acc in zip(traj_levels, sums))
+    for exp, row, accs in zip(exps, digits, sums):
+        reports = tuple(word_frequencies(row, base, m) for m in range(1, max_word_length + 1))
+        traj = tuple((l, abs(acc / l)) for l, acc in zip(traj_levels, accs))
         out.append(ExpansionEvidence(exp.seed_root, reports, traj))
     return out

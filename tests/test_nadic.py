@@ -1,6 +1,7 @@
 import cmath
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from rootdist import (
 from rootdist import nadic
 
 FREQUENCIES = (1, -1, 3, -12345, 2**40 + 1, 2**200 + 7)
-CHUNK = nadic._WALK_CHUNK
+# levels per walk chunk of one base-5 row: whole blocks of B = 14 levels
+CHUNK = nadic._WALK_CHUNK - nadic._WALK_CHUNK % nadic._block(5)
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +87,11 @@ def _exact_cells(digits, base, h):
         pw *= base
         out.append(((h * prefix) % pw << 64) // pw)
     return out
+
+
+def _cells(rows, base, h):
+    """The kernel's cells of each row, chunks joined, as lists of ints."""
+    return np.concatenate(list(nadic._phase_cells(rows, base, h)), axis=1).tolist()
 
 
 def test_expansion_digits_example(x2p1):
@@ -352,8 +359,26 @@ def test_phase_cells_match_exact_cells(h):
     strings = [(_top_digit_string(base), base) for base in (5, 7, 65)]
     strings += [(_three_twos_string(), 5), (_later_chunk_string(), 5)]
     for digits, base in strings:
-        cells = [c for chunk in nadic._phase_cells(digits, base, h) for c in chunk]
-        assert cells == _exact_cells(digits, base, h)
+        assert _cells([digits], base, h) == [_exact_cells(digits, base, h)]
+
+
+@pytest.mark.parametrize("base", [2, 3, 5, 65, 2**32 - 5, 2**32, 2**32 + 15])
+@pytest.mark.parametrize("h", FREQUENCIES)
+def test_block_cells_match_exact_cells(base, h, monkeypatch):
+    # levels B-1, B, B+1 and, with chunks cut to a few blocks, chunk edges,
+    # over rows of top digits, zeros and random digits walked together
+    block = nadic._block(base)
+    assert base ** (block - 1) <= 2**32 < base**block
+    for chunk_cells in (nadic._WALK_CHUNK, 12 * block):
+        monkeypatch.setattr(nadic, "_WALK_CHUNK", chunk_cells)
+        rng = random.Random(base ^ h)
+        for length in (block - 1, block, block + 1, 2 * block + 3, 7 * block + 1):
+            if length < 1:
+                continue
+            rows = [(base - 1,) * length, (0,) * length]
+            rows += [tuple(rng.randrange(base) for _ in range(length)) for _ in range(2)]
+            want = [_exact_cells(row, base, h) for row in rows]
+            assert _cells(rows, base, h) == want, (length, chunk_cells)
 
 
 def _walk_levels(digits, base, h, acc, levels):
@@ -363,16 +388,34 @@ def _walk_levels(digits, base, h, acc, levels):
 
 
 def test_walk_matches_scalar_walk_on_golden_towers(golden_towers):
-    # every level of the towers the goldens pin, across several chunks
+    # every level of the towers the goldens pin, walked alone and together,
+    # across several chunks
     levels = range(1, 70001)
-    for exp in golden_towers:
-        want = list(scalar_phase_walk(exp.digits, 5, 1, complex(1.0, 0.0)))
-        assert nadic._phase_walk(exp.digits, 5, 1, complex(1.0, 0.0), levels) == want
+    rows = [exp.digits for exp in golden_towers]
+    want = [list(scalar_phase_walk(row, 5, 1, complex(1.0, 0.0))) for row in rows]
+    for row, sums in zip(rows, want):
+        assert nadic._phase_walk([row], 5, 1, complex(1.0, 0.0), levels) == [sums]
+    assert nadic._phase_walk(rows, 5, 1, complex(1.0, 0.0), levels) == want
+
+
+@pytest.mark.parametrize("base", [2, 5, 65, 2**32 + 15])
+@pytest.mark.parametrize("h", [1, -12345, 2**200 + 7])
+def test_walk_of_rows_matches_scalar_walk_per_row(base, h, monkeypatch):
+    # different digit strings in one 2-D walk, chunks cut short so that rows
+    # cross several chunk edges
+    monkeypatch.setattr(nadic, "_WALK_CHUNK", 40 * nadic._block(base))
+    rng = random.Random(base)
+    length = 23 * nadic._block(base) + 5
+    rows = [_top_digit_string(base)[:1] * length, (0,) * length]
+    rows += [tuple(rng.randrange(base) for _ in range(length)) for _ in range(3)]
+    levels = sorted({1, 2, length // 3, length - 1, length})
+    for acc in (complex(1.0, 0.0), complex(0.0, 0.0)):
+        want = [_walk_levels(row, base, h, acc, levels) for row in rows]
+        assert nadic._phase_walk(rows, base, h, acc, levels) == want
 
 
 def test_numpy_phases_match_cmath_on_golden_cells(golden_towers):
-    for exp in golden_towers:
-        cells = [c for chunk in nadic._phase_cells(exp.digits, 5, 1) for c in chunk]
+    for cells in _cells([exp.digits for exp in golden_towers], 5, 1):
         theta = nadic._TWO_PI * (np.array(cells, dtype=np.uint64) * 2.0**-64)
         want = [nadic._TWO_PI * (c * 2.0**-64) for c in cells]
         assert theta.tolist() == want
@@ -388,8 +431,8 @@ def test_walk_matches_scalar_walk_at_chunk_edges(h, golden_towers):
         digits = exp.digits[: 2 * CHUNK + 1]
         for acc in (complex(1.0, 0.0), complex(0.0, 0.0)):
             want = _walk_levels(digits, 5, h, acc, levels)
-            assert nadic._phase_walk(digits, 5, h, acc, levels) == want
-            assert nadic._phase_walk(digits, 5, h, acc, levels[-1:]) == want[-1:]
+            assert nadic._phase_walk([digits], 5, h, acc, levels) == [want]
+            assert nadic._phase_walk([digits], 5, h, acc, levels[-1:]) == [want[-1:]]
 
 
 def test_walk_fallback_cell_in_a_later_chunk():
@@ -397,8 +440,8 @@ def test_walk_fallback_cell_in_a_later_chunk():
     # the whole prefix; the walk must agree with it across the chunk edge
     digits = _later_chunk_string()
     levels = list(range(CHUNK - 2, len(digits) + 1))
-    got = nadic._phase_walk(digits, 5, 1, complex(1.0, 0.0), levels)
-    assert got == _walk_levels(digits, 5, 1, complex(1.0, 0.0), levels)
+    got = nadic._phase_walk([digits], 5, 1, complex(1.0, 0.0), levels)
+    assert got == [_walk_levels(digits, 5, 1, complex(1.0, 0.0), levels)]
 
 
 def test_phase_window_falls_back_to_exact_cells(x2p1):
@@ -407,7 +450,7 @@ def test_phase_window_falls_back_to_exact_cells(x2p1):
     levels = 120
     width = _window_width(5, 1)
     exp = NadicExpansion(x2p1, 5, _three_twos_string())
-    cells = [c for chunk in nadic._phase_cells(exp.digits, 5, 1) for c in chunk]
+    (cells,) = _cells([exp.digits], 5, 1)
     assert cells[width:] == [2**63] * (levels - width)
     assert prefix_weyl_sum(exp, 1, levels) == exact_prefix_weyl_sum(exp.digits, 5, 1, levels)
 
@@ -434,23 +477,62 @@ def test_haar_monte_carlo_matches_exact_walk(h):
         assert got == exact_haar_monte_carlo(base, levels, samples, seed=seed, h=h)
 
 
-@pytest.mark.parametrize("base", (2, 5, 7, 2**64 + 13))
-def test_haar_digits_are_randrange_draws(base, monkeypatch):
-    # the walk gets, sample for sample, the digits rng.randrange(base) draws
-    seen = []
+def _spy_walks(monkeypatch):
+    """Record the digit rows of every walk, as lists of ints."""
+    walks = []
     walk = nadic._phase_walk
 
-    def spy(digits, *rest):
-        seen.append(digits)
-        return walk(digits, *rest)
+    def spy(rows, *rest):
+        walks.append([list(map(int, row)) for row in rows])
+        return walk(rows, *rest)
 
     monkeypatch.setattr(nadic, "_phase_walk", spy)
+    return walks
+
+
+@pytest.mark.parametrize("base", (2, 4, 5, 7, 2**31 + 1, 2**32 - 5, 2**32, 2**64 + 13))
+def test_haar_digits_are_randrange_draws(base, monkeypatch):
+    # the batched walk gets, sample for sample, the digits rng.randrange(base)
+    # draws, its rejections included
+    walks = _spy_walks(monkeypatch)
     haar_monte_carlo(base, 300, 6, seed=11)
     want = []
     for i in range(6):
         rng = random.Random(f"11:{i}")
         want.append([rng.randrange(base) for _ in range(300)])
-    assert seen == want
+    assert walks == [want]
+
+
+@pytest.mark.parametrize("base", (3, 5, 65, 2**64 + 13))
+def test_haar_batches_match_exact_walk(base, monkeypatch):
+    # several batches of samples, and samples longer than a walk chunk
+    monkeypatch.setattr(nadic, "_WALK_CHUNK", 256)
+    walks = _spy_walks(monkeypatch)
+    for levels, samples, rows in ((40, 30, 6), (300, 4, 1)):
+        walks.clear()
+        got = haar_monte_carlo(base, levels, samples, seed=5, h=-3)
+        assert got == exact_haar_monte_carlo(base, levels, samples, seed=5, h=-3)
+        assert [len(w) for w in walks] == [rows] * (samples // rows) + [samples % rows] * (
+            samples % rows > 0
+        )
+
+
+def test_haar_memory_bounded_by_batch(monkeypatch):
+    # a walk gets at most _WALK_CHUNK digits, so the peak does not grow with
+    # the sample count
+    walks = _spy_walks(monkeypatch)
+    haar_monte_carlo(5, 100, 5000, seed=3)
+    assert len(walks) > 10
+    assert max(len(w) * 100 for w in walks) <= nadic._WALK_CHUNK
+    monkeypatch.undo()
+    peaks = []
+    for samples in (500, 5000):
+        tracemalloc.start()
+        haar_monte_carlo(5, 100, samples, seed=3)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
+    assert peaks[1] < 200 * nadic._WALK_CHUNK
 
 
 def test_haar_monte_carlo_single_sample_deterministic():
