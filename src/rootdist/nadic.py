@@ -52,7 +52,7 @@ _DIGIT_LEAF = 32
 
 # Leaves per numpy digit batch, and cells per phase-walk chunk.
 _LEAF_BATCH = 1 << 12
-_WALK_CHUNK = 1 << 15
+_WALK_CHUNK = 1 << 13
 
 _MASK64 = (1 << 64) - 1
 
