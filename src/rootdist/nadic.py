@@ -336,7 +336,7 @@ def _phase_cells(rows, base: int, h: int):
         stop = min(start + chunk, length)
         blocks = -(-(stop - start) // block)
         if block == 1:
-            values = [list(map(int, row[start:stop])) for row in rows]
+            values = [row[start:stop] for row in rows]
         else:
             powers = base ** np.arange(block, dtype=np.uint64)
             digits = np.zeros((count, blocks * block), dtype=np.uint64)

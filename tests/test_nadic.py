@@ -406,7 +406,7 @@ def test_walk_of_rows_matches_scalar_walk_per_row(base, h, monkeypatch):
     monkeypatch.setattr(nadic, "_WALK_CHUNK", 40 * nadic._block(base))
     rng = random.Random(base)
     length = 23 * nadic._block(base) + 5
-    rows = [_top_digit_string(base)[:1] * length, (0,) * length]
+    rows = [(base - 1,) * length, (0,) * length]
     rows += [tuple(rng.randrange(base) for _ in range(length)) for _ in range(3)]
     levels = sorted({1, 2, length // 3, length - 1, length})
     for acc in (complex(1.0, 0.0), complex(0.0, 0.0)):
@@ -508,13 +508,11 @@ def test_haar_batches_match_exact_walk(base, monkeypatch):
     # several batches of samples, and samples longer than a walk chunk
     monkeypatch.setattr(nadic, "_WALK_CHUNK", 256)
     walks = _spy_walks(monkeypatch)
-    for levels, samples, rows in ((40, 30, 6), (300, 4, 1)):
+    for levels, samples, batches in ((40, 32, [6] * 5 + [2]), (300, 4, [1] * 4)):
         walks.clear()
         got = haar_monte_carlo(base, levels, samples, seed=5, h=-3)
         assert got == exact_haar_monte_carlo(base, levels, samples, seed=5, h=-3)
-        assert [len(w) for w in walks] == [rows] * (samples // rows) + [samples % rows] * (
-            samples % rows > 0
-        )
+        assert [len(w) for w in walks] == batches
 
 
 def test_haar_memory_bounded_by_batch(monkeypatch):
