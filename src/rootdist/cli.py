@@ -15,20 +15,14 @@ import re
 import sys
 import tempfile
 
-from .equidist import (
-    HSpec,
-    decades,
-    prime_stats,
-    progression_root_sums,
-    weyl_series,
-)
+from .equidist import HSpec, prime_stats, progression_root_sums, weyl_series
 from .errors import InvalidArgumentError, RootdistError
 from .ideals import _ideals_of, enumerate_degree_one
-from .intpoly import IntPolynomial, parse_polynomial
+from .intpoly import IntPolynomial, parse_ints, parse_polynomial
 from .nadic import nadic_expansions, normality_evidence
 from .modarith import cached_sieve, spf_parts
 from .roots import ModulusFilter, root_stream, roots_mod_n
-from .systems import PolySystem, default_hset, joint_weyl_series, root_tuples
+from .systems import PolySystem, joint_weyl_series, root_tuples
 
 # Flags whose value is a list of integers, which may start with a minus sign.
 _INT_LIST_FLAGS = ("--poly", "--polys", "--hset", "--progression")
@@ -89,13 +83,13 @@ def _rows_to_text(rows: list[list[str]], fmt: str | None) -> str:
     return json.dumps([dict(zip(head, row)) for row in body], indent=2) + "\n"
 
 
-def _parse_checkpoints(text: str, xmax: int) -> list[int]:
-    if text == "decades":
-        return decades(xmax)
-    try:
-        return [int(c) for c in text.split(",")]
-    except ValueError as exc:
-        raise InvalidArgumentError(f"cannot parse checkpoints {text!r}: {exc}") from None
+def _parse_checkpoints(text: str | None) -> tuple[int, ...] | None:
+    """None, the library's decades, when the flag is absent or "decades"."""
+    return None if text in (None, "decades") else parse_ints(text, "checkpoints")
+
+
+def _parse_filter(text: str | None) -> ModulusFilter | None:
+    return None if text is None else ModulusFilter.parse(text)
 
 
 def _parse_polys(text: str) -> list[IntPolynomial]:
@@ -112,10 +106,7 @@ def _parse_hset(text: str, r: int) -> list[tuple[int, ...]]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        try:
-            vec = tuple(int(c) for c in chunk.split(","))
-        except ValueError as exc:
-            raise InvalidArgumentError(f"cannot parse hset entry {chunk!r}: {exc}") from None
+        vec = parse_ints(chunk, "hset entry")
         if len(vec) != r:
             raise InvalidArgumentError(f"hset entry {chunk!r} has wrong dimension")
         out.append(vec)
@@ -147,8 +138,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_weyl.add_argument("--poly", required=True)
     p_weyl.add_argument("--xmax", type=int, required=True)
     p_weyl.add_argument("--h", default="1", help="integer, or inv:M for inverse mode")
-    p_weyl.add_argument("--filter", default="all")
-    p_weyl.add_argument("--checkpoints", default="decades")
+    p_weyl.add_argument("--filter")
+    p_weyl.add_argument("--checkpoints")
     _add_common(p_weyl)
 
     p_padic = sub.add_parser("padic", help="digit towers of roots in base n")
@@ -167,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("stats", help="prime-counting statistics")
     p_stats.add_argument("--poly", required=True)
     p_stats.add_argument("--xmax", type=int, required=True)
-    p_stats.add_argument("--checkpoints", default="decades")
+    p_stats.add_argument("--checkpoints")
     p_stats.add_argument("--closure-index", type=int, dest="closure_index")
     p_stats.add_argument(
         "--progression",
@@ -214,8 +205,7 @@ def _cmd_roots(args: argparse.Namespace) -> str:
         _refuse_unread(args, "--nmax", "--filter")
         stream = [(args.n, roots_mod_n(f, args.n))]
     else:
-        flt = ModulusFilter.parse("all" if args.filter is None else args.filter)
-        stream = root_stream(f, args.nmax, flt)
+        stream = root_stream(f, args.nmax, _parse_filter(args.filter))
     for n, roots in stream:
         lines.append(f"{n}: {' '.join(str(v) for v in roots)}".rstrip())
     return "\n".join(lines) + "\n"
@@ -223,10 +213,8 @@ def _cmd_roots(args: argparse.Namespace) -> str:
 
 def _cmd_weyl(args: argparse.Namespace) -> str:
     f = parse_polynomial(args.poly)
-    h = HSpec.parse(args.h)
-    flt = ModulusFilter.parse(args.filter)
-    cps = _parse_checkpoints(args.checkpoints, args.xmax)
-    series = weyl_series(f, h, args.xmax, flt, cps)
+    series = weyl_series(f, HSpec.parse(args.h), args.xmax, _parse_filter(args.filter),
+                         _parse_checkpoints(args.checkpoints))
     return _rows_to_text(series.csv_rows(), args.format)
 
 
@@ -258,16 +246,10 @@ def _cmd_normality(args: argparse.Namespace) -> str:
 
 def _cmd_stats(args: argparse.Namespace) -> str:
     f = parse_polynomial(args.poly)
-    cps = _parse_checkpoints(args.checkpoints, args.xmax)
+    cps = _parse_checkpoints(args.checkpoints)
     if args.progression is not None:
         _refuse_unread(args, "prime statistics, not --progression", "--closure-index")
-        try:
-            a_txt, m_txt = args.progression.split(",")
-            a, m = int(a_txt), int(m_txt)
-        except ValueError as exc:
-            raise InvalidArgumentError(
-                f"cannot parse progression {args.progression!r}: {exc}"
-            ) from None
+        a, m = parse_ints(args.progression, "progression", 2)
         sums = progression_root_sums(f, a, m, args.xmax, cps)
         return _rows_to_text(sums.csv_rows(), args.format)
     stats = prime_stats(f, args.xmax, cps, 1 if args.closure_index is None else args.closure_index)
@@ -296,13 +278,7 @@ def _cmd_system(args: argparse.Namespace) -> str | list[tuple[str, str | None]]:
                        "--format")
         body = " ".join(",".join(str(v) for v in tup) for tup in root_tuples(system, args.n))
         return f"{args.n}: {body}".rstrip() + "\n"
-    hset = (
-        _parse_hset(args.hset, system.dimension)
-        if args.hset is not None
-        else default_hset(system.dimension)
-    )
-    flt = ModulusFilter.parse("all" if args.filter is None else args.filter)
-    cps = _parse_checkpoints("decades" if args.checkpoints is None else args.checkpoints, args.xmax)
+    hset = None if args.hset is None else _parse_hset(args.hset, system.dimension)
     cloud_rows: list[str] | None = [] if args.cloud_out else None
 
     def sink(n, tup):
@@ -312,9 +288,9 @@ def _cmd_system(args: argparse.Namespace) -> str | list[tuple[str, str | None]]:
         system,
         args.xmax,
         hset,
-        cps,
+        _parse_checkpoints(args.checkpoints),
         args.grid,
-        flt,
+        _parse_filter(args.filter),
         cloud_sink=sink if cloud_rows is not None else None,
     )
     text = _rows_to_text(series.csv_rows(), args.format)

@@ -23,13 +23,16 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-from .intpoly import IntPolynomial
+from .errors import InvalidArgumentError, ResourceLimitError
+from .intpoly import IntPolynomial, parse_ints
 from .modarith import SpfSieve, euler_phi, factorize, inverse
 from .roots import (_INT64_MODULUS_BOUND, _TABLE_CHUNK, ModulusFilter, _lane_residues,
                     _prime_power_roots_cached, prime_counts, root_stream, roots_mod_n)
 
 _TWO_PI = 2.0 * math.pi
+# grid^r cells a box discrepancy may hold: far above the default grids (64,
+# 64^2 and 16^3) and far below a multi-GB histogram
+_GRID_CELL_CAP = 1 << 22
 
 
 class KahanSum:
@@ -188,14 +191,8 @@ class HSpec:
     def parse(cls, text: str) -> "HSpec":
         text = text.strip()
         if text.startswith("inv:"):
-            try:
-                return cls.inverse_of(int(text[4:]))
-            except ValueError as exc:
-                raise InvalidArgumentError(f"cannot parse h spec {text!r}: {exc}") from None
-        try:
-            return cls.const(int(text))
-        except ValueError as exc:
-            raise InvalidArgumentError(f"cannot parse h spec {text!r}: {exc}") from None
+            return cls.inverse_of(*parse_ints(text[4:], "inverse-mode m", 1))
+        return cls.const(*parse_ints(text, "h spec", 1))
 
 
 def decades(xmax: int) -> list[int]:
@@ -276,9 +273,9 @@ def weyl_series(
     if isinstance(h, int):
         h = HSpec.const(h)
     checkpoints = _checkpoint_list(checkpoints, xmax)
-    if flt is None:
-        flt = ModulusFilter.all()
-    if h.kind == "inverse":
+    if h.kind == "inverse" and flt is None:
+        flt = ModulusFilter.coprime(h.value)
+    elif h.kind == "inverse":
         flt = replace(flt, prime_to=math.lcm(flt.prime_to, h.value))
 
     series = WeylSeries(h=h, checkpoints=checkpoints)
@@ -316,13 +313,30 @@ def ratio_points(
     return np.concatenate(pts)
 
 
+def _check_unit_interval(pts: np.ndarray) -> None:
+    """Refuse a coordinate outside [0, 1), NaN included."""
+    if not (pts.min() >= 0.0 and pts.max() < 1.0):
+        raise InvalidArgumentError("points must lie in [0, 1)")
+
+
+def _check_grid(grid: int, r: int) -> None:
+    """Refuse a grid below 2, or one whose grid^r cells pass _GRID_CELL_CAP:
+    a box discrepancy holds about that many int64 counts and float64 prefix
+    sums, so the cap keeps it near 32 MB each."""
+    if grid < 2:
+        raise InvalidArgumentError("grid resolution must be at least 2")
+    if grid**r > _GRID_CELL_CAP:
+        raise ResourceLimitError(
+            f"grid {grid} in {r} dimensions needs {grid**r} cells, past the cap of {_GRID_CELL_CAP}"
+        )
+
+
 def star_discrepancy(points) -> float:
     """Exact one-dimensional star discrepancy of a point sample in [0, 1)."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.size == 0:
         raise InvalidArgumentError("star discrepancy of an empty sample is undefined")
-    if pts.min() < 0.0 or pts.max() >= 1.0:
-        raise InvalidArgumentError("points must lie in [0, 1)")
+    _check_unit_interval(pts)
     pts = np.sort(pts)
     n = pts.size
     idx = np.arange(1, n + 1, dtype=np.float64)
@@ -344,9 +358,9 @@ def box_discrepancy(points, grid: int) -> float:
         pts = pts[:, None]
     if pts.size == 0:
         raise InvalidArgumentError("box discrepancy of an empty sample is undefined")
-    if grid < 2:
-        raise InvalidArgumentError("grid resolution must be at least 2")
+    _check_unit_interval(pts)
     r = pts.shape[1]
+    _check_grid(grid, r)
     hist, _ = np.histogramdd(pts, bins=[grid] * r, range=[(0.0, 1.0)] * r)
     return box_discrepancy_from_hist(hist, int(pts.shape[0]))
 

@@ -17,7 +17,7 @@ from functools import cached_property
 from .errors import InvalidArgumentError
 
 # Unicode minus signs tolerated in text input alongside ASCII '-'.
-_MINUS_VARIANTS = ("−", "–", "—")
+_MINUS_TO_ASCII = str.maketrans(dict.fromkeys("−–—", "-"))
 
 # Above this bound rational-root candidates of degree >= 3 are not enumerated.
 _RATROOT_COEFF_CAP = 10**12
@@ -119,18 +119,34 @@ def _horner(coeffs: tuple[int, ...], v: int, m: int) -> int:
     return acc
 
 
+def parse_ints(text: str, what: str, count: int | None = None) -> tuple[int, ...]:
+    """The integers of a comma-separated list such as "1,-3, 4", with a
+    Unicode minus read as '-' and the whitespace around an entry ignored.
+    ``count``, when given, is the number of entries required; ``what``
+    names the list in the error."""
+
+    def refuse(problem: str) -> InvalidArgumentError:
+        return InvalidArgumentError(f"cannot parse {what} {text!r}: {problem}")
+
+    parts = [p.strip() for p in text.translate(_MINUS_TO_ASCII).split(",")]
+    if "" in parts:
+        raise refuse("empty entry")
+    if count is not None and len(parts) != count:
+        raise refuse(f"expected {count} integer{'s' if count != 1 else ''}, got {len(parts)}")
+    values = []
+    for p in parts:
+        try:
+            values.append(int(p))
+        except ValueError as exc:
+            # all digits, yet refused: past the int digit limit, say
+            digits = p.lstrip("+-").replace("_", "").isdecimal()
+            raise refuse(str(exc) if digits else f"{p!r} is not an integer") from None
+    return tuple(values)
+
+
 def parse_polynomial(text: str) -> IntPolynomial:
     """Parse comma-separated ascending coefficients, e.g. "1,0,1" for x^2+1."""
-    for variant in _MINUS_VARIANTS:
-        text = text.replace(variant, "-")
-    parts = [p.strip() for p in text.split(",")]
-    if any(p == "" for p in parts):
-        raise InvalidArgumentError(f"cannot parse polynomial {text!r}: empty coefficient")
-    try:
-        coeffs = tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise InvalidArgumentError(f"cannot parse polynomial {text!r}: {exc}") from None
-    return IntPolynomial(coeffs)
+    return IntPolynomial(parse_ints(text, "polynomial"))
 
 
 def pretty(f: IntPolynomial) -> str:
@@ -207,16 +223,13 @@ def _rational_root(coeffs: tuple[int, ...]) -> object | None:
 
 
 def _resultant(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """Resultant of two integer polynomials via a Sylvester determinant.
+    """Resultant of two integer polynomials, a of positive degree, via a
+    Sylvester determinant.
 
     The determinant is taken with Bareiss fraction-free elimination, so all
     intermediates stay integers and the result is exact.
     """
     da, db = len(a) - 1, len(b) - 1
-    if da < 1 or db < 0:
-        raise InvalidArgumentError("resultant needs degrees >= 1 and >= 0")
-    if db == 0:
-        return b[0] ** da
     size = da + db
     desc_a = list(reversed(a))
     desc_b = list(reversed(b))

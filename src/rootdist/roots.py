@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .intpoly import IntPolynomial, poly_eval_mod
+from .intpoly import IntPolynomial, parse_ints, poly_eval_mod
 from .modarith import (
     _SIEVE_LIMIT_MAX, Factorization, SpfSieve, cached_sieve, factorize, inverse, is_prime
 )
@@ -604,7 +604,7 @@ class ModulusFilter:
 
     @classmethod
     def progression(cls, a: int, m: int) -> "ModulusFilter":
-        return cls("progression", a=a % m if m else a, m=m)
+        return cls("progression", a=a % m if m >= 1 else a, m=m)
 
     @classmethod
     def coprime(cls, m: int) -> "ModulusFilter":
@@ -625,16 +625,12 @@ class ModulusFilter:
         head, sep, tail = text.partition(":")
         if not sep:
             raise InvalidArgumentError(f"cannot parse filter {text!r}")
-        try:
-            if head == "progression":
-                a_txt, m_txt = tail.split(",")
-                return cls.progression(int(a_txt), int(m_txt))
-            if head == "coprime":
-                return cls.coprime(int(tail))
-            if head == "list":
-                return cls.explicit(int(v) for v in tail.split(","))
-        except (ValueError, TypeError) as exc:
-            raise InvalidArgumentError(f"cannot parse filter {text!r}: {exc}") from None
+        if head == "progression":
+            return cls.progression(*parse_ints(tail, "progression filter", 2))
+        if head == "coprime":
+            return cls.coprime(*parse_ints(tail, "coprime filter", 1))
+        if head == "list":
+            return cls.explicit(parse_ints(tail, "list filter"))
         raise InvalidArgumentError(f"unknown filter kind {head!r}")
 
     def window(self, lo: int, hi: int) -> np.ndarray:
@@ -825,15 +821,17 @@ def root_table(
 
 
 def _stream_windows(
-    fs: Sequence[IntPolynomial], xmax: int, flt: ModulusFilter, sieve: SpfSieve | None
+    fs: Sequence[IntPolynomial], xmax: int, flt: ModulusFilter | None, sieve: SpfSieve | None
 ) -> Iterator[tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]]:
-    """The moduli n <= xmax that ``flt`` accepts, a window at a time, with
-    the roots of each polynomial in ``fs`` (one ``root_table`` each): yields
-    (ns, rows), ns ascending and rows[j] = (counts, roots), the counts[k]
-    sorted roots of fs[j] mod ns[k] one row after another in roots; int64
-    arrays, object past _INT64_MODULUS_BOUND.  An explicit list takes
+    """The moduli n <= xmax that ``flt`` (all n when None) accepts, a window
+    at a time, with the roots of each polynomial in ``fs`` (one
+    ``root_table`` each): yields (ns, rows), ns ascending and rows[j] =
+    (counts, roots), the counts[k] sorted roots of fs[j] mod ns[k] one row
+    after another in roots; int64 arrays, object past
+    _INT64_MODULUS_BOUND.  An explicit list takes
     ``roots_mod_n`` per listed n, so it needs only its own primes.
     """
+    flt = flt or ModulusFilter.all()
     if flt.kind == "list":
         for n in flt.window(1, xmax + 1).tolist():
             dt = np.int64 if n <= _INT64_MODULUS_BOUND else object
@@ -873,7 +871,7 @@ def root_stream(
             out[i] = tuple(vals[a:b])
         return out
 
-    windows = _stream_windows((f,), xmax, flt or ModulusFilter.all(), sieve)
+    windows = _stream_windows((f,), xmax, flt, sieve)
     return itertools.chain.from_iterable(zip(ns.tolist(), rows(*row)) for ns, (row,) in windows)
 
 

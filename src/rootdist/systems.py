@@ -19,6 +19,7 @@ import numpy as np
 
 from .equidist import (
     KahanSum,
+    _check_grid,
     _checkpoint_list,
     _cross_inverses,
     _phase_sums,
@@ -79,12 +80,7 @@ def root_tuples(system: PolySystem, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product(*(roots_mod_n(f, n) for f in system.polys)))
 
 
-def joint_exp_sum(
-    system: PolySystem,
-    hvec: tuple[int, ...],
-    n: int,
-    rootsets: list[tuple[int, ...]] | None = None,
-) -> complex:
+def joint_exp_sum(system: PolySystem, hvec: tuple[int, ...], n: int) -> complex:
     """Sum of exp(2*pi*i*(h . v)/n) over all root tuples v.
 
     Because the tuple set is a product set and the phase splits into per
@@ -92,11 +88,9 @@ def joint_exp_sum(
     """
     if len(hvec) != system.dimension:
         raise InvalidArgumentError("frequency vector length must match the system")
-    if rootsets is None:
-        rootsets = [roots_mod_n(f, n) for f in system.polys]
     out = complex(1.0, 0.0)
-    for f, h, roots in zip(system.polys, hvec, rootsets):
-        out *= root_exp_sum(f, h, n, roots)
+    for f, h in zip(system.polys, hvec):
+        out *= root_exp_sum(f, h, n)
     return out
 
 
@@ -184,13 +178,10 @@ def joint_weyl_series(
             raise InvalidArgumentError("the zero frequency vector is not allowed in hset")
     if grid is None:
         grid = _DEFAULT_GRIDS[r]
-    if grid < 2:
-        raise InvalidArgumentError("grid resolution must be at least 2")
+    _check_grid(grid, r)
     if xmax < 1:
         raise InvalidArgumentError("xmax must be at least 1")
     checkpoints = _checkpoint_list(checkpoints, xmax)
-    if flt is None:
-        flt = ModulusFilter.all()
     series = JointWeylSeries(
         hset=hset,
         checkpoints=checkpoints,

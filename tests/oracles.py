@@ -29,7 +29,7 @@ from rootdist.equidist import KahanSum, _checkpoint_list, box_discrepancy_from_h
 from rootdist.modarith import Factorization, cached_sieve, spf_parts
 from rootdist.nadic import _SPARSE_FACTOR, NormalityReport
 from rootdist.roots import PrimeRootTable, roots_from_factorization
-from rootdist.systems import default_hset, joint_exp_sum
+from rootdist.systems import default_hset
 
 
 def brute_roots(coeffs, n):
@@ -398,7 +398,8 @@ def scalar_joint_weyl_series(system, xmax, checkpoints=None, grid=None, flt=None
             continue
         norm += count
         for h in hset:
-            term = joint_exp_sum(system, h, n, rootsets=per_poly)
+            # joint_exp_sum over the streamed root sets
+            term = math.prod(map(root_exp_sum, system.polys, h, [n] * r, per_poly), start=complex(1.0, 0.0))
             acc[h].add(term)
             abs_acc[h].add(abs(term))
         for tup in itertools.product(*per_poly):

@@ -535,3 +535,83 @@ def test_checkpoints_below_xmax_stop_the_walk(capsys):
     assert (code, out) == run_cli(capsys, "weyl", "--poly", "1,0,1", "--xmax", "10")[:2]
     assert code == 0 and err == "" and out.count("\n") == 2
     assert prime_table(parse_polynomial("1,0,1")).limit < 10**8
+
+
+MINUS = "\u2212"
+_PAIR = ["system", "--polys", "1,1,1;-1,-1,1", "--xmax", "100"]
+_X2P1 = ["--poly", "1,0,1", "--xmax", "100"]
+
+
+@pytest.mark.parametrize(
+    "argv, ok",
+    [
+        (["stats", *_X2P1, "--progression", "-1,4"], True),
+        (["weyl", *_X2P1, "--h", "-3"], True),
+        (["weyl", *_X2P1, "--h", "inv:-3"], False),
+        ([*_PAIR, "--hset", "-1,1;1,-1"], True),
+        (["weyl", *_X2P1, "--checkpoints", "10,-5,100"], False),
+        (["weyl", *_X2P1, "--filter", "progression:-1,4"], True),
+        (["roots", "--poly", "1,0,1", "--nmax", "30", "--filter", "list:5,-5,25"], True),
+        (["roots", "--poly", "1,0,1", "--nmax", "30", "--filter", "coprime:-3"], False),
+        (["roots", "--poly", "-8,0,1", "--n", "7"], True),
+    ],
+)
+def test_every_integer_list_reads_a_unicode_minus(argv, ok, capsys):
+    # the same bytes, and the same refusal where a value must be positive
+    code, out, err = ascii_run = run_cli(capsys, *argv)
+    assert (code, out != "") == ((0, True) if ok else (2, False))
+    assert run_cli(capsys, *(a if a.startswith("--") else a.replace("-", MINUS) for a in argv)) == ascii_run
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["stats", *_X2P1, "--progression", "1"], "cannot parse progression '1': expected 2 integers, got 1"),
+        (["stats", *_X2P1, "--progression", "1,4,5"], "expected 2 integers, got 3"),
+        (["stats", *_X2P1, "--progression", "1,"], "cannot parse progression '1,': empty entry"),
+        (["weyl", *_X2P1, "--filter", "progression:1"],
+         "cannot parse progression filter '1': expected 2 integers, got 1"),
+        (["weyl", *_X2P1, "--filter", "progression:1,4,5"], "expected 2 integers, got 3"),
+        (["weyl", *_X2P1, "--filter", "progression:,4"], "empty entry"),
+        (["weyl", *_X2P1, "--filter", "list:1,,5"], "cannot parse list filter '1,,5': empty entry"),
+        (["weyl", *_X2P1, "--filter", "coprime:"], "cannot parse coprime filter '': empty entry"),
+        (["weyl", *_X2P1, "--filter", "coprime:3,5"], "expected 1 integer, got 2"),
+        (["weyl", *_X2P1, "--h", ""], "cannot parse h spec '': empty entry"),
+        (["weyl", *_X2P1, "--h", "1,2"], "cannot parse h spec '1,2': expected 1 integer, got 2"),
+        (["weyl", *_X2P1, "--h", "inv:"], "cannot parse inverse-mode m '': empty entry"),
+        (["weyl", *_X2P1, "--h", "inv:x"], "'x' is not an integer"),
+        (["weyl", *_X2P1, "--checkpoints", "10,,100"], "cannot parse checkpoints '10,,100': empty entry"),
+        (["weyl", *_X2P1, "--checkpoints", ""], "cannot parse checkpoints '': empty entry"),
+        ([*_PAIR, "--checkpoints", "10,"], "empty entry"),
+        ([*_PAIR, "--hset", "1,;0,1"], "cannot parse hset entry '1,': empty entry"),
+        (["roots", "--poly", "1,,1", "--n", "5"], "cannot parse polynomial '1,,1': empty entry"),
+        (["system", "--polys", "1,1,1;-1,,1", "--n", "5"], "cannot parse polynomial '-1,,1': empty entry"),
+    ],
+)
+def test_integer_list_refusals_exit_2_in_plain_words(argv, message, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and message in err
+    assert "unpack" not in err and "invalid literal" not in err
+
+
+def test_config_file_skips_blank_and_comment_lines(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n# the h of the table\n   \nh = 0\n  # xmax=5\nxmax=10\n")
+    assert run_cli(capsys, "weyl", "--poly", "1,0,1", "--config", str(cfg)) == run_cli(
+        capsys, "weyl", "--poly", "1,0,1", "--h", "0", "--xmax", "10"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["weyl", "--poly", "1,0,1", "--config", "{cfg}"], "{cfg}:2: expected key=value, got 'xmax 10'"),
+        (["--config={cfg}"], "--config requires a subcommand"),
+        (["bogus", "--config", "{cfg}"], "unknown subcommand 'bogus'"),
+    ],
+)
+def test_config_refusals_exit_2(argv, message, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("h=0\nxmax 10\n" if "key=value" in message else "h=0\n")
+    code, out, err = run_cli(capsys, *(a.format(cfg=cfg) for a in argv))
+    assert (code, out) == (2, "") and message.format(cfg=cfg) in err

@@ -1,6 +1,8 @@
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from rootdist import (
@@ -9,6 +11,7 @@ from rootdist import (
     InvalidArgumentError,
     ModulusFilter,
     PolySystem,
+    ResourceLimitError,
     box_discrepancy,
     decades,
     dilated_sum_square_bound,
@@ -25,6 +28,8 @@ from rootdist import (
     weyl_series,
 )
 
+from rootdist.cli import main
+from rootdist.equidist import _GRID_CELL_CAP, _check_grid, box_discrepancy_from_hist
 from oracles import (
     direct_exp_sum,
     eratosthenes,
@@ -358,3 +363,66 @@ def test_hspec_parse():
         HSpec.parse("inv:x")
     with pytest.raises(InvalidArgumentError):
         HSpec.parse("h=1")
+
+
+@pytest.mark.parametrize(
+    "call, exc, message, argv",
+    [
+        (lambda f: HSpec("bogus", 1), InvalidArgumentError, "unknown h mode 'bogus'", None),
+        (lambda f: HSpec.parse("inv:0"), InvalidArgumentError, "inverse mode needs a positive m",
+         ["weyl", "--poly", "1,0,1", "--xmax", "10", "--h", "inv:0"]),
+        (lambda f: decades(0), InvalidArgumentError, "xmax must be at least 1",
+         ["weyl", "--poly", "1,0,1", "--xmax", "0"]),
+        (lambda f: box_discrepancy(np.zeros((0, 2)), 4), InvalidArgumentError,
+         "box discrepancy of an empty sample is undefined", None),
+        (lambda f: box_discrepancy([0.5], 1), InvalidArgumentError,
+         "grid resolution must be at least 2", None),
+        (lambda f: box_discrepancy_from_hist(np.zeros((4, 4)), 0), InvalidArgumentError,
+         "box discrepancy of an empty sample is undefined", None),
+        (lambda f: split_prime_count(f, 0), InvalidArgumentError, "modulus must be positive", None),
+    ],
+)
+def test_equidist_refusals(x2p1, call, exc, message, argv, capsys):
+    with pytest.raises(exc, match=message):
+        call(x2p1)
+    if argv is not None:
+        assert main(argv) == exc.exit_code
+        assert message.replace("\\", "") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "discrepancy, points",
+    [
+        # min() and max() of a sample with a NaN are NaN, which star let through
+        (star_discrepancy, [0.5, math.nan]),
+        (star_discrepancy, [0.5, 1.0]),
+        (star_discrepancy, [-0.25, 0.5]),
+        (star_discrepancy, [0.5, -math.inf]),
+        # histogramdd drops such a point from the counts while the sample
+        # size keeps it: box read 0.5 for the first two on a 4-grid
+        (lambda pts: box_discrepancy(pts, 4), [1.5, 0.2]),
+        (lambda pts: box_discrepancy(pts, 4), [0.5, math.nan]),
+        (lambda pts: box_discrepancy(pts, 4), [[0.2, 0.3], [0.4, 1.0]]),
+        (lambda pts: box_discrepancy(pts, 4), [[0.2, math.nan], [0.4, 0.5]]),
+    ],
+)
+def test_discrepancies_refuse_points_outside_the_unit_interval(discrepancy, points):
+    with pytest.raises(InvalidArgumentError, match=r"points must lie in \[0, 1\)"):
+        discrepancy(points)
+
+
+def test_box_grid_past_the_cell_cap_is_refused_before_allocating():
+    side = {1: _GRID_CELL_CAP, 2: math.isqrt(_GRID_CELL_CAP), 3: round(_GRID_CELL_CAP ** (1 / 3))}
+    for r, grid in side.items():
+        while grid**r <= _GRID_CELL_CAP:
+            grid += 1
+        _check_grid(grid - 1, r)  # the largest grid under the cap passes
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="cells, past the cap of 4194304") as info:
+                box_discrepancy(np.full((3, r), 0.5), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.exit_code == 1
+        assert peak < 1 << 20, (r, grid, peak)

@@ -101,6 +101,8 @@ def test_inertia_rejects_ramified(x2p1):
         ((5, 1, 7), "out of range"),  # residue past p^e
         ((1, 1, 0), "is not prime"),
         ((4, 1, 0), "is not prime"),  # 4 divides disc but is not prime
+        ((5, 1, 1), r"component residue 1 is not a root mod 5\^1"),
+        ((5, 2, 2), r"component residue 2 is not a root mod 5\^2"),
     ],
 )
 def test_component_checks_come_first(x2p1, check, comp, why):
@@ -198,3 +200,9 @@ def test_component_validation():
         FactoredIdeal(((5, 1, 2), (5, 1, 3)))  # repeated prime
     with pytest.raises(InvalidArgumentError):
         FactoredIdeal(((5, 1, 6),))  # residue out of range
+
+
+@pytest.mark.parametrize("v", [65, -8])
+def test_ideal_from_root_rejects_a_root_out_of_range(x2p1, v):
+    with pytest.raises(InvalidArgumentError, match=rf"root {v} out of range \[0, 65\)"):
+        ideal_from_root(x2p1, v, 65)

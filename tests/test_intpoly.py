@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import warnings
 
 import pytest
@@ -8,6 +9,7 @@ import sympy
 from rootdist import (
     IntPolynomial,
     InvalidArgumentError,
+    parse_ints,
     parse_polynomial,
     poly_eval_mod,
 )
@@ -165,6 +167,47 @@ def test_parse_rejects_garbage():
         parse_polynomial("1,,1")
     with pytest.raises(InvalidArgumentError):
         parse_polynomial("1,a,1")
+
+
+@pytest.mark.parametrize(
+    "text, count, values",
+    [
+        ("1,0,1", None, (1, 0, 1)),
+        (" 7 ", 1, (7,)),
+        ("−3, –4 ,—5", 3, (-3, -4, -5)),  # U+2212, an en dash and an em dash
+        ("+2,-0", 2, (2, 0)),
+        (str(2**200), None, (2**200,)),
+    ],
+)
+def test_parse_ints_reads_any_minus_and_whitespace(text, count, values):
+    assert parse_ints(text, "list", count) == values
+
+
+@pytest.mark.parametrize(
+    "text, count, problem",
+    [
+        ("", None, "empty entry"),
+        ("1,,2", None, "empty entry"),
+        ("1, ", 2, "empty entry"),
+        ("1", 2, "expected 2 integers, got 1"),
+        ("1,4,5", 2, "expected 2 integers, got 3"),
+        ("1,2", 1, "expected 1 integer, got 2"),
+        ("1,x", None, "'x' is not an integer"),
+        ("1.5", 1, "'1.5' is not an integer"),
+    ],
+)
+def test_parse_ints_refusals_name_the_list(text, count, problem):
+    with pytest.raises(InvalidArgumentError) as info:
+        parse_ints(text, "test list", count)
+    assert str(info.value) == f"cannot parse test list {text!r}: {problem}"
+    assert info.value.exit_code == 2
+
+
+def test_parse_ints_gives_the_reason_for_an_integer_past_the_digit_limit():
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(InvalidArgumentError, match="Exceeds the limit") as info:
+        parse_ints(f"1,{digits}", "polynomial")
+    assert "is not an integer" not in str(info.value)
 
 
 def test_pretty(x3m2):

@@ -204,3 +204,20 @@ def test_is_prime_64bit_values():
 def test_is_prime_rejects_beyond_deterministic_range():
     with pytest.raises(UnsupportedInputError):
         is_prime(2**89 - 1)  # no tiny factor, above the proven base-set bound
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SpfSieve(10)[11], "sieve lookup out of range: 11"),
+        (lambda: SpfSieve(10)[1], "sieve lookup out of range: 1"),
+        (lambda: modarith.inverse(6, 9), "6 is not invertible mod 9"),
+        (lambda: crt_pair(0, 0, 1, 3), "moduli must be positive"),
+        (lambda: crt_pair(1, 3, 0, -5), "moduli must be positive"),
+        (lambda: crt_pair(3, 3, 0, 5), r"residues must lie in \[0, modulus\)"),
+        (lambda: crt_pair(0, 3, -1, 5), r"residues must lie in \[0, modulus\)"),
+    ],
+)
+def test_modarith_refusals(call, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        call()

@@ -646,3 +646,33 @@ def test_word_table_json_truncation():
     assert len(full["words"]) == 81 and not full["truncated"]
     cut = rep.to_jsonable(top=20)
     assert len(cut["words"]) == 20 and cut["truncated"]
+
+
+@pytest.mark.parametrize(
+    "call, message, argv",
+    [
+        (lambda f: haar_monte_carlo(1, 10, 2), "base must be at least 2", None),
+        (lambda f: haar_monte_carlo(5, 0, 2), "levels must be at least 1", None),
+        (lambda f: haar_monte_carlo(5, 10, 0), "need at least one sample", None),
+        (lambda f: haar_monte_carlo(5, 10, 2, h=0), "frequency h must be nonzero", None),
+        (lambda f: normality_evidence(f, 5, 100, 0), "max word length must be at least 1",
+         ["normality", "--poly", "1,0,1", "--base", "5", "--depth", "100", "--max-m", "0"]),
+    ],
+)
+def test_nadic_refusals(x2p1, call, message, argv, capsys):
+    from rootdist.cli import main
+
+    with pytest.raises(InvalidArgumentError, match=message):
+        call(x2p1)
+    if argv is not None:
+        assert main(argv) == 2 and message in capsys.readouterr().err
+
+
+def test_no_root_mod_the_base_gives_no_evidence(x2p1, capsys):
+    # 3 is inert in Z[i]: x^2 + 1 has no root mod 3, so there is no tower
+    from rootdist.cli import main
+
+    assert nadic_expansions(x2p1, 3, 300) == []
+    assert normality_evidence(x2p1, 3, 300, 1) == []
+    assert main(["normality", "--poly", "1,0,1", "--base", "3", "--depth", "300", "--max-m", "1"]) == 0
+    assert capsys.readouterr().out == '{\n  "evidence": [],\n  "verdict": null\n}\n'

@@ -901,3 +901,40 @@ def test_level_validation(x2p1):
         roots_mod_prime_power(x2p1, 5, 0)
     with pytest.raises(InvalidArgumentError):
         roots_mod_n(x2p1, 0)
+
+
+@pytest.mark.parametrize(
+    "call, message, argv",
+    [
+        (lambda: ModulusFilter.explicit([]), "explicit filter needs at least one modulus", None),
+        (lambda: ModulusFilter("bogus"), "unknown filter kind 'bogus'", None),
+        (lambda: ModulusFilter.parse("coprime:0"), "coprime filter needs a positive modulus",
+         ["roots", "--poly", "1,0,1", "--nmax", "10", "--filter", "coprime:0"]),
+        (lambda: ModulusFilter.parse("squarefree:3"), "unknown filter kind 'squarefree'",
+         ["weyl", "--poly", "1,0,1", "--xmax", "10", "--filter", "squarefree:3"]),
+        (lambda: ModulusFilter.parse("squarefree3"), "cannot parse filter 'squarefree3'", None),
+        (lambda: ModulusFilter.parse("list:"), "cannot parse list filter '': empty entry", None),
+    ],
+)
+def test_modulus_filter_refusals(call, message, argv, capsys):
+    from rootdist.cli import main
+
+    with pytest.raises(InvalidArgumentError, match=message):
+        call()
+    if argv is not None:
+        assert main(argv) == 2 and message in capsys.readouterr().err
+
+
+def test_modulus_filter_describe_round_trips():
+    for text in ("all", "squarefree", "progression:3,4", "coprime:6", "list:1,5,25"):
+        assert ModulusFilter.parse(text).describe() == text
+    assert ModulusFilter.explicit([25, 1, 5, 5]).describe() == "list:1,5,25"
+    assert repr(ModulusFilter.parse("list: 5,−1")) == "ModulusFilter('list:-1,5')"
+
+
+@pytest.mark.parametrize("a, m", [(1, -3), (-3, -1), (2, 0)])
+def test_progression_reduces_a_only_for_a_positive_modulus(a, m):
+    # a mod -3 would be -2, and the error would name a value not given
+    with pytest.raises(InvalidArgumentError, match=f"got a={a}, m={m}"):
+        ModulusFilter.progression(a, m)
+    assert ModulusFilter.progression(-1, 4).a == 3

@@ -6,6 +6,7 @@ import pytest
 
 from rootdist import (
     InvalidArgumentError,
+    ResourceLimitError,
     ModulusFilter,
     PolySystem,
     default_hset,
@@ -217,3 +218,36 @@ def test_dimension_cap():
     assert PolySystem(tuple(polys[:3])).dimension == 3
     with pytest.raises(InvalidArgumentError, match="dimension"):
         joint_weyl_series(PolySystem(tuple(polys)), 10)
+
+
+@pytest.mark.parametrize(
+    "call, exc, message, argv",
+    [
+        (lambda s: PolySystem(()), InvalidArgumentError, "a system needs at least one polynomial", None),
+        (lambda s: joint_exp_sum(s, (1,), 5), InvalidArgumentError,
+         "frequency vector length must match the system", None),
+        (lambda s: joint_weyl_series(s, 10, [(1, 0), (1, 0, 1)]), InvalidArgumentError,
+         "frequency vector length must match the system", None),
+        (lambda s: joint_weyl_series(s, 0), InvalidArgumentError, "xmax must be at least 1",
+         ["system", "--polys", "1,1,1;-1,-1,1", "--xmax", "0"]),
+        (lambda s: joint_weyl_series(s, 10, grid=1), InvalidArgumentError,
+         "grid resolution must be at least 2",
+         ["system", "--polys", "1,1,1;-1,-1,1", "--xmax", "10", "--grid", "1"]),
+        # 2049^2 cells pass the 2^22-cell cap; 2048^2 would not
+        (lambda s: joint_weyl_series(s, 10, grid=2049), ResourceLimitError, "cells, past the cap of 4194304",
+         ["system", "--polys", "1,1,1;-1,-1,1", "--xmax", "10", "--grid", "2049"]),
+    ],
+)
+def test_systems_refusals(pair_system, call, exc, message, argv, capsys, monkeypatch):
+    import numpy as np
+
+    from rootdist.cli import main
+
+    def no_histogram(*args, **kwargs):
+        raise AssertionError("allocated before the checks")
+
+    monkeypatch.setattr(np, "zeros", no_histogram)
+    with pytest.raises(exc, match=message):
+        call(pair_system)
+    if argv is not None:
+        assert main(argv) == exc.exit_code and message in capsys.readouterr().err
