@@ -14,6 +14,7 @@ import os
 import re
 import sys
 import tempfile
+import warnings
 
 from .equidist import HSpec, prime_stats, progression_root_sums, weyl_series
 from .errors import InvalidArgumentError, RootdistError
@@ -317,10 +318,12 @@ def _apply_config(argv: list[str], parser: argparse.ArgumentParser, path: str) -
 
     Flags typed on the command line come later in argv and therefore win.
     """
-    raw = _read_config_file(path)
     cmd_pos = next((i for i, tok in enumerate(argv) if not tok.startswith("-")), None)
     if cmd_pos is None:
         raise InvalidArgumentError("--config requires a subcommand")
+    if any(len(flag := tok.partition("=")[0]) > 2 and "--config".startswith(flag) for tok in argv[:cmd_pos]):
+        raise InvalidArgumentError("--config goes after the subcommand: rootdist SUBCOMMAND --config FILE")
+    raw = _read_config_file(path)
     sub_action = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
@@ -364,17 +367,19 @@ def main(argv: list[str] | None = None) -> int:
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     pre_args, _ = pre.parse_known_args(argv)
-    try:
-        if pre_args.config:
-            argv = _apply_config(argv, parser, pre_args.config)
-        args = parser.parse_args(_glue_int_list_values(argv))
-        out = _HANDLERS[args.command](args)
-        _emit(out if isinstance(out, list) else [(out, args.output)])
-    except RootdistError as exc:
-        print(f"rootdist: error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except BrokenPipeError:
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"rootdist: warning: {message}", file=sys.stderr)
+        try:
+            if pre_args.config:
+                argv = _apply_config(argv, parser, pre_args.config)
+            args = parser.parse_args(_glue_int_list_values(argv))
+            out = _HANDLERS[args.command](args)
+            _emit(out if isinstance(out, list) else [(out, args.output)])
+        except RootdistError as exc:
+            print(f"rootdist: error: {exc}", file=sys.stderr)
+            return exc.exit_code
+        except BrokenPipeError:
+            return 1
     return 0
 
 

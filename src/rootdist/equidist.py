@@ -27,7 +27,7 @@ from .errors import InvalidArgumentError, ResourceLimitError
 from .intpoly import IntPolynomial, parse_ints
 from .modarith import SpfSieve, euler_phi, factorize, inverse
 from .roots import (_INT64_MODULUS_BOUND, _TABLE_CHUNK, ModulusFilter, _lane_residues,
-                    _prime_power_roots_cached, prime_counts, root_stream, roots_mod_n)
+                    prime_counts, prime_table, root_stream, roots_mod_n)
 
 _TWO_PI = 2.0 * math.pi
 # grid^r cells a box discrepancy may hold: far above the default grids (64,
@@ -416,11 +416,7 @@ def split_prime_count(f: IntPolynomial, n: int) -> int:
     if n < 1:
         raise InvalidArgumentError("modulus must be positive")
     bad = f.eta * f.discriminant
-    count = 0
-    for p, _ in factorize(n).parts:
-        if bad % p != 0 and len(_prime_power_roots_cached(f, p, 1)) == f.degree:
-            count += 1
-    return count
+    return sum(bad % p != 0 and len(prime_table(f).lookup(p)) == f.degree for p, _ in factorize(n).parts)
 
 
 def dilated_sum_square_bound(f: IntPolynomial, h: int, n: int) -> BoundCheck:

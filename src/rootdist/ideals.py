@@ -44,7 +44,7 @@ def admissibility(f: IntPolynomial, n: int) -> AdmissibilityReport:
     return AdmissibilityReport(n, False, tuple(p for p, _ in factorize(g).parts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FactoredIdeal:
     """A degree-one ideal as (prime, exponent, residue mod p^e) components.
 

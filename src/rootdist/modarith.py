@@ -75,7 +75,6 @@ class SpfSieve:
         table[untouched] = untouched
         self._table = table
         self.spf = memoryview(table)  # zero-copy; indexing yields Python ints
-        self._primes: list[int] | None = None
 
     def __getitem__(self, n: int) -> int:
         if not 2 <= n <= self.limit:
@@ -83,9 +82,8 @@ class SpfSieve:
         return int(self._table[n])
 
     def primes(self) -> list[int]:
-        if self._primes is None:
-            self._primes = list(self._primes_upto(self.limit))
-        return self._primes
+        """Every prime up to limit: a fresh list, not kept (200 MB at the cap)."""
+        return list(self._primes_upto(self.limit))
 
     def _primes_upto(self, root: int) -> Iterator[int]:
         """The primes up to root <= limit, ascending, read off the table a

@@ -18,8 +18,9 @@ x^p = x mod f or not; only p | D takes the gcd.  A prime taken on its own
 residue scan below _SCAN_LIMIT (one int64 Horner pass over every residue)
 and a lane of its own above it.  ``roots_mod_n`` reads the row of f's kept
 modulus table when one covers n, and otherwise glues the root sets of the
-prime powers of n, memoized in LRU stores; entries are pure functions of
-(polynomial, prime, exponent), so no hit is needed.
+prime powers of n: mod p from f's prime table, mod p^e (e >= 2) from an LRU
+of 2^12 lifts; entries are pure functions of (polynomial, prime, exponent),
+so no hit is needed.
 
 A stream reads the modulus table of its polynomial (``root_table``): the
 roots mod every n <= x in int32 CSR arrays, one growing table per polynomial
@@ -350,7 +351,7 @@ def _roots_mod_prime_large(f: IntPolynomial, p: int) -> tuple[int, ...]:
     return tuple(sorted(roots.tolist()))
 
 
-@lru_cache(maxsize=1 << 20)
+@lru_cache(maxsize=1 << 12)
 def _prime_roots_cached(f: IntPolynomial, p: int) -> tuple[int, ...]:
     """Roots mod one prime outside the prime table's lanes: a residue scan
     below _SCAN_LIMIT, a lane of its own above it."""
@@ -395,7 +396,8 @@ class PrimeRootTable:
     table grows by ``fill``, which runs the odd primes prime to the leading
     coefficient and below _lane_prime_bound(d) in chunks of int64 lanes;
     the other primes go one at a time through ``_prime_roots_cached``.
-    Like the sieve, the limit is capped at 10^8.
+    Like the sieve, the limit is capped at 10^8.  ``lookup`` is the one
+    reader of roots mod p; no LRU keeps a copy of a lane prime's row.
     """
 
     def __init__(self, f: IntPolynomial):
@@ -430,11 +432,18 @@ class PrimeRootTable:
         """Root counts, one per prime in ``primes``."""
         return np.diff(self.offsets)
 
-    def lookup(self, p: int) -> tuple[int, ...] | None:
-        """The roots mod p, or None when p is not a prime of the table."""
+    def lookup(self, p: int) -> tuple[int, ...]:
+        """The roots mod a prime p.  A prime p >= _SCAN_LIMIT past the limit
+        L but within 2 max(L, _SCAN_LIMIT) fills the table to that bound, so
+        ascending callers pay for a few doubling passes from wherever they
+        start; other primes (below _SCAN_LIMIT, further out, or past the
+        cap) go to ``_prime_roots_cached``."""
+        grow = 2 * max(self.limit, _SCAN_LIMIT)
+        if max(self.limit, _SCAN_LIMIT - 1) < p <= grow <= _SIEVE_LIMIT_MAX:
+            self.fill(grow)
         i = int(np.searchsorted(self.primes, p))
         if i == self.primes.size or self.primes[i] != p:
-            return None
+            return _prime_roots_cached(self.f, p)
         return tuple(self.roots[self.offsets[i] : self.offsets[i + 1]].tolist())
 
 
@@ -503,21 +512,12 @@ def _lift_all(f: IntPolynomial, p: int, e: int, parents: tuple[int, ...]) -> tup
     return tuple(out)
 
 
-@lru_cache(maxsize=1 << 20)
+@lru_cache(maxsize=1 << 12)
 def _prime_power_roots_cached(f: IntPolynomial, p: int, e: int) -> tuple[int, ...]:
-    """Roots mod p^e.  For e = 1 they come from f's prime table: a prime
-    p >= _SCAN_LIMIT past its limit L but within 2 max(L, _SCAN_LIMIT)
-    fills it to that bound, so ascending callers pay for a few doubling
-    passes from wherever they start; other primes (below _SCAN_LIMIT,
-    further out, or past the cap) go to ``_prime_roots_cached``."""
-    if e == 1:
-        table = prime_table(f)
-        grow = 2 * max(table.limit, _SCAN_LIMIT)
-        if max(table.limit, _SCAN_LIMIT - 1) < p <= grow <= _SIEVE_LIMIT_MAX:
-            table.fill(grow)
-        roots = table.lookup(p)
-        return _prime_roots_cached(f, p) if roots is None else roots
-    parents = _prime_power_roots_cached(f, p, e - 1)
+    """Roots mod p^e for e >= 2, lifted from the roots mod p^(e-1).  This
+    LRU of 2^12 entries holds lifted prime powers only: the parents at
+    e = 2, the roots mod p, are read from f's prime table."""
+    parents = prime_table(f).lookup(p) if e == 2 else _prime_power_roots_cached(f, p, e - 1)
     if not parents:
         return ()
     return _lift_all(f, p, e, parents)
@@ -529,7 +529,7 @@ def roots_mod_prime_power(f: IntPolynomial, p: int, e: int) -> list[int]:
         raise InvalidArgumentError(f"{p} is not prime")
     if e < 1:
         raise InvalidArgumentError("exponent must be at least 1")
-    return list(_prime_power_roots_cached(f, p, e))
+    return list(prime_table(f).lookup(p) if e == 1 else _prime_power_roots_cached(f, p, e))
 
 
 def roots_mod_prime(f: IntPolynomial, p: int) -> list[int]:
@@ -539,12 +539,12 @@ def roots_mod_prime(f: IntPolynomial, p: int) -> list[int]:
 
 def roots_from_factorization(f: IntPolynomial, fact: Factorization) -> tuple[int, ...]:
     """Sorted roots of f mod ``fact.modulus``, glued through the CRT from
-    the cached root sets mod each p^e of ``fact.parts`` (ascending p); no
-    parts means the modulus 1 and the root 0."""
+    root sets mod each p^e of ``fact.parts`` (ascending p); no parts means
+    the modulus 1 and the root 0."""
     acc: tuple[int, ...] | list[int] = (0,)
     acc_m = 1
     for p, e in fact.parts:
-        part = _prime_power_roots_cached(f, p, e)
+        part = prime_table(f).lookup(p) if e == 1 else _prime_power_roots_cached(f, p, e)
         if not part:
             return ()
         pe = p**e

@@ -608,6 +608,9 @@ def test_config_file_skips_blank_and_comment_lines(tmp_path, capsys):
         (["weyl", "--poly", "1,0,1", "--config", "{cfg}"], "{cfg}:2: expected key=value, got 'xmax 10'"),
         (["--config={cfg}"], "--config requires a subcommand"),
         (["bogus", "--config", "{cfg}"], "unknown subcommand 'bogus'"),
+        # the flag before the subcommand, in both spellings
+        (["--config", "{cfg}", "weyl", "--poly", "1,0,1"], "--config goes after the subcommand"),
+        (["--config={cfg}", "weyl", "--poly", "1,0,1"], "--config goes after the subcommand"),
     ],
 )
 def test_config_refusals_exit_2(argv, message, tmp_path, capsys):
@@ -615,3 +618,11 @@ def test_config_refusals_exit_2(argv, message, tmp_path, capsys):
     cfg.write_text("h=0\nxmax 10\n" if "key=value" in message else "h=0\n")
     code, out, err = run_cli(capsys, *(a.format(cfg=cfg) for a in argv))
     assert (code, out) == (2, "") and message.format(cfg=cfg) in err
+
+
+def test_library_warning_prints_one_line(capsys):
+    # depth 2000 is below 100 * 5^2: normality warns that its word counts are sparse
+    argv = ("normality", "--poly", "1,0,1", "--base", "5", "--depth", "2000", "--max-m", "2")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["verdict"] is None
+    assert err == "rootdist: warning: depth 2000 is below 100 * base^2; word counts will be sparse\n"

@@ -202,6 +202,20 @@ def test_component_validation():
         FactoredIdeal(((5, 1, 6),))  # residue out of range
 
 
+def test_factored_ideal_keeps_no_dict_and_its_value_semantics():
+    components = ((5, 1, 2), (13, 1, 5))
+    ideal = FactoredIdeal(components)
+    assert not hasattr(ideal, "__dict__")
+    # the frozen dataclass's hash and equality: over the one field
+    assert ideal == FactoredIdeal(components) and hash(ideal) == hash((components,))
+    assert ideal != FactoredIdeal(((5, 1, 3), (13, 1, 5))) and ideal != components
+    assert len({ideal, FactoredIdeal(components)}) == 1
+    with pytest.raises(AttributeError):
+        ideal.components = ()
+    with pytest.raises(InvalidArgumentError):
+        FactoredIdeal(((13, 1, 5), (5, 1, 2)))  # descending primes
+
+
 @pytest.mark.parametrize("v", [65, -8])
 def test_ideal_from_root_rejects_a_root_out_of_range(x2p1, v):
     with pytest.raises(InvalidArgumentError, match=rf"root {v} out of range \[0, 65\)"):

@@ -56,8 +56,12 @@ def test_sieve_prime_count_at_million():
     flags = eratosthenes(10**6)
     expected = sum(flags)
     assert expected == 78498
-    assert len(sieve.primes()) == expected
-    assert all(type(p) is int for p in sieve.primes())
+    primes = sieve.primes()
+    assert len(primes) == expected
+    assert all(type(p) is int for p in primes)
+    # a fresh list on each call: the sieve keeps none
+    again = sieve.primes()
+    assert again == primes and again is not primes
 
 
 def test_sieve_agrees_with_trial_division(small_sieve):

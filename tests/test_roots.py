@@ -435,6 +435,32 @@ def test_prime_table_grows_for_ascending_callers_that_skip_two(x2p1):
     clear_caches()
 
 
+@pytest.mark.parametrize(
+    "coeffs, cap, fill, p, limit",
+    [
+        ((-2, 0, 0, 1), None, None, 509, 1),  # below _SCAN_LIMIT, before any table: a scan
+        ((-2, 0, 0, 1), None, 5000, 4999, 5000),  # inside the table
+        ((-2, 0, 0, 1), None, 5000, 5003, 10000),  # just past its limit: the doubling fill
+        ((-7, 3, 521), None, None, 521, 1024),  # divides the leading coefficient: a lane of its own
+        ((-2, 0, 0, 1), 600, 400, 1031, 400),  # past the cap (600 here): no fill, a lane of its own
+    ],
+)
+def test_roots_mod_p_come_from_the_prime_table_not_the_power_lru(coeffs, cap, fill, p, limit, monkeypatch):
+    clear_caches()
+    if cap is not None:
+        monkeypatch.setattr(roots_module, "_SIEVE_LIMIT_MAX", cap)
+    f = IntPolynomial(coeffs)
+    table = prime_table(f)
+    if fill is not None:
+        table.fill(fill)
+    before = _prime_power_roots_cached.cache_info().currsize
+    for _ in range(2):  # the second call reads what the first one stored
+        assert roots_mod_prime_power(f, p, 1) == brute_roots(coeffs, p)
+        assert table.limit == limit
+    assert _prime_power_roots_cached.cache_info().currsize == before
+    clear_caches()
+
+
 def test_prime_power_examples(x2p1):
     assert roots_mod_prime_power(x2p1, 5, 2) == [7, 18]
     assert roots_mod_prime_power(x2p1, 5, 3) == [57, 68]
