@@ -199,7 +199,6 @@ def _refuse_unread(args: argparse.Namespace, ranged: str, *flags: str) -> None:
 
 def _cmd_roots(args: argparse.Namespace) -> str:
     f = parse_polynomial(args.poly)
-    lines = []
     if (args.n is None) == (args.nmax is None):
         raise InvalidArgumentError("exactly one of --n and --nmax is required")
     if args.n is not None:
@@ -207,9 +206,7 @@ def _cmd_roots(args: argparse.Namespace) -> str:
         stream = [(args.n, roots_mod_n(f, args.n))]
     else:
         stream = root_stream(f, args.nmax, _parse_filter(args.filter))
-    for n, roots in stream:
-        lines.append(f"{n}: {' '.join(str(v) for v in roots)}".rstrip())
-    return "\n".join(lines) + "\n"
+    return "".join(f"{n}: {' '.join(str(v) for v in roots)}".rstrip() + "\n" for n, roots in stream)
 
 
 def _cmd_weyl(args: argparse.Namespace) -> str:
@@ -279,6 +276,8 @@ def _cmd_system(args: argparse.Namespace) -> str | list[tuple[str, str | None]]:
                        "--format")
         body = " ".join(",".join(str(v) for v in tup) for tup in root_tuples(system, args.n))
         return f"{args.n}: {body}".rstrip() + "\n"
+    if args.cloud_out and args.output and os.path.realpath(args.cloud_out) == os.path.realpath(args.output):
+        raise InvalidArgumentError("--output and --cloud-out name the same file")
     hset = None if args.hset is None else _parse_hset(args.hset, system.dimension)
     cloud_rows: list[str] | None = [] if args.cloud_out else None
 

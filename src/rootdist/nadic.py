@@ -480,20 +480,21 @@ def normality_evidence(
         raise InvalidArgumentError("max word length must be at least 1")
     # Refuse a word length before the lift, as word_frequencies would after
     # it; base^m passes the table cap by m = 21, which bounds the loop.  A
-    # base below 2 or a depth below 1 is left to nadic_expansions to name.
+    # base below 2 or a depth below 1 is left to nadic_expansions to name,
+    # and so is an inadmissible base, which is refused before the warning.
     if base >= 2 and depth >= 1:
         for m in range(1, max_word_length + 1):
             _check_words(depth, base, m)
-        if depth < base**max_word_length * _SPARSE_FACTOR:
-            warnings.warn(
-                f"depth {depth} is below {_SPARSE_FACTOR} * base^{max_word_length}; "
-                "word counts will be sparse",
-                UserWarning,
-                stacklevel=2,
-            )
     # prefix_weyl_sum(exp, 1, l) at these levels, read off one walk
     traj_levels = sorted({max(1, depth // 4), max(1, depth // 2), depth})
     exps = nadic_expansions(f, base, depth)
+    if depth < base**max_word_length * _SPARSE_FACTOR:
+        warnings.warn(
+            f"depth {depth} is below {_SPARSE_FACTOR} * base^{max_word_length}; "
+            "word counts will be sparse",
+            UserWarning,
+            stacklevel=2,
+        )
     if not exps:
         return []
     digits = [np.array(exp.digits, dtype=np.int64) for exp in exps]

@@ -16,16 +16,18 @@ Math. 12, 1962), leaves one root at (D/p) = -1 and 0 or 3 at (D/p) = 1, as
 x^p = x mod f or not; only p | D takes the gcd.  A prime taken on its own
 (far beyond the table, p = 2, or dividing the leading coefficient) gets a
 residue scan below _SCAN_LIMIT (one int64 Horner pass over every residue)
-and a lane of its own above it.  ``roots_mod_n`` reads the row of f's kept
-modulus table when one covers n, and otherwise glues the root sets of the
+and a lane of its own above it.  ``roots_mod_n`` reads the row of f's
+modulus table when it covers n, and otherwise glues the root sets of the
 prime powers of n: mod p from f's prime table, mod p^e (e >= 2) from an LRU
 of 2^12 lifts; entries are pure functions of (polynomial, prime, exponent),
 so no hit is needed.
 
 A stream reads the modulus table of its polynomial (``root_table``): the
-roots mod every n <= x in int32 CSR arrays, one growing table per polynomial
-(for the last 4) shared by every stream, like the prime table.  Write n = q m
-with q the full power of the smallest prime of n; the roots mod n are the CRT
+roots mod every n <= x in int32 CSR arrays, one growing table shared by
+every stream.  It owns f's prime table: the 4 most recently used
+polynomials keep both tables until ``clear_caches()``, evicting one frees
+both, and a per-n query fills no modulus-table rows.  Write n = q m with
+q the full power of the smallest prime of n; the roots mod n are the CRT
 products of the roots mod q and mod m, or lifts of the roots mod n/p when
 n = q.  Chunks [a, min(2a, a + _TABLE_CHUNK)) fill it in ascending order, so
 that q, m and n/p (at most n/2) always lie in an earlier, finished chunk.
@@ -447,10 +449,10 @@ class PrimeRootTable:
         return tuple(self.roots[self.offsets[i] : self.offsets[i + 1]].tolist())
 
 
-@lru_cache(maxsize=8)
 def prime_table(f: IntPolynomial) -> PrimeRootTable:
-    """The shared, growing prime table of f."""
-    return PrimeRootTable(f)
+    """f's shared, growing prime table, kept and evicted with its modulus
+    table: the 4 most recently used polynomials keep both (``modulus_table``)."""
+    return modulus_table(f).primes
 
 
 def prime_counts(f: IntPolynomial, xmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -555,17 +557,15 @@ def roots_from_factorization(f: IntPolynomial, fact: Factorization) -> tuple[int
 
 
 def roots_mod_n(f: IntPolynomial, n: int) -> tuple[int, ...]:
-    """The sorted roots of f mod n: the row of f's kept modulus table when it
-    covers n (no table is made, grown or reordered), else assembled from the
-    prime-power factors of n.
-
-    The convention rho(1) = 1 with root {0} keeps counts multiplicative and
-    matches the ascending-modulus sequence starting at n = 1.
+    """The sorted roots of f mod n: the row of f's modulus table when it
+    covers n, else glued from the prime-power factors of n.  No row is filled,
+    and f becomes the most recently used polynomial.  rho(1) = 1 with root {0}
+    keeps counts multiplicative and starts the ascending moduli at n = 1.
     """
     if n < 1:
         raise InvalidArgumentError("modulus must be positive")
-    table = _modulus_tables.get(f)
-    if table is not None and n <= table.limit:
+    table = modulus_table(f)
+    if n <= table.limit:
         return tuple(table.roots[table.offsets[n] : table.offsets[n + 1]].tolist())
     return roots_from_factorization(f, factorize(n))
 
@@ -730,6 +730,7 @@ class ModulusTable:
     def __init__(self, f: IntPolynomial):
         self.f = f
         self.limit = 1
+        self.primes = PrimeRootTable(f)
         self.offsets = np.array([0, 0, 1], dtype=np.int32)
         self.roots = np.zeros(1, dtype=np.int32)  # roots[0] = 0 mod 1
 
@@ -740,7 +741,7 @@ class ModulusTable:
             return
         if sieve is None or sieve.limit < xmax:
             sieve = cached_sieve(xmax)
-        table = prime_table(self.f)
+        table = self.primes
         table.fill(xmax)
         spf = np.asarray(sieve.spf)
         offsets = np.zeros(xmax + 2, dtype=np.int32)
@@ -793,13 +794,14 @@ class ModulusTable:
         self.offsets, self.roots, self.limit = offsets, roots, xmax
 
 
-# The shared, growing modulus tables of the last 4 polynomials asked for,
-# least recently used first (a dict keeps insertion order).
+# The one per-polynomial store, least recently used first (a dict keeps order).
 _modulus_tables: dict[IntPolynomial, ModulusTable] = {}
 
 
 def modulus_table(f: IntPolynomial) -> ModulusTable:
-    """The shared, growing modulus table of f, made when none is kept."""
+    """f's shared, growing modulus table, with its prime table (``primes``).
+    The 4 most recently used polynomials keep both until ``clear_caches()``;
+    a per-n query (``roots_mod_n``) fills no rows."""
     table = _modulus_tables.pop(f, None) or ModulusTable(f)
     _modulus_tables[f] = table
     if len(_modulus_tables) > 4:
@@ -876,9 +878,7 @@ def root_stream(
 
 
 def clear_caches() -> None:
-    """Drop the memoized root stores, prime tables and modulus tables
-    (mainly for tests)."""
+    """Drop the memoized root stores and the kept tables (mainly for tests)."""
     _prime_roots_cached.cache_clear()
     _prime_power_roots_cached.cache_clear()
-    prime_table.cache_clear()
     _modulus_tables.clear()

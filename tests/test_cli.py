@@ -626,3 +626,66 @@ def test_library_warning_prints_one_line(capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and json.loads(out)["verdict"] is None
     assert err == "rootdist: warning: depth 2000 is below 100 * base^2; word counts will be sparse\n"
+
+
+def test_system_refuses_output_and_cloud_out_on_one_file(tmp_path, capsys, monkeypatch):
+    # both temp files would be renamed onto the one path, the cloud last
+    import rootdist.cli
+
+    def series(*args, **kwargs):
+        raise AssertionError("the series ran before the flags were checked")
+
+    monkeypatch.setattr(rootdist.cli, "joint_weyl_series", series)
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"cloud-out={tmp_path / 'F'}\n")
+    system = ("system", "--polys", "1,1,1;-1,-1,1", "--xmax", "100")
+    for flags in (
+        ("--output", "F", "--cloud-out", "F"),
+        ("--output", "./F", "--cloud-out", str(tmp_path / "F")),
+        ("--config", str(cfg), "--output", "F"),
+    ):
+        code, out, err = run_cli(capsys, *system, *flags)
+        assert (code, out) == (2, ""), flags
+        assert "--output and --cloud-out name the same file" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_normality_refuses_an_inadmissible_base_before_warning(capsys):
+    # base 4 shares 2 with disc(x^2 + 1) = -4; depth 10 is below 100 * 4^2
+    code, out, err = run_cli(capsys, "normality", "--poly", "1,0,1", "--base", "4", "--depth", "10")
+    assert (code, out) == (3, "")
+    assert err == "rootdist: error: modulus 4 is not admissible: offending primes [2]\n"
+
+
+def test_ranged_roots_with_no_accepted_modulus_prints_nothing(capsys):
+    assert run_cli(capsys, "roots", "--poly", "1,0,1", "--nmax", "3", "--filter", "progression:5,7") == (0, "", "")
+    code, out, _ = run_cli(capsys, "roots", "--poly", "1,0,1", "--nmax", "12", "--filter", "progression:5,7")
+    assert (code, out) == (0, "5: 2 3\n12:\n")
+
+
+def test_failed_cloud_write_removes_the_staged_output(tmp_path, capsys):
+    # the output's temp file is staged before the cloud's cannot be made
+    cloud = tmp_path / "missing" / "c.csv"
+    code, out, err = run_cli(
+        capsys, "system", "--polys", "1,1,1;-1,-1,1", "--xmax", "20",
+        "--output", str(tmp_path / "OK"), "--cloud-out", str(cloud),
+    )
+    assert (code, out) == (2, "") and f"cannot write {cloud}" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_broken_pipe_exits_1(capsys, monkeypatch):
+    import sys
+
+    def broken(text):
+        raise BrokenPipeError
+
+    monkeypatch.setattr(sys.stdout, "write", broken)
+    assert main(["roots", "--poly", "1,0,1", "--n", "65"]) == 1
+
+
+def test_system_refuses_an_empty_polynomial_list(capsys):
+    for polys in (";", " ; "):
+        code, out, err = run_cli(capsys, "system", "--polys", polys, "--n", "31")
+        assert (code, out) == (2, "") and "empty polynomial list" in err

@@ -58,6 +58,9 @@ def test_admissibility_report(x2p1):
     assert not rep.admissible and rep.offending_primes == (2,)
     rep = admissibility(x2p1, 65)
     assert rep.admissible and rep.offending_primes == ()
+    for n in (0, -65):
+        with pytest.raises(InvalidArgumentError, match="modulus must be positive"):
+            admissibility(x2p1, n)
 
 
 def test_is_degree_one_examples(x2p1):
@@ -86,6 +89,22 @@ def test_inertia_irrational_case(x2p1):
     assert not deg.is_one
     expected = (2 * math.log(5) + math.log(13)) / (math.log(5) + math.log(13))
     assert abs(float(deg) - expected) < 1e-12
+
+
+def test_inertia_degree_equality_and_hash(x2p1):
+    two = inertia_degree(x2p1, ((5, 1, 2), (5, 1, 3)))
+    assert two == 2 and two != 1 and two != 3
+    same = inertia_degree(x2p1, ((13, 1, 5), (13, 1, 8)))
+    assert two != same  # equal ratios, other primes
+    again = inertia_degree(x2p1, ((5, 1, 3), (5, 1, 2)))
+    assert two == again and hash(two) == hash(again) and len({two, again, same}) == 2
+    irrational = inertia_degree(x2p1, ((5, 1, 2), (5, 1, 3), (13, 1, 5)))
+    assert irrational != 1 and irrational != 2
+    assert (two == "2") is False  # neither an int nor an InertiaDegree
+    # the unit ideal (no components) has degree one, exactly and as a float
+    unit = inertia_degree(x2p1, ())
+    assert unit.is_one and unit == 1 and unit.as_fraction() == Fraction(1)
+    assert float(unit) == 1.0
 
 
 def test_inertia_rejects_ramified(x2p1):

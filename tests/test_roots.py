@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -730,7 +731,7 @@ def test_table_fill_reads_no_root_store(monkeypatch):
 
 
 def test_stream_matches_roots_mod_n(x3m2, small_sieve):
-    # the per-n roots come by factorization: no table is kept before the stream
+    # the per-n roots come by factorization: no row is filled before the stream
     clear_caches()
     want = [(n, roots_mod_n(x3m2, n)) for n in range(1, 401)]
     assert list(root_stream(x3m2, 400, sieve=small_sieve)) == want
@@ -759,22 +760,33 @@ def test_roots_mod_n_reads_the_kept_table(monkeypatch):
     clear_caches()
 
 
-def test_per_n_queries_make_grow_or_evict_no_table():
-    # four kept tables; per-n queries on a fifth polynomial, and past a kept
-    # table's limit, leave the keeper's tables, limits and order as they were
+def test_the_four_most_recent_polynomials_keep_both_tables():
+    # per-n queries fill no rows and leave the kept limits as they were, but
+    # make their polynomial the most recently used; a fifth polynomial evicts
+    # the least recently used one, and with it both of its tables
     clear_caches()
-    for c in TABLE_ROUTE_POLYS[:4]:
-        root_table(IntPolynomial(c), 300)
-    kept = [(f, t, t.limit) for f, t in roots_module._modulus_tables.items()]
-    fifth, first = IntPolynomial(TABLE_ROUTE_POLYS[4]), kept[0][0]
-    assert roots_mod_n(fifth, 1001) == tuple(brute_roots(fifth.coeffs, 1001))
-    assert len(enumerate_degree_one(fifth, 1001)) == len(brute_roots(fifth.coeffs, 1001))
+    polys = [IntPolynomial(c) for c in TABLE_ROUTE_POLYS]
+    first, second, third, fourth, fifth = polys
+    for f in polys[:4]:
+        root_table(f, 300)
+        assert prime_table(f) is modulus_table(f).primes
+    kept = roots_module._modulus_tables
+    limits = {f: (t.limit, t.primes.limit) for f, t in kept.items()}
+    assert limits == {f: (300, 300) for f in polys[:4]}
     assert roots_mod_n(first, 1105) == tuple(brute_roots(first.coeffs, 1105))
     assert len(enumerate_degree_one(first, 1105)) == 8
-    assert [(f, t, t.limit) for f, t in roots_module._modulus_tables.items()] == kept
-    # asking for a fifth table evicts the least recently asked for
-    root_table(fifth, 300)
-    assert list(roots_module._modulus_tables) == [f for f, _, _ in kept[1:]] + [fifth]
+    assert list(kept) == [second, third, fourth, first]
+    evicted = [weakref.ref(kept[second]), weakref.ref(kept[second].primes)]
+    assert roots_mod_n(fifth, 1001) == tuple(brute_roots(fifth.coeffs, 1001))
+    assert len(enumerate_degree_one(fifth, 1001)) == len(brute_roots(fifth.coeffs, 1001))
+    assert [ref() for ref in evicted] == [None, None]
+    assert list(kept) == [third, fourth, first, fifth]
+    assert {f: (t.limit, t.primes.limit) for f, t in kept.items()} == {
+        third: limits[third], fourth: limits[fourth], first: limits[first], fifth: (1, 1)
+    }
+    # the evicted polynomial comes back with both of its tables empty
+    assert prime_table(second).limit == 1
+    assert modulus_table(second).limit == 1 and list(kept) == [fourth, first, fifth, second]
     clear_caches()
 
 
