@@ -1,7 +1,7 @@
 """Command-line surface: one subcommand per module group.
 
-Outputs are deterministic byte-for-byte, written through a
-temp-file rename so failures never leave partial files.  Exit codes: 2 for
+Outputs are deterministic byte-for-byte and staged in temp files, stdout
+too, so a failed run leaves no file and prints nothing.  Exit codes: 2 for
 argument and parse problems, 3 for unsupported inputs, 1 for internal
 limits or unexpected failures.
 """
@@ -9,9 +9,11 @@ limits or unexpected failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
+import shutil
 import sys
 import tempfile
 import warnings
@@ -19,7 +21,7 @@ import warnings
 from .equidist import HSpec, prime_stats, progression_root_sums, weyl_series
 from .errors import InvalidArgumentError, RootdistError
 from .ideals import _ideals_of, enumerate_degree_one
-from .intpoly import IntPolynomial, parse_ints, parse_polynomial
+from .intpoly import parse_ints, parse_polynomial
 from .nadic import nadic_expansions, normality_evidence
 from .modarith import cached_sieve, spf_parts
 from .roots import ModulusFilter, root_stream, roots_mod_n
@@ -50,31 +52,50 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _emit(outputs: list[tuple[str, str | None]]) -> None:
-    """Write fully-built texts, each to stdout (None) or to a file.  Each
-    file goes to a temp file beside it, with the mode a plain open would
-    give, and the temp files are renamed only once all are written."""
+def _emit(handler, args: argparse.Namespace) -> None:
+    """Run ``handler(args, output)``.  ``output(path)`` stages a text file: a temp
+    file beside path, with the mode a plain open would give, or an anonymous one for
+    stdout (None).  Once the handler returns, the files are renamed into place and
+    stdout copied out, so a failed run leaves no file and prints nothing."""
     os.umask(umask := os.umask(0))
-    staged: list[tuple[str, str]] = []
+    staged = []  # (path, its staged file)
     path = None
+
+    def output(target: str | None):
+        nonlocal path
+        path = target
+        if target is None:
+            fh = tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+        else:
+            fh = tempfile.NamedTemporaryFile("w", encoding="utf-8", newline="\n", prefix=".rootdist-",
+                                             dir=os.path.dirname(os.path.abspath(target)), delete=False)
+        staged.append((target, fh))
+        if target is not None:
+            os.chmod(fh.name, 0o666 & ~umask)
+        return fh
+
     try:
-        for text, path in outputs:
+        handler(args, output)
+        for path, fh in staged:
+            fh.flush()
+        for path, fh in staged:
             if path is not None:
-                fd, tmp = tempfile.mkstemp(prefix=".rootdist-", dir=os.path.dirname(os.path.abspath(path)))
-                staged.append((tmp, path))
-                with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(text)
-                os.chmod(tmp, 0o666 & ~umask)
-        for tmp, path in staged:
-            os.replace(tmp, path)
+                os.replace(fh.name, path)
     except BaseException as exc:
-        for tmp, _ in staged:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        for target, fh in staged:
+            with contextlib.suppress(OSError):
+                fh.close()
+            if target is not None and os.path.exists(fh.name):
+                os.unlink(fh.name)
         if isinstance(exc, OSError):
-            raise InvalidArgumentError(f"cannot write {path}: {exc.strerror or exc}") from None
+            where = "stdout" if path is None else path
+            raise InvalidArgumentError(f"cannot write {where}: {exc.strerror or exc}") from None
         raise
-    sys.stdout.write("".join(text for text, path in outputs if path is None))
+    for target, fh in staged:
+        with fh:
+            if target is None:
+                fh.seek(0)
+                shutil.copyfileobj(fh, sys.stdout)
 
 
 def _rows_to_text(rows: list[list[str]], fmt: str | None) -> str:
@@ -93,27 +114,12 @@ def _parse_filter(text: str | None) -> ModulusFilter | None:
     return None if text is None else ModulusFilter.parse(text)
 
 
-def _parse_polys(text: str) -> list[IntPolynomial]:
-    chunks = [c for c in text.split(";") if c.strip()]
-    if not chunks:
-        raise InvalidArgumentError("empty polynomial list")
-    return [parse_polynomial(c) for c in chunks]
-
-
-def _parse_hset(text: str, r: int) -> list[tuple[int, ...]]:
-    """Semicolon-separated integer vectors, e.g. "1,0;0,1;-1,1"."""
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        vec = parse_ints(chunk, "hset entry")
-        if len(vec) != r:
-            raise InvalidArgumentError(f"hset entry {chunk!r} has wrong dimension")
-        out.append(vec)
-    if not out:
-        raise InvalidArgumentError("empty hset")
-    return out
+def _parse_semicolon_list(text: str, what: str, parse) -> list:
+    """Semicolon-separated entries such as "1,0;0,1", blank ones skipped; exit 2 on none."""
+    entries = [parse(chunk) for chunk in text.split(";") if chunk.strip()]
+    if not entries:
+        raise InvalidArgumentError(f"empty {what}")
+    return entries
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -197,110 +203,104 @@ def _refuse_unread(args: argparse.Namespace, ranged: str, *flags: str) -> None:
             raise InvalidArgumentError(f"{flag} needs {ranged}")
 
 
-def _cmd_roots(args: argparse.Namespace) -> str:
-    f = parse_polynomial(args.poly)
-    if (args.n is None) == (args.nmax is None):
-        raise InvalidArgumentError("exactly one of --n and --nmax is required")
+def _single_n(args: argparse.Namespace, ranged: str, *unread: str) -> bool:
+    """True for a --n run.  Exit 2 unless exactly one of --n and ``ranged`` is
+    given, and on a --n run if any of ``unread`` (read by ``ranged`` only) is."""
+    if (args.n is None) == (getattr(args, ranged[2:]) is None):
+        raise InvalidArgumentError(f"exactly one of --n and {ranged} is required")
     if args.n is not None:
-        _refuse_unread(args, "--nmax", "--filter")
+        _refuse_unread(args, ranged, *unread)
+    return args.n is not None
+
+
+# A handler writes each output to the file ``output(path)`` stages (see _emit).
+def _cmd_roots(args: argparse.Namespace, output) -> None:
+    f = parse_polynomial(args.poly)
+    if _single_n(args, "--nmax", "--filter"):
         stream = [(args.n, roots_mod_n(f, args.n))]
     else:
         stream = root_stream(f, args.nmax, _parse_filter(args.filter))
-    return "".join(f"{n}: {' '.join(str(v) for v in roots)}".rstrip() + "\n" for n, roots in stream)
+    output(args.output).writelines(f"{n}: {' '.join(map(str, roots))}".rstrip() + "\n" for n, roots in stream)
 
 
-def _cmd_weyl(args: argparse.Namespace) -> str:
+def _cmd_weyl(args: argparse.Namespace, output) -> None:
     f = parse_polynomial(args.poly)
     series = weyl_series(f, HSpec.parse(args.h), args.xmax, _parse_filter(args.filter),
                          _parse_checkpoints(args.checkpoints))
-    return _rows_to_text(series.csv_rows(), args.format)
+    output(args.output).write(_rows_to_text(series.csv_rows(), args.format))
 
 
-def _cmd_padic(args: argparse.Namespace) -> str:
-    f = parse_polynomial(args.poly)
-    exps = nadic_expansions(f, args.base, args.depth)
-    return "\n".join(exp.digit_line() for exp in exps) + "\n" if exps else ""
+def _cmd_padic(args: argparse.Namespace, output) -> None:
+    exps = nadic_expansions(parse_polynomial(args.poly), args.base, args.depth)
+    output(args.output).writelines(exp.digit_line() + "\n" for exp in exps)
 
 
-def _cmd_normality(args: argparse.Namespace) -> str:
-    f = parse_polynomial(args.poly)
-    evidence = normality_evidence(f, args.base, args.depth, args.max_m)
-    payload = []
-    for ev in evidence:
-        payload.append(
-            {
-                "seed_root": ev.seed_root,
-                "reports": [
-                    r.to_jsonable(top=None if r.word_length <= 3 else 20)
-                    for r in ev.reports
-                ],
-                "weyl_trajectory": [
-                    {"levels": lvl, "magnitude": mag} for lvl, mag in ev.weyl_trajectory
-                ],
-            }
-        )
-    return json.dumps({"evidence": payload, "verdict": None}, indent=2) + "\n"
+def _cmd_normality(args: argparse.Namespace, output) -> None:
+    evidence = normality_evidence(parse_polynomial(args.poly), args.base, args.depth, args.max_m)
+    payload = [
+        {
+            "seed_root": ev.seed_root,
+            "reports": [r.to_jsonable(top=None if r.word_length <= 3 else 20) for r in ev.reports],
+            "weyl_trajectory": [{"levels": lvl, "magnitude": mag} for lvl, mag in ev.weyl_trajectory],
+        }
+        for ev in evidence
+    ]
+    output(args.output).write(json.dumps({"evidence": payload, "verdict": None}, indent=2) + "\n")
 
 
-def _cmd_stats(args: argparse.Namespace) -> str:
+def _cmd_stats(args: argparse.Namespace, output) -> None:
     f = parse_polynomial(args.poly)
     cps = _parse_checkpoints(args.checkpoints)
     if args.progression is not None:
         _refuse_unread(args, "prime statistics, not --progression", "--closure-index")
         a, m = parse_ints(args.progression, "progression", 2)
-        sums = progression_root_sums(f, a, m, args.xmax, cps)
-        return _rows_to_text(sums.csv_rows(), args.format)
-    stats = prime_stats(f, args.xmax, cps, 1 if args.closure_index is None else args.closure_index)
-    return _rows_to_text(stats.csv_rows(), args.format)
+        report = progression_root_sums(f, a, m, args.xmax, cps)
+    else:
+        report = prime_stats(f, args.xmax, cps, 1 if args.closure_index is None else args.closure_index)
+    output(args.output).write(_rows_to_text(report.csv_rows(), args.format))
 
 
-def _cmd_ideals(args: argparse.Namespace) -> str:
+def _cmd_ideals(args: argparse.Namespace, output) -> None:
     f = parse_polynomial(args.poly)
-    if (args.n is None) == (args.nmax is None):
-        raise InvalidArgumentError("exactly one of --n and --nmax is required")
-    if args.n is not None:
+    if _single_n(args, "--nmax"):
         rows = [enumerate_degree_one(f, args.n)]
     else:
         stream = root_stream(f, args.nmax, ModulusFilter.coprime(abs(f.eta * f.discriminant)))
         sieve = cached_sieve(args.nmax)  # the sieve the stream's table fill reads
         rows = (_ideals_of(roots, spf_parts(n, sieve)) for n, roots in stream if roots)
-    return "".join(ideal.to_json() + "\n" for row in rows for ideal in row)
+    output(args.output).writelines(ideal.to_json() + "\n" for row in rows for ideal in row)
 
 
-def _cmd_system(args: argparse.Namespace) -> str | list[tuple[str, str | None]]:
-    system = PolySystem(tuple(_parse_polys(args.polys)))
-    if (args.n is None) == (args.xmax is None):
-        raise InvalidArgumentError("exactly one of --n and --xmax is required")
-    if args.n is not None:
-        _refuse_unread(args, "--xmax", "--hset", "--grid", "--filter", "--checkpoints", "--cloud-out",
-                       "--format")
+def _cmd_system(args: argparse.Namespace, output) -> None:
+    system = PolySystem(tuple(_parse_semicolon_list(args.polys, "polynomial list", parse_polynomial)))
+    if _single_n(args, "--xmax", "--hset", "--grid", "--filter", "--checkpoints", "--cloud-out", "--format"):
         body = " ".join(",".join(str(v) for v in tup) for tup in root_tuples(system, args.n))
-        return f"{args.n}: {body}".rstrip() + "\n"
-    if args.cloud_out and args.output and os.path.realpath(args.cloud_out) == os.path.realpath(args.output):
+        output(args.output).write(f"{args.n}: {body}".rstrip() + "\n")
+        return
+    if None not in (args.cloud_out, args.output) and (
+            os.path.realpath(args.cloud_out) == os.path.realpath(args.output)):
         raise InvalidArgumentError("--output and --cloud-out name the same file")
-    hset = None if args.hset is None else _parse_hset(args.hset, system.dimension)
-    cloud_rows: list[str] | None = [] if args.cloud_out else None
 
-    def sink(n, tup):
-        cloud_rows.append(f"{n}," + ",".join(str(v) for v in tup))
+    def h_vector(chunk):
+        vec = parse_ints(chunk := chunk.strip(), "hset entry")
+        if len(vec) != system.dimension:
+            raise InvalidArgumentError(f"hset entry {chunk!r} has wrong dimension")
+        return vec
 
-    series = joint_weyl_series(
-        system,
-        args.xmax,
-        hset,
-        _parse_checkpoints(args.checkpoints),
-        args.grid,
-        _parse_filter(args.filter),
-        cloud_sink=sink if cloud_rows is not None else None,
-    )
-    text = _rows_to_text(series.csv_rows(), args.format)
-    if cloud_rows is None:
-        return text
-    head = "n," + ",".join(f"v{i + 1}" for i in range(system.dimension))
-    return [(text, args.output), (head + "\n" + "\n".join(cloud_rows) + "\n", args.cloud_out)]
+    hset = None if args.hset is None else _parse_semicolon_list(args.hset, "hset", h_vector)
+    sink = None
+    if args.cloud_out is not None:  # staged now, the output after the series: an OSError names its file
+        cloud = output(args.cloud_out)
+        cloud.write("n," + ",".join(f"v{i + 1}" for i in range(system.dimension)) + "\n")
+
+        def sink(n, tup):
+            cloud.write(f"{n}," + ",".join(str(v) for v in tup) + "\n")
+
+    series = joint_weyl_series(system, args.xmax, hset, _parse_checkpoints(args.checkpoints), args.grid,
+                               _parse_filter(args.filter), cloud_sink=sink)
+    output(args.output).write(_rows_to_text(series.csv_rows(), args.format))
 
 
-# A handler returns its text, or the (text, path) pairs to write (None: stdout).
 _HANDLERS = {
     "roots": _cmd_roots,
     "weyl": _cmd_weyl,
@@ -372,8 +372,7 @@ def main(argv: list[str] | None = None) -> int:
             if pre_args.config:
                 argv = _apply_config(argv, parser, pre_args.config)
             args = parser.parse_args(_glue_int_list_values(argv))
-            out = _HANDLERS[args.command](args)
-            _emit(out if isinstance(out, list) else [(out, args.output)])
+            _emit(_HANDLERS[args.command], args)
         except RootdistError as exc:
             print(f"rootdist: error: {exc}", file=sys.stderr)
             return exc.exit_code

@@ -24,6 +24,7 @@ whose word table passes its cap, before it lifts anything.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -201,7 +202,7 @@ class NormalityReport:
         """Plain-dict form; word tables longer than ``top`` keep only the
         largest deviations."""
         uniform = self.base**-self.word_length
-        entries = [
+        entries = (
             {
                 "word": ",".join(str(d) for d in w),
                 "count": c,
@@ -209,12 +210,10 @@ class NormalityReport:
                 "deviation": abs(c / self.window_count - uniform),
             }
             for w, c in self.counts
-        ]
-        truncated = False
-        if top is not None and len(entries) > top:
-            entries.sort(key=lambda e: (-e["deviation"], e["word"]))
-            entries = entries[:top]
-            truncated = True
+        )
+        truncated = top is not None and len(self.counts) > top
+        if truncated:  # equal to sorted(...)[:top], but holds top entries, not one per word
+            entries = heapq.nsmallest(top, entries, key=lambda e: (-e["deviation"], e["word"]))
         return {
             "base": self.base,
             "word_length": self.word_length,
@@ -223,7 +222,7 @@ class NormalityReport:
             "chi_square": self.chi_square,
             "sparse": self.sparse,
             "truncated": truncated,
-            "words": entries,
+            "words": list(entries),
         }
 
 

@@ -559,8 +559,11 @@ def roots_from_factorization(f: IntPolynomial, fact: Factorization) -> tuple[int
 def roots_mod_n(f: IntPolynomial, n: int) -> tuple[int, ...]:
     """The sorted roots of f mod n: the row of f's modulus table when it
     covers n, else glued from the prime-power factors of n.  No row is filled,
-    and f becomes the most recently used polynomial.  rho(1) = 1 with root {0}
-    keeps counts multiplicative and starts the ascending moduli at n = 1.
+    and f becomes the most recently used polynomial; but a prime factor p
+    with max(L, 511) < p <= 2 max(L, 512) <= 10^8, L the limit of f's prime
+    table, fills that table to 2 max(L, 512) (``PrimeRootTable.lookup``).
+    rho(1) = 1 with root {0} keeps counts multiplicative and starts the
+    ascending moduli at n = 1.
     """
     if n < 1:
         raise InvalidArgumentError("modulus must be positive")
@@ -801,7 +804,8 @@ _modulus_tables: dict[IntPolynomial, ModulusTable] = {}
 def modulus_table(f: IntPolynomial) -> ModulusTable:
     """f's shared, growing modulus table, with its prime table (``primes``).
     The 4 most recently used polynomials keep both until ``clear_caches()``;
-    a per-n query (``roots_mod_n``) fills no rows."""
+    a per-n query (``roots_mod_n``) fills no rows of this table, though it
+    may fill the prime table to 2 max(L, 512), L its limit."""
     table = _modulus_tables.pop(f, None) or ModulusTable(f)
     _modulus_tables[f] = table
     if len(_modulus_tables) > 4:

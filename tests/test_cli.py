@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from rootdist.cli import main
+from rootdist.errors import ResourceLimitError
+from rootdist.roots import clear_caches
 
 
 def run_cli(capsys, *argv):
@@ -665,7 +667,7 @@ def test_ranged_roots_with_no_accepted_modulus_prints_nothing(capsys):
 
 
 def test_failed_cloud_write_removes_the_staged_output(tmp_path, capsys):
-    # the output's temp file is staged before the cloud's cannot be made
+    # the cloud is staged first, so the output is never staged
     cloud = tmp_path / "missing" / "c.csv"
     code, out, err = run_cli(
         capsys, "system", "--polys", "1,1,1;-1,-1,1", "--xmax", "20",
@@ -689,3 +691,86 @@ def test_system_refuses_an_empty_polynomial_list(capsys):
     for polys in (";", " ; "):
         code, out, err = run_cli(capsys, "system", "--polys", polys, "--n", "31")
         assert (code, out) == (2, "") and "empty polynomial list" in err
+
+
+def test_ranged_run_refused_by_the_table_cap_prints_and_leaves_nothing(tmp_path, capsys, monkeypatch):
+    # the outputs are staged before the stream fills the table; its refusal removes them
+    from rootdist import roots as roots_module
+
+    monkeypatch.setattr(roots_module, "_TABLE_ROOTS_MAX", 100)
+    clear_caches()
+    for argv in (["roots", "--poly", "1,0,1", "--nmax", "1000"], ["ideals", "--poly", "1,0,1", "--nmax", "1000"]):
+        for extra in ([], ["--output", str(tmp_path / "o.txt")]):
+            code, out, err = run_cli(capsys, *argv, *extra)
+            assert (code, out) == (1, "") and "pass the cap of 100" in err, (argv, extra)
+            assert not list(tmp_path.iterdir())
+    clear_caches()
+
+
+def test_handler_failing_midway_prints_and_leaves_nothing(tmp_path, capsys, monkeypatch):
+    import rootdist.cli
+
+    staged_sizes = []
+
+    def stream(f, nmax, flt):
+        yield from ((n, (0,)) for n in range(1, 5001))  # about 30 kB: past the write buffer
+        staged_sizes.append([p.stat().st_size for p in tmp_path.iterdir()])
+        raise ResourceLimitError("stopped")
+
+    def series(system, xmax, *args, cloud_sink=None):
+        for n in range(1, 5001):
+            cloud_sink(n, (0, 0))
+        staged_sizes.append([p.stat().st_size for p in tmp_path.iterdir()])
+        raise ResourceLimitError("stopped")
+
+    monkeypatch.setattr(rootdist.cli, "root_stream", stream)
+    monkeypatch.setattr(rootdist.cli, "joint_weyl_series", series)
+    roots = ("roots", "--poly", "1,0,1", "--nmax", "5000")
+    system = ("system", "--polys", "1,1,1;-1,-1,1", "--xmax", "5000", "--cloud-out", str(tmp_path / "c.csv"))
+    for argv in (roots, (*roots, "--output", str(tmp_path / "o.txt")), system,
+                 (*system, "--output", str(tmp_path / "o.csv"))):
+        assert run_cli(capsys, *argv) == (1, "", "rootdist: error: stopped\n"), argv
+        assert not list(tmp_path.iterdir())
+    # stdout's temp file is anonymous; each file's temp held part of its text
+    assert [len(s) for s in staged_sizes] == [0, 1, 1, 1] and all(s[0] > 0 for s in staged_sizes[1:])
+
+
+def test_unwritable_stdout_temp_exits_2(capsys, monkeypatch):
+    import tempfile
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+    assert run_cli(capsys, "roots", "--poly", "1,0,1", "--n", "65") == (
+        2, "", "rootdist: error: cannot write stdout: Permission denied\n"
+    )
+
+
+def test_broken_pipe_on_a_ranged_listing_exits_1(capsys, monkeypatch):
+    import sys
+
+    def broken(text):
+        raise BrokenPipeError
+
+    monkeypatch.setattr(sys.stdout, "write", broken)
+    assert main(["roots", "--poly", "1,0,1", "--nmax", "20000"]) == 1
+    assert main(["ideals", "--poly", "1,0,1", "--nmax", "20000"]) == 1
+
+
+def test_empty_cloud_out_path_fails_like_an_empty_output(tmp_path, capsys, monkeypatch):
+    # "" stages its temp file beside the working directory, then cannot be renamed onto
+    run = tmp_path / "run"
+    run.mkdir()
+    monkeypatch.chdir(run)
+    for flag in ("--output", "--cloud-out"):
+        code, out, err = run_cli(capsys, "system", "--polys", "1,1,1;-1,-1,1", "--xmax", "20", flag, "")
+        assert (code, out) == (2, "") and err.startswith("rootdist: error: cannot write : "), flag
+        assert list(tmp_path.iterdir()) == [run] and not list(run.iterdir())
+
+
+def test_cloud_with_no_tuples_is_its_header(tmp_path, capsys):
+    cloud = tmp_path / "c.csv"
+    code, _, _ = run_cli(capsys, "system", "--polys", "1,1,1;-1,-1,1", "--xmax", "3",
+                         "--filter", "progression:5,7", "--cloud-out", str(cloud))
+    assert code == 0 and cloud.read_text() == "n,v1,v2\n"

@@ -676,3 +676,17 @@ def test_no_root_mod_the_base_gives_no_evidence(x2p1, capsys):
     assert normality_evidence(x2p1, 3, 300, 1) == []
     assert main(["normality", "--poly", "1,0,1", "--base", "3", "--depth", "300", "--max-m", "1"]) == 0
     assert capsys.readouterr().out == '{\n  "evidence": [],\n  "verdict": null\n}\n'
+
+
+def test_word_table_top_matches_a_full_sort_in_a_base_past_ten():
+    # in base 12 word strings sort unlike digit tuples: "11,0" < "2,0" but
+    # (11, 0) > (2, 0), and a tuple tie-break here differs from top 20 on
+    rng = random.Random(12)
+    rep = word_frequencies([rng.randrange(12) for _ in range(1500)], 12, 2)
+    full = rep.to_jsonable()["words"]
+    assert len(full) == 144 and len({e["deviation"] for e in full}) < 144  # ties to break
+    want = sorted(full, key=lambda e: (-e["deviation"], e["word"]))
+    for top in (1, 20, 143):
+        cut = rep.to_jsonable(top=top)
+        assert cut["truncated"] and cut["words"] == want[:top]
+    assert rep.to_jsonable(top=144) == rep.to_jsonable()

@@ -761,9 +761,12 @@ def test_roots_mod_n_reads_the_kept_table(monkeypatch):
 
 
 def test_the_four_most_recent_polynomials_keep_both_tables():
-    # per-n queries fill no rows and leave the kept limits as they were, but
-    # make their polynomial the most recently used; a fifth polynomial evicts
-    # the least recently used one, and with it both of its tables
+    # per-n queries fill no modulus-table rows, but make their polynomial the
+    # most recently used; a fifth polynomial evicts the least recently used
+    # one, and with it both of its tables.  The kept limits stay as they were
+    # here only because every prime factor below is at most 511: a prime p
+    # with max(L, 511) < p <= 2 max(L, 512) <= 10^8 fills f's prime table
+    # (limit L) to 2 max(L, 512)
     clear_caches()
     polys = [IntPolynomial(c) for c in TABLE_ROUTE_POLYS]
     first, second, third, fourth, fifth = polys
