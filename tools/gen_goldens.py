@@ -80,6 +80,8 @@ CLI_COMMANDS = [
     (["padic", "--poly", "1,0,1", "--base", "18446744073709551629", "--depth", "6"], False),
     # deep enough that the phase walk runs over several chunks
     (["normality", "--poly", "1,0,1", "--base", "5", "--depth", "70000", "--max-m", "4"], False),
+    # 2x^2 + 1 in base 33 = 3 * 11: a non-monic quadratic with four seeds
+    (["padic", "--poly", "1,0,2", "--base", "33", "--depth", "400"], False),
 ]
 
 
@@ -109,6 +111,8 @@ CLI_MD5_COMMANDS = [
     # digit walks: base 2 spans three walk chunks, base 65 has four towers
     ["normality", "--poly", "2,1,1", "--base", "2", "--depth", "40000", "--max-m", "3"],
     ["normality", "--poly", "1,0,1", "--base", "65", "--depth", "20000", "--max-m", "1"],
+    # the four towers of the non-monic 2x^2 + 1 in base 33
+    ["normality", "--poly", "1,0,2", "--base", "33", "--depth", "20000", "--max-m", "1"],
 ]
 
 
