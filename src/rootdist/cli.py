@@ -372,6 +372,9 @@ def main(argv: list[str] | None = None) -> int:
             if pre_args.config:
                 argv = _apply_config(argv, parser, pre_args.config)
             args = parser.parse_args(_glue_int_list_values(argv))
+            for flag in ("--output", "--cloud-out"):  # refused before any work, not at the rename
+                if getattr(args, flag[2:].replace("-", "_"), None) == "":
+                    raise InvalidArgumentError(f"empty {flag} path")
             _emit(_HANDLERS[args.command], args)
         except RootdistError as exc:
             print(f"rootdist: error: {exc}", file=sys.stderr)

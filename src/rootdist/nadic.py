@@ -6,7 +6,12 @@ lifts uniquely to a root mod n^L.  The lift runs quadratic Newton steps with
 precision doubling, the inverse of f' Newton-iterated alongside, and a
 divide-and-conquer base conversion reads off the L digits (von zur Gathen and
 Gerhard, Modern Computer Algebra, ch. 9) down to leaves below 2^63, which
-numpy splits into digits in int64.
+numpy splits into digits in int64.  The digits stay one int64 array per tower
+(Python ints for a base of 2^63 or more), read as they are by the word counts
+and the phase walk.  For a quadratic c2*x^2 + c1*x + c0 only one root of
+each conjugate pair is lifted: sigma(x) = -c1/c2 - x maps the roots mod
+every n^k to themselves and fixes no root mod n (f' is a unit there), so by
+Hensel uniqueness the lift of sigma(s) is sigma of the lift of s.
 
 A phase e(h*prefix_l/n^l) is rounded once, to its 64-bit fractional cell
 floor(2^64 * frac(h*prefix_l/n^l)), and only then converted to float.  The
@@ -66,14 +71,15 @@ def _digits_value(digits, base: int) -> int:
     if len(digits) <= _DIGIT_LEAF:
         acc = 0
         for a in reversed(digits):
-            acc = acc * base + a
+            acc = acc * base + int(a)  # Python ints: int64 digits would overflow
         return acc
     half = len(digits) // 2
     return _digits_value(digits[:half], base) + _digits_value(digits[half:], base) * base**half
 
 
-def _split_digits(x: int, base: int, count: int, powers: dict) -> list[int]:
-    """The ``count`` base-n digits of x < base^count, least significant first.
+def _split_digits(x: int, base: int, count: int, powers: dict):
+    """The ``count`` base-n digits of x < base^count, least significant first,
+    as an int64 array, or a list of ints for a base of 2^63 or more.
 
     Halving divmods cut x into leaves of L digits, L the longest with
     base^L < 2^63 (only the top leaf may be shorter), and numpy splits the
@@ -96,33 +102,55 @@ def _split_digits(x: int, base: int, count: int, powers: dict) -> list[int]:
     if base >= 2**63:
         return leaves
     weights = base ** np.arange(leaf, dtype=np.int64)
-    digits: list[int] = []
+    digits = np.empty((len(leaves), leaf), dtype=np.int64)
     for i in range(0, len(leaves), _LEAF_BATCH):
         block = np.array(leaves[i : i + _LEAF_BATCH], dtype=np.int64)
-        digits += (block[:, None] // weights % base).ravel().tolist()
-    del digits[count:]  # the zeros above the top leaf
-    return digits
+        digits[i : i + len(block)] = block[:, None] // weights % base
+    return digits.ravel()[:count]  # without the zeros above the top leaf
 
 
-@dataclass(frozen=True)
 class NadicExpansion:
     """Digits (a_0, ..., a_{L-1}) of a root of f in the base-n limit ring.
 
     The depth-l prefix value a_0 + a_1*n + ... + a_{l-1}*n^(l-1) is a root of
-    f mod n^l for every l up to the depth.
+    f mod n^l for every l up to the depth.  ``row`` holds the digits as a
+    read-only int64 array, or as a tuple of ints for a base of 2^63 or more;
+    ``digits`` is the tuple of ints, built on first access.  Two expansions
+    are equal when their polynomial, base and digits are.
     """
 
-    poly: IntPolynomial
-    base: int
-    digits: tuple[int, ...]
+    __slots__ = ("poly", "base", "row", "_digits")
+
+    def __init__(self, poly: IntPolynomial, base: int, digits):
+        self.poly, self.base = poly, base
+        if base < 2**63:
+            self.row, self._digits = np.array(digits, dtype=np.int64), None
+            self.row.flags.writeable = False
+        else:
+            self.row = self._digits = tuple(map(int, digits))
+
+    def _key(self) -> tuple:
+        return self.poly, self.base, self.row if isinstance(self.row, tuple) else self.row.tobytes()
+
+    def __eq__(self, other):
+        return isinstance(other, NadicExpansion) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    @property
+    def digits(self) -> tuple[int, ...]:
+        if self._digits is None:
+            self._digits = tuple(self.row.tolist())
+        return self._digits
 
     @property
     def depth(self) -> int:
-        return len(self.digits)
+        return len(self.row)
 
     @property
     def seed_root(self) -> int:
-        return self.digits[0]
+        return int(self.row[0])
 
     def prefix_value(self, level: int) -> int:
         """The integer built from the first ``level`` digits."""
@@ -130,10 +158,10 @@ class NadicExpansion:
             raise InvalidArgumentError(
                 f"level must lie in [1, {self.depth}]; got {level}"
             )
-        return _digits_value(self.digits[:level], self.base)
+        return _digits_value(self.row[:level], self.base)
 
     def digit_line(self) -> str:
-        return " ".join(str(a) for a in self.digits)
+        return " ".join(map(str, self.digits))
 
 
 def nadic_expansions(f: IntPolynomial, base: int, depth: int) -> list[NadicExpansion]:
@@ -163,8 +191,14 @@ def nadic_expansions(f: IntPolynomial, base: int, depth: int) -> list[NadicExpan
         steps.append((steps[-1] + 1) // 2)
     steps.reverse()
     powers = {k: base**k for k in steps}
-    out = []
+    top = powers[depth]
+    if f.degree == 2:  # sigma(x) = shift - x pairs the roots (module docstring)
+        _, c1, c2 = f.coeffs
+        shift = -c1 * inverse(c2, top)
+    lifted = {}  # seed -> its root mod base^depth
     for seed in seeds:
+        if seed in lifted:
+            continue
         # v is the root mod base^k and u the inverse of f'(v) mod base^k.
         v = seed
         u = inverse(f.deriv_mod(seed, base), base)
@@ -173,8 +207,10 @@ def nadic_expansions(f: IntPolynomial, base: int, depth: int) -> list[NadicExpan
             v = (v - poly_eval_mod(f, v, m) * u) % m
             if k < depth:
                 u = u * (2 - f.deriv_mod(v, m) * u) % m
-        out.append(NadicExpansion(f, base, tuple(_split_digits(v, base, depth, powers))))
-    return out
+        lifted[seed] = v
+        if f.degree == 2:
+            lifted[(shift - seed) % base] = (shift - v) % top
+    return [NadicExpansion(f, base, _split_digits(lifted[s], base, depth, powers)) for s in seeds]
 
 
 @dataclass(frozen=True)
@@ -292,7 +328,7 @@ def prefix_weyl_sum(exp: NadicExpansion, h: int, levels: int) -> complex:
     if not 1 <= levels <= exp.depth:
         raise InvalidArgumentError(f"levels must lie in [1, {exp.depth}]")
     total = complex(1.0, 0.0)  # l = 0 term
-    return _phase_walk([exp.digits[:levels]], exp.base, h, total, [levels])[0][0] / levels
+    return _phase_walk([exp.row[:levels]], exp.base, h, total, [levels])[0][0] / levels
 
 
 def _block(base: int) -> int:
@@ -334,8 +370,8 @@ def _phase_cells(rows, base: int, h: int):
     for start in range(0, length, chunk):
         stop = min(start + chunk, length)
         blocks = -(-(stop - start) // block)
-        if block == 1:
-            values = [row[start:stop] for row in rows]
+        if block == 1:  # Python ints: h64 * d overflows an int64 digit
+            values = [list(map(int, row[start:stop])) for row in rows]
         else:
             powers = base ** np.arange(block, dtype=np.uint64)
             digits = np.zeros((count, blocks * block), dtype=np.uint64)
@@ -496,11 +532,10 @@ def normality_evidence(
         )
     if not exps:
         return []
-    digits = [np.array(exp.digits, dtype=np.int64) for exp in exps]
-    sums = _phase_walk(digits, base, 1, complex(1.0, 0.0), traj_levels)
+    sums = _phase_walk([exp.row for exp in exps], base, 1, complex(1.0, 0.0), traj_levels)
     out = []
-    for exp, row, accs in zip(exps, digits, sums):
-        reports = tuple(word_frequencies(row, base, m) for m in range(1, max_word_length + 1))
+    for exp, accs in zip(exps, sums):
+        reports = tuple(word_frequencies(exp.row, base, m) for m in range(1, max_word_length + 1))
         traj = tuple((l, abs(acc / l)) for l, acc in zip(traj_levels, accs))
         out.append(ExpansionEvidence(exp.seed_root, reports, traj))
     return out

@@ -758,15 +758,23 @@ def test_broken_pipe_on_a_ranged_listing_exits_1(capsys, monkeypatch):
     assert main(["ideals", "--poly", "1,0,1", "--nmax", "20000"]) == 1
 
 
-def test_empty_cloud_out_path_fails_like_an_empty_output(tmp_path, capsys, monkeypatch):
-    # "" stages its temp file beside the working directory, then cannot be renamed onto
-    run = tmp_path / "run"
-    run.mkdir()
-    monkeypatch.chdir(run)
-    for flag in ("--output", "--cloud-out"):
-        code, out, err = run_cli(capsys, "system", "--polys", "1,1,1;-1,-1,1", "--xmax", "20", flag, "")
-        assert (code, out) == (2, "") and err.startswith("rootdist: error: cannot write : "), flag
-        assert list(tmp_path.iterdir()) == [run] and not list(run.iterdir())
+@pytest.mark.parametrize("flag", ["--output", "--cloud-out"])
+def test_empty_output_path_is_refused_before_any_work(flag, tmp_path, capsys, monkeypatch):
+    # given on the command line or by --config; nothing is computed or written
+    import rootdist.cli
+
+    def series(*args, **kwargs):
+        raise AssertionError("the series ran before the path was checked")
+
+    monkeypatch.setattr(rootdist.cli, "joint_weyl_series", series)
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]}=\n")
+    system = ("system", "--polys", "1,1,1;-1,-1,1")
+    for flags in (("--xmax", "20", flag, ""), ("--xmax", "20", "--config", str(cfg)), ("--n", "5", flag, "")):
+        code, out, err = run_cli(capsys, *system, *flags)
+        assert (code, out, err) == (2, "", f"rootdist: error: empty {flag} path\n"), flags
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_cloud_with_no_tuples_is_its_header(tmp_path, capsys):

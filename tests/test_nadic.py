@@ -155,6 +155,72 @@ def test_newton_digits_every_small_depth(x3m2):
         assert got == [d[:depth] for d in full], depth
 
 
+def _leaf(base):
+    """The digits per int64 leaf of _split_digits: the most L with base^L < 2^63."""
+    leaf = 1
+    while base ** (leaf + 1) < 2**63:
+        leaf += 1
+    return leaf
+
+
+def _newton_steps(depth):
+    """The Newton steps of one lift to the given depth."""
+    steps = 0
+    while depth > 1:
+        depth, steps = (depth + 1) // 2, steps + 1
+    return steps
+
+
+def _spy_evaluations(monkeypatch):
+    """Record nadic's calls of poly_eval_mod: one per Newton step of a lift."""
+    calls = []
+    monkeypatch.setattr(nadic, "poly_eval_mod", lambda *a: calls.append(a) or poly_eval_mod(*a))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "coeffs, base",
+    [
+        ((1, 0, 1), 5),
+        ((1, 0, 1), 65),
+        ((1, 0, 1), 2**40 + 97),
+        ((1, 0, 1), 2**64 + 13),
+        ((2, 1, 1), 2),
+        ((3, 0, 2), 5),
+        ((1, 0, 2), 33),
+        ((1, 1, 2), 11 * 23),
+        ((1, 1, -3), 17 * 23),
+        ((1, 1, -3), 2**64 + 13),
+    ],
+)
+def test_paired_quadratic_towers_match_a_lift_of_every_seed(coeffs, base, monkeypatch):
+    # c2 = 1, 2 and -3, with and without c1: one Newton lift per conjugate
+    # pair, the partner read off sigma, against the linear Hensel oracle,
+    # which lifts every seed on its own; depths on both sides of a leaf
+    f = IntPolynomial(coeffs)
+    calls = _spy_evaluations(monkeypatch)
+    leaf = _leaf(base)
+    full = linear_hensel_digits(f, base, 300)
+    assert len(full) % 2 == 0 and full
+    for depth in sorted({1, 2, leaf - 1, leaf, leaf + 1, 2 * leaf + 1, 300} - {0}):
+        calls.clear()
+        exps = nadic_expansions(f, base, depth)
+        assert [e.digits for e in exps] == [d[:depth] for d in full], depth
+        assert len(calls) == len(full) // 2 * _newton_steps(depth)
+        for e in exps:
+            assert poly_eval_mod(f, e.prefix_value(depth), base**depth) == 0
+
+
+def test_cubic_lifts_every_seed(monkeypatch):
+    # x^3 - 3x + 1 splits completely mod 17: three seeds, three lifts
+    f = IntPolynomial((1, -3, 0, 1))
+    calls = _spy_evaluations(monkeypatch)
+    want = linear_hensel_digits(f, 17, 200)
+    assert len(want) == 3
+    assert [e.digits for e in nadic_expansions(f, 17, 200)] == want
+    assert len(calls) == 3 * _newton_steps(200)
+
+
 def test_expansion_depth_cap(x2p1):
     with pytest.raises(ResourceLimitError):
         nadic_expansions(x2p1, 5, nadic._MAX_DEPTH + 1)
@@ -164,9 +230,7 @@ def test_expansion_depth_cap(x2p1):
     "base", [2, 3, 5, 65, 2**31 - 1, 2**62 + 135, 2**63 - 25, 2**64 + 13]
 )
 def test_leaf_digits_match_scalar_divmod(base):
-    leaf = 1
-    while base ** (leaf + 1) < 2**63:
-        leaf += 1
+    leaf = _leaf(base)
     rng = random.Random(base)
     counts = {1, leaf - 1, leaf, leaf + 1, 2 * leaf + 3, 7 * leaf - 2, 300}
     counts |= {rng.randrange(1, 2000) for _ in range(3)}
@@ -182,8 +246,11 @@ def test_leaf_digits_match_scalar_divmod(base):
         ]
         for x in values:
             want = scalar_digits(x, base, count)
-            assert nadic._split_digits(x, base, count, powers) == want, (base, count, x)
-            assert nadic._split_digits(x, base, count, {}) == want
+            for got in (nadic._split_digits(x, base, count, powers), nadic._split_digits(x, base, count, {})):
+                if base < 2**63:  # an int64 row
+                    assert got.dtype == np.int64
+                    got = got.tolist()
+                assert got == want, (base, count, x)
 
 
 def test_leaf_digits_in_several_batches():
@@ -191,7 +258,20 @@ def test_leaf_digits_in_several_batches():
     base = 2**62 + 135
     count = nadic._LEAF_BATCH * 2 + 5
     x = random.Random(3).randrange(base**count)
-    assert nadic._split_digits(x, base, count, {}) == scalar_digits(x, base, count)
+    assert nadic._split_digits(x, base, count, {}).tolist() == scalar_digits(x, base, count)
+
+
+@pytest.mark.parametrize("base", [5, 2**64 + 13])
+def test_expansion_built_from_digits_equals_the_lifted_tower(base, x2p1):
+    exp = nadic_expansions(x2p1, base, 40)[0]
+    built = NadicExpansion(x2p1, base, exp.digits)
+    assert built == exp and hash(built) == hash(exp)
+    assert built.depth == len(built.row) == exp.depth == 40
+    assert NadicExpansion(x2p1, base, list(exp.digits)) == exp
+    assert NadicExpansion(x2p1, base, exp.digits[:-1]) != exp
+    assert NadicExpansion(IntPolynomial((2, 1, 1)), base, exp.digits) != exp
+    assert len({exp, built}) == 1
+    assert type(exp.seed_root) is int and exp.seed_root == exp.digits[0]
 
 
 def test_expansion_composite_base(x2p1):
@@ -341,6 +421,8 @@ def test_prefix_weyl_sum_constant_digits_geometric():
 def test_prefix_weyl_sum_matches_exact_walk(h, x2p1, x2px1):
     towers = nadic_expansions(x2p1, 5, 3000) + nadic_expansions(x2px1, 7, 1500)
     towers += nadic_expansions(x2p1, 65, 600) + nadic_expansions(x2p1, 2**64 + 13, 300)
+    # a base in (2^32, 2^63): blocks of one level over an int64 row
+    towers += nadic_expansions(x2p1, 2**40 + 97, 300)
     for exp in towers:
         for levels in (1, 37, 38, 39, exp.depth // 3, exp.depth):
             got = prefix_weyl_sum(exp, h, levels)
