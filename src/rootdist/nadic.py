@@ -11,7 +11,14 @@ numpy splits into digits in int64.  The digits stay one int64 array per tower
 and the phase walk.  For a quadratic c2*x^2 + c1*x + c0 only one root of
 each conjugate pair is lifted: sigma(x) = -c1/c2 - x maps the roots mod
 every n^k to themselves and fixes no root mod n (f' is a unit there), so by
-Hensel uniqueness the lift of sigma(s) is sigma of the lift of s.
+Hensel uniqueness the lift of sigma(s) is sigma of the lift of s.  For
+c2 = +-1 below base 2^63 the partner's digits come from the lifted row by one
+borrow scan of the digit-wise difference shift - v, not by a second base
+conversion.
+
+Word counts code each window by Horner over shifted slices of the row, in
+int64.  The Haar samples of a batch draw their 32-bit words together, and one
+numpy pass over the (samples, words) block keeps each row's randrange draws.
 
 A phase e(h*prefix_l/n^l) is rounded once, to its 64-bit fractional cell
 floor(2^64 * frac(h*prefix_l/n^l)), and only then converted to float.  The
@@ -37,7 +44,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AdmissibilityError, InvalidArgumentError, ResourceLimitError
 from .ideals import admissibility
@@ -107,6 +113,32 @@ def _split_digits(x: int, base: int, count: int, powers: dict):
         block = np.array(leaves[i : i + _LEAF_BATCH], dtype=np.int64)
         digits[i : i + len(block)] = block[:, None] // weights % base
     return digits.ravel()[:count]  # without the zeros above the top leaf
+
+
+def _sub_digits(x: int, v, base: int):
+    """The digit row of (x - v) mod base^L, for an int x of either sign and
+    few digits and an int64 digit row v of length L, by one vectorised
+    borrow scan (Knuth, TAOCP vol. 2, 4.3.1, Algorithm S).
+
+    The digits of x mod base^L are those of x for x >= 0, and base - 1 less
+    those of ~x = -x - 1 for x < 0.  With d = x - v digit by digit, a borrow
+    leaves digit j when d_j < 0, or when d_j = 0 and a borrow entered j: the
+    last nonzero d at or below j decides.  The borrow out of the top digit
+    is dropped.
+    """
+    neg = x < 0
+    d, y = (base - 1) * neg - v, ~x if neg else x
+    for j in range(len(d)):
+        if not y:
+            break
+        y, a = divmod(y, base)
+        d[j] += -a if neg else a
+    last = np.arange(len(d), dtype=np.int32)  # depth <= _MAX_DEPTH < 2^31
+    last *= d != 0  # position 0 stands in for none: then d_0 = 0, no borrow
+    borrow = (d < 0)[np.maximum.accumulate(last, out=last)]
+    np.add(d, base, out=d, where=borrow)
+    d[1:] -= borrow[:-1]
+    return d
 
 
 class NadicExpansion:
@@ -195,9 +227,10 @@ def nadic_expansions(f: IntPolynomial, base: int, depth: int) -> list[NadicExpan
     if f.degree == 2:  # sigma(x) = shift - x pairs the roots (module docstring)
         _, c1, c2 = f.coeffs
         shift = -c1 * inverse(c2, top)
-    lifted = {}  # seed -> its root mod base^depth
+        scan = abs(c2) == 1 and base < 2**63  # then shift = -c1*c2 mod top
+    rows = {}  # seed -> the digits of its root mod base^depth
     for seed in seeds:
-        if seed in lifted:
+        if seed in rows:
             continue
         # v is the root mod base^k and u the inverse of f'(v) mod base^k.
         v = seed
@@ -207,10 +240,14 @@ def nadic_expansions(f: IntPolynomial, base: int, depth: int) -> list[NadicExpan
             v = (v - poly_eval_mod(f, v, m) * u) % m
             if k < depth:
                 u = u * (2 - f.deriv_mod(v, m) * u) % m
-        lifted[seed] = v
+        rows[seed] = _split_digits(v, base, depth, powers)
         if f.degree == 2:
-            lifted[(shift - seed) % base] = (shift - v) % top
-    return [NadicExpansion(f, base, _split_digits(lifted[s], base, depth, powers)) for s in seeds]
+            rows[(shift - seed) % base] = (
+                _sub_digits(-c1 * c2, rows[seed], base)
+                if scan
+                else _split_digits((shift - v) % top, base, depth, powers)
+            )
+    return [NadicExpansion(f, base, rows.pop(s)) for s in seeds]
 
 
 @dataclass(frozen=True)
@@ -289,11 +326,15 @@ def word_frequencies(digits, base: int, word_length: int) -> NormalityReport:
         raise InvalidArgumentError("digit out of range for the base")
     table_size = _check_words(len(digits), base, word_length)
     windows = len(digits) - word_length + 1
-    # Window i has the code sum of digits[i + j] * base^(m-1-j), below
-    # base^m <= _MAX_WORD_TABLE, so int64 holds it exactly; codes ascend in
-    # the lexicographic order of the words.
-    weights = base ** np.arange(word_length - 1, -1, -1, dtype=np.int64)
-    codes = sliding_window_view(np.asarray(digits, dtype=np.int64), word_length) @ weights
+    # Window i has the code sum of digits[i + j] * base^(m-1-j), formed by
+    # Horner over shifted slices; every partial code is below base^m <=
+    # _MAX_WORD_TABLE, so int64 holds it exactly.  Codes ascend in the
+    # lexicographic order of the words.
+    digits = np.asarray(digits, dtype=np.int64)
+    codes = digits[:windows].copy()
+    for j in range(1, word_length):
+        codes *= base
+        codes += digits[j : j + windows]
     counts = np.bincount(codes, minlength=table_size).tolist()
     uniform = 1.0 / table_size
     expected = windows / table_size
@@ -425,25 +466,34 @@ def _phase_walk(rows, base: int, h: int, acc: complex, levels) -> list[list[comp
     return out
 
 
-def _randrange_digits(rng: random.Random, base: int, count: int):
-    """The first ``count`` values of rng.randrange(base).
+def _haar_rows(rngs, base: int, levels: int):
+    """The first ``levels`` values of rng.randrange(base) for each generator.
 
     randrange draws getrandbits(k), k the bit length of base, until a draw
     falls below base.  For k <= 32 each draw is the top k bits of one 32-bit
     word of the generator, and getrandbits(32*w) returns the next w words,
-    the first in the lowest bits; so the words are drawn w at a time and the
-    rejections made in numpy.
+    the first in the lowest bits.  So every generator gives w = 2*levels + 16
+    words, and one numpy pass over the (rows, w) block rejects the draws,
+    gathers the kept ones in row order and reads each row's first ``levels``
+    from its offset, the cumulative sum of the kept counts of the rows
+    before it.  A row that kept fewer goes on from its own generator for the
+    values it lacks, in the same way.
     """
     bits = base.bit_length()
     if bits > 32:
-        return [rng.randrange(base) for _ in range(count)]
-    kept = []
-    while (need := count - sum(map(len, kept))) > 0:
-        words = 2 * need + 16  # each word is kept with probability above 1/2
-        draws = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), "<u4")
-        draws = draws >> (32 - bits)
-        kept.append(draws[draws < base])
-    return np.concatenate(kept)[:count]
+        return [[rng.randrange(base) for _ in range(levels)] for rng in rngs]
+    words = 2 * levels + 16  # each word is kept with probability above 1/2
+    block = b"".join(rng.getrandbits(32 * words).to_bytes(4 * words, "little") for rng in rngs)
+    draws = np.frombuffer(block, "<u4").reshape(len(rngs), words) >> (32 - bits)
+    keep = draws < base
+    counts = keep.sum(axis=1)
+    # levels zeros after the kept draws keep a short row's reads in bounds
+    kept = np.concatenate([draws[keep], np.zeros(levels, dtype=draws.dtype)])
+    rows = kept[(np.cumsum(counts) - counts)[:, None] + np.arange(levels)]
+    for i, count in enumerate(counts.tolist()):
+        if count < levels:
+            rows[i, count:] = _haar_rows([rngs[i]], base, levels - count)[0]
+    return rows
 
 
 def haar_monte_carlo(
@@ -472,10 +522,8 @@ def haar_monte_carlo(
     # samples per walk, so that a batch holds at most _WALK_CHUNK digits
     batch = max(1, _WALK_CHUNK // max(levels, _block(base)))
     for first in range(0, samples, batch):
-        rows = [
-            _randrange_digits(random.Random(f"{seed}:{i}"), base, levels)
-            for i in range(first, min(first + batch, samples))
-        ]
+        rngs = [random.Random(f"{seed}:{i}") for i in range(first, min(first + batch, samples))]
+        rows = _haar_rows(rngs, base, levels)
         for (acc,) in _phase_walk(rows, base, h, complex(0.0, 0.0), [levels]):
             val = abs(acc / levels) ** 2
             total += val

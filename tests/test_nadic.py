@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import random
 import time
 import tracemalloc
@@ -191,12 +192,20 @@ def _spy_evaluations(monkeypatch):
         ((1, 1, 2), 11 * 23),
         ((1, 1, -3), 17 * 23),
         ((1, 1, -3), 2**64 + 13),
+        ((1, -1, 1), 7),
+        ((-1, 0, -1), 5),
+        ((-3, 3, 1), 5),
+        ((-3, 1, 1), 2**40 + 97),
+        ((1, 2, -1), 2**40 + 97),
+        ((-1, 0, -1), 2**64 + 13),
     ],
 )
 def test_paired_quadratic_towers_match_a_lift_of_every_seed(coeffs, base, monkeypatch):
-    # c2 = 1, 2 and -3, with and without c1: one Newton lift per conjugate
-    # pair, the partner read off sigma, against the linear Hensel oracle,
-    # which lifts every seed on its own; depths on both sides of a leaf
+    # c2 = 1, -1, 2 and -3, with and without c1: one Newton lift per
+    # conjugate pair, the partner read off sigma (a borrow scan for c2 = +-1
+    # below 2^63, with shift 0, a small positive integer or n^depth - c),
+    # against the linear Hensel oracle, which lifts every seed on its own;
+    # depths on both sides of a leaf
     f = IntPolynomial(coeffs)
     calls = _spy_evaluations(monkeypatch)
     leaf = _leaf(base)
@@ -209,6 +218,68 @@ def test_paired_quadratic_towers_match_a_lift_of_every_seed(coeffs, base, monkey
         assert len(calls) == len(full) // 2 * _newton_steps(depth)
         for e in exps:
             assert poly_eval_mod(f, e.prefix_value(depth), base**depth) == 0
+
+
+@pytest.mark.parametrize(
+    "coeffs, base",
+    [
+        ((1, 0, 1), 5),  # shift 0
+        ((1, -1, 1), 7),  # shift 1
+        ((1, 2, -1), 2**40 + 97),  # c2 = -1, shift 2
+        ((-3, 3, 1), 5),  # shift 5^depth - 3
+        ((-3, 1, 1), 2**40 + 97),  # shift n^depth - 1
+        ((1, -2, -1), 2**62 + 135),  # c2 = -1, shift n^depth - 2, one digit a leaf
+        ((1, 0, 1), 65),
+    ],
+)
+def test_partner_rows_are_a_scan_of_the_lifted_rows(coeffs, base, monkeypatch):
+    # each partner row is (shift - v) mod n^depth read off the lifted row by
+    # the borrow scan, never by a second base conversion
+    f = IntPolynomial(coeffs)
+    c1, c2 = coeffs[1], coeffs[2]
+    splits = []
+    split = nadic._split_digits
+    monkeypatch.setattr(nadic, "_split_digits", lambda *a: splits.append(a) or split(*a))
+    for depth in (1, 2, _leaf(base), _leaf(base) + 1, 777):
+        top = base**depth
+        splits.clear()
+        exps = nadic_expansions(f, base, depth)
+        assert exps and len(splits) == len(exps) // 2
+        rows = {e.seed_root: e.row.tolist() for e in exps}
+        for e in exps:
+            want = split((-c1 * c2 - e.prefix_value(depth)) % top, base, depth, {}).tolist()
+            assert rows[(-c1 * c2 - e.seed_root) % base] == want, depth
+
+
+def _value(row, base):
+    acc = 0
+    for a in reversed(row):
+        acc = acc * base + a
+    return acc
+
+
+@pytest.mark.parametrize("base", [2, 5, 7, 2**40 + 97, 2**62 + 135, 2**63 - 25])
+def test_borrow_scan_matches_integer_subtraction(base):
+    # (x - v) mod n^k for built rows v: all zeros, all n - 1, a lone 1 under
+    # x = 0 (a borrow through every zero), a run of zeros between x's digit
+    # and v's, and random rows; x of either sign, from 0 past +-n^k
+    rng = random.Random(base)
+    for k in (1, 2, 3, 64, 300):
+        top = base**k
+        rows = (
+            [0] * k,
+            [base - 1] * k,
+            [1] + [0] * (k - 1),
+            [0] * (k - 1) + [1],
+            [2 % base] + [0] * (k - 1),
+            [rng.randrange(base) for _ in range(k)],
+            [rng.choice((0, 0, 0, 1, base - 1)) for _ in range(k)],
+        )
+        xs = (0, 1, 3, base, 3 * base ** (k // 2), top - 1, top, -1, -3, -base, -top, -top - 1, 7**40, -(7**40))
+        for v, x in itertools.product(rows, xs):
+            got = nadic._sub_digits(x, np.array(v, dtype=np.int64), base)
+            assert got.dtype == np.int64
+            assert got.tolist() == scalar_digits((x - _value(v, base)) % top, base, k), (k, x)
 
 
 def test_cubic_lifts_every_seed(monkeypatch):
@@ -366,6 +437,11 @@ def test_word_frequencies_match_rolling_counts():
                 assert word_frequencies(digits, base, m) == rolling_word_frequencies(
                     digits, base, m
                 ), (base, m, length)
+    # tables at the cap's edge: the longest Horner codes, 2^20 and 12^5 words
+    for base, m in ((2, 20), (12, 5)):
+        assert base**m <= nadic._MAX_WORD_TABLE < base ** (m + 1)
+        digits = np.array([rng.randrange(base) for _ in range(5000)], dtype=np.int64)
+        assert word_frequencies(digits, base, m) == rolling_word_frequencies(digits, base, m)
 
 
 def test_chi_square_calibration():
@@ -577,12 +653,18 @@ def test_haar_digits_are_randrange_draws(base, monkeypatch):
     # the batched walk gets, sample for sample, the digits rng.randrange(base)
     # draws, its rejections included
     walks = _spy_walks(monkeypatch)
-    haar_monte_carlo(base, 300, 6, seed=11)
+    haar_monte_carlo(base, 300, 10, seed=11)
     want = []
-    for i in range(6):
+    for i in range(10):
         rng = random.Random(f"11:{i}")
         want.append([rng.randrange(base) for _ in range(300)])
     assert walks == [want]
+    if base == 2**31 + 1:
+        # half the draws are rejected, so some rows keep fewer than 300 of
+        # their first 2*300 + 16 words and draw a second time
+        firsts = [random.Random(f"11:{i}").getrandbits(32 * 616) for i in range(10)]
+        kept = [sum(x >> 32 * j & 0xFFFFFFFF < base for j in range(616)) for x in firsts]
+        assert min(kept) < 300
 
 
 @pytest.mark.parametrize("base", (3, 5, 65, 2**64 + 13))
