@@ -81,7 +81,7 @@ class IntPolynomial:
 
     @cached_property
     def discriminant(self) -> int:
-        """Exact discriminant via the Sylvester resultant of f and f'."""
+        """Exact discriminant via the resultant of f and f'."""
         d = self.degree
         res = _resultant(self.coeffs, self.derivative())
         quo, rem = divmod(res, self.coeffs[-1])
@@ -223,44 +223,23 @@ def _rational_root(coeffs: tuple[int, ...]) -> object | None:
 
 
 def _resultant(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """Resultant of two integer polynomials, a of positive degree, via a
-    Sylvester determinant.
-
-    The determinant is taken with Bareiss fraction-free elimination, so all
-    intermediates stay integers and the result is exact.
-    """
-    da, db = len(a) - 1, len(b) - 1
-    size = da + db
-    desc_a = list(reversed(a))
-    desc_b = list(reversed(b))
-    mat = [[0] * size for _ in range(size)]
-    for i in range(db):
-        mat[i][i : i + da + 1] = desc_a
-    for i in range(da):
-        mat[db + i][i : i + db + 1] = desc_b
-    return _bareiss_det(mat)
-
-
-def _bareiss_det(mat: list[list[int]]) -> int:
-    n = len(mat)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            for i in range(k + 1, n):
-                if mat[i][k] != 0:
-                    mat[k], mat[i] = mat[i], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = mat[k][k]
-        for i in range(k + 1, n):
-            row_i = mat[i]
-            row_k = mat[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * mat[n - 1][n - 1]
+    """Resultant of two integer polynomials, a of positive degree and b of
+    nonzero lead, by Euclid over Fractions: with r the remainder of a by b,
+    res(a, b) = (-1)^(deg a * deg b) * lc(b)^(deg a - deg r) * res(b, r),
+    0 when r vanishes, and c^(deg a) for a constant b = c.  Exact."""
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    res = Fraction(1)
+    while len(b) > 1:
+        r = a[:]
+        while len(r) >= len(b):  # clear the top coefficient of r by a multiple of b
+            q, shift = r[-1] / b[-1], len(r) - len(b)
+            for i, c in enumerate(b):
+                r[shift + i] -= q * c
+            r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+        if not r:
+            return 0
+        res *= (-1) ** ((len(a) - 1) * (len(b) - 1)) * b[-1] ** (len(a) - len(r))
+        a, b = b, r
+    return int(res * b[0] ** (len(a) - 1))

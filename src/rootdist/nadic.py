@@ -17,8 +17,10 @@ borrow scan of the digit-wise difference shift - v, not by a second base
 conversion.
 
 Word counts code each window by Horner over shifted slices of the row, in
-int64.  The Haar samples of a batch draw their 32-bit words together, and one
-numpy pass over the (samples, words) block keeps each row's randrange draws.
+int64; a word is its code in base n, so a report keeps one count per word
+in code order and builds the words only when they are read.  The Haar
+samples of a batch draw their 32-bit words together, and one numpy pass
+over the (samples, words) block keeps each row's randrange draws.
 
 A phase e(h*prefix_l/n^l) is rounded once, to its 64-bit fractional cell
 floor(2^64 * frac(h*prefix_l/n^l)), and only then converted to float.  The
@@ -39,6 +41,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import random
 import warnings
 from dataclasses import dataclass
@@ -141,6 +144,18 @@ def _sub_digits(x: int, v, base: int):
     return d
 
 
+def _read_digits(digits):
+    """An int64 array as it is, any other sequence as a tuple of ints read
+    through operator.index: a float digit such as 1.5 is refused, not
+    truncated."""
+    if isinstance(digits, np.ndarray) and digits.dtype == np.int64:
+        return digits
+    try:
+        return tuple(map(operator.index, digits))
+    except TypeError:
+        raise InvalidArgumentError("digits must be integers") from None
+
+
 class NadicExpansion:
     """Digits (a_0, ..., a_{L-1}) of a root of f in the base-n limit ring.
 
@@ -148,13 +163,17 @@ class NadicExpansion:
     f mod n^l for every l up to the depth.  ``row`` holds the digits as a
     read-only int64 array, or as a tuple of ints for a base of 2^63 or more;
     ``digits`` is the tuple of ints, built on first access.  Two expansions
-    are equal when their polynomial, base and digits are.
+    are equal when their polynomial, base and digits are.  A digit that is
+    not an integer, or lies outside [0, base), is refused.
     """
 
     __slots__ = ("poly", "base", "row", "_digits")
 
     def __init__(self, poly: IntPolynomial, base: int, digits):
         self.poly, self.base = poly, base
+        digits = _read_digits(digits)
+        if len(digits) and (np.min(digits) < 0 or np.max(digits) >= base):
+            raise InvalidArgumentError("digit out of range for the base")
         if base < 2**63:
             self.row, self._digits = np.array(digits, dtype=np.int64), None
             self.row.flags.writeable = False
@@ -254,22 +273,31 @@ def nadic_expansions(f: IntPolynomial, base: int, depth: int) -> list[NadicExpan
 class NormalityReport:
     """Sliding-window word frequencies of a digit sequence.
 
-    counts holds every one of the base^m words (zeros included); deviations
-    are measured against the uniform weight base^(-m).  For overlapping
-    windows (m >= 2) the chi-square column is a descriptive statistic, not
-    an exact multinomial test.
+    tally holds the count of every one of the base^m words (zeros
+    included) in lexicographic word order, so a word is its index written
+    in base n with m digits; ``counts`` pairs each word with its count on
+    access and holds nothing.  Deviations are measured against the uniform
+    weight base^(-m).  For overlapping windows (m >= 2) the chi-square
+    column is a descriptive statistic, not an exact multinomial test.
     """
 
     base: int
     word_length: int
     window_count: int
-    counts: tuple[tuple[tuple[int, ...], int], ...]
+    tally: tuple[int, ...]
     max_deviation: float
     chi_square: float
     sparse: bool
 
+    def _words(self):
+        return itertools.product(range(self.base), repeat=self.word_length)
+
+    @property
+    def counts(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        return tuple(zip(self._words(), self.tally))
+
     def frequencies(self) -> dict[tuple[int, ...], float]:
-        return {w: c / self.window_count for w, c in self.counts}
+        return {w: c / self.window_count for w, c in zip(self._words(), self.tally)}
 
     def to_jsonable(self, top: int | None = None) -> dict:
         """Plain-dict form; word tables longer than ``top`` keep only the
@@ -282,9 +310,9 @@ class NormalityReport:
                 "freq": c / self.window_count,
                 "deviation": abs(c / self.window_count - uniform),
             }
-            for w, c in self.counts
+            for w, c in zip(self._words(), self.tally)
         )
-        truncated = top is not None and len(self.counts) > top
+        truncated = top is not None and len(self.tally) > top
         if truncated:  # equal to sorted(...)[:top], but holds top entries, not one per word
             entries = heapq.nsmallest(top, entries, key=lambda e: (-e["deviation"], e["word"]))
         return {
@@ -315,9 +343,8 @@ def word_frequencies(digits, base: int, word_length: int) -> NormalityReport:
     """Count every length-m window of a digit sequence against uniformity.
 
     An int64 array is counted as it is; any other sequence is read through
-    int() first."""
-    if not (isinstance(digits, np.ndarray) and digits.dtype == np.int64):
-        digits = tuple(map(int, digits))
+    operator.index first, so a digit that is not an integer is refused."""
+    digits = _read_digits(digits)
     if base < 2:
         raise InvalidArgumentError("base must be at least 2")
     if word_length < 1:
@@ -335,25 +362,16 @@ def word_frequencies(digits, base: int, word_length: int) -> NormalityReport:
     for j in range(1, word_length):
         codes *= base
         codes += digits[j : j + windows]
-    counts = np.bincount(codes, minlength=table_size).tolist()
+    tally = tuple(np.bincount(codes, minlength=table_size).tolist())
     uniform = 1.0 / table_size
     expected = windows / table_size
-    max_dev = 0.0
-    chi = 0.0
-    table = []
-    for word, c in zip(itertools.product(range(base), repeat=word_length), counts):
-        table.append((word, c))
+    max_dev = chi = 0.0
+    for c in tally:  # Python's pow and adds in word order, as the goldens pin
         max_dev = max(max_dev, abs(c / windows - uniform))
         chi += (c - expected) ** 2 / expected
-    sparse = len(digits) < table_size * _SPARSE_FACTOR
     return NormalityReport(
-        base=base,
-        word_length=word_length,
-        window_count=windows,
-        counts=tuple(table),
-        max_deviation=max_dev,
-        chi_square=chi,
-        sparse=sparse,
+        base, word_length, windows, tally, max_dev, chi,
+        sparse=len(digits) < table_size * _SPARSE_FACTOR,
     )
 
 

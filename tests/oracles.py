@@ -182,8 +182,7 @@ def linear_hensel_digits(f, base, depth):
 
 def rolling_word_frequencies(digits, base, word_length):
     """The NormalityReport of word_frequencies for a valid digit sequence,
-    counted by a rolling window code in a dict and every word decoded from
-    its code by divmod."""
+    counted by a rolling window code in a dict and tallied in code order."""
     digits = tuple(digits)
     table_size = base**word_length
     windows = len(digits) - word_length + 1
@@ -200,22 +199,15 @@ def rolling_word_frequencies(digits, base, word_length):
     expected = windows / table_size
     max_dev = 0.0
     chi = 0.0
-    table = []
-    for code in range(table_size):
-        c = counts.get(code, 0)
-        word = []
-        x = code
-        for _ in range(word_length):
-            x, d = divmod(x, base)
-            word.append(d)
-        table.append((tuple(reversed(word)), c))
+    tally = tuple(counts.get(code, 0) for code in range(table_size))
+    for c in tally:
         max_dev = max(max_dev, abs(c / windows - uniform))
         chi += (c - expected) ** 2 / expected
     return NormalityReport(
         base=base,
         word_length=word_length,
         window_count=windows,
-        counts=tuple(table),
+        tally=tally,
         max_deviation=max_dev,
         chi_square=chi,
         sparse=len(digits) < table_size * _SPARSE_FACTOR,

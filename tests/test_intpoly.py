@@ -13,7 +13,7 @@ from rootdist import (
     parse_polynomial,
     poly_eval_mod,
 )
-from rootdist.intpoly import IrreducibilityAssumedWarning, _rational_root
+from rootdist.intpoly import IrreducibilityAssumedWarning, _rational_root, _resultant
 
 from oracles import brute_roots_py, rational_root_search
 
@@ -45,6 +45,37 @@ def test_discriminant_matches_sympy():
         expr = sum(c * x**i for i, c in enumerate(f.coeffs))
         assert f.discriminant == sympy.discriminant(expr, x)
         seen += 1
+
+
+def test_resultant_matches_sympy():
+    rng = random.Random(9)
+    x = sympy.symbols("x")
+
+    def poly(low, high):  # ascending coefficients with a non-monic lead at times
+        return [rng.randint(-9, 9) for _ in range(rng.randint(low, high))] + [
+            rng.choice([-6, -3, -2, -1, 1, 2, 5, 7])
+        ]
+
+    def times(b, q):
+        out = [0] * (len(b) + len(q) - 1)
+        for i, c in enumerate(b):
+            for j, d in enumerate(q):
+                out[i + j] += c * d
+        return out
+
+    for _ in range(200):
+        # deg b <= deg a, as for (f, f'): for deg a < deg b, both odd,
+        # sympy's sign is not the Sylvester determinant's
+        a = poly(1, 6)
+        b, q = poly(0, len(a) - 1), poly(1, 3)
+        # a random pair, a constant b, and a b that divides a
+        for u, v in ((a, b), (a, b[-1:]), (times(b, q), b)):
+            want = sympy.resultant(sum(c * x**i for i, c in enumerate(u)),
+                                   sum(c * x**i for i, c in enumerate(v)), x)
+            assert _resultant(tuple(u), tuple(v)) == want, (u, v)
+        assert _resultant(tuple(a), (b[-1],)) == b[-1] ** (len(a) - 1)
+        if len(b) > 1:  # a common root
+            assert _resultant(tuple(times(b, q)), tuple(b)) == 0
 
 
 def test_discriminant_vanishes_exactly_at_repeated_root_primes(x2p1, x3m2):

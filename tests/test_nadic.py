@@ -343,6 +343,29 @@ def test_expansion_built_from_digits_equals_the_lifted_tower(base, x2p1):
     assert NadicExpansion(IntPolynomial((2, 1, 1)), base, exp.digits) != exp
     assert len({exp, built}) == 1
     assert type(exp.seed_root) is int and exp.seed_root == exp.digits[0]
+    # numpy integers are read as ints in either representation
+    for digits in ([0, 4, np.int64(3), np.uint8(2)], np.array([0, 4, 3, 2], dtype=np.int64)):
+        assert NadicExpansion(x2p1, base, digits).digits == (0, 4, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "base, digits, problem",
+    [(base, [0, 1.5], "digits must be integers") for base in (5, 2**64 + 13)]
+    + [(base, [0, -1], "out of range") for base in (5, 2**64 + 13)]
+    + [
+        (5, np.array([0.0, 1.0]), "digits must be integers"),
+        (5, ["1"], "digits must be integers"),
+        (5, [1, 7], "out of range"),
+        (5, [5], "out of range"),
+        (5, np.array([4, 5], dtype=np.int64), "out of range"),
+        (5, np.array([3, -1], dtype=np.int64), "out of range"),
+        (5, [2**70], "out of range"),
+        (2**64 + 13, [2**64 + 13], "out of range"),
+    ],
+)
+def test_expansion_refuses_digits_that_are_not_digits(base, digits, problem, x2p1):
+    with pytest.raises(InvalidArgumentError, match=problem):
+        NadicExpansion(x2p1, base, digits)
 
 
 def test_expansion_composite_base(x2p1):
@@ -422,6 +445,40 @@ def test_word_frequencies_errors():
         word_frequencies([0, 5], 5, 1)
     with pytest.raises(InvalidArgumentError):
         word_frequencies([-1, 0], 5, 1)
+
+
+@pytest.mark.parametrize(
+    "digits", [[0.5, 1.7, 1.2], [0, 1.0], np.array([0.5, 1.7, 1.2]), [0, None], [0, "1"]]
+)
+def test_word_frequencies_refuse_non_integer_digits(digits):
+    with pytest.raises(InvalidArgumentError, match="digits must be integers"):
+        word_frequencies(digits, 2, 1)
+
+
+@pytest.mark.parametrize("base, m", [(5, 3), (13, 2), (2, 5)])
+def test_words_are_the_base_n_digits_of_their_index(base, m):
+    rng = random.Random(base * m)
+    rep = word_frequencies([rng.randrange(base) for _ in range(3000)], base, m)
+    words = [w for w, _ in rep.counts]
+    assert [c for _, c in rep.counts] == list(rep.tally) and len(words) == base**m
+    for code, word in enumerate(words):
+        assert sum(d * base ** (m - 1 - j) for j, d in enumerate(word)) == code
+        assert len(word) == m and all(0 <= d < base for d in word)
+    assert list(rep.frequencies()) == words
+    assert list(rep.frequencies().values()) == [c / rep.window_count for c in rep.tally]
+    assert [e["word"] for e in rep.to_jsonable()["words"]] == [",".join(map(str, w)) for w in words]
+
+
+def test_word_table_holds_one_count_per_word():
+    # 5^8 = 390,625 words: one int per word is about 3 MB, a (word tuple,
+    # count) pair per word about 60 MB
+    digits = np.random.default_rng(5).integers(0, 5, 2 * 10**5)
+    tracemalloc.start()
+    rep = word_frequencies(digits, 5, 8)
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    assert sum(c for _, c in rep.counts) == rep.window_count == 2 * 10**5 - 7
+    assert held < 8 * 2**20
 
 
 def test_word_frequencies_match_rolling_counts():
