@@ -1,6 +1,8 @@
 """Roots of polynomial congruences mod n, degree-one ideal data, and
 equidistribution diagnostics: exponential sums, discrepancy, digit towers."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AdmissibilityError,
     InvalidArgumentError,
@@ -77,67 +79,7 @@ from .systems import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityError",
-    "AdmissibilityReport",
-    "BoundCheck",
-    "DiscrepancyReport",
-    "ExpansionEvidence",
-    "FactoredIdeal",
-    "Factorization",
-    "HSpec",
-    "InertiaDegree",
-    "IntPolynomial",
-    "InvalidArgumentError",
-    "JointWeylSeries",
-    "ModulusFilter",
-    "NadicExpansion",
-    "NormalityReport",
-    "PolySystem",
-    "PrimeStats",
-    "ProgressionSums",
-    "ResourceLimitError",
-    "RootdistError",
-    "SpfSieve",
-    "UnsupportedInputError",
-    "WeylSeries",
-    "admissibility",
-    "box_discrepancy",
-    "crt_pair",
-    "decades",
-    "default_hset",
-    "dilated_sum_square_bound",
-    "enumerate_degree_one",
-    "factorize",
-    "haar_monte_carlo",
-    "ideal_from_root",
-    "ideal_residue",
-    "inertia_degree",
-    "inverse",
-    "is_degree_one",
-    "is_prime",
-    "joint_exp_sum",
-    "joint_exp_sum_factored",
-    "joint_weyl_series",
-    "nadic_expansions",
-    "normality_evidence",
-    "parse_ints",
-    "parse_polynomial",
-    "poly_eval_mod",
-    "prefix_weyl_sum",
-    "prime_stats",
-    "progression_root_sums",
-    "ratio_points",
-    "root_exp_sum",
-    "root_exp_sum_factored",
-    "root_stream",
-    "root_tuples",
-    "roots_from_factorization",
-    "roots_mod_n",
-    "roots_mod_prime",
-    "roots_mod_prime_power",
-    "split_prime_count",
-    "star_discrepancy",
-    "weyl_series",
-    "word_frequencies",
-]
+# every public name bound above, so a name is declared once: by its import
+__all__ = sorted(
+    k for k, v in globals().items() if not (k.startswith("_") or isinstance(v, _ModuleType))
+)

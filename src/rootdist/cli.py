@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import re
@@ -64,6 +65,9 @@ def _emit(handler, args: argparse.Namespace) -> None:
     def output(target: str | None):
         nonlocal path
         path = target
+        if target is not None and (os.path.isdir(target) or target.endswith(os.sep)):
+            code = errno.EISDIR if os.path.isdir(target) else errno.ENOTDIR  # as the rename would fail
+            raise OSError(code, os.strerror(code))
         if target is None:
             fh = tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
         else:

@@ -150,8 +150,8 @@ def _cross_inverses(n1: int, n2: int) -> tuple[int, int]:
     inverts n1 mod n2, each 0 when its modulus is 1."""
     if math.gcd(n1, n2) != 1:
         raise InvalidArgumentError(f"{n1} and {n2} are not coprime")
-    nbar2 = inverse(n2 % n1, n1) if n1 > 1 else 0
-    nbar1 = inverse(n1 % n2, n2) if n2 > 1 else 0
+    nbar2 = inverse(n2 % n1, n1)
+    nbar1 = inverse(n1 % n2, n2)
     return nbar2, nbar1
 
 
@@ -273,9 +273,8 @@ def weyl_series(
     if isinstance(h, int):
         h = HSpec.const(h)
     checkpoints = _checkpoint_list(checkpoints, xmax)
-    if h.kind == "inverse" and flt is None:
-        flt = ModulusFilter.coprime(h.value)
-    elif h.kind == "inverse":
+    if h.kind == "inverse":
+        flt = flt or ModulusFilter.all()
         flt = replace(flt, prime_to=math.lcm(flt.prime_to, h.value))
 
     series = WeylSeries(h=h, checkpoints=checkpoints)
@@ -286,7 +285,7 @@ def weyl_series(
         if seg:
             ns, ((counts, roots),) = seg
             hn = _lane_residues(h.value, ns) if h.kind == "const" else np.array(
-                [inverse(h.value % n, n) if n > 1 else 0 for n in ns.tolist()], ns.dtype)
+                [inverse(h.value % n, n) for n in ns.tolist()], ns.dtype)
             re, im = _phase_sums(ns, counts, roots, hn)
             for acc, xs in zip(sums, (re, im, np.hypot(re, im))):
                 acc.extend(xs.tolist())

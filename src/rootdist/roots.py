@@ -435,11 +435,12 @@ class PrimeRootTable:
         return np.diff(self.offsets)
 
     def lookup(self, p: int) -> tuple[int, ...]:
-        """The roots mod a prime p.  A prime p >= _SCAN_LIMIT past the limit
-        L but within 2 max(L, _SCAN_LIMIT) fills the table to that bound, so
+        """The roots mod a prime p.  The doubling rule: a prime p with
+        max(L, 511) < p <= 2 max(L, 512) <= 10^8, L the limit (512 is
+        _SCAN_LIMIT, 10^8 the cap), fills the table to 2 max(L, 512), so
         ascending callers pay for a few doubling passes from wherever they
-        start; other primes (below _SCAN_LIMIT, further out, or past the
-        cap) go to ``_prime_roots_cached``."""
+        start; other primes (below 512, further out, or past the cap) go to
+        ``_prime_roots_cached``."""
         grow = 2 * max(self.limit, _SCAN_LIMIT)
         if max(self.limit, _SCAN_LIMIT - 1) < p <= grow <= _SIEVE_LIMIT_MAX:
             self.fill(grow)
@@ -520,8 +521,6 @@ def _prime_power_roots_cached(f: IntPolynomial, p: int, e: int) -> tuple[int, ..
     LRU of 2^12 entries holds lifted prime powers only: the parents at
     e = 2, the roots mod p, are read from f's prime table."""
     parents = prime_table(f).lookup(p) if e == 2 else _prime_power_roots_cached(f, p, e - 1)
-    if not parents:
-        return ()
     return _lift_all(f, p, e, parents)
 
 
@@ -559,9 +558,8 @@ def roots_from_factorization(f: IntPolynomial, fact: Factorization) -> tuple[int
 def roots_mod_n(f: IntPolynomial, n: int) -> tuple[int, ...]:
     """The sorted roots of f mod n: the row of f's modulus table when it
     covers n, else glued from the prime-power factors of n.  No row is filled,
-    and f becomes the most recently used polynomial; but a prime factor p
-    with max(L, 511) < p <= 2 max(L, 512) <= 10^8, L the limit of f's prime
-    table, fills that table to 2 max(L, 512) (``PrimeRootTable.lookup``).
+    and f becomes the most recently used polynomial; but a prime factor of n
+    may grow f's prime table (the doubling rule of ``PrimeRootTable.lookup``).
     rho(1) = 1 with root {0} keeps counts multiplicative and starts the
     ascending moduli at n = 1.
     """
@@ -756,17 +754,16 @@ class ModulusTable:
             own = [np.repeat(np.flatnonzero(p == n), np.diff(table.offsets[i0 : i1 + 1]))]
             vals = [table.roots[table.offsets[i0] : table.offsets[i1]]]
             sel = np.flatnonzero((m == 1) & (p != n))  # n = p^e, e >= 2
-            if sel.size:
-                up = n[sel] // p[sel]
-                k = (offsets[up + 1] - offsets[up]) * p[sel]
-                i = np.repeat(sel, k)
-                pos = _ranges(np.zeros_like(k), k)
-                v = roots[np.repeat(offsets[up], k) + pos // p[i]] + pos % p[i] * (n[i] // p[i])
-                r = np.zeros_like(v)
-                for a in reversed(self.f.coeffs):
-                    r = (r * v + _lane_residues(a, n[i])) % n[i]
-                own.append(i[r == 0])
-                vals.append(v[r == 0])
+            up = n[sel] // p[sel]
+            k = (offsets[up + 1] - offsets[up]) * p[sel]
+            i = np.repeat(sel, k)
+            pos = _ranges(np.zeros_like(k), k)
+            v = roots[np.repeat(offsets[up], k) + pos // p[i]] + pos % p[i] * (n[i] // p[i])
+            r = np.zeros_like(v)
+            for a in reversed(self.f.coeffs):
+                r = (r * v + _lane_residues(a, n[i])) % n[i]
+            own.append(i[r == 0])
+            vals.append(v[r == 0])
             # rho(q) rho(m), read only for m > 1: when m = 1, q = n is unfinished
             c = (offsets[q + 1] - offsets[q]) * (offsets[m + 1] - offsets[m])
             sel = np.flatnonzero((m > 1) & (c > 0))
@@ -805,7 +802,7 @@ def modulus_table(f: IntPolynomial) -> ModulusTable:
     """f's shared, growing modulus table, with its prime table (``primes``).
     The 4 most recently used polynomials keep both until ``clear_caches()``;
     a per-n query (``roots_mod_n``) fills no rows of this table, though it
-    may fill the prime table to 2 max(L, 512), L its limit."""
+    may grow the prime table (the doubling rule of ``PrimeRootTable.lookup``)."""
     table = _modulus_tables.pop(f, None) or ModulusTable(f)
     _modulus_tables[f] = table
     if len(_modulus_tables) > 4:

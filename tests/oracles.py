@@ -108,6 +108,77 @@ def factored_root_stream(f, xmax, flt=None):
             yield n, roots_from_factorization(f, Factorization(n, tuple(parts)))
 
 
+def lattice_roots_x2p1(xmax):
+    """(offsets, roots) of x^2 + 1 mod every n <= xmax, laid out as
+    ``root_table``'s, from lattice points alone: no sieve, lift or CRT.
+
+    Each root mod n is one primitive vector (r, s), r > 0, s >= 0, with
+    r^2 + s^2 = n (one per orbit of the units 1, i, -1, -i).  Complete it by
+    u = r^-1 mod s (u = 1 at s = 0) and t = (r u - 1) / s; then v = r t + s u
+    satisfies v s = u n - r, so v = -r/s and v^2 = r^2/s^2 = -1 mod n.  All
+    vectors at once, u by a vectorized extended Euclid.
+    """
+    k = np.array([math.isqrt(xmax - s * s) for s in range(math.isqrt(xmax) + 1)])
+    s = np.repeat(np.arange(k.size), k)
+    r = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k) + 1
+    keep = np.gcd(r, s) == 1
+    r, s = r[keep], s[keep]
+    a, b, x, y = r, s, np.ones_like(r), np.zeros_like(r)  # a = x r, b = y r mod s
+    while (live := b != 0).any():
+        q = np.where(live, a // np.where(live, b, 1), 0)
+        a, b = np.where(live, b, a), np.where(live, a - q * b, b)
+        x, y = np.where(live, y, x), np.where(live, x - q * y, y)
+    one = np.maximum(s, 1)
+    u = np.where(s > 0, x % one, 1)
+    t = (r * u - 1) // one
+    n = r * r + s * s
+    v = (r * t + s * u) % n
+    order = np.lexsort((v, n))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(n, minlength=xmax + 1))))
+    return offsets, v[order]
+
+
+def lattice_roots_monic_quadratic(b, c, xmax):
+    """Sorted roots of x^2 + b x + c mod every n <= xmax, b^2 - 4c = D < 0,
+    from the reduced binary quadratic forms (Gauss; Cox, *Primes of the Form
+    x^2 + ny^2*, sections 2-3).
+
+    v is a root mod n exactly when B = 2v + b has B^2 = D mod 4n, so each
+    root is a form [n, B, (B^2 - D)/4n] with B mod 2n.  It is g times a
+    primitive form of discriminant D/g^2, which is Q o gamma for exactly one
+    reduced Q = [a, b', c'] and gamma = [[r, t], [s, u]] in SL2(Z): then
+    n = g Q(r, s) and B = g (2a r t + b'(r u + s t) + 2c' s u).  So every
+    primitive (r, s) of every reduced Q gives a root, and a set per n drops
+    the repeats that the automorphisms of Q make.
+    """
+    D = b * b - 4 * c
+    assert D < 0
+    found = [set() for _ in range(xmax + 1)]
+    for g in range(1, math.isqrt(-D) + 1):
+        if D % (g * g) or (D // (g * g)) % 4 not in (0, 1):
+            continue
+        disc = D // (g * g)
+        for qa in range(1, math.isqrt(-disc // 3) + 1):
+            for qb in range(-qa + 1, qa + 1):
+                if (qb * qb - disc) % (4 * qa):
+                    continue
+                qc = (qb * qb - disc) // (4 * qa)
+                if qc < qa or (qc == qa and qb < 0) or math.gcd(qa, qb, qc) != 1:
+                    continue
+                # reduced: Q(r, s) >= qa (r^2 - |r s| + s^2) >= qa max(|r|, |s|)^2 / 2
+                R = math.isqrt(2 * (xmax // g) // qa) + 1
+                for r in range(-R, R + 1):
+                    for s in range(-R, R + 1):
+                        n = g * (qa * r * r + qb * r * s + qc * s * s)
+                        if n > xmax or math.gcd(r, s) != 1:
+                            continue
+                        u = pow(r, -1, abs(s)) if s else r
+                        t = (r * u - 1) // s if s else 0
+                        B = g * (2 * qa * r * t + qb * (r * u + s * t) + 2 * qc * s * u)
+                        found[n].add((B - b) // 2 % n)
+    return [sorted(vs) for vs in found]
+
+
 def rational_root_search(coeffs):
     """Some rational root p/q with p | c0 and q | c_d, or None: every
     candidate is tried by evaluating q^d f(p/q) in integers."""

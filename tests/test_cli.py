@@ -677,6 +677,19 @@ def test_failed_cloud_write_removes_the_staged_output(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("target, reason", [("D", "Is a directory"), ("nodir/", "Not a directory")])
+def test_output_that_cannot_be_a_file_leaves_no_cloud(target, reason, tmp_path, capsys, monkeypatch):
+    # both names fail only at their rename, which ran after the cloud's
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "D").mkdir()
+    code, out, err = run_cli(
+        capsys, "system", "--polys", "1,1,1;-1,-1,1", "--xmax", "20",
+        "--cloud-out", "cloud.csv", "--output", target,
+    )
+    assert (code, out, err) == (2, "", f"rootdist: error: cannot write {target}: {reason}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["D"] and not list((tmp_path / "D").iterdir())
+
+
 def test_broken_pipe_exits_1(capsys, monkeypatch):
     import sys
 

@@ -42,7 +42,15 @@ from rootdist.roots import (
     root_table,
 )
 
-from oracles import brute_roots, brute_roots_py, eratosthenes, factored_root_stream, trial_factorize
+from oracles import (
+    brute_roots,
+    brute_roots_py,
+    eratosthenes,
+    factored_root_stream,
+    lattice_roots_monic_quadratic,
+    lattice_roots_x2p1,
+    trial_factorize,
+)
 
 # ROADMAP item 7's polynomials for the table route: 2 divides the leading
 # coefficient of 2x^2 - 7, and x^2 - 2^9 3^5 5^3 has more roots than moduli.
@@ -631,6 +639,26 @@ def test_stream_with_more_roots_than_moduli():
     assert root_table(f, 3000)[1].size == 7011
     for flt in _stream_filters():
         assert list(root_stream(f, 3000, flt)) == list(factored_root_stream(f, 3000, flt)), flt
+
+
+def test_root_table_matches_lattice_points_of_x2p1(x2p1):
+    # the oracle shares no code with the table: no sieve, lane roots, lift or CRT
+    for xmax in (10**5, 10**6):
+        offsets, roots = root_table(x2p1, xmax)
+        want_offsets, want_roots = lattice_roots_x2p1(xmax)
+        assert np.array_equal(offsets, want_offsets) and np.array_equal(roots, want_roots), xmax
+
+
+@pytest.mark.parametrize("b, c", [
+    (0, 1), (1, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2),
+    (2, 5), (3, 7), (0, 12), (1, 7), (4, 20),
+])
+def test_root_table_matches_reduced_forms(b, c):
+    # discriminants -3 and -4, non-fundamental D (-12, -16, -27, -48, -64),
+    # class number 2 (-20, -24, -48, -64)
+    offsets, roots = root_table(IntPolynomial((c, b, 1)), 3000)
+    want = lattice_roots_monic_quadratic(b, c, 3000)
+    assert [roots[offsets[n] : offsets[n + 1]].tolist() for n in range(3001)] == want
 
 
 def test_root_table_layout_and_cap(x2p1, monkeypatch):
