@@ -2,7 +2,7 @@
 
 One process-wide sieve (``cached_sieve``) serves every caller that does not
 bring its own; it is rebuilt larger only when a caller needs more.  The
-table is an int32 numpy array, and a limit above 10^8 entries (about 400 MB)
+table is uint16 (0 for a prime), and a limit above 10^8 entries (200 MB)
 is refused before anything is allocated.  Factoring beyond the sieve limit
 falls back to trial division by sieved primes plus a primality test, and
 inputs outside that range are rejected rather than risked.  ``is_prime``
@@ -28,7 +28,7 @@ from .errors import InvalidArgumentError, ResourceLimitError, UnsupportedInputEr
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
-# Largest sieve limit built; 4 bytes per entry.
+# Largest sieve limit built; 2 bytes per entry, as sqrt(10^8) < 2^16.
 _SIEVE_LIMIT_MAX = 10**8
 
 # The shared sieve is never built smaller than this.
@@ -55,7 +55,8 @@ class Factorization:
 
 
 class SpfSieve:
-    """Smallest-prime-factor table for 2 <= n <= limit."""
+    """Smallest-prime-factor table for 2 <= n <= limit: uint16, 0 for a
+    prime, which every reader here turns into n (``sieve[n]`` is n)."""
 
     def __init__(self, limit: int):
         if limit < 2:
@@ -65,21 +66,22 @@ class SpfSieve:
                 f"sieve limit {limit} exceeds the cap of {_SIEVE_LIMIT_MAX} entries"
             )
         self.limit = int(limit)
-        table = np.zeros(self.limit + 1, dtype=np.int32)
+        table = np.zeros(self.limit + 1, dtype=np.uint16)
         for p in range(2, math.isqrt(self.limit) + 1):
             if table[p] == 0:
                 chunk = table[p * p :: p]
                 chunk[chunk == 0] = p
-        untouched = np.flatnonzero(table == 0)
-        untouched = untouched[untouched >= 2]
-        table[untouched] = untouched
         self._table = table
         self.spf = memoryview(table)  # zero-copy; indexing yields Python ints
 
     def __getitem__(self, n: int) -> int:
         if not 2 <= n <= self.limit:
             raise InvalidArgumentError(f"sieve lookup out of range: {n}")
-        return int(self._table[n])
+        return self.spf[n] or n
+
+    def smallest(self, lo: int, hi: int) -> np.ndarray:
+        """The smallest primes of 2 <= lo <= n < hi <= limit + 1, as int64."""
+        return np.where(self._table[lo:hi] == 0, np.arange(lo, hi), self._table[lo:hi])
 
     def primes(self) -> list[int]:
         """Every prime up to limit: a fresh list, not kept (200 MB at the cap)."""
@@ -89,8 +91,7 @@ class SpfSieve:
         """The primes up to root <= limit, ascending, read off the table a
         block at a time, so that a caller who stops early reads no further."""
         for a in range(2, root + 1, 1 << 14):
-            b = min(a + (1 << 14), root + 1)
-            yield from (np.flatnonzero(self._table[a:b] == np.arange(a, b, dtype=np.int32)) + a).tolist()
+            yield from (np.flatnonzero(self._table[a : min(a + (1 << 14), root + 1)] == 0) + a).tolist()
 
 
 _shared_sieve: SpfSieve | None = None
@@ -114,7 +115,7 @@ def spf_parts(n: int, sieve: SpfSieve) -> list[tuple[int, int]]:
     spf = sieve.spf
     parts = []
     while n > 1:
-        p = spf[n]
+        p = spf[n] or n
         e = 0
         while n % p == 0:
             n //= p
@@ -129,7 +130,7 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if _shared_sieve is not None and n <= _shared_sieve.limit:
-        return _shared_sieve.spf[n] == n
+        return _shared_sieve.spf[n] == 0
     for p in _MR_BASES:
         if n % p == 0:
             return n == p

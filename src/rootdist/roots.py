@@ -398,22 +398,24 @@ class PrimeRootTable:
     table grows by ``fill``, which runs the odd primes prime to the leading
     coefficient and below _lane_prime_bound(d) in chunks of int64 lanes;
     the other primes go one at a time through ``_prime_roots_cached``.
-    Like the sieve, the limit is capped at 10^8.  ``lookup`` is the one
-    reader of roots mod p; no LRU keeps a copy of a lane prime's row.
+    Like the sieve, the limit is capped at 10^8, so the arrays are int32
+    (search them with int32 keys: any other converts the whole array).
+    ``lookup`` is the one reader of roots mod p; no LRU keeps a copy of a
+    lane prime's row.
     """
 
     def __init__(self, f: IntPolynomial):
         self.f = f
         self.limit = 1
-        self.primes = np.zeros(0, dtype=np.int64)
-        self.offsets = np.zeros(1, dtype=np.int64)
-        self.roots = np.zeros(0, dtype=np.int64)
+        self.primes = np.zeros(0, dtype=np.int32)
+        self.offsets = np.zeros(1, dtype=np.int32)
+        self.roots = np.zeros(0, dtype=np.int32)
 
     def fill(self, limit: int) -> None:
         """Extend the table to every prime up to limit."""
         if limit <= self.limit:
             return
-        primes, counts, roots = [self.primes], [np.zeros(0, np.int64)], [self.roots]
+        primes, counts, roots = [self.primes], [self.offsets[-1:]], [self.roots]
         for P, lanes in _prime_chunks(self.f, self.limit, limit):
             own, vals = _lane_roots(self.f.coeffs, P[lanes])
             own = np.flatnonzero(lanes)[own]
@@ -425,9 +427,9 @@ class PrimeRootTable:
             primes.append(P)
             counts.append(np.bincount(own, minlength=P.size))
             roots.append(vals[order])
-        self.primes = np.concatenate(primes)
-        self.offsets = np.concatenate([self.offsets, self.offsets[-1] + np.cumsum(np.concatenate(counts))])
-        self.roots = np.concatenate(roots)
+        self.primes = np.concatenate(primes, dtype=np.int32)
+        self.offsets = np.concatenate([self.offsets[:-1], np.cumsum(np.concatenate(counts), dtype=np.int32)])
+        self.roots = np.concatenate(roots, dtype=np.int32)
         self.limit = limit
 
     def rho(self) -> np.ndarray:
@@ -444,7 +446,7 @@ class PrimeRootTable:
         grow = 2 * max(self.limit, _SCAN_LIMIT)
         if max(self.limit, _SCAN_LIMIT - 1) < p <= grow <= _SIEVE_LIMIT_MAX:
             self.fill(grow)
-        i = int(np.searchsorted(self.primes, p))
+        i = int(self.primes.searchsorted(np.int32(p))) if p <= self.limit else self.primes.size
         if i == self.primes.size or self.primes[i] != p:
             return _prime_roots_cached(self.f, p)
         return tuple(self.roots[self.offsets[i] : self.offsets[i + 1]].tolist())
@@ -464,7 +466,7 @@ def prime_counts(f: IntPolynomial, xmax: int) -> tuple[np.ndarray, np.ndarray]:
     3 or 0 where (D/p) = 1 as x^p = x mod f or not (Stickelberger), and
     deg gcd(x^p - x, f) where p | D; deg gcd for every lane of d >= 4."""
     table = prime_table(f)
-    i = int(np.searchsorted(table.primes, xmax, side="right"))
+    i = int(table.primes.searchsorted(np.int32(min(xmax, table.limit)), side="right"))
     primes, rho = [table.primes[:i]], [table.rho()[:i]]
     for P, lanes in _prime_chunks(f, min(table.limit, xmax), xmax):
         r = np.zeros(P.size, np.int64)
@@ -485,7 +487,7 @@ def prime_counts(f: IntPolynomial, xmax: int) -> tuple[np.ndarray, np.ndarray]:
         r[~lanes] = [len(_prime_roots_cached(f, p)) for p in P[~lanes].tolist()]
         primes.append(P)
         rho.append(r)
-    return np.concatenate(primes), np.concatenate(rho)
+    return np.concatenate(primes, dtype=np.int64), np.concatenate(rho, dtype=np.int64)
 
 
 def _lift_all(f: IntPolynomial, p: int, e: int, parents: tuple[int, ...]) -> tuple[int, ...]:
@@ -619,10 +621,8 @@ class ModulusFilter:
     def parse(cls, text: str) -> "ModulusFilter":
         """Parse "all", "squarefree", "progression:a,m", "coprime:m", "list:n1,n2,..."."""
         text = text.strip()
-        if text == "all":
-            return cls.all()
-        if text == "squarefree":
-            return cls.squarefree()
+        if text in ("all", "squarefree"):
+            return cls(text)
         head, sep, tail = text.partition(":")
         if not sep:
             raise InvalidArgumentError(f"cannot parse filter {text!r}")
@@ -692,11 +692,11 @@ def _moduli_chunks(lo: int, hi: int) -> Iterator[tuple[int, int]]:
         lo = top
 
 
-def _split_smallest(lo: int, hi: int, spf: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(n, p, q, m) for n in [lo, hi), 2 <= lo: p = spf[n] is the smallest
+def _split_smallest(lo: int, hi: int, sieve: SpfSieve) -> tuple[np.ndarray, ...]:
+    """(n, p, q, m) for n in [lo, hi), 2 <= lo: p = sieve[n] is the smallest
     prime of n, q = p^e its full power in n, and m = n // q."""
     n = np.arange(lo, hi, dtype=np.int64)
-    p = spf[lo:hi].astype(np.int64)
+    p = sieve.smallest(lo, hi)
     q = p.copy()
     m = n // p
     more = np.flatnonzero(m % p == 0)
@@ -744,13 +744,12 @@ class ModulusTable:
             sieve = cached_sieve(xmax)
         table = self.primes
         table.fill(xmax)
-        spf = np.asarray(sieve.spf)
         offsets = np.zeros(xmax + 2, dtype=np.int32)
         offsets[: self.limit + 2] = self.offsets
         roots = self.roots
         for lo, hi in _moduli_chunks(self.limit + 1, xmax + 1):
-            n, p, q, m = _split_smallest(lo, hi, spf)
-            i0, i1 = np.searchsorted(table.primes, (lo, hi)).tolist()
+            n, p, q, m = _split_smallest(lo, hi, sieve)
+            i0, i1 = table.primes.searchsorted(np.array((lo, hi), np.int32)).tolist()
             own = [np.repeat(np.flatnonzero(p == n), np.diff(table.offsets[i0 : i1 + 1]))]
             vals = [table.roots[table.offsets[i0] : table.offsets[i1]]]
             sel = np.flatnonzero((m == 1) & (p != n))  # n = p^e, e >= 2

@@ -1,7 +1,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
+import sympy
 
 from rootdist import (
     Factorization,
@@ -15,7 +17,8 @@ from rootdist import (
 )
 
 from rootdist import modarith
-from rootdist.modarith import cached_sieve
+from rootdist.modarith import _SIEVE_LIMIT_MAX, cached_sieve
+from rootdist.roots import _primes_in
 
 from oracles import eratosthenes, trial_factorize
 
@@ -37,7 +40,7 @@ def test_sieve_rejects_tiny_limit():
 
 
 def test_sieve_refuses_limit_above_cap():
-    # raised before the 400 MB table is allocated
+    # raised before the 200 MB table is allocated
     with pytest.raises(ResourceLimitError):
         SpfSieve(10**8 + 1)
 
@@ -62,6 +65,30 @@ def test_sieve_prime_count_at_million():
     # a fresh list on each call: the sieve keeps none
     again = sieve.primes()
     assert again == primes and again is not primes
+
+
+def test_sieve_matches_trial_division_across_two_to_the_sixteen(monkeypatch):
+    # the table is uint16 with 0 for a prime, safe because every composite
+    # n <= the cap has its smallest prime below 2^16; past 2^16 every prime
+    # reads back as itself
+    assert math.isqrt(_SIEVE_LIMIT_MAX) < 2**16
+    limit = 150_000
+    sieve = SpfSieve(limit)
+    n = np.arange(limit + 1)
+    want = np.zeros(limit + 1, np.int64)
+    for p in _primes_in(1, math.isqrt(limit)).tolist():  # ascending: the first divisor wins
+        want[(want == 0) & (n % p == 0)] = p
+    want = np.where(want == 0, n, want)[2:].tolist()
+    assert [sieve[k] for k in range(2, limit + 1)] == want
+    assert sieve.smallest(2, limit + 1).tolist() == want
+    assert sieve.primes() == _primes_in(1, limit).tolist()
+    # is_prime reads the shared sieve: with no Miller-Rabin base left, any
+    # other route would call every odd composite prime
+    shared = cached_sieve(70_000)
+    monkeypatch.setattr(modarith, "_MR_BASES", ())
+    assert shared is modarith._shared_sieve
+    assert [is_prime(k) for k in range(65_000, 70_001)] == [sympy.isprime(k) for k in range(65_000, 70_001)]
+    assert SpfSieve(10**6).spf.nbytes == 2_000_002  # 2 bytes per entry
 
 
 def test_sieve_agrees_with_trial_division(small_sieve):

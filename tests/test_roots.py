@@ -405,6 +405,27 @@ def test_prime_table_cap(x3m2, monkeypatch):
     clear_caches()
 
 
+def test_prime_table_is_int32(x2p1):
+    # 4 bytes per prime, per offset and per root; the lanes compute in int64
+    table = PrimeRootTable(x2p1)
+    table.fill(10**6)
+    assert (table.primes.size, table.roots.size) == (78_498, 78_351)
+    assert {a.dtype for a in (table.primes, table.offsets, table.roots)} == {np.dtype(np.int32)}
+    assert (table.primes.nbytes, table.offsets.nbytes, table.roots.nbytes) == (313_992, 313_996, 313_404)
+    assert table.lookup(999_983) == () and table.lookup(999_961) == (256_200, 743_761)
+    # a prime = 1 mod 4 past 2^31 and the cap is never searched for in the table
+    assert roots_mod_prime(x2p1, 2147483693) == [72742850, 2074740843]
+    clear_caches()
+    prime_table(x2p1).fill(10**6)
+    for xmax in (5000, 2 * 10**6):  # below and past the table's limit
+        primes, rho = prime_counts(x2p1, xmax)
+        assert primes.dtype == rho.dtype == np.int64
+        k = min(primes.size, table.primes.size)
+        assert primes[:k].tolist() == table.primes[:k].tolist()
+        assert rho[:k].tolist() == table.rho()[:k].tolist()
+    assert prime_table(x2p1).limit == 10**6
+
+
 def test_prime_table_doubles_only_within_twice_its_limit(x3m2):
     # a prime p >= _SCAN_LIMIT = 512 with max(limit, 511) < p <= 2 max(limit, 512)
     # fills the table to that bound; any other prime leaves it
@@ -570,11 +591,11 @@ def test_stream_explicit_and_coprime_filters(x2p1):
 def test_smallest_prime_factor_walk_matches_trial_division():
     # the table's split n = q m, q the full power of the smallest prime,
     # chunk by chunk, and factorize on the same sieve
-    spf = np.asarray(cached_sieve(5000).spf)
+    sieve = cached_sieve(5000)
     seen = []
     for lo, hi in _moduli_chunks(2, 5001):
         assert hi <= 2 * lo
-        for n, p, q, m in zip(*(a.tolist() for a in _split_smallest(lo, hi, spf))):
+        for n, p, q, m in zip(*(a.tolist() for a in _split_smallest(lo, hi, sieve))):
             want = trial_factorize(n)
             smallest, e = want[0]
             assert (p, q, m) == (smallest, smallest**e, n // smallest**e)
