@@ -268,7 +268,7 @@ def weyl_series(
     """Accumulate the Weyl partial sums over the filtered stream up to xmax.
 
     In inverse mode only moduli prime to m contribute (the inverse must
-    exist): the caller's filter runs with prime_to = lcm(prime_to, m).
+    exist): the caller's filter runs with prime_to = lcm(prime_to, m); ``sieve`` is not read.
     """
     if isinstance(h, int):
         h = HSpec.const(h)
@@ -280,7 +280,7 @@ def weyl_series(
     series = WeylSeries(h=h, checkpoints=checkpoints)
     sums = [KahanSum(), KahanSum(), KahanSum()]  # re, im, |term|
     norm = 0
-    stream = _windows(root_stream(f, checkpoints[-1], flt, sieve))
+    stream = _windows(root_stream(f, checkpoints[-1], flt))
     for seg, done in _segments(stream, checkpoints):
         if seg:
             ns, ((counts, roots),) = seg
@@ -304,10 +304,10 @@ def ratio_points(
     flt: ModulusFilter | None = None,
     sieve: SpfSieve | None = None,
 ) -> np.ndarray:
-    """The fractions v/n for every root along the stream, in stream order."""
+    """The fractions v/n for every root, in stream order; ``sieve`` is not read."""
     pts = [
         np.asarray(roots / np.repeat(ns, counts), dtype=np.float64)
-        for ns, ((counts, roots),) in _windows(root_stream(f, xmax, flt, sieve))
+        for ns, ((counts, roots),) in _windows(root_stream(f, xmax, flt))
     ]
     return np.concatenate(pts)
 
@@ -410,12 +410,11 @@ class BoundCheck:
 
 
 def split_prime_count(f: IntPolynomial, n: int) -> int:
-    """Number of primes dividing n that avoid eta*disc and split completely,
-    i.e. have a full set of deg(f) roots."""
+    """Number of primes p dividing n that split completely: rho(p) = deg f,
+    which puts p outside eta*disc, as in ``prime_stats``."""
     if n < 1:
         raise InvalidArgumentError("modulus must be positive")
-    bad = f.eta * f.discriminant
-    return sum(bad % p != 0 and len(prime_table(f).lookup(p)) == f.degree for p, _ in factorize(n).parts)
+    return sum(len(prime_table(f).lookup(p)) == f.degree for p, _ in factorize(n).parts)
 
 
 def dilated_sum_square_bound(f: IntPolynomial, h: int, n: int) -> BoundCheck:
@@ -548,13 +547,13 @@ def progression_root_sums(
 ) -> ProgressionSums:
     """Sum of root counts over n = a mod m up to xmax, with a slope estimate.
 
-    Requires gcd(a, m) = 1; m = 1 gives the unrestricted sum.
+    Requires gcd(a, m) = 1; m = 1 gives the unrestricted sum.  ``sieve`` is not read.
     """
     flt = ModulusFilter.progression(a, m)
     checkpoints = _checkpoint_list(checkpoints, xmax)
     sums: list[int] = []
     acc = 0
-    for seg, done in _segments(_windows(root_stream(f, checkpoints[-1], flt, sieve)), checkpoints):
+    for seg, done in _segments(_windows(root_stream(f, checkpoints[-1], flt)), checkpoints):
         acc += int(seg[1][0][0].sum()) if seg else 0
         if done:
             sums.append(acc)

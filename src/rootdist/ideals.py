@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .errors import AdmissibilityError, InvalidArgumentError, UnsupportedInputError
 from .intpoly import IntPolynomial, poly_eval_mod
-from .modarith import SpfSieve, cached_sieve, crt_pair, factorize, is_prime, spf_parts
+from .modarith import SpfSieve, cached_sieve, crt_product, factorize, is_prime, spf_parts
 from .roots import roots_from_factorization, roots_mod_n
 
 
@@ -96,12 +96,7 @@ def _ideals_of(roots: Iterable[int], parts: Sequence[tuple[int, int]]) -> list[F
 
 def ideal_residue(ideal: FactoredIdeal) -> int:
     """The unique integer in [0, norm) matching every component residue."""
-    acc, acc_m = 0, 1
-    for p, e, v in ideal.components:
-        pe = p**e
-        acc = crt_pair(acc, acc_m, v, pe)
-        acc_m *= pe
-    return acc
+    return crt_product(((v,), p**e) for p, e, v in ideal.components)[0]
 
 
 def _check_components(f: IntPolynomial, components: tuple[tuple[int, int, int], ...]) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -198,6 +198,19 @@ def inverse(a: int, m: int) -> int:
         raise InvalidArgumentError(f"{a} is not invertible mod {m}") from None
 
 
+def crt_product(parts: Iterable[tuple[Sequence[int], int]]) -> list[int]:
+    """The sorted r in [0, prod m) with r mod m in R for each (R, m) of ``parts``,
+    R in [0, m) and the m pairwise coprime.  An empty R ends the walk: no r."""
+    acc, acc_m = [0], 1
+    for rs, m in parts:
+        if not rs:
+            return []
+        inv = inverse(acc_m % m, m)
+        acc = [a + acc_m * ((b - a) * inv % m) for a in acc for b in rs]
+        acc_m *= m
+    return sorted(acc)
+
+
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     """The unique r in [0, m1*m2) with r = r1 mod m1 and r = r2 mod m2."""
     if m1 < 1 or m2 < 1:
@@ -206,7 +219,7 @@ def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
         raise InvalidArgumentError("residues must lie in [0, modulus)")
     if math.gcd(m1, m2) != 1:
         raise InvalidArgumentError(f"moduli {m1} and {m2} are not coprime")
-    return r1 + m1 * ((r2 - r1) * inverse(m1 % m2, m2) % m2)
+    return crt_product((((r1,), m1), ((r2,), m2)))[0]
 
 
 def euler_phi(fact: Factorization) -> int:

@@ -6,15 +6,15 @@ lifts uniquely to a root mod n^L.  The lift runs quadratic Newton steps with
 precision doubling, the inverse of f' Newton-iterated alongside, and a
 divide-and-conquer base conversion reads off the L digits (von zur Gathen and
 Gerhard, Modern Computer Algebra, ch. 9) down to leaves below 2^63, which
-numpy splits into digits in int64.  The digits stay one int64 array per tower
-(Python ints for a base of 2^63 or more), read as they are by the word counts
-and the phase walk.  For a quadratic c2*x^2 + c1*x + c0 only one root of
-each conjugate pair is lifted: sigma(x) = -c1/c2 - x maps the roots mod
-every n^k to themselves and fixes no root mod n (f' is a unit there), so by
-Hensel uniqueness the lift of sigma(s) is sigma of the lift of s.  For
-c2 = +-1 below base 2^63 the partner's digits come from the lifted row by one
-borrow scan of the digit-wise difference shift - v, not by a second base
-conversion.
+numpy splits into digits in int64.  The digits stay one read-only array per
+tower, int64 below base 2^63 and object (Python ints) from there, read as
+they are by the word counts and the phase walk.  For a quadratic
+c2*x^2 + c1*x + c0 only one root of each conjugate pair is lifted:
+sigma(x) = -c1/c2 - x maps the roots mod every n^k to themselves and fixes no
+root mod n (f' is a unit there), so by Hensel uniqueness the lift of sigma(s)
+is sigma of the lift of s.  For c2 = +-1, at any base, the partner's digits
+come from the lifted row by one borrow scan of the digit-wise difference
+shift - v, not by a second base conversion.
 
 Word counts code each window by Horner over shifted slices of the row, in
 int64; a word is its code in base n, so a report keeps one count per word
@@ -88,7 +88,7 @@ def _digits_value(digits, base: int) -> int:
 
 def _split_digits(x: int, base: int, count: int, powers: dict):
     """The ``count`` base-n digits of x < base^count, least significant first,
-    as an int64 array, or a list of ints for a base of 2^63 or more.
+    as an int64 array, or an object array of ints for a base of 2^63 or more.
 
     Halving divmods cut x into leaves of L digits, L the longest with
     base^L < 2^63 (only the top leaf may be shorter), and numpy splits the
@@ -109,7 +109,7 @@ def _split_digits(x: int, base: int, count: int, powers: dict):
         hi, lo = divmod(v, powers[half])
         stack += [(hi, k - half), (lo, half)]
     if base >= 2**63:
-        return leaves
+        return np.array(leaves, dtype=object)
     weights = base ** np.arange(leaf, dtype=np.int64)
     digits = np.empty((len(leaves), leaf), dtype=np.int64)
     for i in range(0, len(leaves), _LEAF_BATCH):
@@ -120,8 +120,8 @@ def _split_digits(x: int, base: int, count: int, powers: dict):
 
 def _sub_digits(x: int, v, base: int):
     """The digit row of (x - v) mod base^L, for an int x of either sign and
-    few digits and an int64 digit row v of length L, by one vectorised
-    borrow scan (Knuth, TAOCP vol. 2, 4.3.1, Algorithm S).
+    few digits and a digit row v of length L (int64, or object past 2^63), by
+    one vectorised borrow scan (Knuth, TAOCP vol. 2, 4.3.1, Algorithm S).
 
     The digits of x mod base^L are those of x for x >= 0, and base - 1 less
     those of ~x = -x - 1 for x < 0.  With d = x - v digit by digit, a borrow
@@ -161,27 +161,24 @@ class NadicExpansion:
 
     The depth-l prefix value a_0 + a_1*n + ... + a_{l-1}*n^(l-1) is a root of
     f mod n^l for every l up to the depth.  ``row`` holds the digits as a
-    read-only int64 array, or as a tuple of ints for a base of 2^63 or more;
-    ``digits`` is the tuple of ints, built on first access.  Two expansions
-    are equal when their polynomial, base and digits are.  A digit that is
-    not an integer, or lies outside [0, base), is refused.
+    read-only array, int64 below base 2^63 and object (Python ints) from
+    there; ``digits`` is a tuple of ints built from it on each access.  Two
+    expansions are equal when their polynomial, base and digits are.  A
+    digit that is not an integer, or lies outside [0, base), is refused.
     """
 
-    __slots__ = ("poly", "base", "row", "_digits")
+    __slots__ = ("poly", "base", "row")
 
     def __init__(self, poly: IntPolynomial, base: int, digits):
         self.poly, self.base = poly, base
         digits = _read_digits(digits)
         if len(digits) and (np.min(digits) < 0 or np.max(digits) >= base):
             raise InvalidArgumentError("digit out of range for the base")
-        if base < 2**63:
-            self.row, self._digits = np.array(digits, dtype=np.int64), None
-            self.row.flags.writeable = False
-        else:
-            self.row = self._digits = tuple(map(int, digits))
+        self.row = np.array(digits, dtype=np.int64 if base < 2**63 else object)
+        self.row.flags.writeable = False
 
     def _key(self) -> tuple:
-        return self.poly, self.base, self.row if isinstance(self.row, tuple) else self.row.tobytes()
+        return self.poly, self.base, self.digits if self.row.dtype == object else self.row.tobytes()
 
     def __eq__(self, other):
         return isinstance(other, NadicExpansion) and self._key() == other._key()
@@ -191,9 +188,7 @@ class NadicExpansion:
 
     @property
     def digits(self) -> tuple[int, ...]:
-        if self._digits is None:
-            self._digits = tuple(self.row.tolist())
-        return self._digits
+        return tuple(self.row.tolist())
 
     @property
     def depth(self) -> int:
@@ -245,8 +240,7 @@ def nadic_expansions(f: IntPolynomial, base: int, depth: int) -> list[NadicExpan
     top = powers[depth]
     if f.degree == 2:  # sigma(x) = shift - x pairs the roots (module docstring)
         _, c1, c2 = f.coeffs
-        shift = -c1 * inverse(c2, top)
-        scan = abs(c2) == 1 and base < 2**63  # then shift = -c1*c2 mod top
+        shift = -c1 * inverse(c2, top)  # -c1*c2 mod top when |c2| = 1
     rows = {}  # seed -> the digits of its root mod base^depth
     for seed in seeds:
         if seed in rows:
@@ -260,12 +254,10 @@ def nadic_expansions(f: IntPolynomial, base: int, depth: int) -> list[NadicExpan
             if k < depth:
                 u = u * (2 - f.deriv_mod(v, m) * u) % m
         rows[seed] = _split_digits(v, base, depth, powers)
-        if f.degree == 2:
-            rows[(shift - seed) % base] = (
-                _sub_digits(-c1 * c2, rows[seed], base)
-                if scan
-                else _split_digits((shift - v) % top, base, depth, powers)
-            )
+        if f.degree == 2 and abs(c2) == 1:
+            rows[(shift - seed) % base] = _sub_digits(-c1 * c2, rows[seed], base)
+        elif f.degree == 2:
+            rows[(shift - seed) % base] = _split_digits((shift - v) % top, base, depth, powers)
     return [NadicExpansion(f, base, rows.pop(s)) for s in seeds]
 
 

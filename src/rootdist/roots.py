@@ -52,7 +52,7 @@ import numpy as np
 from .errors import InvalidArgumentError, ResourceLimitError
 from .intpoly import IntPolynomial, parse_ints, poly_eval_mod
 from .modarith import (
-    _SIEVE_LIMIT_MAX, Factorization, SpfSieve, cached_sieve, factorize, inverse, is_prime
+    _SIEVE_LIMIT_MAX, Factorization, SpfSieve, cached_sieve, crt_product, factorize, inverse, is_prime
 )
 
 # A prime taken on its own gets a scan of every residue below this bound
@@ -437,19 +437,23 @@ class PrimeRootTable:
         return np.diff(self.offsets)
 
     def lookup(self, p: int) -> tuple[int, ...]:
-        """The roots mod a prime p.  The doubling rule: a prime p with
+        """The roots mod a prime p.  The doubling rule: a p with
         max(L, 511) < p <= 2 max(L, 512) <= 10^8, L the limit (512 is
         _SCAN_LIMIT, 10^8 the cap), fills the table to 2 max(L, 512), so
         ascending callers pay for a few doubling passes from wherever they
-        start; other primes (below 512, further out, or past the cap) go to
-        ``_prime_roots_cached``."""
+        start.  Then p up to the limit is prime iff it has a row; other
+        primes (below 512, further out, or past the cap) go to
+        ``_prime_roots_cached`` once ``is_prime`` passes them."""
         grow = 2 * max(self.limit, _SCAN_LIMIT)
         if max(self.limit, _SCAN_LIMIT - 1) < p <= grow <= _SIEVE_LIMIT_MAX:
             self.fill(grow)
-        i = int(self.primes.searchsorted(np.int32(p))) if p <= self.limit else self.primes.size
-        if i == self.primes.size or self.primes[i] != p:
+        if p <= self.limit:
+            i = int(self.primes.searchsorted(np.int32(max(p, 0))))
+            if i < self.primes.size and self.primes[i] == p:
+                return tuple(self.roots[self.offsets[i] : self.offsets[i + 1]].tolist())
+        elif is_prime(p):
             return _prime_roots_cached(self.f, p)
-        return tuple(self.roots[self.offsets[i] : self.offsets[i + 1]].tolist())
+        raise InvalidArgumentError(f"{p} is not prime")
 
 
 def prime_table(f: IntPolynomial) -> PrimeRootTable:
@@ -527,12 +531,13 @@ def _prime_power_roots_cached(f: IntPolynomial, p: int, e: int) -> tuple[int, ..
 
 
 def roots_mod_prime_power(f: IntPolynomial, p: int, e: int) -> list[int]:
-    """Sorted roots of f mod p^e, built level by level from the roots mod p."""
-    if not is_prime(p):
-        raise InvalidArgumentError(f"{p} is not prime")
+    """Sorted roots of f mod p^e, built level by level from the roots mod p,
+    which ``PrimeRootTable.lookup`` reads first: a p that is not prime raises
+    before a bad exponent."""
+    roots = prime_table(f).lookup(p)
     if e < 1:
         raise InvalidArgumentError("exponent must be at least 1")
-    return list(prime_table(f).lookup(p) if e == 1 else _prime_power_roots_cached(f, p, e))
+    return list(roots if e == 1 else _prime_power_roots_cached(f, p, e))
 
 
 def roots_mod_prime(f: IntPolynomial, p: int) -> list[int]:
@@ -543,18 +548,10 @@ def roots_mod_prime(f: IntPolynomial, p: int) -> list[int]:
 def roots_from_factorization(f: IntPolynomial, fact: Factorization) -> tuple[int, ...]:
     """Sorted roots of f mod ``fact.modulus``, glued through the CRT from
     root sets mod each p^e of ``fact.parts`` (ascending p); no parts means
-    the modulus 1 and the root 0."""
-    acc: tuple[int, ...] | list[int] = (0,)
-    acc_m = 1
-    for p, e in fact.parts:
-        part = prime_table(f).lookup(p) if e == 1 else _prime_power_roots_cached(f, p, e)
-        if not part:
-            return ()
-        pe = p**e
-        inv = inverse(acc_m % pe, pe)
-        acc = [a + acc_m * ((b - a) * inv % pe) for a in acc for b in part]
-        acc_m *= pe
-    return tuple(sorted(acc))
+    the modulus 1 and the root 0.  A part with no roots ends the walk."""
+    parts = ((prime_table(f).lookup(p) if e == 1 else _prime_power_roots_cached(f, p, e), p**e)
+             for p, e in fact.parts)
+    return tuple(crt_product(parts))
 
 
 def roots_mod_n(f: IntPolynomial, n: int) -> tuple[int, ...]:
@@ -735,13 +732,12 @@ class ModulusTable:
         self.offsets = np.array([0, 0, 1], dtype=np.int32)
         self.roots = np.zeros(1, dtype=np.int32)  # roots[0] = 0 mod 1
 
-    def fill(self, xmax: int, sieve: SpfSieve | None = None) -> None:
-        """Extend the table to every n <= xmax; the sieve (the shared one
-        unless ``sieve`` covers xmax) is fetched before the prime table."""
+    def fill(self, xmax: int) -> None:
+        """Extend the table to every n <= xmax; the shared sieve, the one
+        the table reads, is fetched before the prime table is filled."""
         if xmax <= self.limit:
             return
-        if sieve is None or sieve.limit < xmax:
-            sieve = cached_sieve(xmax)
+        sieve = cached_sieve(xmax)
         table = self.primes
         table.fill(xmax)
         offsets = np.zeros(xmax + 2, dtype=np.int32)
@@ -809,13 +805,11 @@ def modulus_table(f: IntPolynomial) -> ModulusTable:
     return table
 
 
-def root_table(
-    f: IntPolynomial, xmax: int, sieve: SpfSieve | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def root_table(f: IntPolynomial, xmax: int) -> tuple[np.ndarray, np.ndarray]:
     """(offsets, roots): read-only views of the rows n <= xmax of f's
     modulus table, filled to xmax first; both int32."""
     table = modulus_table(f)
-    table.fill(xmax, sieve)
+    table.fill(xmax)
     offsets = table.offsets[: xmax + 2]
     roots = table.roots[: offsets[-1]]
     offsets.flags.writeable = roots.flags.writeable = False
@@ -823,7 +817,7 @@ def root_table(
 
 
 def _stream_windows(
-    fs: Sequence[IntPolynomial], xmax: int, flt: ModulusFilter | None, sieve: SpfSieve | None
+    fs: Sequence[IntPolynomial], xmax: int, flt: ModulusFilter | None
 ) -> Iterator[tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]]:
     """The moduli n <= xmax that ``flt`` (all n when None) accepts, a window
     at a time, with the roots of each polynomial in ``fs`` (one
@@ -840,7 +834,7 @@ def _stream_windows(
             rows = [roots_mod_n(f, n) for f in fs]
             yield np.array([n], dt), [(np.array([len(r)]), np.array(r, dt)) for r in rows]
         return
-    tables = [root_table(f, xmax, sieve) for f in fs]
+    tables = [root_table(f, xmax) for f in fs]
     for lo, hi in _moduli_chunks(1, xmax + 1):
         ns = flt.window(lo, hi)
         if ns.size:
@@ -852,10 +846,7 @@ def _stream_windows(
 
 
 def root_stream(
-    f: IntPolynomial,
-    xmax: int,
-    flt: ModulusFilter | None = None,
-    sieve: SpfSieve | None = None,
+    f: IntPolynomial, xmax: int, flt: ModulusFilter | None = None
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(n, sorted roots of f mod n) for the n <= xmax that ``flt`` accepts
     (all n by default), ascending, empty root sets included, from f's kept
@@ -873,7 +864,7 @@ def root_stream(
             out[i] = tuple(vals[a:b])
         return out
 
-    windows = _stream_windows((f,), xmax, flt, sieve)
+    windows = _stream_windows((f,), xmax, flt)
     return itertools.chain.from_iterable(zip(ns.tolist(), rows(*row)) for ns, (row,) in windows)
 
 

@@ -163,7 +163,7 @@ def joint_weyl_series(
     discrepancy of the growing tuple cloud {(v_1/n, ..., v_r/n)}.
 
     ``cloud_sink``, when given, receives one (n, tuple) call per root tuple
-    in stream order (used by the CLI to dump the cloud as CSV).
+    in stream order (used by the CLI to dump the cloud as CSV); ``sieve`` is not read.
     """
     r = system.dimension
     if r > _MAX_DIMENSION:
@@ -230,7 +230,7 @@ def joint_weyl_series(
             keep = np.flatnonzero(np.prod([k for k, _ in rows], axis=0))
             yield ns[keep], [(k[keep], v[_ranges((np.cumsum(k) - k)[keep], k[keep])]) for k, v in rows]
 
-    windows = _stream_windows(system.polys, checkpoints[-1], flt, sieve)
+    windows = _stream_windows(system.polys, checkpoints[-1], flt)
     for seg, done in _segments(nonempty(windows), checkpoints):
         if seg:
             add(*seg)

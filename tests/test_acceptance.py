@@ -45,7 +45,7 @@ def test_criterion_01_oracle_equivalence(reference_polys, small_sieve):
     t0 = time.time()
     ok = True
     for f in reference_polys:
-        for n, rs in rd.root_stream(f, 3000, sieve=small_sieve):
+        for n, rs in rd.root_stream(f, 3000):
             if list(rs) != brute_roots(f.coeffs, n):
                 ok = False
                 break

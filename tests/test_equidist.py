@@ -28,7 +28,9 @@ from rootdist import (
     weyl_series,
 )
 
+from rootdist import SpfSieve, modarith
 from rootdist.cli import main
+from rootdist.roots import clear_caches
 from rootdist.equidist import _GRID_CELL_CAP, _check_grid, box_discrepancy_from_hist
 from oracles import (
     direct_exp_sum,
@@ -242,6 +244,32 @@ def test_split_prime_count_examples(x2p1):
     assert split_prime_count(x2p1, 65) == 2
     assert split_prime_count(x2p1, 6) == 0
     assert split_prime_count(x2p1, 1) == 0
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1, 6), (-3, 2, 2), (-2, 0, 0, 1), (-1, -3, 0, 5)])
+def test_split_prime_count_matches_a_residue_scan(coeffs):
+    # the leading coefficients 6, 2 and 5 have prime factors; 23 divides the
+    # discriminant of 6x^2 + x + 1, 7 that of 2x^2 + 2x - 3, and 2 and 3 that of x^3 - 2
+    f = parse_polynomial(",".join(map(str, coeffs)))
+    bad = f.eta * f.discriminant
+    split = [False] * 2001
+    for p in (p for p in range(2, 2001) if all(p % q for q in range(2, math.isqrt(p) + 1))):
+        roots = [v for v in range(p) if sum(c * v**j for j, c in enumerate(coeffs)) % p == 0]
+        split[p] = len(roots) == f.degree and bad % p != 0
+    for n in range(1, 2001):
+        assert split_prime_count(f, n) == sum(split[p] for p, _ in trial_factorize(n)), n
+
+
+def test_stream_consumers_read_the_shared_sieve(x2p1, monkeypatch):
+    # a caller's sieve is not read: the modulus table fills from the shared one
+    clear_caches()
+    monkeypatch.setattr(modarith, "_shared_sieve", None)
+    got = weyl_series(x2p1, 1, 3000, sieve=SpfSieve(10**4))
+    assert modarith._shared_sieve is not None and modarith._shared_sieve.limit >= 3000
+    clear_caches()
+    want = weyl_series(x2p1, 1, 3000)
+    assert (got.signed, got.abs_sum, got.normalizer) == (want.signed, want.abs_sum, want.normalizer)
+    clear_caches()
 
 
 def test_prime_stats_small(x2p1):

@@ -17,7 +17,7 @@ from rootdist import (
 )
 
 from rootdist import modarith
-from rootdist.modarith import _SIEVE_LIMIT_MAX, cached_sieve
+from rootdist.modarith import _SIEVE_LIMIT_MAX, cached_sieve, crt_product
 from rootdist.roots import _primes_in
 
 from oracles import eratosthenes, trial_factorize
@@ -186,6 +186,31 @@ def test_crt_random_round_trip():
         assert 0 <= r < m1 * m2
         assert r % m1 == r1 and r % m2 == r2
         done += 1
+
+
+def test_crt_product_matches_brute_force():
+    # up to three pairwise coprime moduli among 1, primes and prime powers,
+    # each with a set of 0-3 residues, against a search of [0, prod m)
+    rng = random.Random(11)
+    moduli = (1, 2, 3, 4, 5, 7, 8, 9, 11, 13, 25)
+    for _ in range(400):
+        ms = []
+        for m in rng.sample(moduli, rng.randint(0, 3)):
+            if all(math.gcd(m, k) == 1 for k in ms):
+                ms.append(m)
+        sets = [sorted(rng.sample(range(m), min(m, rng.randint(0, 3)))) for m in ms]
+        want = [r for r in range(math.prod(ms)) if all(r % m in s for s, m in zip(sets, ms))]
+        assert crt_product(zip(sets, ms)) == want, (sets, ms)
+
+
+def test_crt_product_reads_no_part_past_an_empty_set():
+    def parts():
+        yield (1, 2), 3
+        yield (), 5
+        pytest.fail("a part past the empty set was read")
+
+    assert crt_product(parts()) == []
+    assert crt_product([]) == [0]
 
 
 # psi_12 and psi_13: the least strong pseudoprimes to the first 12 and the

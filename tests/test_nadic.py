@@ -203,7 +203,7 @@ def _spy_evaluations(monkeypatch):
 def test_paired_quadratic_towers_match_a_lift_of_every_seed(coeffs, base, monkeypatch):
     # c2 = 1, -1, 2 and -3, with and without c1: one Newton lift per
     # conjugate pair, the partner read off sigma (a borrow scan for c2 = +-1
-    # below 2^63, with shift 0, a small positive integer or n^depth - c),
+    # at any base, with shift 0, a small positive integer or n^depth - c),
     # against the linear Hensel oracle, which lifts every seed on its own;
     # depths on both sides of a leaf
     f = IntPolynomial(coeffs)
@@ -249,6 +249,34 @@ def test_partner_rows_are_a_scan_of_the_lifted_rows(coeffs, base, monkeypatch):
         for e in exps:
             want = split((-c1 * c2 - e.prefix_value(depth)) % top, base, depth, {}).tolist()
             assert rows[(-c1 * c2 - e.seed_root) % base] == want, depth
+
+
+@pytest.mark.parametrize(
+    "coeffs, base",
+    [((1, 0, 1), 2**64 + 13), ((-1, -1, -1), 2**64 + 81), ((1, 0, 2), 2**64 + 81)],
+)
+def test_big_base_rows_are_object_arrays_and_partners_a_borrow_scan(coeffs, base, monkeypatch):
+    # past 2^63 a row is a read-only object array of ints; for |c2| = 1 the
+    # partner is read off the lifted row by the borrow scan (shift 0 for
+    # x^2 + 1, -1 for -x^2 - x - 1), and 2x^2 + 1 converts both towers
+    f = IntPolynomial(coeffs)
+    c1, c2 = coeffs[1], coeffs[2]
+    splits = []
+    split = nadic._split_digits
+    monkeypatch.setattr(nadic, "_split_digits", lambda *a: splits.append(a) or split(*a))
+    for depth in (1, 2, 40, 301):
+        top = base**depth
+        splits.clear()
+        lifted, partner = nadic_expansions(f, base, depth)
+        assert len(splits) == (1 if abs(c2) == 1 else 2)
+        v = lifted.prefix_value(depth)
+        assert list(partner.digits) == scalar_digits((-c1 * pow(c2, -1, top) - v) % top, base, depth)
+        for e in (lifted, partner):
+            assert e.row.dtype == object and not e.row.flags.writeable
+            assert {type(a) for a in e.row} == {int} and e.digits == tuple(e.row)
+            assert poly_eval_mod(f, e.prefix_value(depth), top) == 0
+            built = NadicExpansion(f, base, list(e.digits))
+            assert built == e and hash(built) == hash(e)
 
 
 def _value(row, base):
@@ -318,10 +346,8 @@ def test_leaf_digits_match_scalar_divmod(base):
         for x in values:
             want = scalar_digits(x, base, count)
             for got in (nadic._split_digits(x, base, count, powers), nadic._split_digits(x, base, count, {})):
-                if base < 2**63:  # an int64 row
-                    assert got.dtype == np.int64
-                    got = got.tolist()
-                assert got == want, (base, count, x)
+                assert got.dtype == (np.int64 if base < 2**63 else object)
+                assert got.tolist() == want, (base, count, x)
 
 
 def test_leaf_digits_in_several_batches():

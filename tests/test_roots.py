@@ -21,6 +21,7 @@ from rootdist import (
 )
 from rootdist import roots as roots_module
 from rootdist.intpoly import IntPolynomial, IrreducibilityAssumedWarning
+from rootdist import modarith
 from rootdist.modarith import cached_sieve
 from rootdist.roots import (
     _SCAN_LIMIT,
@@ -68,6 +69,29 @@ def test_roots_mod_prime_rejects_composite(x2p1):
     for p in (10, -7, 0, 1):
         with pytest.raises(InvalidArgumentError):
             roots_mod_prime(x2p1, p)
+
+
+def test_prime_queries_within_the_table_run_no_primality_test(x2p1, monkeypatch):
+    # up to its limit f's prime table decides primality; with no shared
+    # sieve every is_prime call would be a 13-base Miller-Rabin test
+    clear_caches()
+    monkeypatch.setattr(modarith, "_shared_sieve", None)
+    prime_table(x2p1).fill(10**5)
+    calls = []
+    is_prime = roots_module.is_prime
+    monkeypatch.setattr(roots_module, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    flags = eratosthenes(10**5)
+    got = {p: roots_mod_prime(x2p1, p) for p in range(10**5 + 1) if flags[p]}
+    assert calls == [] and len(got) == 9592
+    assert got[2] == [1] and got[3] == [] and got[99989] == brute_roots(x2p1.coeffs, 99989)
+    # a composite, in the table's range or past it, is refused before a bad exponent
+    for n in (-7, 0, 1, 10, 99_999, 10**5 + 1, 2**61 + 1):
+        with pytest.raises(InvalidArgumentError, match="is not prime"):
+            roots_mod_prime_power(x2p1, n, 0)
+    with pytest.raises(InvalidArgumentError, match="exponent must be at least 1"):
+        roots_mod_prime_power(x2p1, 99989, 0)
+    assert calls[-1] == 2**61 + 1  # past the table and its doubling: Miller-Rabin decides
+    clear_caches()
 
 
 def test_roots_mod_prime_large_matches_scan(reference_polys):
@@ -783,7 +807,7 @@ def test_stream_matches_roots_mod_n(x3m2, small_sieve):
     # the per-n roots come by factorization: no row is filled before the stream
     clear_caches()
     want = [(n, roots_mod_n(x3m2, n)) for n in range(1, 401)]
-    assert list(root_stream(x3m2, 400, sieve=small_sieve)) == want
+    assert list(root_stream(x3m2, 400)) == want
 
 
 def _refuse(*args):
