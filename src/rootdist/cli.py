@@ -54,12 +54,13 @@ def _read_config_file(path: str) -> dict:
 
 
 def _emit(handler, args: argparse.Namespace) -> None:
-    """Run ``handler(args, output)``.  ``output(path)`` stages a text file: a temp
-    file beside path, with the mode a plain open would give, or an anonymous one for
-    stdout (None).  Once the handler returns, the files are renamed into place and
-    stdout copied out, so a failed run leaves no file and prints nothing."""
+    """Run ``handler(args, output)``.  ``output(path)`` stages a text file: a temp file beside
+    path's resolved target, with the mode a plain open would give, or an anonymous one for
+    stdout (None) and for a target that exists but is no regular file (a FIFO, a device).
+    Once the handler returns, temp files are renamed into place (a symlink stays a link), the
+    rest written by a plain open and stdout copied out: a failed run writes and prints nothing."""
     os.umask(umask := os.umask(0))
-    staged = []  # (path, its staged file)
+    staged = []  # (path, the resolved target to rename onto or None, its staged file)
     path = None
 
     def output(target: str | None):
@@ -68,34 +69,39 @@ def _emit(handler, args: argparse.Namespace) -> None:
         if target is not None and (os.path.isdir(target) or target.endswith(os.sep)):
             code = errno.EISDIR if os.path.isdir(target) else errno.ENOTDIR  # as the rename would fail
             raise OSError(code, os.strerror(code))
-        if target is None:
-            fh = tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
-        else:
+        real = None if target is None else os.path.realpath(target)
+        if real is not None and (os.path.isfile(real) or not os.path.exists(real)):
             fh = tempfile.NamedTemporaryFile("w", encoding="utf-8", newline="\n", prefix=".rootdist-",
-                                             dir=os.path.dirname(os.path.abspath(target)), delete=False)
-        staged.append((target, fh))
-        if target is not None:
+                                             dir=os.path.dirname(real), delete=False)
             os.chmod(fh.name, 0o666 & ~umask)
+        else:
+            real, fh = None, tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+        staged.append((target, real, fh))
         return fh
 
     try:
         handler(args, output)
-        for path, fh in staged:
+        for path, real, fh in staged:
             fh.flush()
-        for path, fh in staged:
-            if path is not None:
-                os.replace(fh.name, path)
+        for path, real, fh in staged:
+            if real is not None:
+                os.replace(fh.name, real)
+        for path, real, fh in staged:
+            if path is not None and real is None:
+                fh.seek(0)
+                with open(path, "w", encoding="utf-8", newline="\n") as out:
+                    shutil.copyfileobj(fh, out)
     except BaseException as exc:
-        for target, fh in staged:
+        for target, real, fh in staged:
             with contextlib.suppress(OSError):
                 fh.close()
-            if target is not None and os.path.exists(fh.name):
+            if real is not None and os.path.exists(fh.name):
                 os.unlink(fh.name)
         if isinstance(exc, OSError):
             where = "stdout" if path is None else path
             raise InvalidArgumentError(f"cannot write {where}: {exc.strerror or exc}") from None
         raise
-    for target, fh in staged:
+    for target, real, fh in staged:
         with fh:
             if target is None:
                 fh.seek(0)

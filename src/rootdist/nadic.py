@@ -2,19 +2,18 @@
 Haar-measure Monte Carlo for the mean-square of digit Weyl sums.
 
 A root v of f mod n with gcd(n, eta*disc) = 1 has a unit derivative, so it
-lifts uniquely to a root mod n^L.  The lift runs quadratic Newton steps with
-precision doubling, the inverse of f' Newton-iterated alongside, and a
-divide-and-conquer base conversion reads off the L digits (von zur Gathen and
-Gerhard, Modern Computer Algebra, ch. 9) down to leaves below 2^63, which
-numpy splits into digits in int64.  The digits stay one read-only array per
-tower, int64 below base 2^63 and object (Python ints) from there, read as
-they are by the word counts and the phase walk.  For a quadratic
-c2*x^2 + c1*x + c0 only one root of each conjugate pair is lifted:
-sigma(x) = -c1/c2 - x maps the roots mod every n^k to themselves and fixes no
-root mod n (f' is a unit there), so by Hensel uniqueness the lift of sigma(s)
-is sigma of the lift of s.  For c2 = +-1, at any base, the partner's digits
-come from the lifted row by one borrow scan of the digit-wise difference
-shift - v, not by a second base conversion.
+lifts uniquely to a root mod n^L, by ``roots._newton_lift``, which also
+takes the roots mod p to p^e.  A divide-and-conquer base conversion reads
+off the L digits (von zur Gathen and Gerhard, Modern Computer Algebra,
+ch. 9) down to leaves below 2^63, which numpy splits into digits in int64.
+The digits stay one read-only array per tower, int64 below base 2^63 and
+object (Python ints) from there, read as they are by the word counts and the
+phase walk.  For a quadratic c2*x^2 + c1*x + c0 only one root of each
+conjugate pair is lifted: sigma(x) = -c1/c2 - x maps the roots mod every n^k
+to themselves and fixes no root mod n (f' is a unit there), so by Hensel
+uniqueness the lift of sigma(s) is sigma of the lift of s.  For c2 = +-1, at
+any base, the partner's digits come from the lifted row by one borrow scan of
+the digit-wise difference shift - v, not by a second base conversion.
 
 Word counts code each window by Horner over shifted slices of the row, in
 int64; a word is its code in base n, so a report keeps one count per word
@@ -50,9 +49,9 @@ import numpy as np
 
 from .errors import AdmissibilityError, InvalidArgumentError, ResourceLimitError
 from .ideals import admissibility
-from .intpoly import IntPolynomial, poly_eval_mod
+from .intpoly import IntPolynomial
 from .modarith import inverse
-from .roots import roots_mod_n
+from .roots import _newton_lift, roots_mod_n
 
 _TWO_PI = 2.0 * math.pi
 
@@ -231,13 +230,8 @@ def nadic_expansions(f: IntPolynomial, base: int, depth: int) -> list[NadicExpan
     seeds = roots_mod_n(f, base)
     if not seeds:
         return []
-    # Precisions 1 = k_0 < k_1 < ... < k_t = depth with k_{i+1} <= 2*k_i.
-    steps = [depth]
-    while steps[-1] > 1:
-        steps.append((steps[-1] + 1) // 2)
-    steps.reverse()
-    powers = {k: base**k for k in steps}
-    top = powers[depth]
+    top = base**depth
+    powers = {depth: top}  # base^k by k, shared by the lifts and the digit splits
     if f.degree == 2:  # sigma(x) = shift - x pairs the roots (module docstring)
         _, c1, c2 = f.coeffs
         shift = -c1 * inverse(c2, top)  # -c1*c2 mod top when |c2| = 1
@@ -245,14 +239,7 @@ def nadic_expansions(f: IntPolynomial, base: int, depth: int) -> list[NadicExpan
     for seed in seeds:
         if seed in rows:
             continue
-        # v is the root mod base^k and u the inverse of f'(v) mod base^k.
-        v = seed
-        u = inverse(f.deriv_mod(seed, base), base)
-        for k in steps[1:]:
-            m = powers[k]
-            v = (v - poly_eval_mod(f, v, m) * u) % m
-            if k < depth:
-                u = u * (2 - f.deriv_mod(v, m) * u) % m
+        v = _newton_lift(f, seed, base, depth, powers)
         rows[seed] = _split_digits(v, base, depth, powers)
         if f.degree == 2 and abs(c2) == 1:
             rows[(shift - seed) % base] = _sub_digits(-c1 * c2, rows[seed], base)

@@ -19,8 +19,8 @@ residue scan below _SCAN_LIMIT (one int64 Horner pass over every residue)
 and a lane of its own above it.  ``roots_mod_n`` reads the row of f's
 modulus table when it covers n, and otherwise glues the root sets of the
 prime powers of n: mod p from f's prime table, mod p^e (e >= 2) from an LRU
-of 2^12 lifts; entries are pure functions of (polynomial, prime, exponent),
-so no hit is needed.
+of 2^12 lifts (one per (f, p, e) asked) that take a nonsingular root straight
+to p^e by the towers' Newton lift and a singular one level by level.
 
 A stream reads the modulus table of its polynomial (``root_table``): the
 roots mod every n <= x in int32 CSR arrays, one growing table shared by
@@ -494,44 +494,55 @@ def prime_counts(f: IntPolynomial, xmax: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(primes, dtype=np.int64), np.concatenate(rho, dtype=np.int64)
 
 
-def _lift_all(f: IntPolynomial, p: int, e: int, parents: tuple[int, ...]) -> tuple[int, ...]:
-    """Roots mod p^e above the given roots mod p^(e-1), for e >= 2.
+def _newton_lift(f: IntPolynomial, v: int, base: int, depth: int, powers: dict) -> int:
+    """The root mod base^depth above a root v mod base at which f' is a unit,
+    by Newton steps to precisions 1 = k_0 < ... < k_t = depth, k_(i+1) <= 2 k_i,
+    with u = 1/f'(v) mod base^k Newton-iterated alongside.  ``powers`` maps k
+    to base^k (shared with nadic's digit splits); the steps add theirs."""
+    steps = [depth]
+    while steps[-1] > 1:
+        steps.append((steps[-1] + 1) // 2)
+    u = inverse(f.deriv_mod(v, base), base)
+    for k in reversed(steps[:-1]):
+        m = powers[k] = powers.get(k) or base**k
+        v = (v - poly_eval_mod(f, v, m) * u) % m
+        if k < depth:
+            u = u * (2 - f.deriv_mod(v, m) * u) % m
+    return v
 
-    A nonsingular root (p does not divide f'(v)) lifts by one Newton step.
-    At a singular root f(v + t p^(e-1)) = f(v) mod p^e for every t: the
-    linear Taylor term carries p * p^(e-1) and the higher ones p^(2(e-1)).
-    So one evaluation decides whether all p lifts are roots or none is.
+
+def _lift_all(f: IntPolynomial, p: int, e: int, roots_mod_p: tuple[int, ...]) -> tuple[int, ...]:
+    """The sorted roots mod p^e above the given roots mod p.
+
+    A nonsingular root (p does not divide f'(v)) goes straight to p^e by
+    ``_newton_lift``.  The singular ones go level by level, until none is
+    left: at a singular root v mod p^(k-1), f(v + t p^(k-1)) = f(v) mod p^k
+    for every t (the linear Taylor term carries p * p^(k-1), the higher ones
+    p^(2(k-1))), so one evaluation decides whether all p lifts are roots.
     """
-    pe_prev = p ** (e - 1)
-    pe = pe_prev * p
-    out: list[int] = []
-    singular = 0
-    for v in parents:
-        if f.deriv_mod(v, p) != 0:
-            u = inverse(f.deriv_mod(v, pe), pe)
-            out.append((v - poly_eval_mod(f, v, pe) * u) % pe)
-        elif poly_eval_mod(f, v, pe) == 0:
-            singular += 1
-            if singular * p > _LIFT_OUTPUT_LIMIT:
-                raise ResourceLimitError(
-                    f"singular lifts to {p}^{e} exceed {_LIFT_OUTPUT_LIMIT} roots"
-                )
-            out.extend(range(v, pe, pe_prev))
-    out.sort()
-    return tuple(out)
+    powers: dict[int, int] = {}
+    singular = [v for v in roots_mod_p if f.deriv_mod(v, p) == 0]
+    out = [_newton_lift(f, v, p, e, powers) for v in roots_mod_p if v not in singular]
+    k, pk = 1, p
+    while singular and k < e:
+        k, pk = k + 1, pk * p
+        alive = [v for v in singular if poly_eval_mod(f, v, pk) == 0]
+        if len(alive) * p > _LIFT_OUTPUT_LIMIT:
+            raise ResourceLimitError(f"singular lifts to {p}^{k} exceed {_LIFT_OUTPUT_LIMIT} roots")
+        singular = [w for v in alive for w in range(v, pk, pk // p)]
+    return tuple(sorted(out + singular))
 
 
 @lru_cache(maxsize=1 << 12)
 def _prime_power_roots_cached(f: IntPolynomial, p: int, e: int) -> tuple[int, ...]:
-    """Roots mod p^e for e >= 2, lifted from the roots mod p^(e-1).  This
-    LRU of 2^12 entries holds lifted prime powers only: the parents at
-    e = 2, the roots mod p, are read from f's prime table."""
-    parents = prime_table(f).lookup(p) if e == 2 else _prime_power_roots_cached(f, p, e - 1)
-    return _lift_all(f, p, e, parents)
+    """Roots mod p^e for e >= 2, lifted in one ``_lift_all`` call from the
+    roots mod p in f's prime table.  This LRU of 2^12 entries holds one
+    entry for each (f, p, e) asked, and lifted prime powers only."""
+    return _lift_all(f, p, e, prime_table(f).lookup(p))
 
 
 def roots_mod_prime_power(f: IntPolynomial, p: int, e: int) -> list[int]:
-    """Sorted roots of f mod p^e, built level by level from the roots mod p,
+    """Sorted roots of f mod p^e, lifted from the roots mod p (``_lift_all``),
     which ``PrimeRootTable.lookup`` reads first: a p that is not prime raises
     before a bad exponent."""
     roots = prime_table(f).lookup(p)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import stat
 import time
 from pathlib import Path
 
@@ -390,6 +391,50 @@ def test_output_files_get_the_umask_mode(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "o.csv"]
     for path in tmp_path.iterdir():
         assert path.stat().st_mode & 0o777 == 0o644
+
+
+def test_fifo_output_gets_the_run_and_stays_a_fifo(tmp_path, capsys):
+    # the read end is open, nonblocking, before the run, so the run's plain open does not block
+    fifo = tmp_path / "F"
+    os.mkfifo(fifo)
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, out, _ = run_cli(capsys, "roots", "--poly", "1,0,1", "--nmax", "200000000", "--output", str(fifo))
+        assert (code, out) == (1, "")  # refused at the sieve cap, after the output was staged
+        assert os.read(fd, 1 << 16) == b""
+        assert run_cli(capsys, "roots", "--poly", "1,0,1", "--n", "65", "--output", str(fifo)) == (0, "", "")
+        assert os.read(fd, 1 << 16) == b"65: 8 18 47 57\n"
+    finally:
+        os.close(fd)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["F"]
+
+
+def test_symlink_output_stays_a_link(tmp_path, capsys):
+    real = tmp_path / "real.txt"
+    real.write_text("old\n")
+    link = tmp_path / "L"
+    link.symlink_to(real.name)
+    code, _, _ = run_cli(capsys, "roots", "--poly", "1,0,1", "--nmax", "200000000", "--output", str(link))
+    assert code == 1 and real.read_text() == "old\n"
+    assert run_cli(capsys, "roots", "--poly", "1,0,1", "--n", "65", "--output", str(link)) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == "real.txt"
+    assert real.read_text() == "65: 8 18 47 57\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["L", "real.txt"]
+
+
+@pytest.mark.parametrize("command", ["ideals", "system", "weyl"])
+def test_deep_prime_power_runs_exit_0(command, capsys):
+    # 5^600 lies far past any recursion limit of a level-by-level lift;
+    # goldens/cli.json pins the roots run at 5^600
+    n = str(5**600)
+    argv = {
+        "ideals": ["ideals", "--poly", "1,0,1", "--n", n],
+        "system": ["system", "--polys", "1,1,1;-1,-1,1", "--n", n],
+        "weyl": ["weyl", "--poly", "1,0,1", "--xmax", n, "--filter", f"list:{n}", "--checkpoints", n],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out
 
 
 def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):

@@ -29,7 +29,7 @@ from rootdist import (
     prefix_weyl_sum,
     word_frequencies,
 )
-from rootdist import nadic
+from rootdist import nadic, roots
 
 FREQUENCIES = (1, -1, 3, -12345, 2**40 + 1, 2**200 + 7)
 # levels per walk chunk of one base-5 row: whole blocks of B = 14 levels
@@ -173,9 +173,9 @@ def _newton_steps(depth):
 
 
 def _spy_evaluations(monkeypatch):
-    """Record nadic's calls of poly_eval_mod: one per Newton step of a lift."""
+    """Record the lift's calls of poly_eval_mod: one per Newton step of a lift."""
     calls = []
-    monkeypatch.setattr(nadic, "poly_eval_mod", lambda *a: calls.append(a) or poly_eval_mod(*a))
+    monkeypatch.setattr(roots, "poly_eval_mod", lambda *a: calls.append(a) or poly_eval_mod(*a))
     return calls
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import warnings
 import weakref
 
@@ -50,6 +51,7 @@ from oracles import (
     factored_root_stream,
     lattice_roots_monic_quadratic,
     lattice_roots_x2p1,
+    linear_hensel_digits,
     trial_factorize,
 )
 
@@ -1008,6 +1010,50 @@ def test_singular_lifts_match_brute():
         f = IntPolynomial(coeffs)
         for e in range(1, 7):
             assert roots_mod_prime_power(f, p, e) == brute_roots(coeffs, p**e), (coeffs, e)
+
+
+def _digit_value(digits, base):
+    return sum(d * base**j for j, d in enumerate(digits))
+
+
+def test_deep_prime_power_matches_the_linear_lift(x2p1):
+    # the Newton lift to 5^600 against one linear Hensel step per level
+    clear_caches()
+    want = sorted(_digit_value(d, 5) for d in linear_hensel_digits(x2p1, 5, 600))
+    assert len(want) == 2
+    assert roots_mod_prime_power(x2p1, 5, 600) == want
+    clear_caches()
+    start = time.perf_counter()
+    deep = roots_mod_prime_power(x2p1, 5, 5000)
+    assert time.perf_counter() - start < 1.0
+    below = roots_mod_prime_power(x2p1, 5, 4999)
+    assert len(deep) == 2
+    for v in deep:
+        assert poly_eval_mod(x2p1, v, 5**5000) == 0 and v % 5**4999 in below
+
+
+def test_singular_and_nonsingular_roots_lift_together():
+    # x^3 - x - 8 at 2: 0 is a nonsingular root mod 2 and 1 a singular one
+    # whose lifts survive at every level
+    coeffs = (-8, -1, 0, 1)
+    f = IntPolynomial(coeffs)
+    clear_caches()
+    assert f.deriv_mod(0, 2) == 1 and f.deriv_mod(1, 2) == 0
+    for e in range(1, 17):
+        assert roots_mod_prime_power(f, 2, e) == brute_roots(coeffs, 2**e), e
+    deep = roots_mod_prime_power(f, 2, 600)
+    below = roots_mod_prime_power(f, 2, 599)
+    assert len(deep) == 5
+    for v in deep:
+        assert poly_eval_mod(f, v, 2**600) == 0 and v % 2**599 in below
+    clear_caches()
+
+
+def test_a_cold_lift_adds_one_lru_entry(x2p1):
+    clear_caches()
+    _prime_power_roots_cached(x2p1, 5, 400)
+    assert _prime_power_roots_cached.cache_info().currsize == 1
+    clear_caches()
 
 
 def test_level_validation(x2p1):

@@ -82,6 +82,8 @@ CLI_COMMANDS = [
     (["normality", "--poly", "1,0,1", "--base", "5", "--depth", "70000", "--max-m", "4"], False),
     # 2x^2 + 1 in base 33 = 3 * 11: a non-monic quadratic with four seeds
     (["padic", "--poly", "1,0,2", "--base", "33", "--depth", "400"], False),
+    # a deep prime power: both roots of x^2 + 1 lifted straight to 5^600
+    (["roots", "--poly", "1,0,1", "--n", str(5**600)], False),
 ]
 
 
