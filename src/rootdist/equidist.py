@@ -7,10 +7,10 @@ are reduced mod 1 in integer arithmetic before any float conversion.
 
 Stream consumers read every ``root_stream`` item (the benchmark counts them)
 and work its nonempty rows in numpy, fewer than _TABLE_CHUNK consecutive n at
-a time: ``_phase_sums`` does what ``root_exp_sum`` does per modulus, in its
-order, and the per-modulus sums enter the Kahan sums in ascending n, so every
-bit is as the scalar loop left it.  A checkpointed walk streams, and fills
-tables, only up to its last checkpoint; xmax bounds the checkpoints.
+a time: ``_phase_sums`` adds each modulus's terms in root order by
+``np.bincount``, as ``root_exp_sum`` does, and the sums enter the Kahan sums
+in ascending n, so every bit is as the scalar loop left it.  A checkpointed
+walk streams, and fills tables, only up to its last checkpoint; xmax bounds it.
 """
 
 from __future__ import annotations
@@ -85,21 +85,14 @@ def root_exp_sum(
 def _phase_sums(ns, counts, roots, hn) -> tuple[np.ndarray, np.ndarray]:
     """(re, im): ``root_exp_sum`` bit for bit for each of the moduli ns, with
     rows (counts, roots) as ``_stream_windows`` makes them and hn = h mod n.
-    Step j adds cos and sin of 2 pi (t / n), t = hn v mod n, for the j-th root
-    v of every modulus that has one; h = 0 mod n adds cos 0 = 1 per root."""
+    Each modulus adds cos and sin of 2 pi (t / n), t = hn v mod n, over its
+    roots v from 0.0: ``np.bincount`` adds a bin's weights in input order,
+    which is root order; h = 0 mod n adds cos 0 = 1 per root."""
     own = np.repeat(np.arange(ns.size), counts)
     n = ns[own]
     y = _TWO_PI * np.asarray(hn[own] * roots % n / n, dtype=np.float64)
-    cos, sin = np.cos(y), np.sin(y)
-    first = np.cumsum(counts) - counts
-    re, im = np.zeros(ns.size), np.zeros(ns.size)
-    live, j = np.flatnonzero(counts), 0
-    while live.size:
-        re[live] += cos[first[live] + j]
-        im[live] += sin[first[live] + j]
-        j += 1
-        live = live[counts[live] > j]
-    return re, im
+    # with no roots at all bincount returns int64 zeros
+    return tuple(np.bincount(own, w, ns.size).astype(np.float64) for w in (np.cos(y), np.sin(y)))
 
 
 def _windows(stream: Iterable[tuple[int, tuple[int, ...]]]) -> Iterator:

@@ -20,7 +20,7 @@ from rootdist import (
     roots_mod_n,
     weyl_series,
 )
-from rootdist.equidist import _TWO_PI
+from rootdist.equidist import _TWO_PI, _phase_sums
 from rootdist.roots import _INT64_MODULUS_BOUND, clear_caches, prime_table, root_table
 
 from oracles import (
@@ -156,7 +156,9 @@ def test_numpy_phases_equal_cmath_on_every_golden_root():
         assert np.hypot(re, im).tolist() == [abs(complex(a, b)) for a, b in zip(re.tolist(), im.tolist())]
 
 
-@pytest.mark.parametrize("poly", ["1,0,1", "-15552000,0,1"])
+# x^4 - 10x^2 + 1: rho(n) reaches 64 below 20000, so long rows of roots
+@pytest.mark.filterwarnings("ignore::rootdist.intpoly.IrreducibilityAssumedWarning")
+@pytest.mark.parametrize("poly", ["1,0,1", "-15552000,0,1", "1,0,-10,0,1"])
 def test_longer_streams_and_small_batches_match_scalar_loops(poly, monkeypatch):
     f = parse_polynomial(poly)
     for h in (HSpec.const(1), HSpec.inverse_of(3)):
@@ -171,6 +173,29 @@ def test_longer_streams_and_small_batches_match_scalar_loops(poly, monkeypatch):
         assert weyl_reprs(got) == weyl_reprs(scalar_weyl_series(f, 3, 2000, flt, [10, 11, 12, 1500]))
         assert ratio_points(f, 2000, flt).tobytes() == scalar_ratio_points(f, 2000, flt).tobytes()
     assert progression_root_sums(f, 1, 4, 2000).sums == scalar_progression_sums(f, 1, 4, 2000)
+
+
+def test_bincount_adds_each_bin_in_input_order():
+    # _phase_sums sums each modulus's terms with np.bincount, so a bin must be
+    # added left to right: [1.0] + [2**-53] * 8 is then exactly 1.0, while
+    # np.sum and math.fsum give 1.0000000000000009
+    head = [1.0] + [2.0**-53] * 8
+    assert sum(head) == 1.0 and np.sum(head) == math.fsum(head) == 1.0000000000000009
+    rng = np.random.default_rng(5)
+    idx = np.concatenate([np.zeros(len(head), np.int64), rng.integers(0, 7, 500)])
+    w = np.concatenate([head, rng.standard_normal(500) * 10.0 ** rng.integers(-12, 12, 500)])
+    want = [0.0] * 7
+    for i, x in zip(idx.tolist(), w.tolist()):
+        want[i] += x
+    assert [repr(x) for x in np.bincount(idx, w, 7).tolist()] == [repr(x) for x in want]
+    assert np.bincount(idx[:9], w[:9], 1).tolist() == [1.0]
+
+
+def test_phase_sums_of_windows_without_roots_are_float64_zeros():
+    empty = np.array([], np.int64)
+    for ns, counts in ((empty, empty), (np.array([3, 4, 6]), np.zeros(3, np.int64))):
+        for xs in _phase_sums(ns, counts, empty, ns % 5):
+            assert xs.dtype == np.float64 and xs.tolist() == [0.0] * ns.size
 
 
 def test_consumers_read_items_up_to_the_last_checkpoint(monkeypatch):
