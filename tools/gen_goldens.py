@@ -115,6 +115,10 @@ CLI_MD5_COMMANDS = [
     ["normality", "--poly", "1,0,1", "--base", "65", "--depth", "20000", "--max-m", "1"],
     # the four towers of the non-monic 2x^2 + 1 in base 33
     ["normality", "--poly", "1,0,2", "--base", "33", "--depth", "20000", "--max-m", "1"],
+    # non-monic partners whose shift -c1/c2 has a repeating block: 3x^2 + x + 2
+    # in base 2 (-1/3 = ...0101) and -3x^2 + x + 1 in base 391 = 17 * 23
+    ["normality", "--poly", "2,1,3", "--base", "2", "--depth", "40000", "--max-m", "3"],
+    ["normality", "--poly", "1,1,-3", "--base", "391", "--depth", "20000", "--max-m", "1"],
     # truncated word tables in a base past ten, where the top-20 tie-break
     # by word string ("10,..." before "2,...") is not the order of the codes
     ["normality", "--poly", "1,0,1", "--base", "13", "--depth", "30000", "--max-m", "4"],
