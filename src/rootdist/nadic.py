@@ -11,9 +11,8 @@ object (Python ints) from there, read as they are by the word counts and the
 phase walk.  For a quadratic c2*x^2 + c1*x + c0 only one root of each
 conjugate pair is lifted: sigma(x) = -c1/c2 - x maps the roots mod every n^k
 to themselves and fixes no root mod n (f' is a unit there), so by Hensel
-uniqueness the lift of sigma(s) is sigma of the lift of s.  For c2 = +-1, at
-any base, the partner's digits come from the lifted row by one borrow scan of
-the digit-wise difference shift - v, not by a second base conversion.
+uniqueness the lift of sigma(s) is sigma of the lift of s, whose digits one
+borrow scan reads off the lifted row and the periodic digits of -c1/c2.
 
 Word counts code each window by Horner over shifted slices of the row, in
 int64; a word is its code in base n, so a report keeps one count per word
@@ -50,7 +49,6 @@ import numpy as np
 from .errors import AdmissibilityError, InvalidArgumentError, ResourceLimitError
 from .ideals import admissibility
 from .intpoly import IntPolynomial
-from .modarith import inverse
 from .roots import _newton_lift, roots_mod_n
 
 _TWO_PI = 2.0 * math.pi
@@ -117,25 +115,33 @@ def _split_digits(x: int, base: int, count: int, powers: dict):
     return digits.ravel()[:count]  # without the zeros above the top leaf
 
 
-def _sub_digits(x: int, v, base: int):
-    """The digit row of (x - v) mod base^L, for an int x of either sign and
-    few digits and a digit row v of length L (int64, or object past 2^63), by
-    one vectorised borrow scan (Knuth, TAOCP vol. 2, 4.3.1, Algorithm S).
+def _sub_digits(num: int, den: int, v, base: int):
+    """The digit row of (num/den - v) mod base^L, for den prime to base and a
+    digit row v of length L (int64, or object past 2^63), by one vectorised
+    borrow scan (Knuth, TAOCP vol. 2, 4.3.1, Algorithm S).
 
-    The digits of x mod base^L are those of x for x >= 0, and base - 1 less
-    those of ~x = -x - 1 for x < 0.  With d = x - v digit by digit, a borrow
-    leaves digit j when d_j < 0, or when d_j = 0 and a borrow entered j: the
-    last nonzero d at or below j decides.  The borrow out of the top digit
-    is dropped.
+    For den > 0 the digits of num/den are a_j = r_j/den mod base, r_0 = num,
+    r_(j+1) = (r_j - a_j*den)/base; every r reaches [-den, 0], which the step
+    permutes, so they repeat from r's first return to its first value there.
+    With d = num/den - v digit by digit, a borrow leaves digit j when
+    d_j < 0, or when d_j = 0 and a borrow entered j: the last nonzero d at or
+    below j decides.  The borrow out of the top digit is dropped.
     """
-    neg = x < 0
-    d, y = (base - 1) * neg - v, ~x if neg else x
-    for j in range(len(d)):
-        if not y:
+    num, den = (num, den) if den > 0 else (-num, -den)
+    inv, length = pow(den, -1, base), len(v)
+    row, r, first = [], num, None
+    while len(row) < length:
+        if first is None and -den <= r <= 0:
+            first, start = r, len(row)
+        row.append(r * inv % base)
+        r = (r - row[-1] * den) // base
+        if r == first:
             break
-        y, a = divmod(y, base)
-        d[j] += -a if neg else a
-    last = np.arange(len(d), dtype=np.int32)  # depth <= _MAX_DEPTH < 2^31
+    d = np.array(row, dtype=v.dtype)
+    if len(row) < length:  # the block row[start:] repeats
+        d = np.concatenate([d, np.tile(d[start:], length // (len(row) - start))])
+    d = d[:length] - v
+    last = np.arange(length, dtype=np.int32)  # depth <= _MAX_DEPTH < 2^31
     last *= d != 0  # position 0 stands in for none: then d_0 = 0, no borrow
     borrow = (d < 0)[np.maximum.accumulate(last, out=last)]
     np.add(d, base, out=d, where=borrow)
@@ -230,21 +236,15 @@ def nadic_expansions(f: IntPolynomial, base: int, depth: int) -> list[NadicExpan
     seeds = roots_mod_n(f, base)
     if not seeds:
         return []
-    top = base**depth
-    powers = {depth: top}  # base^k by k, shared by the lifts and the digit splits
-    if f.degree == 2:  # sigma(x) = shift - x pairs the roots (module docstring)
-        _, c1, c2 = f.coeffs
-        shift = -c1 * inverse(c2, top)  # -c1*c2 mod top when |c2| = 1
+    powers = {}  # base^k by k, shared by the lifts and the digit splits
     rows = {}  # seed -> the digits of its root mod base^depth
     for seed in seeds:
         if seed in rows:
             continue
-        v = _newton_lift(f, seed, base, depth, powers)
-        rows[seed] = _split_digits(v, base, depth, powers)
-        if f.degree == 2 and abs(c2) == 1:
-            rows[(shift - seed) % base] = _sub_digits(-c1 * c2, rows[seed], base)
-        elif f.degree == 2:
-            rows[(shift - seed) % base] = _split_digits((shift - v) % top, base, depth, powers)
+        rows[seed] = _split_digits(_newton_lift(f, seed, base, depth, powers), base, depth, powers)
+        if f.degree == 2:  # sigma(x) = -c1/c2 - x pairs the roots (module docstring)
+            partner = _sub_digits(-f.coeffs[1], f.coeffs[2], rows[seed], base)
+            rows[int(partner[0])] = partner
     return [NadicExpansion(f, base, rows.pop(s)) for s in seeds]
 
 
@@ -380,8 +380,8 @@ def _block(base: int) -> int:
 def _phase_cells(rows, base: int, h: int):
     """Yield floor(2^64 * frac(h*P_l/n^l)) for l = 1..L of every row of
     equal-length digit rows, where P_l is the value of the row's first l
-    digits, as uint64 arrays (rows x levels) of at most max(_WALK_CHUNK,
-    rows*B) cells, each ending on a block start.
+    digits, as uint64 arrays (rows x levels) of at most max(_WALK_CHUNK +
+    rows*(B - 1), rows*B) cells, each ending on a block start.
 
     U_l = floor(2^64*h*P_l/n^l) satisfies U_0 = 0 and
     U_l = floor((a*h*2^64 + U_{l-1})/n), a the digit added at level l:
@@ -403,7 +403,7 @@ def _phase_cells(rows, base: int, h: int):
     step, low = base**block, base ** (block - 1)
     h64, hlow = h << 64, h % low
     count, length = len(rows), len(rows[0])
-    chunk = block * max(1, _WALK_CHUNK // (count * block))
+    chunk = block * max(1, -(-min(length, _WALK_CHUNK // count) // block))
     tops = [0] * count
     for start in range(0, length, chunk):
         stop = min(start + chunk, length)

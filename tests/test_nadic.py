@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -32,8 +33,9 @@ from rootdist import (
 from rootdist import nadic, roots
 
 FREQUENCIES = (1, -1, 3, -12345, 2**40 + 1, 2**200 + 7)
-# levels per walk chunk of one base-5 row: whole blocks of B = 14 levels
-CHUNK = nadic._WALK_CHUNK - nadic._WALK_CHUNK % nadic._block(5)
+# levels per walk chunk of one long base-5 row: _WALK_CHUNK rounded up to
+# whole blocks of B = 14 levels
+CHUNK = -(-nadic._WALK_CHUNK // nadic._block(5)) * nadic._block(5)
 
 
 @pytest.fixture(scope="module")
@@ -202,8 +204,8 @@ def _spy_evaluations(monkeypatch):
 )
 def test_paired_quadratic_towers_match_a_lift_of_every_seed(coeffs, base, monkeypatch):
     # c2 = 1, -1, 2 and -3, with and without c1: one Newton lift per
-    # conjugate pair, the partner read off sigma (a borrow scan for c2 = +-1
-    # at any base, with shift 0, a small positive integer or n^depth - c),
+    # conjugate pair, the partner read off sigma by a borrow scan at any
+    # base, with shift 0, a small positive integer, n^depth - c or -c1/c2,
     # against the linear Hensel oracle, which lifts every seed on its own;
     # depths on both sides of a leaf
     f = IntPolynomial(coeffs)
@@ -230,11 +232,14 @@ def test_paired_quadratic_towers_match_a_lift_of_every_seed(coeffs, base, monkey
         ((-3, 1, 1), 2**40 + 97),  # shift n^depth - 1
         ((1, -2, -1), 2**62 + 135),  # c2 = -1, shift n^depth - 2, one digit a leaf
         ((1, 0, 1), 65),
+        ((2, 1, 3), 2),  # shift -1/3, digits 1, 0, 1, 0, ...
+        ((1, 0, 2), 33),  # c2 = 2, shift 0
+        ((1, 1, -3), 391),  # shift 1/3
     ],
 )
 def test_partner_rows_are_a_scan_of_the_lifted_rows(coeffs, base, monkeypatch):
-    # each partner row is (shift - v) mod n^depth read off the lifted row by
-    # the borrow scan, never by a second base conversion
+    # each partner row is (-c1/c2 - v) mod n^depth read off the lifted row by
+    # the borrow scan, never by a second base conversion, for every c2
     f = IntPolynomial(coeffs)
     c1, c2 = coeffs[1], coeffs[2]
     splits = []
@@ -246,9 +251,10 @@ def test_partner_rows_are_a_scan_of_the_lifted_rows(coeffs, base, monkeypatch):
         exps = nadic_expansions(f, base, depth)
         assert exps and len(splits) == len(exps) // 2
         rows = {e.seed_root: e.row.tolist() for e in exps}
+        shift = -c1 * pow(c2, -1, top)
         for e in exps:
-            want = split((-c1 * c2 - e.prefix_value(depth)) % top, base, depth, {}).tolist()
-            assert rows[(-c1 * c2 - e.seed_root) % base] == want, depth
+            want = split((shift - e.prefix_value(depth)) % top, base, depth, {}).tolist()
+            assert rows[(shift - e.seed_root) % base] == want, depth
 
 
 @pytest.mark.parametrize(
@@ -256,9 +262,9 @@ def test_partner_rows_are_a_scan_of_the_lifted_rows(coeffs, base, monkeypatch):
     [((1, 0, 1), 2**64 + 13), ((-1, -1, -1), 2**64 + 81), ((1, 0, 2), 2**64 + 81)],
 )
 def test_big_base_rows_are_object_arrays_and_partners_a_borrow_scan(coeffs, base, monkeypatch):
-    # past 2^63 a row is a read-only object array of ints; for |c2| = 1 the
-    # partner is read off the lifted row by the borrow scan (shift 0 for
-    # x^2 + 1, -1 for -x^2 - x - 1), and 2x^2 + 1 converts both towers
+    # past 2^63 a row is a read-only object array of ints, and the partner
+    # is read off the lifted row by the borrow scan (shift 0 for x^2 + 1 and
+    # 2x^2 + 1, -1 for -x^2 - x - 1)
     f = IntPolynomial(coeffs)
     c1, c2 = coeffs[1], coeffs[2]
     splits = []
@@ -268,7 +274,7 @@ def test_big_base_rows_are_object_arrays_and_partners_a_borrow_scan(coeffs, base
         top = base**depth
         splits.clear()
         lifted, partner = nadic_expansions(f, base, depth)
-        assert len(splits) == (1 if abs(c2) == 1 else 2)
+        assert len(splits) == 1
         v = lifted.prefix_value(depth)
         assert list(partner.digits) == scalar_digits((-c1 * pow(c2, -1, top) - v) % top, base, depth)
         for e in (lifted, partner):
@@ -305,9 +311,29 @@ def test_borrow_scan_matches_integer_subtraction(base):
         )
         xs = (0, 1, 3, base, 3 * base ** (k // 2), top - 1, top, -1, -3, -base, -top, -top - 1, 7**40, -(7**40))
         for v, x in itertools.product(rows, xs):
-            got = nadic._sub_digits(x, np.array(v, dtype=np.int64), base)
+            got = nadic._sub_digits(x, 1, np.array(v, dtype=np.int64), base)
             assert got.dtype == np.int64
             assert got.tolist() == scalar_digits((x - _value(v, base)) % top, base, k), (k, x)
+
+
+@pytest.mark.parametrize("base", [2, 3, 5, 33, 2**40 + 97, 2**64 + 13])
+def test_borrow_scan_of_a_rational_shift(base):
+    # (num/den - v) mod n^k, num/den a prefix of digits and a repeated block:
+    # 1/13 in base 2 has one digit and a 12-digit block, so k runs shorter
+    # than, equal to and longer than both; 2^61 - 1 in base 3 has a block
+    # far longer than any k here, so the digit loop must stop at k
+    rng = random.Random(base)
+    dtype = np.int64 if base < 2**63 else object
+    dens = [d for d in (-1, 2, -3, 7, 13, 2**61 - 1) if math.gcd(d, base) == 1]
+    for k in (1, 2, 11, 12, 13, 14, 25, 300):
+        top = base**k
+        nums = (0, 1, -1, 5, -5, top + 3, -top - 3, 7**40, -(7**40))
+        rows = ([0] * k, [base - 1] * k, [rng.randrange(base) for _ in range(k)])
+        for den, num, v in itertools.product(dens, nums, rows):
+            got = nadic._sub_digits(num, den, np.array(v, dtype=dtype), base)
+            assert got.dtype == dtype
+            want = (num * pow(den, -1, top) - _value(v, base)) % top
+            assert got.tolist() == scalar_digits(want, base, k), (k, den, num)
 
 
 def test_cubic_lifts_every_seed(monkeypatch):

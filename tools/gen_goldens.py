@@ -123,8 +123,8 @@ CLI_MD5_COMMANDS = [
     # by word string ("10,..." before "2,...") is not the order of the codes
     ["normality", "--poly", "1,0,1", "--base", "13", "--depth", "30000", "--max-m", "4"],
     # towers in bases past 2^63: 2^64 + 13 and 2^64 + 81, a prime = 1 mod 12,
-    # where x^2 + 1 and -x^2 - x - 1 (|c2| = 1) take the borrow scan for the
-    # partner and 2x^2 + 1 a second base conversion
+    # where the partners of x^2 + 1, -x^2 - x - 1 and 2x^2 + 1 are borrow
+    # scans of the lifted rows in object arrays
     ["padic", "--poly", "1,0,1", "--base", "18446744073709551629", "--depth", "3000"],
     ["padic", "--poly=-1,-1,-1", "--base", "18446744073709551697", "--depth", "3000"],
     ["padic", "--poly", "1,0,2", "--base", "18446744073709551697", "--depth", "3000"],
