@@ -121,8 +121,8 @@ def _sub_digits(num: int, den: int, v, base: int):
     borrow scan (Knuth, TAOCP vol. 2, 4.3.1, Algorithm S).
 
     For den > 0 the digits of num/den are a_j = r_j/den mod base, r_0 = num,
-    r_(j+1) = (r_j - a_j*den)/base; every r reaches [-den, 0], which the step
-    permutes, so they repeat from r's first return to its first value there.
+    r_(j+1) = (r_j - a_j*den)/base.  r reaches [-den, 0], which the step
+    permutes, so the digits from its entry there repeat once r returns.
     With d = num/den - v digit by digit, a borrow leaves digit j when
     d_j < 0, or when d_j = 0 and a borrow entered j: the last nonzero d at or
     below j decides.  The borrow out of the top digit is dropped.
