@@ -84,6 +84,13 @@ CLI_COMMANDS = [
     (["padic", "--poly", "1,0,2", "--base", "33", "--depth", "400"], False),
     # a deep prime power: both roots of x^2 + 1 lifted straight to 5^600
     (["roots", "--poly", "1,0,1", "--n", str(5**600)], False),
+    # joint sums over list windows on both sides of isqrt(2^63 - 1) =
+    # 3037000499, where the last two moduli have 4 x 4 and 2 x 2 root tuples
+    (["system", "--polys", "1,1,1;-1,-1,1", "--xmax", "10000000000000",
+      "--filter", "list:7,13,91,3036998521,3037000501,4000000000069", "--hset", "1,1;2,-3;5,7"], False),
+    # 2^40 7^3 13^2 17, past every table: the 5 roots of x^3 - x - 8 mod 2^40
+    # (a singular lift) glued by the CRT with three other prime powers
+    (["roots", "--poly=-8,-1,0,1", "--n", "1083501638963953664"], False),
 ]
 
 
