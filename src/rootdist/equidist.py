@@ -3,7 +3,8 @@ measures, and prime-counting statistics.
 
 Accumulation order is pinned to ascending modulus and float sums carry Kahan
 compensation, so identical inputs reproduce identical output bytes.  Phases
-are reduced mod 1 in integer arithmetic before any float conversion.
+are reduced mod 1 in integer arithmetic before any float conversion, in int64
+up to _INT64_MODULUS_BOUND and in Python ints past it.
 
 Stream consumers read every ``root_stream`` item (the benchmark counts them)
 and work its nonempty rows in numpy, fewer than _TABLE_CHUNK consecutive n at
@@ -26,13 +27,16 @@ import numpy as np
 from .errors import InvalidArgumentError, ResourceLimitError
 from .intpoly import IntPolynomial, parse_ints
 from .modarith import SpfSieve, euler_phi, factorize, inverse
-from .roots import (_INT64_MODULUS_BOUND, _TABLE_CHUNK, ModulusFilter, _lane_residues,
-                    prime_counts, prime_table, root_stream, roots_mod_n)
+from .roots import (_TABLE_CHUNK, ModulusFilter, _lane_residues, prime_counts, root_stream,
+                    roots_mod_n, roots_mod_prime)
 
 _TWO_PI = 2.0 * math.pi
 # grid^r cells a box discrepancy may hold: far above the default grids (64,
 # 64^2 and 16^3) and far below a multi-GB histogram
 _GRID_CELL_CAP = 1 << 22
+# ``_windows`` keeps moduli up to this bound in int64 arrays: a product of two
+# residues stays below 2^63, and a residue converts to float64 exactly.
+_INT64_MODULUS_BOUND = math.isqrt((1 << 63) - 1)
 
 
 class KahanSum:
@@ -98,7 +102,7 @@ def _phase_sums(ns, counts, roots, hn) -> tuple[np.ndarray, np.ndarray]:
 def _windows(stream: Iterable[tuple[int, tuple[int, ...]]]) -> Iterator:
     """The nonempty rows of an ascending (n, roots) stream as windows (ns,
     [(counts, roots)]) over fewer than _TABLE_CHUNK consecutive n, as a table
-    window is, arrays as in ``_stream_windows``.  Every item is read."""
+    window is; int64 arrays to _INT64_MODULUS_BOUND.  Every item is read."""
 
     def window():
         dt = np.int64 if not ns or ns[-1] <= _INT64_MODULUS_BOUND else object
@@ -407,7 +411,7 @@ def split_prime_count(f: IntPolynomial, n: int) -> int:
     which puts p outside eta*disc, as in ``prime_stats``."""
     if n < 1:
         raise InvalidArgumentError("modulus must be positive")
-    return sum(len(prime_table(f).lookup(p)) == f.degree for p, _ in factorize(n).parts)
+    return sum(len(roots_mod_prime(f, p)) == f.degree for p, _ in factorize(n).parts)
 
 
 def dilated_sum_square_bound(f: IntPolynomial, h: int, n: int) -> BoundCheck:

@@ -234,8 +234,6 @@ def nadic_expansions(f: IntPolynomial, base: int, depth: int) -> list[NadicExpan
     if not report.admissible:
         raise AdmissibilityError(report)
     seeds = roots_mod_n(f, base)
-    if not seeds:
-        return []
     powers = {}  # base^k by k, shared by the lifts and the digit splits
     rows = {}  # seed -> the digits of its root mod base^depth
     for seed in seeds:

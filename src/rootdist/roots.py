@@ -17,10 +17,10 @@ x^p = x mod f or not; only p | D takes the gcd.  A prime taken on its own
 (far beyond the table, p = 2, or dividing the leading coefficient) gets a
 residue scan below _SCAN_LIMIT (one int64 Horner pass over every residue)
 and a lane of its own above it.  ``roots_mod_n`` reads the row of f's
-modulus table when it covers n, and otherwise glues the root sets of the
-prime powers of n: mod p from f's prime table, mod p^e (e >= 2) from an LRU
-of 2^12 lifts (one per (f, p, e) asked) that take a nonsingular root straight
-to p^e by the towers' Newton lift and a singular one level by level.
+modulus table when it covers n, and otherwise glues by the CRT the roots mod
+each p^e of n from ``roots_mod_prime_power``: mod p from f's prime table,
+mod p^e (e >= 2) from an LRU of 2^12 lifts (one per (f, p, e)), a nonsingular
+root straight to p^e by the towers' Newton lift, a singular one level by level.
 
 A stream reads the modulus table of its polynomial (``root_table``): the
 roots mod every n <= x in int32 CSR arrays, one growing table shared by
@@ -31,12 +31,12 @@ q the full power of the smallest prime of n; the roots mod n are the CRT
 products of the roots mod q and mod m, or lifts of the roots mod n/p when
 n = q.  Chunks [a, min(2a, a + _TABLE_CHUNK)) fill it in ascending order, so
 that q, m and n/p (at most n/2) always lie in an earlier, finished chunk.
-Streams read the table only through ``_stream_windows``, in CSR windows; a
-``ModulusFilter`` alone decides their moduli, as one ascending int64 array
-per window (Python ints only past 2^63 - 1), and a dropped one costs
-nothing.  ``root_stream`` makes a tuple only of a nonempty row (every empty
-one is the shared ()), and the single-polynomial consumers read its items,
-because the benchmark's traced ``trace.stream_moduli`` counts them.
+Streams read the table only through ``_stream_windows``, in int64 CSR
+windows whose moduli a ``ModulusFilter`` alone decides (a dropped one costs
+nothing); an explicit list takes one window of Python ints per listed n
+from ``roots_mod_n``.  ``root_stream`` makes a tuple only of a nonempty row
+(every empty one is the shared ()), and the single-polynomial consumers read
+its items, because the benchmark's traced ``trace.stream_moduli`` counts them.
 """
 
 from __future__ import annotations
@@ -76,10 +76,6 @@ _SHIFT_BASE = 2654435761
 
 # Refuse a level of singular lifts that would produce more roots than this.
 _LIFT_OUTPUT_LIMIT = 10**6
-
-# Streams keep moduli up to this bound in int64 arrays: a product of two
-# residues stays below 2^63, and a residue converts to float64 exactly.
-_INT64_MODULUS_BOUND = math.isqrt((1 << 63) - 1)
 
 
 def _scan_roots(f: IntPolynomial, p: int) -> tuple[int, ...]:
@@ -560,9 +556,7 @@ def roots_from_factorization(f: IntPolynomial, fact: Factorization) -> tuple[int
     """Sorted roots of f mod ``fact.modulus``, glued through the CRT from
     root sets mod each p^e of ``fact.parts`` (ascending p); no parts means
     the modulus 1 and the root 0.  A part with no roots ends the walk."""
-    parts = ((prime_table(f).lookup(p) if e == 1 else _prime_power_roots_cached(f, p, e), p**e)
-             for p, e in fact.parts)
-    return tuple(crt_product(parts))
+    return tuple(crt_product((roots_mod_prime_power(f, p, e), p**e) for p, e in fact.parts))
 
 
 def roots_mod_n(f: IntPolynomial, n: int) -> tuple[int, ...]:
@@ -834,16 +828,15 @@ def _stream_windows(
     at a time, with the roots of each polynomial in ``fs`` (one
     ``root_table`` each): yields (ns, rows), ns ascending and rows[j] =
     (counts, roots), the counts[k] sorted roots of fs[j] mod ns[k] one row
-    after another in roots; int64 arrays, object past
-    _INT64_MODULUS_BOUND.  An explicit list takes
-    ``roots_mod_n`` per listed n, so it needs only its own primes.
+    after another in roots.  Table windows are int64 arrays (every table n
+    is at most 10^8); an explicit list takes ``roots_mod_n`` per listed n,
+    so it needs only its own primes, in object arrays of Python ints.
     """
     flt = flt or ModulusFilter.all()
     if flt.kind == "list":
         for n in flt.window(1, xmax + 1).tolist():
-            dt = np.int64 if n <= _INT64_MODULUS_BOUND else object
             rows = [roots_mod_n(f, n) for f in fs]
-            yield np.array([n], dt), [(np.array([len(r)]), np.array(r, dt)) for r in rows]
+            yield np.array([n], object), [(np.array([len(r)]), np.array(r, object)) for r in rows]
         return
     tables = [root_table(f, xmax) for f in fs]
     for lo, hi in _moduli_chunks(1, xmax + 1):

@@ -37,6 +37,7 @@ from rootdist.roots import (
     _roots_mod_prime_large,
     _scan_roots,
     _split_smallest,
+    _stream_windows,
     clear_caches,
     modulus_table,
     prime_counts,
@@ -612,6 +613,21 @@ def test_stream_explicit_and_coprime_filters(x2p1):
     assert ns == [3, 7, 20]
     ns = [n for n, _ in root_stream(x2p1, 10, ModulusFilter.coprime(2))]
     assert ns == [1, 3, 5, 7, 9]
+
+
+def test_explicit_list_windows_hold_python_ints(x2p1):
+    # one window per listed n, on both sides of isqrt(2^63 - 1) = 3037000499,
+    # in object arrays whatever the size of n, as roots_mod_n returns them
+    fs = (x2p1, IntPolynomial((1, 1, 1)))
+    listed = [5, 91, 3037000493, 4000000000069]
+    windows = list(_stream_windows(fs, 10**13, ModulusFilter.explicit(listed)))
+    assert [ns.tolist() for ns, _ in windows] == [[n] for n in listed]
+    for ns, rows in windows:
+        assert ns.dtype == object and all(v.dtype == object for _, v in rows)
+        assert [(k.tolist(), v.tolist()) for k, v in rows] == [
+            ([len(r)], list(r)) for r in (roots_mod_n(f, ns[0]) for f in fs)
+        ]
+        assert all(type(x) is int for _, v in rows for x in v.tolist())
 
 
 def test_smallest_prime_factor_walk_matches_trial_division():

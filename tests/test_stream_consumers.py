@@ -20,8 +20,8 @@ from rootdist import (
     roots_mod_n,
     weyl_series,
 )
-from rootdist.equidist import _TWO_PI, _phase_sums
-from rootdist.roots import _INT64_MODULUS_BOUND, clear_caches, prime_table, root_table
+from rootdist.equidist import _INT64_MODULUS_BOUND, _TWO_PI, _phase_sums
+from rootdist.roots import clear_caches, prime_table, root_table
 
 from oracles import (
     scalar_joint_weyl_series,
