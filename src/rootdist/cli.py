@@ -215,11 +215,14 @@ def _refuse_unread(args: argparse.Namespace, ranged: str, *flags: str) -> None:
 
 def _single_n(args: argparse.Namespace, ranged: str, *unread: str) -> bool:
     """True for a --n run.  Exit 2 unless exactly one of --n and ``ranged`` is
-    given, and on a --n run if any of ``unread`` (read by ``ranged`` only) is."""
+    given, on a --n run if any of ``unread`` (read by ``ranged`` only) is, and
+    on a ranged run below 1, naming ``ranged``."""
     if (args.n is None) == (getattr(args, ranged[2:]) is None):
         raise InvalidArgumentError(f"exactly one of --n and {ranged} is required")
     if args.n is not None:
         _refuse_unread(args, ranged, *unread)
+    elif getattr(args, ranged[2:]) < 1:
+        raise InvalidArgumentError(f"{ranged} must be at least 1")
     return args.n is not None
 
 

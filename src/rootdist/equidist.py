@@ -75,6 +75,8 @@ def root_exp_sum(
     At h = 0 (or h divisible by n) this degenerates to the root count.  The
     modulus of the result never exceeds the root count.
     """
+    if n < 1:
+        raise InvalidArgumentError("modulus must be positive")
     if roots is None:
         roots = roots_mod_n(f, n)
     total_re = 0.0
@@ -330,6 +332,8 @@ def _check_grid(grid: int, r: int) -> None:
 def star_discrepancy(points) -> float:
     """Exact one-dimensional star discrepancy of a point sample in [0, 1)."""
     pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 1:
+        raise InvalidArgumentError("star discrepancy needs one-dimensional points")
     if pts.size == 0:
         raise InvalidArgumentError("star discrepancy of an empty sample is undefined")
     _check_unit_interval(pts)

@@ -168,8 +168,9 @@ class NadicExpansion:
     f mod n^l for every l up to the depth.  ``row`` holds the digits as a
     read-only array, int64 below base 2^63 and object (Python ints) from
     there; ``digits`` is a tuple of ints built from it on each access.  Two
-    expansions are equal when their polynomial, base and digits are.  A
-    digit that is not an integer, or lies outside [0, base), is refused.
+    expansions are equal when their polynomial, base and digits are.  No
+    digits, or a digit that is not an integer or lies outside [0, base), is
+    refused.
     """
 
     __slots__ = ("poly", "base", "row")
@@ -177,7 +178,9 @@ class NadicExpansion:
     def __init__(self, poly: IntPolynomial, base: int, digits):
         self.poly, self.base = poly, base
         digits = _read_digits(digits)
-        if len(digits) and (np.min(digits) < 0 or np.max(digits) >= base):
+        if not len(digits):
+            raise InvalidArgumentError("an expansion needs at least one digit")
+        if np.min(digits) < 0 or np.max(digits) >= base:
             raise InvalidArgumentError("digit out of range for the base")
         self.row = np.array(digits, dtype=np.int64 if base < 2**63 else object)
         self.row.flags.writeable = False

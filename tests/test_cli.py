@@ -568,8 +568,10 @@ def test_bad_progression_reports_the_filter_error(capsys):
 
 @pytest.mark.parametrize("nmax", ["0", "-5"])
 def test_ideals_nmax_below_one_exits_2(nmax, capsys):
-    code, out, err = run_cli(capsys, "ideals", "--poly", "1,0,1", "--nmax", nmax)
-    assert code == 2 and out == "" and "xmax must be at least 1" in err
+    # the message names the flag that was typed, for ideals and roots alike
+    for command in ("ideals", "roots"):
+        code, out, err = run_cli(capsys, command, "--poly", "1,0,1", "--nmax", nmax)
+        assert code == 2 and out == "" and "--nmax must be at least 1" in err
 
 
 def test_checkpoints_below_xmax_stop_the_walk(capsys):

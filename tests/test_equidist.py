@@ -408,6 +408,9 @@ def test_hspec_parse():
         (lambda f: box_discrepancy_from_hist(np.zeros((4, 4)), 0), InvalidArgumentError,
          "box discrepancy of an empty sample is undefined", None),
         (lambda f: split_prime_count(f, 0), InvalidArgumentError, "modulus must be positive", None),
+        (lambda f: root_exp_sum(f, 1, 0, (0,)), InvalidArgumentError, "modulus must be positive", None),
+        (lambda f: star_discrepancy(np.zeros((2, 2))), InvalidArgumentError,
+         "star discrepancy needs one-dimensional points", None),
     ],
 )
 def test_equidist_refusals(x2p1, call, exc, message, argv, capsys):

@@ -930,6 +930,7 @@ def test_word_table_json_truncation():
         (lambda f: haar_monte_carlo(5, 10, 2, h=0), "frequency h must be nonzero", None),
         (lambda f: normality_evidence(f, 5, 100, 0), "max word length must be at least 1",
          ["normality", "--poly", "1,0,1", "--base", "5", "--depth", "100", "--max-m", "0"]),
+        (lambda f: NadicExpansion(f, 5, []), "an expansion needs at least one digit", None),
     ],
 )
 def test_nadic_refusals(x2p1, call, message, argv, capsys):
