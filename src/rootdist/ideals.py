@@ -13,7 +13,6 @@ over the localized ring and products of complex embeddings never arises.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -72,9 +71,8 @@ class FactoredIdeal:
         return n
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"norm": self.norm, "components": [[p, e, v] for p, e, v in self.components]}
-        )
+        parts = ", ".join(f"[{p}, {e}, {v}]" for p, e, v in self.components)
+        return f'{{"norm": {self.norm}, "components": [{parts}]}}'
 
 
 def ideal_from_root(f: IntPolynomial, v: int, n: int) -> FactoredIdeal:
