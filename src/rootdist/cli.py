@@ -216,14 +216,15 @@ def _refuse_unread(args: argparse.Namespace, ranged: str, *flags: str) -> None:
 def _single_n(args: argparse.Namespace, ranged: str, *unread: str) -> bool:
     """True for a --n run.  Exit 2 unless exactly one of --n and ``ranged`` is
     given, on a --n run if any of ``unread`` (read by ``ranged`` only) is, and
-    on a ranged run below 1, naming ``ranged``."""
+    then on a value below 1, naming the flag given."""
     if (args.n is None) == (getattr(args, ranged[2:]) is None):
         raise InvalidArgumentError(f"exactly one of --n and {ranged} is required")
-    if args.n is not None:
+    flag = ranged if args.n is None else "--n"
+    if flag == "--n":
         _refuse_unread(args, ranged, *unread)
-    elif getattr(args, ranged[2:]) < 1:
-        raise InvalidArgumentError(f"{ranged} must be at least 1")
-    return args.n is not None
+    if getattr(args, flag[2:]) < 1:
+        raise InvalidArgumentError(f"{flag} must be at least 1")
+    return flag == "--n"
 
 
 # A handler writes each output to the file ``output(path)`` stages (see _emit).

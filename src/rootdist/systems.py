@@ -179,8 +179,6 @@ def joint_weyl_series(
     if grid is None:
         grid = _DEFAULT_GRIDS[r]
     _check_grid(grid, r)
-    if xmax < 1:
-        raise InvalidArgumentError("xmax must be at least 1")
     checkpoints = _checkpoint_list(checkpoints, xmax)
     series = JointWeylSeries(
         hset=hset,

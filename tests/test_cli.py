@@ -574,6 +574,18 @@ def test_ideals_nmax_below_one_exits_2(nmax, capsys):
         assert code == 2 and out == "" and "--nmax must be at least 1" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_single_n_below_one_exits_2(n, capsys):
+    # --n names itself too, for each command that takes it
+    for argv in (["roots", "--poly", "1,0,1"], ["ideals", "--poly", "1,0,1"],
+                 ["system", "--polys", "1,1,1;-1,-1,1"]):
+        code, out, err = run_cli(capsys, *argv, "--n", n)
+        assert code == 2 and out == "" and "--n must be at least 1" in err, argv
+    # a flag the --n run does not read is still refused first
+    code, _, err = run_cli(capsys, "roots", "--poly", "1,0,1", "--n", n, "--filter", "all")
+    assert code == 2 and "--filter needs --nmax" in err
+
+
 def test_checkpoints_below_xmax_stop_the_walk(capsys):
     # the walk reads only to the last checkpoint, so a bound past the sieve
     # cap fills nothing past 10

@@ -214,6 +214,21 @@ def test_json_round_trip_and_field_order(x2p1):
     assert list(data.keys()) == ["norm", "components"]
 
 
+def test_ideal_line_matches_json_dumps():
+    # json is the oracle: ints as str(int), ", " and ": " separators, key order kept;
+    # some p^e pass 2^64, past every norm the goldens reach
+    rng = random.Random(53)
+    primes = [p for p in range(2, 2000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    for _ in range(300):
+        comps = []
+        for p in sorted(rng.sample(primes, rng.randint(1, 4))):
+            e = rng.randint(1, 40)
+            comps.append((p, e, rng.randrange(p**e)))
+        want = json.dumps({"norm": math.prod(p**e for p, e, _ in comps),
+                           "components": [list(t) for t in comps]})
+        assert FactoredIdeal(tuple(comps)).to_json() == want, comps
+
+
 def test_component_validation():
     with pytest.raises(InvalidArgumentError):
         FactoredIdeal(((5, 1, 2), (5, 1, 3)))  # repeated prime

@@ -230,6 +230,9 @@ def test_dimension_cap():
          "frequency vector length must match the system", None),
         (lambda s: joint_weyl_series(s, 0), InvalidArgumentError, "xmax must be at least 1",
          ["system", "--polys", "1,1,1;-1,-1,1", "--xmax", "0"]),
+        # no checkpoint lies in [1, xmax] when xmax < 1, as weyl_series also says
+        (lambda s: joint_weyl_series(s, 0, checkpoints=[1]), InvalidArgumentError,
+         r"checkpoints must lie in \[1, xmax\]", None),
         (lambda s: joint_weyl_series(s, 10, grid=1), InvalidArgumentError,
          "grid resolution must be at least 2",
          ["system", "--polys", "1,1,1;-1,-1,1", "--xmax", "10", "--grid", "1"]),
