@@ -219,12 +219,12 @@ def _single_n(args: argparse.Namespace, ranged: str, *unread: str) -> bool:
     then on a value below 1, naming the flag given."""
     if (args.n is None) == (getattr(args, ranged[2:]) is None):
         raise InvalidArgumentError(f"exactly one of --n and {ranged} is required")
-    flag = ranged if args.n is None else "--n"
-    if flag == "--n":
+    if args.n is not None:
         _refuse_unread(args, ranged, *unread)
+    flag = ranged if args.n is None else "--n"
     if getattr(args, flag[2:]) < 1:
         raise InvalidArgumentError(f"{flag} must be at least 1")
-    return flag == "--n"
+    return args.n is not None
 
 
 # A handler writes each output to the file ``output(path)`` stages (see _emit).
