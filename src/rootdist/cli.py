@@ -54,14 +54,14 @@ def _read_config_file(path: str) -> dict:
 
 
 def _emit(handler, args: argparse.Namespace) -> None:
-    """Run ``handler(args, output)``.  ``output(path)`` stages a text file: a temp file beside
-    path's resolved target, with the mode a plain open would give, or an anonymous one for
-    stdout (None) and for a target that exists but is no regular file (a FIFO, a device).
-    Once the handler returns, temp files are renamed into place (a symlink stays a link), the
-    rest written by a plain open and stdout copied out: a failed run writes and prints nothing."""
+    """Run ``handler(args, output)``.  ``output(path)`` stages a text file: a temp file beside path's
+    resolved target, with the mode a plain open would give, or a write-only anonymous one for stdout
+    (None) and for a target that exists but is no regular file (a FIFO, a device).  Then temp files
+    are renamed into place (a symlink stays a link) and anonymous ones copied out, by a plain open or
+    to stdout, inside the error handler: a failed run writes nothing, an unwritable output exits 2."""
     os.umask(umask := os.umask(0))
     staged = []  # (path, the resolved target to rename onto or None, its staged file)
-    path = None
+    path, text = None, {"encoding": "utf-8", "newline": "\n"}
 
     def output(target: str | None):
         nonlocal path
@@ -71,11 +71,11 @@ def _emit(handler, args: argparse.Namespace) -> None:
             raise OSError(code, os.strerror(code))
         real = None if target is None else os.path.realpath(target)
         if real is not None and (os.path.isfile(real) or not os.path.exists(real)):
-            fh = tempfile.NamedTemporaryFile("w", encoding="utf-8", newline="\n", prefix=".rootdist-",
-                                             dir=os.path.dirname(real), delete=False)
+            fh = tempfile.NamedTemporaryFile("w", **text, prefix=".rootdist-", dir=os.path.dirname(real),
+                                             delete=False)
             os.chmod(fh.name, 0o666 & ~umask)
         else:
-            real, fh = None, tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+            real, fh = None, tempfile.TemporaryFile("w", **text)
         staged.append((target, real, fh))
         return fh
 
@@ -87,25 +87,23 @@ def _emit(handler, args: argparse.Namespace) -> None:
             if real is not None:
                 os.replace(fh.name, real)
         for path, real, fh in staged:
-            if path is not None and real is None:
-                fh.seek(0)
-                with open(path, "w", encoding="utf-8", newline="\n") as out:
-                    shutil.copyfileobj(fh, out)
+            if real is None:
+                with (open(fh.fileno(), **text, closefd=False) as stage,
+                      contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", **text) as out):
+                    stage.seek(0)
+                    shutil.copyfileobj(stage, out)
+                    out.flush()
     except BaseException as exc:
         for target, real, fh in staged:
             with contextlib.suppress(OSError):
                 fh.close()
             if real is not None and os.path.exists(fh.name):
                 os.unlink(fh.name)
-        if isinstance(exc, OSError):
-            where = "stdout" if path is None else path
-            raise InvalidArgumentError(f"cannot write {where}: {exc.strerror or exc}") from None
+        if isinstance(exc, OSError) and not (path is None and isinstance(exc, BrokenPipeError)):
+            raise InvalidArgumentError(f"cannot write {path or 'stdout'}: {exc.strerror or exc}") from None
         raise
     for target, real, fh in staged:
-        with fh:
-            if target is None:
-                fh.seek(0)
-                shutil.copyfileobj(fh, sys.stdout)
+        fh.close()
 
 
 def _rows_to_text(rows: list[list[str]], fmt: str | None) -> str:
@@ -399,7 +397,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    if code := main():  # nothing was printed; the exit flush would retry what a failed stdout write left
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

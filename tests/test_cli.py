@@ -830,6 +830,50 @@ def test_broken_pipe_on_a_ranged_listing_exits_1(capsys, monkeypatch):
     assert main(["ideals", "--poly", "1,0,1", "--nmax", "20000"]) == 1
 
 
+def test_full_stdout_exits_2(capsys, monkeypatch):
+    import errno
+    import sys
+
+    def full(text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(sys.stdout, "write", full)
+    for argv in (["roots", "--poly", "1,0,1", "--n", "65"], ["roots", "--poly", "1,0,1", "--nmax", "20000"]):
+        assert run_cli(capsys, *argv) == (
+            2, "", "rootdist: error: cannot write stdout: No space left on device\n"
+        ), argv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_on_a_full_device_exits_2_without_a_traceback():
+    # buffered stdout: the short output still sits in sys.stdout after the copy; only the flush reports it
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        run = subprocess.run([sys.executable, "-m", "rootdist.cli", "weyl", "--poly", "1,0,1", "--xmax", "1000"],
+                             stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert (run.returncode, run.stderr) == (2, "rootdist: error: cannot write stdout: No space left on device\n")
+
+
+def test_fifo_output_whose_reader_leaves_exits_2(tmp_path, capsys):
+    # the reader opens the FIFO and closes it unread; the run writes more than a pipe buffer
+    import threading
+
+    fifo = tmp_path / "F"
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=lambda: os.close(os.open(fifo, os.O_RDONLY)), daemon=True)
+    reader.start()
+    code, out, err = run_cli(capsys, "roots", "--poly", "1,0,1", "--nmax", "20000", "--output", str(fifo))
+    reader.join(timeout=60)
+    assert (code, out, err) == (2, "", f"rootdist: error: cannot write {fifo}: Broken pipe\n")
+    assert not reader.is_alive() and stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["F"]
+
+
 @pytest.mark.parametrize("flag", ["--output", "--cloud-out"])
 def test_empty_output_path_is_refused_before_any_work(flag, tmp_path, capsys, monkeypatch):
     # given on the command line or by --config; nothing is computed or written

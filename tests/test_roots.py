@@ -1077,6 +1077,9 @@ def test_level_validation(x2p1):
         roots_mod_prime_power(x2p1, 5, 0)
     with pytest.raises(InvalidArgumentError):
         roots_mod_n(x2p1, 0)
+    for xmax in (0, -5):  # refused when called, not an empty stream
+        with pytest.raises(InvalidArgumentError, match="xmax must be at least 1"):
+            root_stream(x2p1, xmax)
 
 
 @pytest.mark.parametrize(
