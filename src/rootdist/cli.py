@@ -397,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    if code := main():  # nothing was printed; the exit flush would retry what a failed stdout write left
+    if code := main():  # a failed run printed nothing: drop what a failed stdout write left to the exit flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
     sys.exit(code)
 
