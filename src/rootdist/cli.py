@@ -1,9 +1,10 @@
 """Command-line surface: one subcommand per module group.
 
 Outputs are deterministic byte-for-byte and staged in temp files, stdout
-too, so a failed run leaves no file and prints nothing.  Exit codes: 2 for
-argument and parse problems, 3 for unsupported inputs, 1 for internal
-limits or unexpected failures.
+too, --help text included, so a failed run leaves no file and prints
+nothing.  Exit codes: 2 for argument and parse problems and for an output
+that cannot be written (a full or closed stdout too), 3 for unsupported
+inputs, 1 for internal limits or unexpected failures.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import io
 import json
 import os
 import re
@@ -54,11 +56,12 @@ def _read_config_file(path: str) -> dict:
 
 
 def _emit(handler, args: argparse.Namespace) -> None:
-    """Run ``handler(args, output)``.  ``output(path)`` stages a text file: a temp file beside path's
-    resolved target, with the mode a plain open would give, or a write-only anonymous one for stdout
-    (None) and for a target that exists but is no regular file (a FIFO, a device).  Then temp files
-    are renamed into place (a symlink stays a link) and anonymous ones copied out, by a plain open or
-    to stdout, inside the error handler: a failed run writes nothing, an unwritable output exits 2."""
+    """Run ``handler(args, output)``, the only writer of stdout.  ``output(path)`` stages a text file:
+    a temp file beside path's resolved target, with the mode a plain open would give, or a write-only
+    anonymous one for stdout (None; EBADF if it was closed at start) and for a target that exists but
+    is no regular file (a FIFO, a device).  Then temp files are renamed into place (a symlink stays a
+    link) and anonymous ones copied out, by a plain open or to stdout, inside the error handler: a
+    failed run writes nothing, an unwritable output exits 2."""
     os.umask(umask := os.umask(0))
     staged = []  # (path, the resolved target to rename onto or None, its staged file)
     path, text = None, {"encoding": "utf-8", "newline": "\n"}
@@ -66,6 +69,8 @@ def _emit(handler, args: argparse.Namespace) -> None:
     def output(target: str | None):
         nonlocal path
         path = target
+        if target is None and sys.stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         if target is not None and (os.path.isdir(target) or target.endswith(os.sep)):
             code = errno.EISDIR if os.path.isdir(target) else errno.ENOTDIR  # as the rename would fail
             raise OSError(code, os.strerror(code))
@@ -130,7 +135,9 @@ def _parse_semicolon_list(text: str, what: str, parse) -> list:
     return entries
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, handler) -> None:
+    """The flags every subcommand takes, and the handler main runs for it."""
+    parser.set_defaults(handler=handler)
     parser.add_argument("--output", help="write to this path instead of stdout")
     parser.add_argument("--config", help="key=value file supplying defaults")
 
@@ -147,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_roots.add_argument("--n", type=int)
     p_roots.add_argument("--nmax", type=int)
     p_roots.add_argument("--filter")
-    _add_common(p_roots)
+    _add_common(p_roots, _cmd_roots)
 
     p_weyl = sub.add_parser("weyl", help="checkpointed Weyl partial sums")
     p_weyl.add_argument("--poly", required=True)
@@ -155,20 +162,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_weyl.add_argument("--h", default="1", help="integer, or inv:M for inverse mode")
     p_weyl.add_argument("--filter")
     p_weyl.add_argument("--checkpoints")
-    _add_common(p_weyl)
+    _add_common(p_weyl, _cmd_weyl)
 
     p_padic = sub.add_parser("padic", help="digit towers of roots in base n")
     p_padic.add_argument("--poly", required=True)
     p_padic.add_argument("--base", type=int, required=True)
     p_padic.add_argument("--depth", type=int, required=True)
-    _add_common(p_padic)
+    _add_common(p_padic, _cmd_padic)
 
     p_norm = sub.add_parser("normality", help="digit-word statistics (evidence only, no verdict)")
     p_norm.add_argument("--poly", required=True)
     p_norm.add_argument("--base", type=int, required=True)
     p_norm.add_argument("--depth", type=int, required=True)
     p_norm.add_argument("--max-m", type=int, default=2, dest="max_m")
-    _add_common(p_norm)
+    _add_common(p_norm, _cmd_normality)
 
     p_stats = sub.add_parser("stats", help="prime-counting statistics")
     p_stats.add_argument("--poly", required=True)
@@ -179,13 +186,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--progression",
         help="a,m: sum root counts over n = a mod m instead of prime statistics",
     )
-    _add_common(p_stats)
+    _add_common(p_stats, _cmd_stats)
 
     p_ideals = sub.add_parser("ideals", help="degree-one ideals of norm n as JSON")
     p_ideals.add_argument("--poly", required=True)
     p_ideals.add_argument("--n", type=int)
     p_ideals.add_argument("--nmax", type=int)
-    _add_common(p_ideals)
+    _add_common(p_ideals, _cmd_ideals)
 
     p_system = sub.add_parser("system", help="simultaneous congruences for several polynomials")
     p_system.add_argument("--polys", required=True, help="semicolon-separated coefficient lists")
@@ -196,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_system.add_argument("--filter")
     p_system.add_argument("--checkpoints")
     p_system.add_argument("--cloud-out", dest="cloud_out", help="dump tuple cloud CSV here")
-    _add_common(p_system)
+    _add_common(p_system, _cmd_system)
 
     for tabular in (p_weyl, p_stats, p_system):
         tabular.add_argument("--format", choices=("csv", "json"))
@@ -313,17 +320,6 @@ def _cmd_system(args: argparse.Namespace, output) -> None:
     output(args.output).write(_rows_to_text(series.csv_rows(), args.format))
 
 
-_HANDLERS = {
-    "roots": _cmd_roots,
-    "weyl": _cmd_weyl,
-    "padic": _cmd_padic,
-    "normality": _cmd_normality,
-    "stats": _cmd_stats,
-    "ideals": _cmd_ideals,
-    "system": _cmd_system,
-}
-
-
 def _apply_config(argv: list[str], parser: argparse.ArgumentParser, path: str) -> list[str]:
     """Inject config key=value pairs as flags right after the subcommand.
 
@@ -360,15 +356,11 @@ def _glue_int_list_values(argv: list[str]) -> list[str]:
     a plain negative number as a flag, which would leave the flag without
     its value."""
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _INT_LIST_FLAGS and i + 1 < len(argv) and _NEGATIVE_LEAD.match(argv[i + 1]):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] in _INT_LIST_FLAGS and _NEGATIVE_LEAD.match(tok):
+            out[-1] += f"={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -383,11 +375,17 @@ def main(argv: list[str] | None = None) -> int:
         try:
             if pre_args.config:
                 argv = _apply_config(argv, parser, pre_args.config)
-            args = parser.parse_args(_glue_int_list_values(argv))
+            try:
+                with contextlib.redirect_stdout(io.StringIO()) as printed:
+                    args = parser.parse_args(_glue_int_list_values(argv))
+            except SystemExit as exit_:
+                if exit_.code == 0:  # --help: its text is a stdout output like any other
+                    _emit(lambda _, output: output(None).write(printed.getvalue()), None)
+                raise
             for flag in ("--output", "--cloud-out"):  # refused before any work, not at the rename
                 if getattr(args, flag[2:].replace("-", "_"), None) == "":
                     raise InvalidArgumentError(f"empty {flag} path")
-            _emit(_HANDLERS[args.command], args)
+            _emit(args.handler, args)
         except RootdistError as exc:
             print(f"rootdist: error: {exc}", file=sys.stderr)
             return exc.exit_code

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import stat
+import sys
 import time
 from pathlib import Path
 
@@ -62,14 +63,27 @@ def test_negative_leading_coefficient_after_poly_flag(capsys):
     assert code == 0 and out == "31: 13,5 13,25 19,5 19,25\n"
 
 
-def test_negative_leading_value_after_hset_and_progression_flags(capsys):
-    for cmd, flag, value in (
-        (["system", "--polys", "1,1,1;-1,-1,1", "--xmax", "100"], "--hset", "-1,1;1,1"),
-        (["stats", "--poly", "1,0,1", "--xmax", "100"], "--progression", "-1,4"),
+def test_negative_leading_value_after_hset_and_progression_flags(tmp_path, capsys):
+    for cmd, flag, value, tail in (
+        (["system", "--polys", "1,1,1;-1,-1,1", "--xmax", "100"], "--hset", "-1,1;1,1", []),
+        (["stats", "--poly", "1,0,1", "--xmax", "100"], "--progression", "-1,4", []),
+        (["stats"], "--poly", "-2,0,0,1", ["--xmax", "100"]),  # another flag follows the value
+        (["stats", "--poly", "-1,0,1", "--xmax", "100"], "--poly", "-2,0,0,1", []),  # repeated: the last wins
+        (["system", "--n", "31"], "--polys", "-1,-1,1;1,1,1", []),
+        (["stats", "--xmax", "100"], "--poly", "\u22122,0,0,1", []),
     ):
-        spaced = run_cli(capsys, *cmd, flag, value)
-        glued = run_cli(capsys, *cmd, f"{flag}={value}")
-        assert spaced[0] == 0 and spaced == glued, flag
+        spaced = run_cli(capsys, *cmd, flag, value, *tail)
+        glued = run_cli(capsys, *cmd, f"{flag}={value}", *tail)
+        assert spaced[0] == 0 and spaced == glued, (flag, value)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("poly=-2,0,0,1\n")  # injected as two tokens, so glued after the config is read
+    assert run_cli(capsys, "stats", "--config", str(cfg), "--xmax", "100") == glued
+    # a list flag with no value after it, and --checkpoints, which is no list flag, stay argparse's refusals
+    for argv in (["stats", "--xmax", "100", "--poly"], ["stats", "--poly", "--xmax", "100"],
+                 ["stats", "--poly", "1,0,1", "--xmax", "100", "--checkpoints", "-1,5"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2 and "expected one argument" in capsys.readouterr().err, argv
 
 
 def test_roots_mod_one(capsys):
@@ -844,19 +858,61 @@ def test_full_stdout_exits_2(capsys, monkeypatch):
         ), argv
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_stdout_on_a_full_device_exits_2_without_a_traceback():
-    # buffered stdout: the short output still sits in sys.stdout after the copy; only the flush reports it
+def fresh_cli(argv, unbuffered, **kwargs):
+    """``python -m rootdist.cli`` in a fresh process on this checkout's src; stderr captured."""
     import subprocess
-    import sys
 
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "rootdist.cli", *argv], stderr=subprocess.PIPE, text=True, env=env,
+                          timeout=120, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["weyl", "--poly", "1,0,1", "--xmax", "1000"], ["--help"], ["roots", "--help"]],
+                         ids=["weyl", "help", "roots-help"])
+def test_stdout_on_a_full_device_exits_2_without_a_traceback(argv, unbuffered):
+    # buffered, a short output still sits in sys.stdout after the copy and only the flush reports it;
+    # unbuffered, a help text argparse printed itself would drop the error and exit 0
     with open("/dev/full", "w") as full:
-        run = subprocess.run([sys.executable, "-m", "rootdist.cli", "weyl", "--poly", "1,0,1", "--xmax", "1000"],
-                             stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        run = fresh_cli(argv, unbuffered, stdout=full)
     assert (run.returncode, run.stderr) == (2, "rootdist: error: cannot write stdout: No space left on device\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_stdout_closed_at_start_exits_2_unless_the_run_writes_a_file(unbuffered, tmp_path, capsys):
+    # fd 1 is closed in the child before exec, so sys.stdout is None there
+    for argv in (["roots", "--poly", "1,0,1", "--n", "65"], ["--help"]):
+        run = fresh_cli(argv, unbuffered, preexec_fn=lambda: os.close(1))
+        assert (run.returncode, run.stderr) == (2, "rootdist: error: cannot write stdout: Bad file descriptor\n"), argv
+    weyl = ["weyl", "--poly", "1,0,1", "--xmax", "100"]
+    run = fresh_cli([*weyl, "--output", str(tmp_path / "w.csv")], unbuffered, preexec_fn=lambda: os.close(1))
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run_cli(capsys, *weyl) == (0, (tmp_path / "w.csv").read_text(), "")
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the md5s are of Python 3.11's argparse layout")
+@pytest.mark.parametrize("command, md5", [
+    ([], "eccba2bba8b9975ca0483a5562d43adc"),
+    (["roots"], "9fa5375d9d5a197df977c53b3e94c513"),
+    (["weyl"], "03c666e2253ea137fb890905f9c9c579"),
+    (["padic"], "63952b547bb047ce49d7c3e0e45ab854"),
+    (["normality"], "343eab98f75a51c13914c1820ba2918c"),
+    (["stats"], "a22a12446683b642c6decf2a8f120483"),
+    (["ideals"], "cbbe2805eb3f2e612ca17be1a80420cb"),
+    (["system"], "9de27c79220cd344c5e7adb7e46785e2"),
+])
+def test_help_text_keeps_its_bytes(command, md5, capsys, monkeypatch):
+    # argparse wraps at COLUMNS - 2; the text leaves through the staged stdout, then --help exits 0
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--help"])
+    out, err = capsys.readouterr()
+    assert (info.value.code, hashlib.md5(out.encode()).hexdigest(), err) == (0, md5, "")
 
 
 def test_fifo_output_whose_reader_leaves_exits_2(tmp_path, capsys):
