@@ -17,6 +17,7 @@ import json
 import os
 import re
 import shutil
+import stat
 import sys
 import tempfile
 import warnings
@@ -56,12 +57,12 @@ def _read_config_file(path: str) -> dict:
 
 
 def _emit(handler, args: argparse.Namespace) -> None:
-    """Run ``handler(args, output)``, the only writer of stdout.  ``output(path)`` stages a text file:
-    a temp file beside path's resolved target, with the mode a plain open would give, or a write-only
-    anonymous one for stdout (None; EBADF if it was closed at start) and for a target that exists but
-    is no regular file (a FIFO, a device).  Then temp files are renamed into place (a symlink stays a
-    link) and anonymous ones copied out, by a plain open or to stdout, inside the error handler: a
-    failed run writes nothing, an unwritable output exits 2."""
+    """Run ``handler(args, output)``, the only writer of stdout.  ``output(path)`` stages a text file
+    as one stat of path, links followed, finds it: a regular or new file gets a temp file beside its
+    resolved target, in the existing file's mode or a plain open's; stdout (None; EBADF if closed at
+    start) and anything else (a FIFO, a device, a directory) a write-only anonymous one.  Inside the
+    error handler these are copied out, by a plain open or to stdout, before any temp file is renamed
+    into place (a symlink stays a link): a failed run writes nothing, an unwritable output exits 2."""
     os.umask(umask := os.umask(0))
     staged = []  # (path, the resolved target to rename onto or None, its staged file)
     path, text = None, {"encoding": "utf-8", "newline": "\n"}
@@ -71,14 +72,17 @@ def _emit(handler, args: argparse.Namespace) -> None:
         path = target
         if target is None and sys.stdout is None:
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        if target is not None and (os.path.isdir(target) or target.endswith(os.sep)):
-            code = errno.EISDIR if os.path.isdir(target) else errno.ENOTDIR  # as the rename would fail
-            raise OSError(code, os.strerror(code))
-        real = None if target is None else os.path.realpath(target)
-        if real is not None and (os.path.isfile(real) or not os.path.exists(real)):
+        try:
+            mode = 0 if target is None else os.stat(target).st_mode  # 0: stdout is no regular file
+        except FileNotFoundError:
+            if target.endswith(os.sep):  # no file can be made at this name
+                raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR)) from None
+            mode = stat.S_IFREG | 0o666 & ~umask  # the file a plain open would make
+        if stat.S_ISREG(mode):
+            real = os.path.realpath(target)
             fh = tempfile.NamedTemporaryFile("w", **text, prefix=".rootdist-", dir=os.path.dirname(real),
                                              delete=False)
-            os.chmod(fh.name, 0o666 & ~umask)
+            os.chmod(fh.name, stat.S_IMODE(mode))
         else:
             real, fh = None, tempfile.TemporaryFile("w", **text)
         staged.append((target, real, fh))
@@ -89,15 +93,15 @@ def _emit(handler, args: argparse.Namespace) -> None:
         for path, real, fh in staged:
             fh.flush()
         for path, real, fh in staged:
-            if real is not None:
-                os.replace(fh.name, real)
-        for path, real, fh in staged:
             if real is None:
                 with (open(fh.fileno(), **text, closefd=False) as stage,
                       contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", **text) as out):
                     stage.seek(0)
                     shutil.copyfileobj(stage, out)
                     out.flush()
+        for path, real, fh in staged:
+            if real is not None:
+                os.replace(fh.name, real)
     except BaseException as exc:
         for target, real, fh in staged:
             with contextlib.suppress(OSError):

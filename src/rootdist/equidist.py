@@ -371,11 +371,9 @@ def box_discrepancy_from_hist(hist: np.ndarray, count: int) -> float:
         raise InvalidArgumentError("box discrepancy of an empty sample is undefined")
     r = hist.ndim
     grid = hist.shape[0]
-    pref = hist.astype(np.float64)
+    pref = np.pad(hist.astype(np.float64), (1, 0))
     for axis in range(r):
         pref = np.cumsum(pref, axis=axis)
-        pad = [(1, 0) if a == axis else (0, 0) for a in range(r)]
-        pref = np.pad(pref, pad)
     emp = pref / count
     axes = np.arange(grid + 1, dtype=np.float64) / grid
     vol = axes

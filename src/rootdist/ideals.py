@@ -65,10 +65,7 @@ class FactoredIdeal:
 
     @property
     def norm(self) -> int:
-        n = 1
-        for p, e, _ in self.components:
-            n *= p**e
-        return n
+        return math.prod(p**e for p, e, _ in self.components)
 
     def to_json(self) -> str:
         parts = ", ".join(f"[{p}, {e}, {v}]" for p, e, v in self.components)
@@ -213,12 +210,12 @@ def enumerate_degree_one(
     f: IntPolynomial, n: int, sieve: SpfSieve | None = None
 ) -> list[FactoredIdeal]:
     """All degree-one ideals of norm n, sorted: ``_ideals_of`` applied to the roots of
-    f mod n (``roots_mod_n``) and the parts of n (one factorization past the sieve)."""
+    f mod n (``roots_mod_n``) and the parts of n (one factorization past the process
+    sieve, ``cached_sieve(0)``); ``sieve`` is not read."""
     report = admissibility(f, n)
     if not report.admissible:
         raise AdmissibilityError(report)
-    if sieve is None or sieve.limit < n:
-        sieve = cached_sieve(0)
+    sieve = cached_sieve(0)
     fact = None if n <= sieve.limit else factorize(n, sieve)  # once, for roots and parts
     roots = roots_mod_n(f, n) if fact is None else roots_from_factorization(f, fact)
     if not roots:

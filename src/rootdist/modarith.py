@@ -223,7 +223,4 @@ def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
 
 
 def euler_phi(fact: Factorization) -> int:
-    phi = 1
-    for p, e in fact.parts:
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
+    return math.prod((p - 1) * p ** (e - 1) for p, e in fact.parts)

@@ -841,12 +841,11 @@ def _stream_windows(
     tables = [root_table(f, xmax) for f in fs]
     for lo, hi in _moduli_chunks(1, xmax + 1):
         ns = flt.window(lo, hi)
-        if ns.size:
-            counts = [(offsets[ns + 1] - offsets[ns]).astype(np.int64) for offsets, _ in tables]
-            yield ns, [
-                (c, roots[_ranges(offsets[ns], c)].astype(np.int64))
-                for c, (offsets, roots) in zip(counts, tables)
-            ]
+        counts = [(offsets[ns + 1] - offsets[ns]).astype(np.int64) for offsets, _ in tables]
+        yield ns, [
+            (c, roots[_ranges(offsets[ns], c)].astype(np.int64))
+            for c, (offsets, roots) in zip(counts, tables)
+        ]
 
 
 def root_stream(

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -424,6 +425,31 @@ def test_fifo_output_gets_the_run_and_stays_a_fifo(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["F"]
 
 
+def test_existing_output_file_keeps_its_mode(tmp_path, capsys):
+    # a plain open truncates the file and keeps its mode; the umask is for new files only
+    target = tmp_path / "o.txt"
+    target.write_text("old\n")
+    target.chmod(0o600)
+    old = os.umask(0o022)
+    try:
+        assert run_cli(capsys, "roots", "--poly", "1,0,1", "--n", "65", "--output", str(target)) == (0, "", "")
+    finally:
+        os.umask(old)
+    assert target.read_text() == "65: 8 18 47 57\n" and stat.S_IMODE(target.stat().st_mode) == 0o600
+
+
+def test_symlink_loop_output_exits_2_and_keeps_both_links(tmp_path, capsys):
+    # a plain open of either link fails with ELOOP; neither is replaced by a file
+    (tmp_path / "loopa").symlink_to("loopb")
+    (tmp_path / "loopb").symlink_to("loopa")
+    target = tmp_path / "loopa"
+    assert run_cli(capsys, "roots", "--poly", "1,0,1", "--n", "65", "--output", str(target)) == (
+        2, "", f"rootdist: error: cannot write {target}: Too many levels of symbolic links\n"
+    )
+    assert os.readlink(tmp_path / "loopa") == "loopb" and os.readlink(tmp_path / "loopb") == "loopa"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["loopa", "loopb"]
+
+
 def test_symlink_output_stays_a_link(tmp_path, capsys):
     real = tmp_path / "real.txt"
     real.write_text("old\n")
@@ -750,9 +776,11 @@ def test_failed_cloud_write_removes_the_staged_output(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("target, reason", [("D", "Is a directory"), ("nodir/", "Not a directory")])
+@pytest.mark.parametrize("target, reason",
+                         [("D", "Is a directory"), ("D/", "Is a directory"), ("nodir/", "Not a directory")])
 def test_output_that_cannot_be_a_file_leaves_no_cloud(target, reason, tmp_path, capsys, monkeypatch):
-    # both names fail only at their rename, which ran after the cloud's
+    # nodir/ is refused when staged; a directory, staged anonymously, by the plain open that copies
+    # it out; either way before the cloud's rename
     monkeypatch.chdir(tmp_path)
     (tmp_path / "D").mkdir()
     code, out, err = run_cli(
@@ -845,7 +873,6 @@ def test_broken_pipe_on_a_ranged_listing_exits_1(capsys, monkeypatch):
 
 
 def test_full_stdout_exits_2(capsys, monkeypatch):
-    import errno
     import sys
 
     def full(text):
@@ -856,6 +883,33 @@ def test_full_stdout_exits_2(capsys, monkeypatch):
         assert run_cli(capsys, *argv) == (
             2, "", "rootdist: error: cannot write stdout: No space left on device\n"
         ), argv
+
+
+@pytest.mark.parametrize("error, code, err", [
+    (OSError(errno.ENOSPC, "No space left on device"), 2, "rootdist: error: cannot write stdout: No space left on device\n"),
+    (BrokenPipeError(), 1, ""),  # the reader has gone
+], ids=["full", "broken-pipe"])
+def test_failed_stdout_leaves_no_cloud(error, code, err, tmp_path, capsys, monkeypatch):
+    # stdout is copied out before the cloud is renamed into place
+    def fail(text):
+        raise error
+
+    monkeypatch.setattr(sys.stdout, "write", fail)
+    cloud = tmp_path / "c.csv"
+    argv = ("system", "--polys", "1,1,1;-1,-1,1", "--xmax", "20", "--cloud-out", str(cloud))
+    assert run_cli(capsys, *argv) == (code, "", err)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_cloud_on_a_full_device_leaves_no_output(tmp_path, capsys):
+    # the device is copied out before the output is renamed into place
+    out = tmp_path / "o.csv"
+    assert run_cli(capsys, "system", "--polys", "1,1,1;-1,-1,1", "--xmax", "20",
+                   "--output", str(out), "--cloud-out", "/dev/full") == (
+        2, "", "rootdist: error: cannot write /dev/full: No space left on device\n"
+    )
+    assert not list(tmp_path.iterdir())
 
 
 def fresh_cli(argv, unbuffered, **kwargs):
@@ -881,6 +935,16 @@ def test_stdout_on_a_full_device_exits_2_without_a_traceback(argv, unbuffered):
     with open("/dev/full", "w") as full:
         run = fresh_cli(argv, unbuffered, stdout=full)
     assert (run.returncode, run.stderr) == (2, "rootdist: error: cannot write stdout: No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_output_dev_stdout_into_a_pipe():
+    # /dev/stdout names the pipe itself, which only a plain open can write
+    import subprocess
+
+    run = fresh_cli(["roots", "--poly", "1,0,1", "--n", "65", "--output", "/dev/stdout"], False,
+                    stdout=subprocess.PIPE)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "65: 8 18 47 57\n", "")
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

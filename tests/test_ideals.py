@@ -10,6 +10,7 @@ from rootdist import (
     AdmissibilityError,
     FactoredIdeal,
     InvalidArgumentError,
+    SpfSieve,
     UnsupportedInputError,
     admissibility,
     enumerate_degree_one,
@@ -204,6 +205,19 @@ def test_enumerate_reads_the_kept_table(monkeypatch, capsys):
             assert [enumerate_degree_one(f, n) for n in ns] == want, c
             assert (cli.main(argv), capsys.readouterr().out) == (0, lines), c
     clear_caches()
+
+
+def test_enumerate_ignores_the_callers_sieve():
+    # n past the process sieve's 10^5 and within the caller's 10^6: both calls give the product route's ideals
+    big = SpfSieve(10**6)
+    rng = random.Random(42)
+    for c in ((1, 0, 1), (-2, 0, 0, 1)):
+        f = IntPolynomial(c)
+        bad = f.eta * f.discriminant
+        ns = [n for n in rng.sample(range(10**5 + 1, 10**6 + 1), 300) if math.gcd(n, bad) == 1]
+        ns += [100003, 130321, 999961]  # a prime, 19^4 and the largest prime below 10^6
+        for n in ns:
+            assert enumerate_degree_one(f, n, big) == enumerate_degree_one(f, n) == _product_route(f, n), (c, n)
 
 
 def test_json_round_trip_and_field_order(x2p1):

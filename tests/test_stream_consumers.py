@@ -121,6 +121,18 @@ def test_joint_weyl_series_matches_scalar_loop(polys):
             assert all(type(n) is int and all(type(v) is int for v in t) for n, t in got_cloud)
 
 
+@pytest.mark.parametrize("text", ["progression:7,50000", "progression:1,50000"])
+def test_joint_weyl_series_through_empty_windows_matches_scalar_loop(text):
+    # four moduli to 2e5, so most table windows hold none; a = 7 gives no tuple, a = 1 five
+    system = PolySystem((parse_polynomial("1,1,1"), parse_polynomial("-1,-1,1")))
+    flt = ModulusFilter.parse(text)
+    got_cloud, want_cloud = [], []
+    got = joint_weyl_series(system, 200000, flt=flt, cloud_sink=lambda n, t: got_cloud.append((n, t)))
+    want = scalar_joint_weyl_series(system, 200000, flt=flt, cloud_sink=lambda n, t: want_cloud.append((n, t)))
+    assert joint_reprs(got) == joint_reprs(want)
+    assert got_cloud == want_cloud
+
+
 def _golden_angles():
     """(f, h, xmax) of every Weyl sum the goldens pin: acceptance.json (h = 1
     to 1e6, the pair's h in {-1, 0, 1} to 1e5) and the weyl runs of cli.json."""
