@@ -289,7 +289,7 @@ def _cmd_ideals(args: argparse.Namespace, output) -> None:
         rows = [enumerate_degree_one(f, args.n)]
     else:
         stream = root_stream(f, args.nmax, ModulusFilter.coprime(abs(f.eta * f.discriminant)))
-        sieve = cached_sieve(args.nmax)  # the sieve the stream's table fill reads
+        sieve = cached_sieve(args.nmax)  # for spf_parts only: the table fill sieves its own blocks
         rows = (_ideals_of(roots, spf_parts(n, sieve)) for n, roots in stream if roots)
     output(args.output).writelines(ideal.to_json() + "\n" for row in rows for ideal in row)
 
@@ -300,9 +300,13 @@ def _cmd_system(args: argparse.Namespace, output) -> None:
         body = " ".join(",".join(str(v) for v in tup) for tup in root_tuples(system, args.n))
         output(args.output).write(f"{args.n}: {body}".rstrip() + "\n")
         return
-    if None not in (args.cloud_out, args.output) and (
-            os.path.realpath(args.cloud_out) == os.path.realpath(args.output)):
-        raise InvalidArgumentError("--output and --cloud-out name the same file")
+    if args.cloud_out is not None:  # one file for two outputs is refused before any work
+        if args.output is not None and os.path.realpath(args.cloud_out) == os.path.realpath(args.output):
+            raise InvalidArgumentError("--output and --cloud-out name the same file")
+        with contextlib.suppress(OSError, AttributeError):  # stdout closed, or no cloud file yet
+            st = os.fstat(sys.stdout.fileno())  # a pipe or a terminal is no regular file
+            if not args.output and stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.stat(args.cloud_out)):
+                raise InvalidArgumentError("stdout and --cloud-out name the same file")
 
     def h_vector(chunk):
         vec = parse_ints(chunk := chunk.strip(), "hset entry")

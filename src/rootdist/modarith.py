@@ -1,15 +1,16 @@
 """Integer plumbing: smallest-prime-factor sieve, factorization, CRT, primality.
 
-One process-wide sieve (``cached_sieve``) serves every caller that does not
-bring its own; it is rebuilt larger only when a caller needs more.  The
-table is uint16 (0 for a prime), and a limit above 10^8 entries (200 MB)
-is refused before anything is allocated.  Factoring beyond the sieve limit
-falls back to trial division by sieved primes plus a primality test, and
-inputs outside that range are rejected rather than risked.  ``is_prime``
-reads the shared sieve when one covers n (it never builds one) and runs a
-Miller-Rabin test with the 13 prime bases 2..41 beyond it, proven correct
-below psi_13 = 3317044064679887385961981 (Sorenson and Webster, Math. Comp.
-86, 2017); larger n are refused.
+One kernel, ``_spf``, sieves: ``SpfSieve``'s table, and the blocks of
+_SIEVE_BLOCK numbers that ``_primes_in`` and each ``roots.ModulusTable``
+sieve for themselves and do not keep.  The process-wide ``SpfSieve``
+(``cached_sieve``; no stream builds it) serves per-n factorization and its
+explicit callers.  A table is uint16 (0 for a prime); a limit above 10^8
+entries (200 MB) is refused before anything is allocated.  Past its limit,
+``factorize`` trial-divides by its primes and refuses a composite cofactor
+rather than guess.  ``is_prime`` reads the shared sieve when one covers n
+(it never builds one) and runs a Miller-Rabin test with the 13 prime bases
+2..41 beyond it, proven correct below psi_13 = 3317044064679887385961981
+(Sorenson and Webster, Math. Comp. 86, 2017); larger n are refused.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ _SIEVE_LIMIT_MAX = 10**8
 # The shared sieve is never built smaller than this.
 _SHARED_SIEVE_MIN = 10**5
 
+# Numbers per block of a segmented sieve (``_primes_in``, the modulus table).
+_SIEVE_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class Factorization:
@@ -54,6 +58,25 @@ class Factorization:
             raise InvalidArgumentError("factorization does not reconstruct its modulus")
 
 
+def _spf(a: int, b: int, small: list[int]) -> np.ndarray:
+    """The smallest prime of each composite n in [a, b) as uint16 (0 for any other n).
+    ``small`` holds the primes up to sqrt(b - 1), largest first (a larger one writes nothing):
+    each writes its multiples from its square, so the smallest prime of n writes last."""
+    out = np.zeros(b - a, dtype=np.uint16)
+    for q in small:
+        out[max(q * q, -(-a // q) * q) - a :: q] = q
+    return out
+
+
+def _primes_in(lo: int, hi: int) -> np.ndarray:
+    """The primes p with lo < p <= hi, ascending, for lo >= 1: the zeros of
+    ``_spf``, a block of _SIEVE_BLOCK numbers at a time."""
+    small = _primes_in(1, math.isqrt(hi))[::-1].tolist() if hi > 3 else []
+    found = [np.flatnonzero(_spf(a, min(a + _SIEVE_BLOCK, hi + 1), small) == 0) + a
+             for a in range(lo + 1, hi + 1, _SIEVE_BLOCK)]
+    return np.concatenate([np.zeros(0, np.int64), *found])
+
+
 class SpfSieve:
     """Smallest-prime-factor table for 2 <= n <= limit: uint16, 0 for a
     prime, which every reader here turns into n (``sieve[n]`` is n)."""
@@ -62,26 +85,15 @@ class SpfSieve:
         if limit < 2:
             raise InvalidArgumentError("sieve limit must be at least 2")
         if limit > _SIEVE_LIMIT_MAX:
-            raise ResourceLimitError(
-                f"sieve limit {limit} exceeds the cap of {_SIEVE_LIMIT_MAX} entries"
-            )
+            raise ResourceLimitError(f"sieve limit {limit} exceeds the cap of {_SIEVE_LIMIT_MAX} entries")
         self.limit = int(limit)
-        table = np.zeros(self.limit + 1, dtype=np.uint16)
-        for p in range(2, math.isqrt(self.limit) + 1):
-            if table[p] == 0:
-                chunk = table[p * p :: p]
-                chunk[chunk == 0] = p
-        self._table = table
-        self.spf = memoryview(table)  # zero-copy; indexing yields Python ints
+        self._table = _spf(0, self.limit + 1, _primes_in(1, math.isqrt(self.limit))[::-1].tolist())
+        self.spf = memoryview(self._table)  # zero-copy; indexing yields Python ints
 
     def __getitem__(self, n: int) -> int:
         if not 2 <= n <= self.limit:
             raise InvalidArgumentError(f"sieve lookup out of range: {n}")
         return self.spf[n] or n
-
-    def smallest(self, lo: int, hi: int) -> np.ndarray:
-        """The smallest primes of 2 <= lo <= n < hi <= limit + 1, as int64."""
-        return np.where(self._table[lo:hi] == 0, np.arange(lo, hi), self._table[lo:hi])
 
     def primes(self) -> list[int]:
         """Every prime up to limit: a fresh list, not kept (200 MB at the cap)."""
@@ -98,11 +110,8 @@ _shared_sieve: SpfSieve | None = None
 
 
 def cached_sieve(limit: int) -> SpfSieve:
-    """The process-wide sieve, covering at least limit.
-
-    It is replaced by a larger one only when limit exceeds it, so at most
-    one table is alive, and it never covers less than _SHARED_SIEVE_MIN.
-    """
+    """The process-wide sieve, covering at least limit and _SHARED_SIEVE_MIN:
+    replaced by a larger one only when limit exceeds it, so one table is alive."""
     global _shared_sieve
     if _shared_sieve is None or _shared_sieve.limit < limit:
         _shared_sieve = SpfSieve(max(limit, _SHARED_SIEVE_MIN))

@@ -26,11 +26,9 @@ A stream reads the modulus table of its polynomial (``root_table``): the
 roots mod every n <= x in int32 CSR arrays, one growing table shared by
 every stream.  It owns f's prime table: the 4 most recently used
 polynomials keep both tables until ``clear_caches()``, evicting one frees
-both, and a per-n query fills no modulus-table rows.  Write n = q m with
-q the full power of the smallest prime of n; the roots mod n are the CRT
-products of the roots mod q and mod m, or lifts of the roots mod n/p when
-n = q.  Chunks [a, min(2a, a + _TABLE_CHUNK)) fill it in ascending order, so
-that q, m and n/p (at most n/2) always lie in an earlier, finished chunk.
+both, and a per-n query fills no modulus-table rows.  ``ModulusTable.fill``
+builds rows from earlier rows and from blocks of numbers that it sieves by
+the prime table's primes, so no stream builds or keeps the process sieve.
 Streams read the table only through ``_stream_windows``, in int64 CSR
 windows whose moduli a ``ModulusFilter`` alone decides (a dropped one costs
 nothing); an explicit list takes one window of Python ints per listed n
@@ -52,7 +50,7 @@ import numpy as np
 from .errors import InvalidArgumentError, ResourceLimitError
 from .intpoly import IntPolynomial, parse_ints, poly_eval_mod
 from .modarith import (
-    _SIEVE_LIMIT_MAX, Factorization, SpfSieve, cached_sieve, crt_product, factorize, inverse, is_prime
+    _SIEVE_BLOCK, _SIEVE_LIMIT_MAX, Factorization, _primes_in, _spf, crt_product, factorize, inverse, is_prime
 )
 
 # A prime taken on its own gets a scan of every residue below this bound
@@ -356,21 +354,6 @@ def _prime_roots_cached(f: IntPolynomial, p: int) -> tuple[int, ...]:
     if p < _SCAN_LIMIT:
         return _scan_roots(f, p)
     return _roots_mod_prime_large(f, p)
-
-
-def _primes_in(lo: int, hi: int) -> np.ndarray:
-    """The primes p with lo < p <= hi, ascending, for lo >= 1: a sieve of
-    the segment by the primes up to sqrt(hi)."""
-    root = math.isqrt(hi)
-    small = np.ones(root + 1, dtype=bool)
-    small[:2] = False
-    for q in range(2, math.isqrt(root) + 1):
-        if small[q]:
-            small[q * q :: q] = False
-    flags = np.ones(hi - lo, dtype=bool)  # flags[i] stands for lo + 1 + i
-    for q in np.flatnonzero(small).tolist():
-        flags[max(q * q, (lo // q + 1) * q) - lo - 1 :: q] = False
-    return np.flatnonzero(flags).astype(np.int64) + (lo + 1)
 
 
 def _prime_chunks(f: IntPolynomial, lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -694,11 +677,11 @@ def _moduli_chunks(lo: int, hi: int) -> Iterator[tuple[int, int]]:
         lo = top
 
 
-def _split_smallest(lo: int, hi: int, sieve: SpfSieve) -> tuple[np.ndarray, ...]:
-    """(n, p, q, m) for n in [lo, hi), 2 <= lo: p = sieve[n] is the smallest
-    prime of n, q = p^e its full power in n, and m = n // q."""
+def _split_smallest(lo: int, hi: int, spf: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(n, p, q, m) for n in [lo, hi), 2 <= lo, from their ``_spf`` row: p
+    is the smallest prime of n, q = p^e its full power in n, and m = n // q."""
     n = np.arange(lo, hi, dtype=np.int64)
-    p = sieve.smallest(lo, hi)
+    p = np.where(spf == 0, n, spf)
     q = p.copy()
     m = n // p
     more = np.flatnonzero(m % p == 0)
@@ -720,7 +703,9 @@ class ModulusTable:
     form: roots mod n = roots[offsets[n]:offsets[n + 1]] (n = 0 is empty).
 
     ``fill`` appends chunks of rows (``_moduli_chunks``) read off finished
-    rows.  Write n = q m, q the full power of the smallest prime p of n.  For
+    rows.  Write n = q m, q the full power of the smallest prime p of n,
+    which the fill reads off a block of _SIEVE_BLOCK numbers that it sieves
+    by the prime table's primes (``_spf``) and keeps no longer.  For
     m > 1 the roots mod n are b + m ((a - b) m^-1 mod q) over the roots a mod
     q and b mod m; for n = p^e, e >= 2, the zeros of f (int64 Horner mod n)
     among the lifts v + t n/p, 0 <= t < p, of the roots v mod n/p.  So no
@@ -738,18 +723,20 @@ class ModulusTable:
         self.roots = np.zeros(1, dtype=np.int32)  # roots[0] = 0 mod 1
 
     def fill(self, xmax: int) -> None:
-        """Extend the table to every n <= xmax; the shared sieve, the one
-        the table reads, is fetched before the prime table is filled."""
+        """Extend the table to every n <= xmax."""
         if xmax <= self.limit:
             return
-        sieve = cached_sieve(xmax)
         table = self.primes
         table.fill(xmax)
+        small = table.primes[: table.primes.searchsorted(np.int32(math.isqrt(xmax)), "right")][::-1].tolist()
+        base, block = 0, np.zeros(0, np.uint16)
         offsets = np.zeros(xmax + 2, dtype=np.int32)
         offsets[: self.limit + 2] = self.offsets
         roots = self.roots
         for lo, hi in _moduli_chunks(self.limit + 1, xmax + 1):
-            n, p, q, m = _split_smallest(lo, hi, sieve)
+            if hi > base + block.size:
+                base, block = lo, _spf(lo, min(lo + _SIEVE_BLOCK, xmax + 1), small)
+            n, p, q, m = _split_smallest(lo, hi, block[lo - base : hi - base])
             i0, i1 = table.primes.searchsorted(np.array((lo, hi), np.int32)).tolist()
             own = [np.repeat(np.flatnonzero(p == n), np.diff(table.offsets[i0 : i1 + 1]))]
             vals = [table.roots[table.offsets[i0] : table.offsets[i1]]]

@@ -550,8 +550,8 @@ def test_oversized_sieve_exits_before_allocating(capsys):
     from rootdist.roots import prime_table
 
     code, out, err = run_cli(capsys, "weyl", "--poly", "1,0,1", "--xmax", "100000001")
-    assert code == 1 and out == "" and "sieve limit" in err
-    # the stream asked for its sieve before filling the prime table
+    assert code == 1 and out == "" and "prime table limit 100000001 exceeds the cap" in err
+    # the prime table refused its limit before it sieved or allocated anything
     assert prime_table(parse_polynomial("1,0,1")).limit < 10**8
 
 
@@ -945,6 +945,28 @@ def test_output_dev_stdout_into_a_pipe():
     run = fresh_cli(["roots", "--poly", "1,0,1", "--n", "65", "--output", "/dev/stdout"], False,
                     stdout=subprocess.PIPE)
     assert (run.returncode, run.stdout, run.stderr) == (0, "65: 8 18 47 57\n", "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_cloud_on_stdouts_file_is_refused_before_any_work(tmp_path):
+    # stdout a regular file: the cloud's rows and the series would both land in it, one over the other
+    import subprocess
+
+    system = ["system", "--polys", "1,1,1;-1,-1,1", "--xmax", "20"]
+    out = tmp_path / "out.txt"
+    for cloud in ("/dev/stdout", str(out)):
+        with open(out, "w") as fh:
+            run = fresh_cli([*system, "--cloud-out", cloud], False, stdout=fh)
+        assert (run.returncode, run.stderr) == (2, "rootdist: error: stdout and --cloud-out name the same file\n")
+        assert out.read_text() == "" and [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    # a pipe is no file: the cloud's rows, then the series, as before
+    run = fresh_cli([*system, "--cloud-out", "/dev/stdout"], False, stdout=subprocess.PIPE)
+    assert (run.returncode, hashlib.md5(run.stdout.encode()).hexdigest()) == (0, "46b50dd230fe1e2936f5ebec158d4f37")
+    # one output on stdout's file is no conflict
+    weyl = ["weyl", "--poly", "1,0,1", "--xmax", "100"]
+    with open(out, "w") as fh:
+        run = fresh_cli([*weyl, "--output", "/dev/stdout"], False, stdout=fh)
+    assert run.returncode == 0 and out.read_text() == fresh_cli(weyl, False, stdout=subprocess.PIPE).stdout
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

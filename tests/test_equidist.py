@@ -260,12 +260,12 @@ def test_split_prime_count_matches_a_residue_scan(coeffs):
         assert split_prime_count(f, n) == sum(split[p] for p, _ in trial_factorize(n)), n
 
 
-def test_stream_consumers_read_the_shared_sieve(x2p1, monkeypatch):
-    # a caller's sieve is not read: the modulus table fills from the shared one
+def test_stream_consumers_build_no_process_sieve(x2p1, monkeypatch):
+    # a caller's sieve is not read, and no shared one is built: the modulus table sieves its own blocks
     clear_caches()
     monkeypatch.setattr(modarith, "_shared_sieve", None)
     got = weyl_series(x2p1, 1, 3000, sieve=SpfSieve(10**4))
-    assert modarith._shared_sieve is not None and modarith._shared_sieve.limit >= 3000
+    assert modarith._shared_sieve is None
     clear_caches()
     want = weyl_series(x2p1, 1, 3000)
     assert (got.signed, got.abs_sum, got.normalizer) == (want.signed, want.abs_sum, want.normalizer)

@@ -17,7 +17,7 @@ from rootdist import (
 )
 
 from rootdist import modarith
-from rootdist.modarith import _SIEVE_LIMIT_MAX, cached_sieve, crt_product
+from rootdist.modarith import _SIEVE_BLOCK, _SIEVE_LIMIT_MAX, _spf, cached_sieve, crt_product
 from rootdist.roots import _primes_in
 
 from oracles import eratosthenes, trial_factorize
@@ -80,7 +80,7 @@ def test_sieve_matches_trial_division_across_two_to_the_sixteen(monkeypatch):
         want[(want == 0) & (n % p == 0)] = p
     want = np.where(want == 0, n, want)[2:].tolist()
     assert [sieve[k] for k in range(2, limit + 1)] == want
-    assert sieve.smallest(2, limit + 1).tolist() == want
+    assert [s or k for k, s in enumerate(sieve.spf)][2:] == want
     assert sieve.primes() == _primes_in(1, limit).tolist()
     # is_prime reads the shared sieve: with no Miller-Rabin base left, any
     # other route would call every odd composite prime
@@ -89,6 +89,36 @@ def test_sieve_matches_trial_division_across_two_to_the_sixteen(monkeypatch):
     assert shared is modarith._shared_sieve
     assert [is_prime(k) for k in range(65_000, 70_001)] == [sympy.isprime(k) for k in range(65_000, 70_001)]
     assert SpfSieve(10**6).spf.nbytes == 2_000_002  # 2 bytes per entry
+
+
+def _smallest_factor(n):
+    """The smallest prime of a composite n by trial division, 0 for any other n."""
+    return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), 0) if n > 3 else 0
+
+
+def test_spf_blocks_match_trial_division():
+    # from 0, at a multiple of small primes, inside [q, q^2) for q = 97 (q itself stays 0, q^2 reads q),
+    # ending at 4 or below, and at random
+    rng = random.Random(11)
+    blocks = [(0, 1), (0, 4), (2, 4), (3, 4), (0, 3000), (6 * 7 * 11 * 13, 6 * 7 * 11 * 13 + 2000),
+              (97, 9500), (150, 9410), (9409, 9410), (10**6 - 2000, 10**6)]
+    blocks += [(a, a + rng.randint(1, 3000)) for a in (rng.randint(0, 10**6) for _ in range(30))]
+    for a, b in blocks:
+        small = sorted((p for p in range(2, math.isqrt(b - 1) + 1) if _smallest_factor(p) == 0), reverse=True)
+        got = _spf(a, b, small)
+        assert got.dtype == np.uint16 and got.tolist() == [_smallest_factor(n) for n in range(a, b)], (a, b)
+
+
+def test_primes_in_matches_sympy_across_block_edges():
+    rng = random.Random(12)
+    cases = [(1, 1), (1, 2), (1, 3), (2, 3), (3, 3), (1, 97), (89, 97), (1, _SIEVE_BLOCK + 1),
+             (_SIEVE_BLOCK - 5, 3 * _SIEVE_BLOCK + 7), (5, 4)]
+    for _ in range(20):
+        lo = rng.randint(1, 4 * _SIEVE_BLOCK)
+        cases.append((lo, lo + rng.randint(0, 2 * _SIEVE_BLOCK)))
+    for lo, hi in cases:
+        got = _primes_in(lo, hi)
+        assert got.dtype == np.int64 and got.tolist() == list(sympy.primerange(lo + 1, hi + 1)), (lo, hi)
 
 
 def test_sieve_agrees_with_trial_division(small_sieve):

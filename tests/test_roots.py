@@ -12,6 +12,7 @@ from rootdist import (
     InvalidArgumentError,
     ModulusFilter,
     ResourceLimitError,
+    UnsupportedInputError,
     enumerate_degree_one,
     factorize,
     poly_eval_mod,
@@ -19,11 +20,12 @@ from rootdist import (
     roots_mod_n,
     roots_mod_prime,
     roots_mod_prime_power,
+    weyl_series,
 )
 from rootdist import roots as roots_module
 from rootdist.intpoly import IntPolynomial, IrreducibilityAssumedWarning
 from rootdist import modarith
-from rootdist.modarith import cached_sieve
+from rootdist.modarith import _spf
 from rootdist.roots import (
     _SCAN_LIMIT,
     PrimeRootTable,
@@ -632,18 +634,43 @@ def test_explicit_list_windows_hold_python_ints(x2p1):
 
 def test_smallest_prime_factor_walk_matches_trial_division():
     # the table's split n = q m, q the full power of the smallest prime,
-    # chunk by chunk, and factorize on the same sieve
-    sieve = cached_sieve(5000)
+    # chunk by chunk from the chunk's _spf row, and factorize
+    small = _primes_in(1, 70)[::-1].tolist()
     seen = []
     for lo, hi in _moduli_chunks(2, 5001):
         assert hi <= 2 * lo
-        for n, p, q, m in zip(*(a.tolist() for a in _split_smallest(lo, hi, sieve))):
+        for n, p, q, m in zip(*(a.tolist() for a in _split_smallest(lo, hi, _spf(lo, hi, small)))):
             want = trial_factorize(n)
             smallest, e = want[0]
             assert (p, q, m) == (smallest, smallest**e, n // smallest**e)
             assert list(factorize(n).parts) == want
             seen.append(n)
     assert seen == list(range(2, 5001))
+
+
+@pytest.mark.parametrize("kept", [False, True], ids=["no-sieve", "sieve-kept"])
+def test_a_stream_leaves_the_process_sieve_and_far_moduli_as_it_found_them(kept, x2p1, monkeypatch):
+    # 10^12 + 87 = 11 * 136511 * 665947: past the 10^5 process sieve its cofactor is refused, and a
+    # stream that grew that sieve to 10^6 would turn the refusal into ()
+    def answer():
+        try:
+            return roots_mod_n(x2p1, 10**12 + 87)
+        except UnsupportedInputError as exc:
+            return str(exc)
+
+    clear_caches()
+    monkeypatch.setattr(modarith, "_shared_sieve", None)
+    before = answer()  # factorize builds the 10^5 sieve
+    assert modarith._shared_sieve.limit == 10**5 and "composite cofactor 90909090917" in before
+    if not kept:
+        monkeypatch.setattr(modarith, "_shared_sieve", None)
+    sieve = modarith._shared_sieve
+    clear_caches()
+    weyl_series(x2p1, 1, 10**6)
+    left = modarith._shared_sieve
+    assert modulus_table(x2p1).limit == 10**6 and answer() == before
+    assert left is sieve
+    clear_caches()
 
 
 def _stream_filters():
